@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .errors import ContextMismatch, ZeroInputError
+from .errors import ContextMismatch, SelfCheckError, ZeroInputError
 from .fields import FieldElem, FieldSpec
 from .poly import NEG_INF, Poly, format_poly
 
@@ -109,7 +109,7 @@ class OreElement:
         cs = []
         for c in coeffs:
             if isinstance(c, Poly):
-                if c.spec != ctx.spec:
+                if c.spec is not ctx.spec and c.spec != ctx.spec:
                     raise ContextMismatch("coefficient over the wrong field")
             else:
                 c = Poly(ctx.spec, (c,))
@@ -155,7 +155,7 @@ class OreElement:
             return _lift(self.ctx, other)
         if not isinstance(other, OreElement):
             return NotImplemented
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ContextMismatch(f"{self.ctx!r} vs {other.ctx!r}")
         return other
 
@@ -235,8 +235,8 @@ def _mul(a: OreElement, b: OreElement) -> OreElement:
     if a.is_zero() or b.is_zero():
         return ctx.zero()
     na, nb = len(a.coeffs), len(b.coeffs)
-    spec = ctx.spec
-    out = [Poly.zero(spec)] * (na + nb - 1)
+    p = ctx.spec.characteristic
+    out = [Poly.zero(ctx.spec)] * (na + nb - 1)
     for j, g in enumerate(b.coeffs):
         if g.is_zero():
             continue
@@ -250,11 +250,12 @@ def _mul(a: OreElement, b: OreElement) -> OreElement:
             for m in range(i + 1):
                 if table[m].is_zero():
                     break
-                c = spec.from_int(comb(i, m))
-                if c.is_zero():
+                # C(i, m) as an integer, reduced so it vanishes in char p
+                c = comb(i, m) % p if p else comb(i, m)
+                if not c:
                     continue
                 term = f * table[m]
-                if not c.is_one():
+                if c != 1:
                     term = term.scaled(c)
                 out[i - m + j] = out[i - m + j] + term
     return OreElement(ctx, out)
@@ -348,7 +349,8 @@ def _div_one_sided(w, v, left):
             return None
         mono = ctx.monomial(qj, j)
         cur = cur - (v * mono if left else mono * v)
-        assert cur.is_zero() or len(cur.coeffs) - 1 < kw
+        if not cur.is_zero() and len(cur.coeffs) - 1 >= kw:
+            raise SelfCheckError("one-sided division failed to lower the degree")
         quot[j] = qj
     size = max(quot) + 1 if quot else 0
     return ctx.element([quot.get(i, Poly.zero(ctx.spec)) for i in range(size)])

@@ -63,6 +63,10 @@ class UnverifiableError(AhError):
     """The answer would depend on an unverified rational factorization."""
 
 
+class SelfCheckError(AhError):
+    """An internal self-check failed: a result broke an invariant the code relies on."""
+
+
 class ParseError(AhError):
     """Syntax error in an expression, with a position when known."""
 

@@ -1,11 +1,17 @@
 """Exact scalars: arbitrary-precision rationals and prime fields GF(p).
 
 A :class:`FieldSpec` names the field (``FieldSpec.rationals()`` or
-``FieldSpec.gf(p)`` with p prime).  A :class:`FieldElem` wraps one scalar
-together with its spec, so cross-field arithmetic raises instead of
-silently coercing.  Rationals are ``fractions.Fraction`` values (always in
-lowest terms with positive denominator); GF(p) values are reduced residues
-in ``range(p)``.  There is no floating point anywhere.
+``FieldSpec.gf(p)`` with p prime, certified by deterministic Miller-Rabin).
+A :class:`FieldElem` wraps one scalar together with its spec, so
+cross-field arithmetic raises instead of silently coercing.  Rationals are
+``fractions.Fraction`` values (always in lowest terms with positive
+denominator); GF(p) values are reduced residues in ``range(p)``.  There is
+no floating point anywhere.
+
+``FieldElem`` is the boundary type of the library: what callers pass in and
+read out one scalar at a time.  Polynomials do not hold field elements;
+:class:`~ahalg.poly.Poly` keeps canonical ints and builds elements only when
+its coefficients are read.
 """
 
 from __future__ import annotations
@@ -18,18 +24,36 @@ RATIONALS = "QQ"
 PRIME_FIELD = "GF"
 
 
+# The first 13 primes as Miller-Rabin bases decide primality for every n
+# below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n at or above the proven bound."""
+    if n >= _MR_BOUND:
+        raise ValueError("modulus too large to certify prime")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -1,14 +1,24 @@
 """Dense univariate polynomials over an exact field.
 
-A :class:`Poly` stores its coefficients by increasing degree with trailing
-zeros stripped, so equality is structural and the zero polynomial is the
-empty tuple (its ``degree`` is ``-inf``).  On top of the ring operations the
-module provides the calculus and factorization support the rest of the
-library leans on: formal derivatives, monic gcd, composition, squarefree
-decomposition in both characteristics (with p-th-root descent when the
-derivative vanishes), distinct-root counting, full factorization over GF(p)
-(squarefree + distinct-degree + equal-degree splitting), and rational-root
-based factor extraction over Q.
+A :class:`Poly` holds canonical Python ints, not field elements: numerators
+by increasing degree with trailing zeros stripped, over one positive
+denominator.  Over GF(p) the numerators are residues in ``range(p)`` and the
+denominator is 1; over QQ the gcd of the denominator and all numerators is
+1.  So equality and hashing are structural, and the zero polynomial is
+``((), 1)`` (its ``degree`` is ``-inf``).  Every operation runs on those ints
+and ends in one normalize step: reduce mod p, or divide out the gcd.  Beyond
+that step the fields differ only where a coefficient is inverted (division
+by an inverse mod p, pseudo-division over QQ; ``monic``) or evaluated.
+:class:`FieldElem` is the boundary type: the constructor accepts ints,
+Fractions and field elements, and ``coeffs``, ``coeff``, ``lc``,
+``evaluate`` and ``rational_roots`` build field elements when they are read.
+
+On top of the ring operations the module provides the calculus and
+factorization support the rest of the library leans on: formal derivatives,
+monic gcd, composition, squarefree decomposition in both characteristics
+(with p-th-root descent when the derivative vanishes), distinct-root
+counting, full factorization over GF(p) (squarefree + distinct-degree +
+equal-degree splitting), and rational-root based factor extraction over Q.
 
 Factorization over Q is not a complete irreducibility decision procedure:
 factors this module cannot certify carry ``verified=False`` and downstream
@@ -21,39 +31,84 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 
-from .errors import FieldMismatch, ZeroInputError
+from .errors import FieldMismatch, SelfCheckError, ZeroInputError
 from .fields import FieldElem, FieldSpec
 
 NEG_INF = float("-inf")
 
 
+def _canonical(spec: FieldSpec, nums, den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical form of ``sum nums[i] * x^i / den`` (den nonzero).
+
+    GF(p) reduces every numerator mod p (its denominator is always 1); QQ
+    makes the denominator positive and divides out the gcd of it and all
+    numerators.
+    """
+    p = spec.p
+    if p:
+        nums = [c % p for c in nums]
+    n = len(nums)
+    while n and not nums[n - 1]:
+        n -= 1
+    nums = tuple(nums[:n])
+    if not nums:
+        return nums, 1
+    if den != 1:
+        if den < 0:
+            den, nums = -den, tuple(-c for c in nums)
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, tuple(c // g for c in nums)
+    return nums, den
+
+
+def _poly(spec: FieldSpec, nums, den: int = 1) -> "Poly":
+    """The polynomial ``sum nums[i] * x^i / den``, built from raw ints."""
+    f = object.__new__(Poly)
+    f.spec = spec
+    f._nums, f._den = _canonical(spec, nums, den)
+    return f
+
+
+def _scaled_horner(nums, n: int, m: int) -> int:
+    """``m^k * f(n/m)`` for ``f = sum nums[i] * x^i`` of degree k, in integers."""
+    acc = 0
+    mp = 1
+    for c in reversed(nums):
+        acc = acc * n + c * mp
+        mp *= m
+    return acc
+
+
 class Poly:
     """A dense univariate polynomial with exact field coefficients."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "_nums", "_den")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
-        cs = [spec.elem(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        vals = [c if type(c) is int else spec.elem(c).val for c in coeffs]
+        den = 1
+        if not spec.p:
+            den = lcm(*(v.denominator for v in vals))
+            vals = [v.numerator * (den // v.denominator) for v in vals]
         self.spec = spec
-        self.coeffs = tuple(cs)
+        self._nums, self._den = _canonical(spec, vals, den)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, spec) -> "Poly":
-        return cls(spec, ())
+        return _poly(spec, ())
 
     @classmethod
     def one(cls, spec) -> "Poly":
-        return cls(spec, (1,))
+        return _poly(spec, (1,))
 
     @classmethod
     def x(cls, spec) -> "Poly":
-        return cls(spec, (0, 1))
+        return _poly(spec, (0, 1))
 
     @classmethod
     def constant(cls, c: FieldElem) -> "Poly":
@@ -65,73 +120,102 @@ class Poly:
 
     @classmethod
     def from_ints(cls, spec, ints) -> "Poly":
-        return cls(spec, [spec.from_int(n) for n in ints])
+        return cls(spec, ints)
 
     # -- structure ----------------------------------------------------
+
+    def _values(self) -> list:
+        """The coefficients as plain values: ints over GF(p), Fractions over QQ."""
+        if self.spec.p:
+            return list(self._nums)
+        d = self._den
+        return [Fraction(c, d) for c in self._nums]
+
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        """The coefficients by increasing degree, as field elements."""
+        spec = self.spec
+        return tuple(FieldElem(spec, v) for v in self._values())
 
     @property
     def degree(self):
         """Degree as an int, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._nums) - 1 if self._nums else NEG_INF
 
     @property
     def lc(self) -> FieldElem:
-        if not self.coeffs:
+        if not self._nums:
             raise ZeroInputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(len(self._nums) - 1)
 
     def coeff(self, i: int) -> FieldElem:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._nums):
+            c, d = self._nums[i], self._den
+            return FieldElem(self.spec, c if d == 1 else Fraction(c, d))
         return self.spec.zero()
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        return self._nums == (1,) and self._den == 1
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self._nums) <= 1
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
+        return bool(self._nums) and self._nums[-1] == self._den
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
             other = Poly(self.spec, (other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        return (
+            self.spec == other.spec
+            and self._nums == other._nums
+            and self._den == other._den
+        )
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self._nums, self._den))
 
     def _check(self, other) -> "Poly":
         if isinstance(other, (int, Fraction, FieldElem)):
             return Poly(self.spec, (other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch("polynomials over different fields")
         return other
 
     # -- ring operations ----------------------------------------------
 
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        # self + sign * other, over the product of the two denominators
+        a, b = self._nums, other._nums
+        den = da = self._den
+        db = other._den
+        if da != db:
+            a = [c * db for c in a]
+            b = [c * da for c in b]
+            den = da * db
+        if sign < 0:
+            b = [-c for c in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return _poly(self.spec, out, den)
+
     def __add__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.spec, out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -139,10 +223,7 @@ class Poly:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.spec, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._check(other)
@@ -151,24 +232,26 @@ class Poly:
         return other - self
 
     def __neg__(self):
-        return Poly(self.spec, [-c for c in self.coeffs])
+        return _poly(self.spec, [-c for c in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElem)):
             return self.scaled(self.spec.elem(other))
         if not isinstance(other, Poly):
             return NotImplemented
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch("polynomials over different fields")
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.spec)
-        out = [self.spec.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.spec, out)
+        a, b = self._nums, other._nums
+        if not a or not b:
+            return _poly(self.spec, ())
+        if len(a) > len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(self.spec, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -190,19 +273,41 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(other.coeffs) - 1
-        inv_lc = other.lc.inverse()
-        quot = [self.spec.zero()] * max(len(rem) - dn, 0)
+        p = self.spec.p
+        rem = list(self._nums)
+        dn = len(other._nums) - 1
+        low, lc = other._nums[:dn], other._nums[dn]
+        quot = [0] * max(len(rem) - dn, 0)
+        if p:
+            inv_lc = pow(lc, -1, p)
+            for i in range(len(rem) - 1, dn - 1, -1):
+                q = rem[i] * inv_lc % p
+                if q:
+                    quot[i - dn] = q
+                    for j, b in enumerate(low, i - dn):
+                        rem[j] -= q * b
+            return _poly(self.spec, quot), _poly(self.spec, rem[:dn])
+        # pseudo-division: lc^e * self = quot * other + rem in integers,
+        # scaling by lc only at the e steps that eliminate a nonzero term
+        e = 0
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
-            if c.is_zero():
+            if not c:
                 continue
-            q = c * inv_lc
-            quot[i - dn] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - dn + j] = rem[i - dn + j] - q * b
-        return Poly(self.spec, quot), Poly(self.spec, rem)
+            if lc != 1:
+                e += 1
+                for j in range(i):
+                    rem[j] *= lc
+                for j in range(i - dn + 1, len(quot)):
+                    quot[j] *= lc
+            quot[i - dn] = c
+            for j, b in enumerate(low, i - dn):
+                rem[j] -= c * b
+        den = lc**e * self._den
+        return (
+            _poly(self.spec, [q * other._den for q in quot], den),
+            _poly(self.spec, rem[:dn], den),
+        )
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -219,42 +324,55 @@ class Poly:
 
     def derivative(self) -> "Poly":
         """Formal derivative; in char p the derivative of x^p is 0."""
-        return Poly(
-            self.spec,
-            [self.spec.from_int(i) * c for i, c in enumerate(self.coeffs)][1:],
+        nums = self._nums
+        return _poly(
+            self.spec, [i * nums[i] for i in range(1, len(nums))], self._den
         )
 
     def evaluate(self, point) -> FieldElem:
-        point = self.spec.elem(point)
-        acc = self.spec.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        point = self.spec.elem(point).val
+        p = self.spec.p
+        if p:
+            acc = 0
+            for c in reversed(self._nums):
+                acc = (acc * point + c) % p
+            return FieldElem(self.spec, acc)
+        n, m = point.numerator, point.denominator
+        k = max(len(self._nums) - 1, 0)
+        acc = _scaled_horner(self._nums, n, m)
+        return FieldElem(self.spec, Fraction(acc, self._den * m**k))
 
     def compose(self, inner: "Poly") -> "Poly":
         """Return self(inner(x)), computed exactly by Horner."""
         inner = self._check(inner)
-        acc = Poly.zero(self.spec)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
+        spec = self.spec
+        acc = _poly(spec, ())
+        for c in reversed(self._nums):
+            acc = acc * inner + _poly(spec, (c,))
+        return _poly(spec, acc._nums, acc._den * self._den)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ZeroInputError("cannot normalize the zero polynomial")
         if self.is_monic():
             return self
-        return self.scaled(self.lc.inverse())
+        nums, p = self._nums, self.spec.p
+        if p:
+            inv = pow(nums[-1], -1, p)
+            return _poly(self.spec, [c * inv for c in nums])
+        return _poly(self.spec, nums, nums[-1])
 
     def scaled(self, c) -> "Poly":
-        c = self.spec.elem(c)
-        return Poly(self.spec, [a * c for a in self.coeffs])
+        if type(c) is not int:
+            c = self.spec.elem(c).val
+        n, d = c.numerator, c.denominator
+        return _poly(self.spec, [a * n for a in self._nums], self._den * d)
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by x^k."""
         if self.is_zero():
             return self
-        return Poly(self.spec, (0,) * k + self.coeffs)
+        return _poly(self.spec, (0,) * k + self._nums, self._den)
 
     # -- printing -------------------------------------------------------
 
@@ -269,10 +387,11 @@ def format_poly(f: Poly, var: str = "x") -> str:
     """Canonical text form: terms in decreasing degree, e.g. ``x^2 - 2*x + 1``."""
     if f.is_zero():
         return "0"
+    values = f._values()
     parts = []
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[i]
-        if c.is_zero():
+    for i in range(len(values) - 1, -1, -1):
+        c = values[i]
+        if not c:
             continue
         body = _term_str(c, var, i)
         if not parts:
@@ -284,13 +403,14 @@ def format_poly(f: Poly, var: str = "x") -> str:
     return "".join(parts)
 
 
-def _term_str(c: FieldElem, var: str, i: int) -> str:
+def _term_str(c, var: str, i: int) -> str:
+    # c is a residue in range(p) or a Fraction, so c == -1 only over QQ
     if i == 0:
         return str(c)
     v = var if i == 1 else f"{var}^{i}"
-    if c.is_one():
+    if c == 1:
         return v
-    if c == -c.spec.one() and not c.spec.is_prime_field:
+    if c == -1:
         return f"-{v}"
     return f"{c}*{v}"
 
@@ -331,14 +451,10 @@ def pth_root(f: Poly) -> Poly:
     p = f.spec.characteristic
     if p == 0:
         raise ZeroInputError("p-th root only exists in characteristic p")
-    out = [f.spec.zero()] * (len(f.coeffs) // p + 1)
-    for i, c in enumerate(f.coeffs):
-        if c.is_zero():
-            continue
-        if i % p:
-            raise ValueError("polynomial is not a p-th power")
-        out[i // p] = c
-    return Poly(f.spec, out)
+    nums = f._nums
+    if any(c for i, c in enumerate(nums) if i % p):
+        raise ValueError("polynomial is not a p-th power")
+    return _poly(f.spec, nums[::p])
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -458,7 +574,7 @@ class FactoredPoly:
 
 
 def _poly_sort_key(f: Poly):
-    return (len(f.coeffs), tuple(c.sort_key() for c in f.coeffs))
+    return (len(f._nums), tuple(f._values()))
 
 
 def factor(f: Poly, seed: int = 0) -> FactoredPoly:
@@ -510,25 +626,18 @@ def rational_roots(f: Poly) -> list[FieldElem]:
     if spec.is_prime_field:
         raise FieldMismatch("rational_roots is defined over QQ only")
     roots = []
-    # strip x^k so the constant term becomes nonzero
+    # strip x^k so the constant term becomes nonzero; the denominator and
+    # the content do not move the roots
+    nums = f._nums
     k = 0
-    while f.coeff(k).is_zero():
+    while not nums[k]:
         k += 1
     if k:
         roots.append(spec.zero())
-        f = Poly(spec, f.coeffs[k:])
-    if f.degree < 1:
+    content = gcd(*nums)
+    ints = [n // content for n in nums[k:]]
+    if len(ints) < 2:
         return roots
-    denom_lcm = 1
-    for c in f.coeffs:
-        denom_lcm = denom_lcm * c.val.denominator // int_gcd(
-            denom_lcm, c.val.denominator
-        )
-    ints = [int(c.val * denom_lcm) for c in f.coeffs]
-    content = 0
-    for n in ints:
-        content = int_gcd(content, n)
-    ints = [n // content for n in ints]
     seen = set()
     for s in _divisors(abs(ints[0])):
         for t in _divisors(abs(ints[-1])):
@@ -536,9 +645,8 @@ def rational_roots(f: Poly) -> list[FieldElem]:
                 if cand in seen:
                     continue
                 seen.add(cand)
-                elem = spec.elem(cand)
-                if f.evaluate(elem).is_zero():
-                    roots.append(elem)
+                if not _scaled_horner(ints, cand.numerator, cand.denominator):
+                    roots.append(spec.elem(cand))
     roots.sort(key=lambda e: e.sort_key())
     return roots
 
@@ -601,7 +709,8 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
         if 0 < cand.degree < f.degree:
             split = cand
             break
-    assert split is not None, "equal-degree splitting exhausted its candidates"
+    if split is None:
+        raise SelfCheckError("equal-degree splitting exhausted its candidates")
     return sorted(
         _equal_degree(split, d, rng) + _equal_degree(f // split, d, rng),
         key=_poly_sort_key,

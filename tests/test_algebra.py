@@ -15,7 +15,8 @@ from ahalg import (
     div_left_exact,
     div_right_exact,
 )
-from ahalg.errors import ContextMismatch, ZeroInputError
+from ahalg import algebra
+from ahalg.errors import ContextMismatch, SelfCheckError, ZeroInputError
 
 from helpers import naive_mul, rand_elem, rand_poly
 
@@ -169,3 +170,12 @@ def test_exact_one_sided_division():
     y, x = ctx.gen(), ctx.x()
     assert div_left_exact(y, y * x) is None
     assert div_left_exact(x, y) is None
+
+
+def test_one_sided_division_checks_its_degree_drop(monkeypatch):
+    # a product that does not cancel the top term must raise, also under python -O
+    ctx = ctx_for(QQ, 0, 1)
+    w = ctx.gen() * ctx.x()
+    monkeypatch.setattr(algebra, "_mul", lambda a, b: a.ctx.zero())
+    with pytest.raises(SelfCheckError):
+        div_left_exact(w, ctx.gen())

@@ -248,3 +248,12 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x^2"
+
+
+def test_failed_self_check_is_an_exit_1_error(capsys, monkeypatch):
+    from ahalg import poly
+
+    monkeypatch.setattr(poly, "_splitter_candidates", lambda f, rng: iter(()))
+    code = run(["--field", "GF:5", "--h", "x", "factor", "x^2-1", "--json"])
+    assert code == 1
+    assert "exhausted" in json.loads(capsys.readouterr().out)["error"]

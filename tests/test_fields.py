@@ -1,5 +1,6 @@
 """Field arithmetic: canonical forms, axioms, and the integer embedding."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ahalg import FieldElem, FieldSpec
 from ahalg.errors import FieldMismatch, InfiniteFieldError
+from ahalg.fields import _is_prime
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.gf(5)
@@ -58,6 +60,32 @@ def test_primality_validated():
         FieldSpec.gf(6)
     with pytest.raises(ValueError):
         FieldSpec.gf(1)
+
+
+def test_primality_by_miller_rabin():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [p for p in range(3000) if _is_prime(p)] == [
+        p for p in range(3000) if trial_division(p)
+    ]
+    # Carmichael numbers and strong pseudoprimes to the leading bases
+    for n in (561, 2047, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            FieldSpec.gf(n)
+
+
+def test_large_prime_field_builds_fast():
+    start = time.perf_counter()
+    spec = FieldSpec.gf(2**61 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert spec.from_int(2**61) == 1
+
+
+def test_primality_refused_beyond_the_proven_bound():
+    with pytest.raises(ValueError, match="too large to certify"):
+        FieldSpec.gf(2**89 - 1)
 
 
 def test_characteristic():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ahalg import (
+    FieldElem,
     FieldSpec,
     Poly,
     distinct_root_count,
@@ -16,7 +17,8 @@ from ahalg import (
     squarefree_decomposition,
     squarefree_part,
 )
-from ahalg.errors import ZeroInputError
+from ahalg import poly as poly_module
+from ahalg.errors import FieldMismatch, SelfCheckError, ZeroInputError
 from ahalg.poly import is_irreducible, pow_mod, pth_root
 
 from helpers import rand_poly
@@ -207,3 +209,213 @@ def test_distinct_root_count_pth_power():
     assert distinct_root_count(Poly.monomial(F2loc, F2loc.one(), 4)) == 1
     # (x^2 + x)^2 = x^2 (x+1)^2 over GF(2): two distinct roots
     assert distinct_root_count(Poly.from_ints(F2loc, (0, 1, 1)) ** 2) == 2
+
+
+def test_equal_degree_splitting_checks_itself(monkeypatch):
+    # with no candidates left the splitter must raise, also under python -O
+    monkeypatch.setattr(poly_module, "_splitter_candidates", lambda f, rng: iter(()))
+    with pytest.raises(SelfCheckError):
+        factor(P(F5, -1, 0, 1))
+
+
+# -- the raw-int kernel against a plain Fraction/int oracle ---------------------
+#
+# The oracle works on lists of canonical values (ints in range(p), or
+# Fractions), by increasing degree with trailing zeros stripped.
+
+KERNEL_FIELDS = (QQ, F2, FieldSpec.gf(7), FieldSpec.gf(1000003))
+
+
+def _value(spec, c):
+    """The canonical value of an int, Fraction or FieldElem in spec."""
+    if isinstance(c, FieldElem):
+        c = c.val
+    if spec.is_prime_field:
+        return int(c) % spec.p
+    return Fraction(c)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def o_canon(spec, raw):
+    return _trim(_value(spec, c) for c in raw)
+
+
+def o_add(spec, a, b):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return o_canon(spec, [x + y for x, y in zip(a, b)])
+
+
+def o_neg(spec, a):
+    return o_canon(spec, [-x for x in a])
+
+
+def o_mul(spec, a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return o_canon(spec, out)
+
+
+def o_inverse(spec, c):
+    return pow(c, -1, spec.p) if spec.is_prime_field else 1 / c
+
+
+def o_divmod(spec, a, b):
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    inv = o_inverse(spec, b[-1])
+    for i in range(len(a) - len(b), -1, -1):
+        q = _value(spec, rem[i + len(b) - 1] * inv)
+        quot[i] = q
+        for j, y in enumerate(b):
+            rem[i + j] = _value(spec, rem[i + j] - q * y)
+    return o_canon(spec, quot), o_canon(spec, rem)
+
+
+def o_derivative(spec, a):
+    return o_canon(spec, [i * x for i, x in enumerate(a)][1:])
+
+
+def o_compose(spec, a, b):
+    acc = []
+    for c in reversed(a):
+        acc = o_add(spec, o_mul(spec, acc, b), [c])
+    return acc
+
+
+def o_gcd_monic(spec, a, b):
+    while b:
+        a, b = b, o_divmod(spec, a, b)[1]
+    inv = o_inverse(spec, a[-1])
+    return o_canon(spec, [x * inv for x in a])
+
+
+def scalars(spec):
+    """Coefficients as callers write them, canonical or not."""
+    ints = st.integers(-3 * 10**6, 3 * 10**6)
+    if spec.is_prime_field:
+        # integer-valued Fractions such as Fraction(6, 3)
+        fracs = st.builds(lambda n, m: Fraction(n * m, m), st.integers(-50, 50), st.integers(1, 9))
+    else:
+        fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    return st.one_of(ints, fracs, st.one_of(ints, fracs).map(spec.elem))
+
+
+def raw_polys(spec, max_len=6):
+    return st.lists(scalars(spec), max_size=max_len)
+
+
+def values(f):
+    return [c.val for c in f.coeffs]
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_oracle(spec, data):
+    a_raw, b_raw = data.draw(raw_polys(spec)), data.draw(raw_polys(spec))
+    c_raw = data.draw(scalars(spec))
+    f, g = Poly(spec, a_raw), Poly(spec, b_raw)
+    a, b, c = o_canon(spec, a_raw), o_canon(spec, b_raw), o_canon(spec, [c_raw])
+    expected = {
+        "f": (f, a),
+        "f * c": (f * c_raw, o_mul(spec, a, c)),
+        "f + g": (f + g, o_add(spec, a, b)),
+        "f - g": (f - g, o_add(spec, a, o_neg(spec, b))),
+        "-f": (-f, o_neg(spec, a)),
+        "f * g": (f * g, o_mul(spec, a, b)),
+        "f'": (f.derivative(), o_derivative(spec, a)),
+        "f(g)": (f.compose(g), o_compose(spec, a, b)),
+    }
+    if b:
+        q, r = divmod(f, g)
+        oq, orem = o_divmod(spec, a, b)
+        expected["f // g"] = (q, oq)
+        expected["f % g"] = (r, orem)
+    if a or b:
+        expected["gcd"] = (gcd_monic(f, g), o_gcd_monic(spec, a, b))
+    for name, (got, want) in expected.items():
+        assert values(got) == want, name
+        # a computed result is canonical: it equals, and hashes like, the
+        # polynomial built from the oracle's values
+        rebuilt = Poly(spec, want)
+        assert got == rebuilt and hash(got) == hash(rebuilt), name
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equality_and_hash_ignore_spelling(spec, data):
+    raw = data.draw(raw_polys(spec))
+    vals = o_canon(spec, raw)
+    if spec.is_prime_field:
+        respelled = [v + spec.p * data.draw(st.integers(-3, 3)) for v in vals]
+    else:
+        k = data.draw(st.integers(1, 6))
+        respelled = [Fraction(v.numerator * k, v.denominator * k) for v in vals]
+    spellings = [
+        Poly(spec, raw),
+        Poly(spec, vals),
+        Poly(spec, [spec.elem(v) for v in vals] + [0, spec.zero()]),
+        Poly(spec, respelled),
+    ]
+    for f in spellings:
+        assert f == spellings[0] and hash(f) == hash(spellings[0])
+
+
+def test_equality_and_hash_examples():
+    half = Poly(QQ, [Fraction(1, 2), 1])
+    assert half == Poly(QQ, [Fraction(2, 4), Fraction(3, 3)])
+    assert hash(half) == hash(Poly(QQ, [Fraction(2, 4), Fraction(3, 3)]))
+    F7 = FieldSpec.gf(7)
+    assert Poly(F7, [-1, 9]) == Poly(F7, [6, Fraction(4, 2)]) == Poly(F7, [F7.elem(6), 2])
+    assert hash(Poly(F7, [-1, 9])) == hash(Poly(F7, [6, 2]))
+    assert Poly(F7, [7, 14]) == Poly.zero(F7)
+
+
+@pytest.mark.parametrize("spec", KERNEL_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coeffs_are_field_elems(spec, data):
+    f = Poly(spec, data.draw(raw_polys(spec)))
+    read = list(f.coeffs) + [f.coeff(i) for i in range(-1, len(f.coeffs) + 2)]
+    if not f.is_zero():
+        read.append(f.lc)
+        read.append(f.evaluate(data.draw(scalars(spec))))
+    for c in read:
+        assert isinstance(c, FieldElem) and c.spec == spec
+        if spec.is_prime_field:
+            assert type(c.val) is int and 0 <= c.val < spec.p
+        else:
+            assert type(c.val) is Fraction
+    if not spec.is_prime_field and f.degree >= 1:
+        for root in rational_roots(f):
+            assert type(root.val) is Fraction and f.evaluate(root).is_zero()
+
+
+def test_boundary_errors():
+    F7 = FieldSpec.gf(7)
+    with pytest.raises(FieldMismatch):
+        Poly(F7, [F5.one()])
+    with pytest.raises(FieldMismatch):
+        Poly(QQ, [1, F7.one()])
+    with pytest.raises(FieldMismatch):
+        P(F7, 1, 2) * F5.one()
+    with pytest.raises(FieldMismatch):
+        P(F7, 1, 2) + P(F5, 1)
+    with pytest.raises(FieldMismatch):
+        P(F7, 1, 2).evaluate(F5.one())
+    with pytest.raises(ValueError):
+        Poly(F7, [1, Fraction(1, 2)])
+    with pytest.raises(ValueError):
+        P(F7, 1, 2).scaled(Fraction(1, 2))
