@@ -47,13 +47,23 @@ from .weyl import (
 )
 
 
+def _field_syntax(text: str) -> str:
+    """Accept QQ or GF:<decimal digits>; primality is checked when the field is built."""
+    digits = text[3:]
+    if text == "QQ" or (text[:3] == "GF:" and digits.isascii() and digits.isdigit()):
+        return text
+    raise argparse.ArgumentTypeError(f"unknown field {text!r} (use QQ or GF:p)")
+
+
 def _add_global_flags(parser, suppress: bool) -> None:
     # `suppress` keeps subcommand parsers from clobbering values that were
     # already parsed before the subcommand name
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--field", default=default("QQ"), help="QQ or GF:p (p prime)")
+    parser.add_argument(
+        "--field", type=_field_syntax, default=default("QQ"), help="QQ or GF:p (p prime)"
+    )
     parser.add_argument(
         "--h", dest="h", default=default(None), help="the commutation polynomial h(x)"
     )
@@ -147,11 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_field(text: str) -> FieldSpec:
+    # the syntax was checked by _field_syntax when the arguments were parsed
     if text == "QQ":
         return FieldSpec.rationals()
-    if text.startswith("GF:"):
-        return FieldSpec.gf(int(text[3:]))
-    raise AhError(f"unknown field {text!r} (use QQ or GF:p)")
+    return FieldSpec.gf(int(text[3:]))
 
 
 def _parse_h_factored(text: str, spec, h: Poly) -> FactoredPoly:

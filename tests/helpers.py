@@ -10,6 +10,7 @@ from ahalg import (
     div_left_exact,
     div_right_exact,
 )
+from ahalg.autgroup import pair_is_valid
 
 QQ_SPEC = None  # set lazily to avoid import order issues
 
@@ -121,3 +122,40 @@ def all_elements(ctx, max_ydeg, max_deg):
     for e in elems:
         unique[e.coeffs] = e
     return list(unique.values())
+
+
+# -- exhaustive searches over GF(p): the oracles of the autgroup solvers -----
+
+
+def exhaustive_pairs(ctx):
+    """Every pair (alpha, beta) in F* x F satisfying the pair law, sorted."""
+    spec = ctx.spec
+    return tuple(
+        (a, b)
+        for a in spec.elements()
+        if not a.is_zero()
+        for b in spec.elements()
+        if pair_is_valid(ctx, a, b)
+    )
+
+
+def exhaustive_translations(ctx):
+    """Every nu in F with h(x + nu) == h(x), sorted."""
+    x = Poly.x(ctx.spec)
+    return tuple(
+        nu for nu in ctx.spec.elements() if ctx.h.compose(x + Poly.constant(nu)) == ctx.h
+    )
+
+
+def exhaustive_iso(h, g, spec):
+    """The least (alpha, beta, nu) with h(alpha*x + beta) == nu*g(x), or None."""
+    if h.degree != g.degree:
+        return None
+    for alpha in spec.elements():
+        if alpha.is_zero():
+            continue
+        nu = h.lc / g.lc * alpha**h.degree
+        for beta in spec.elements():
+            if h.compose(Poly(spec, (beta, alpha))) == g.scaled(nu):
+                return (alpha, beta, nu)
+    return None

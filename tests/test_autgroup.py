@@ -23,10 +23,28 @@ from ahalg import (
     restrict_automorphism,
     tau,
 )
-from ahalg.autgroup import affine_equivalences, multiplicative_order, pair_is_valid
-from ahalg.errors import CharacteristicError, ConstantHError, InvalidPairError, WrongHError
+from ahalg.autgroup import (
+    _poly_roots,
+    affine_equivalences,
+    multiplicative_order,
+    pair_is_valid,
+)
+from ahalg.errors import (
+    CharacteristicError,
+    ConstantHError,
+    InvalidPairError,
+    SelfCheckError,
+    WrongHError,
+)
 
-from helpers import all_polys, rand_elem, rand_poly
+from helpers import (
+    all_polys,
+    exhaustive_iso,
+    exhaustive_pairs,
+    exhaustive_translations,
+    rand_elem,
+    rand_poly,
+)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -134,8 +152,8 @@ def test_elimination_agrees_with_exhaustive_search():
             pset = compute_P(ctx)
             if pset.shape != "finite":
                 continue
-            got = {(a, b) for a, b, _ in affine_equivalences(h, h)}
-            assert got == set(pset.pairs())
+            got = tuple((a, b) for a, b, _ in affine_equivalences(h, h))
+            assert got == exhaustive_pairs(ctx)
             checked += 1
             if checked >= 10:
                 break
@@ -244,14 +262,16 @@ def test_classify_family_over_qq():
 
 
 def test_classify_family_over_gfp():
-    # h = x^n over GF(p), p odd: ell = p - 1, q = x^m with m = n-1 mod (p-1)
-    for p, n in ((5, 3), (3, 2), (7, 4)):
+    # h = x^n over GF(p), p odd: ell = p - 1, generated by the least
+    # primitive root; q = x^m with m = n-1 mod (p-1)
+    for p, n, root in ((5, 3, 2), (3, 2, 2), (7, 4, 3)):
         spec = FieldSpec.gf(p)
         structure = classify_aut_group(
             AhContext(spec, Poly.monomial(spec, spec.one(), n))
         )
         assert structure.case == "semidirect_fstar"
         assert structure.ell == p - 1
+        assert structure.generator == (spec.from_int(root), spec.zero())
         m = (n - 1) % (p - 1)
         assert structure.q == Poly.monomial(spec, spec.one(), m)
         assert structure.t == Poly.monomial(spec, spec.one(), p - 1)
@@ -356,7 +376,8 @@ def test_iso_over_gfp():
     assert witness is not None
     alpha, beta, nu = witness
     assert h.compose(Poly(F5, (beta, alpha))) == g.scaled(nu)
-    assert iso_test(h, Poly.from_ints(F5, (1, 1, 1)), F5) is None or True
+    # (x+1)^2 against the irreducible x^2+x+1: one distinct root against two
+    assert iso_test(h, Poly.from_ints(F5, (1, 1, 1)), F5) is None
 
 
 # -- endomorphisms ------------------------------------------------------------------
@@ -520,14 +541,7 @@ def test_compute_P_matches_exhaustive_for_all_shapes():
             if h.degree < 1:
                 continue
             ctx = AhContext(spec, h)
-            exhaustive = {
-                (a, b)
-                for a in spec.elements()
-                if not a.is_zero()
-                for b in spec.elements()
-                if pair_is_valid(ctx, a, b)
-            }
-            assert set(compute_P(ctx).pairs()) == exhaustive
+            assert compute_P(ctx).pairs() == exhaustive_pairs(ctx)
 
 
 def test_quartic_with_negation_symmetry():
@@ -539,3 +553,84 @@ def test_quartic_with_negation_symmetry():
     # t = x^2, q = x^(n_exponent) with n = deg h - 1 mod 2 = 1
     assert structure.t == Poly.from_ints(QQ, (0, 0, 1))
     assert structure.q == Poly.x(QQ)
+
+
+# -- the solvers against exhaustive search over small GF(p) -----------------------
+
+
+def _shapes(spec):
+    """h of every pair-set shape over GF(p), including p | deg h."""
+    p = spec.p
+    x = Poly.x(spec)
+
+    def lin(r):
+        return Poly.from_ints(spec, (-r, 1))
+
+    quad = next(
+        q
+        for q in (Poly.from_ints(spec, (c, b, 1)) for b in range(p) for c in range(p))
+        if not any(q.evaluate(e).is_zero() for e in spec.elements())
+    )
+    shapes = [
+        lin(0) * lin(1) * lin(2 % p),  # split: x(x+1) over GF(2), x^3 - x over GF(3)
+        (lin(1) * lin(3 % p) * lin(4 % p)).scaled(spec.from_int(-1)),  # split
+        quad,  # irreducible: deg 2 = p over GF(2)
+        lin(1) * quad,  # a linear times an irreducible quadratic factor
+        (lin(2 % p) ** 3).scaled(spec.from_int(3 % p or 1)),  # power of a linear: the family
+        x**p - x,  # G = F_p and p | deg h
+        x**p - x + 1,  # Artin-Schreier: irreducible, G = F_p
+        Poly.from_ints(spec, (5, 2, 0, 1)),  # x^3 + 2x + 5, deg 3 = p over GF(3)
+        Poly.from_ints(spec, (-1, 0, 0, 0, 1)),  # x^4 - 1: alpha = -1 and 4th roots of unity
+    ]
+    return [h for h in shapes if h.degree >= 2]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_solvers_match_exhaustive_search(p):
+    spec = FieldSpec.gf(p)
+    minus_one = spec.from_int(-1)
+    for h in _shapes(spec):
+        ctx = AhContext(spec, h)
+        assert compute_P(ctx).pairs() == exhaustive_pairs(ctx), h
+        assert compute_G(ctx) == exhaustive_translations(ctx), h
+        assert _poly_roots(h) == [e for e in spec.elements() if h.evaluate(e).is_zero()]
+        # an isomorphic g, and a perturbed one that usually is not
+        moved = h.compose(Poly(spec, (spec.one(), minus_one))).scaled(minus_one)
+        for g in (moved, h + Poly.x(spec), h + Poly.one(spec)):
+            assert iso_test(h, g, spec) == exhaustive_iso(h, g, spec), (h, g)
+    for a in spec.elements():
+        if not a.is_zero():
+            order = next(e for e in range(1, p) if (a**e).is_one())
+            assert multiplicative_order(a) == order
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 13])
+def test_family_iso_conditions_vanish_identically(p):
+    # h = 3(x-2)^3 and g = (x-1)^3 are equivalent by every alpha in F*
+    spec = FieldSpec.gf(p)
+    h = Poly.from_ints(spec, (-2, 1)) ** 3 * 3
+    g = Poly.from_ints(spec, (-1, 1)) ** 3
+    found = affine_equivalences(h, g)
+    assert [t[0].val for t in found] == list(range(1, p))
+    assert found[0] == exhaustive_iso(h, g, spec) == iso_test(h, g, spec)
+
+
+def test_poly_roots_match_evaluation():
+    rng = random.Random(92)
+    for p in (2, 3, 7, 13):
+        spec = FieldSpec.gf(p)
+        for _ in range(20):
+            f = rand_poly(rng, spec, 6, nonzero=True)
+            assert _poly_roots(f) == [e for e in spec.elements() if f.evaluate(e).is_zero()]
+
+
+def test_failed_law_check_is_a_self_check_error(monkeypatch):
+    # (2, 0) is no pair of x^3 - x over GF(7), and it moves t = x^2; the check
+    # raises instead of asserting, so it also runs under python -O
+    from ahalg import autgroup
+
+    monkeypatch.setattr(
+        autgroup, "_law_sample", lambda s: iter([(s.ctx.spec.from_int(2), s.ctx.spec.zero())])
+    )
+    with pytest.raises(SelfCheckError, match="t is not invariant"):
+        classify_aut_group(ctx_for(FieldSpec.gf(7), 0, -1, 0, 1))

@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, determinism, error codes."""
 
 import json
+import time
 
 import pytest
 
@@ -145,10 +146,17 @@ def test_missing_h_is_domain_error(capsys):
     assert code == 1
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--field", "QQ", "no-such-command"])
     assert exc.value.code == 2
+    # a malformed --field is a usage error, before or after the command name
+    for field in ("GF:abc", "GF:", "GF5", "RR", "GF:-5", "gf:5"):
+        for argv in (["--field", field, "--h", "x", "eval", "Y"], ["--h", "x", "eval", "Y", "--field", field]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            assert "usage:" in capsys.readouterr().err
 
 
 def test_bad_field_spec(capsys):
@@ -257,3 +265,35 @@ def test_failed_self_check_is_an_exit_1_error(capsys, monkeypatch):
     code = run(["--field", "GF:5", "--h", "x", "factor", "x^2-1", "--json"])
     assert code == 1
     assert "exhausted" in json.loads(capsys.readouterr().out)["error"]
+
+
+# outputs as the exhaustive searches printed them (5 to 70 s each); the
+# root-finding solvers must reproduce them in well under a second
+LARGE_P = [
+    (["--field", "GF:307", "--h", "x^3+2*x+5", "aut-p"], "{(1, 0)}"),
+    (["--field", "GF:307", "--h", "x^3-x", "aut-p"], "{(1, 0), (306, 0)}"),
+    (["--field", "GF:1009", "--h", "x^3+2*x+5", "iso", "x^3+7*x+3"], "not isomorphic"),
+    (
+        ["--field", "GF:307", "--h", "x^3-x", "iso", "40*x^3+180*x^2+260*x+120"],
+        "alpha = 2, beta = 3, nu = 123",
+    ),
+    (["--field", "GF:100003", "--h", "x^3+2*x+5", "aut-g"], "{0}"),
+    (
+        ["--field", "GF:307", "--h", "x^3+2*x+5", "aut-classify"],
+        "case poly_only; k = 3; G = {0}; t: x; q: 1",
+    ),
+    (
+        ["--field", "GF:307", "--h", "x^3-x", "aut-classify"],
+        "case semidirect_finite; k = 3; G = {0}; generator (306, 0) of order 2; t: x^2; q: 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", LARGE_P)
+def test_automorphism_questions_at_large_p(capsys, argv, expected):
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out == expected + "\n"
+    assert elapsed < 1.0
