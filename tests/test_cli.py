@@ -128,6 +128,239 @@ def test_byte_determinism_across_runs(capsys):
         assert first == second
 
 
+# every command in both output modes: (argv, exit code, pretty output, --json
+# output); a pretty-mode error goes to stderr, everything else to stdout
+COMMAND_MATRIX = [
+    (["--field", "QQ", "--h", "x^2", "eval", "Y*x"], 0,
+     "x*Y + x^2", '{"result": "x*Y + x^2"}'),
+    (["--field", "QQ", "--h", "x^2", "eval", "Y+"], 1,
+     "error: expected a value (at position 2)", '{"error": "expected a value (at position 2)"}'),
+    (["--field", "GF:5", "--h", "x^2+1", "eval", "(Y - 2*x)^3"], 0,
+     "Y^3 + 4*x*Y^2 + (x^2 + 4)*Y + 3*x", '{"result": "Y^3 + 4*x*Y^2 + (x^2 + 4)*Y + 3*x"}'),
+    (["--field", "QQ", "--h", "x", "mul", "Y^2", "x"], 0,
+     "x*Y^2 + 2*x*Y + x", '{"result": "x*Y^2 + 2*x*Y + x"}'),
+    (["--field", "GF:5", "--h", "x^2+1", "mul", "Y", "Y*x"], 0,
+     "x*Y^2 + (2*x^2 + 2)*Y + 2*x^3 + 2*x", '{"result": "x*Y^2 + (2*x^2 + 2)*Y + 2*x^3 + 2*x"}'),
+    (["--field", "QQ", "--h", "x^2", "add", "Y", "x^3 - 1/2"], 0,
+     "Y + x^3 - 1/2", '{"result": "Y + x^3 - 1/2"}'),
+    (["--field", "GF:3", "--h", "x", "add", "2*Y", "Y + x"], 0,
+     "x", '{"result": "x"}'),
+    (["--field", "QQ", "--h", "x^2", "comm", "Y", "x"], 0,
+     "x^2", '{"result": "x^2"}'),
+    (["--field", "GF:2", "--h", "x+1", "comm", "Y^2", "x^3"], 0,
+     "x^3 + x^2", '{"result": "x^3 + x^2"}'),
+    (["--field", "QQ", "--h", "x^2", "anti", "Y"], 0,
+     "-Y + 2*x", '{"result": "-Y + 2*x"}'),
+    (["--field", "GF:5", "--h", "x^3", "anti", "x*Y^2"], 0,
+     "x*Y^2 + x^3*Y", '{"result": "x*Y^2 + x^3*Y"}'),
+    (["--field", "QQ", "--h", "x^2", "delta", "x", "2"], 0,
+     "2*x^3", '{"result": "2*x^3"}'),
+    (["--field", "GF:3", "--h", "x+1", "delta", "x^2", "3"], 0,
+     "2*x^2 + 2*x", '{"result": "2*x^2 + 2*x"}'),
+    (["--field", "QQ", "--h", "x", "delta", "x", "abc"], 1,
+     "error: invalid literal for int() with base 10: 'abc'",
+     '{"error": "invalid literal for int() with base 10: \'abc\'"}'),
+    (["--field", "GF:2", "--h", "x^2+1", "factor", "x^2+1"], 0,
+     "1 * (x + 1)^2",
+     '{"factors": [{"multiplicity": 2, "poly": "x + 1", "verified": true}], "unit": "1"}'),
+    (["--field", "QQ", "--h", "x", "factor", "2*x^4 - 2"], 0,
+     "2 * (x - 1)^1 * (x + 1)^1 * (x^2 + 1)^1",
+     '{"factors": [{"multiplicity": 1, "poly": "x - 1", "verified": true}, {"multiplicity": 1, "poly": "x + 1", "verified": true}, {"multiplicity": 1, "poly": "x^2 + 1", "verified": true}], "unit": "2"}'),
+    (["--field", "QQ", "--h", "x", "to-weyl", "Y^2"], 0,
+     "x^2*y^2 + 3*x*y + 1", '{"result": "x^2*y^2 + 3*x*y + 1"}'),
+    (["--field", "GF:3", "--h", "x^2", "to-weyl", "x*Y^2 + 1"], 0,
+     "x^5*y^2 + 1", '{"result": "x^5*y^2 + 1"}'),
+    (["--field", "QQ", "--h", "x^2", "from-weyl", "x^2*y + 2*x"], 0,
+     "Y", '{"result": "Y"}'),
+    (["--field", "QQ", "--h", "x", "from-weyl", "y"], 1,
+     "error: coefficient of y^1 breaks membership",
+     '{"error": "coefficient of y^1 breaks membership"}'),
+    (["--field", "QQ", "--h", "x^2", "embed", "x", "Y"], 0,
+     "x*Y + x  (in the algebra of h = x)", '{"result": "x*Y + x", "target_h": "x"}'),
+    (["--field", "QQ", "--h", "x^2*(x+1)", "embed", "x+1", "Y^2 + x"], 0,
+     "x^4*Y^2 + (6*x^4 + 6*x^3)*Y + 8*x^4 + 14*x^3 + 6*x^2 + x  (in the algebra of h = x + 1)",
+     '{"result": "x^4*Y^2 + (6*x^4 + 6*x^3)*Y + 8*x^4 + 14*x^3 + 6*x^2 + x", "target_h": "x + 1"}'),
+    (["--field", "QQ", "--h", "x^2", "embed", "x+1", "Y"], 1,
+     "error: x + 1 does not divide x^2", '{"error": "x + 1 does not divide x^2"}'),
+    (["--field", "QQ", "--h", "x^2", "ore-witness", "x", "x+1", "right"], 0,
+     "a1 = x, s1 = x + 1 (right)", '{"a1": "x", "s1": "x + 1", "side": "right"}'),
+    (["--field", "QQ", "--h", "x^2", "ore-witness", "Y", "x", "left"], 0,
+     "a1 = x*Y - x^2, s1 = x^2 (left)", '{"a1": "x*Y - x^2", "s1": "x^2", "side": "left"}'),
+    (["--field", "QQ", "--h", "x^2", "ore-witness", "Y", "x", "middle"], 1,
+     "error: side must be 'left' or 'right'", '{"error": "side must be \'left\' or \'right\'"}'),
+    (["--field", "QQ", "--h", "x", "localized-equal", "Y", "1", "y", "0"], 0,
+     "true", '{"equal": true}'),
+    (["--field", "QQ", "--h", "x", "localized-equal", "Y", "0", "y", "0"], 0,
+     "false", '{"equal": false}'),
+    (["--field", "QQ", "--h", "x^2", "yh-product", "2", "right"], 0,
+     "Y^2 + 2*x*Y + 2*x^2", '{"result": "Y^2 + 2*x*Y + 2*x^2"}'),
+    (["--field", "QQ", "--h", "x^2", "yh-product", "1", "left"], 0,
+     "Y - 2*x", '{"result": "Y - 2*x"}'),
+    (["--field", "QQ", "--h", "x^2", "yh-product", "-1", "right"], 1,
+     "error: power must be nonnegative", '{"error": "power must be nonnegative"}'),
+    (["--field", "GF:3", "--h", "x^2", "center"], 0,
+     "generators x^3 and Y^3 (correction 0)", '{"correction": "0", "generators": ["x^3", "Y^3"]}'),
+    (["--field", "GF:5", "--h", "x^2+1", "center"], 0,
+     "generators x^5 and Y^5 - Y (correction 1)",
+     '{"correction": "1", "generators": ["x^5", "Y^5 - Y"]}'),
+    (["--field", "QQ", "--h", "x^2", "center"], 0,
+     "trivial center (scalars only)", '{"correction": null, "generators": []}'),
+    (["--field", "GF:3", "--h", "x", "is-central", "Y^3 - Y"], 0,
+     "true", '{"central": true}'),
+    (["--field", "QQ", "--h", "x", "is-central", "x"], 0,
+     "false", '{"central": false}'),
+    (["--field", "GF:3", "--h", "x", "decompose-central", "Y^3 + x*Y"], 0,
+     "x^0 h^0 y^0: 1*X^0*T^0 + 1*X^0*T^1; x^0 h^1 y^1: 1*X^0*T^0; x^1 h^0 y^0: 1*X^0*T^0; x^1 h^1 y^1: 1*X^0*T^0",
+     '{"basis_coordinates": [{"i": 0, "j": 0, "terms": [{"a": 0, "b": 0, "coeff": "1"}, {"a": 0, "b": 1, "coeff": "1"}]}, {"i": 0, "j": 1, "terms": [{"a": 0, "b": 0, "coeff": "1"}]}, {"i": 1, "j": 0, "terms": [{"a": 0, "b": 0, "coeff": "1"}]}, {"i": 1, "j": 1, "terms": [{"a": 0, "b": 0, "coeff": "1"}]}]}'),
+    (["--field", "GF:3", "--h", "x", "decompose-central", "0"], 0,
+     "0", '{"basis_coordinates": []}'),
+    (["--field", "QQ", "--h", "x", "decompose-central", "Y"], 1,
+     "error: central decomposition requires char p",
+     '{"error": "central decomposition requires char p"}'),
+    (["--field", "GF:3", "--h", "x", "in-commutator", "x^2*Y", "bracket_yhat"], 0,
+     "true", '{"member": true}'),
+    (["--field", "QQ", "--h", "x^2", "in-commutator", "x", "bracket_x"], 0,
+     "false", '{"member": false}'),
+    (["--field", "QQ", "--h", "x^2", "in-commutator", "Y", "bogus"], 1,
+     "error: space must be one of bracket_x, bracket_yhat, lie_ideal",
+     '{"error": "space must be one of bracket_x, bracket_yhat, lie_ideal"}'),
+    (["--field", "GF:3", "--h", "x", "in-commutator", "x", "lie_ideal"], 1,
+     "error: no closed-form membership test for the Lie ideal in char p",
+     '{"error": "no closed-form membership test for the Lie ideal in char p"}'),
+    (["--field", "QQ", "--h", "x^2", "is-normal", "x"], 0,
+     "normal with [Y, v] = (x) * v", '{"normal": true, "r": "x"}'),
+    (["--field", "QQ", "--h", "x^2", "is-normal", "Y"], 0,
+     "not normal", '{"normal": false, "r": null}'),
+    (["--field", "QQ", "--h", "x^2", "classify-normal", "3*x^2"], 0,
+     "(x)^2 * [3]", '{"central": "3", "factors": [["x", 2]]}'),
+    (["--field", "GF:2", "--h", "x", "classify-normal", "x*(Y^2 + Y)"], 0,
+     "(x)^1 * [Y^2 + Y]", '{"central": "Y^2 + Y", "factors": [["x", 1]]}'),
+    (["--field", "QQ", "--h", "x^2", "is-simple"], 0,
+     "false", '{"simple": false}'),
+    (["--field", "QQ", "--h", "1", "is-simple"], 0,
+     "true", '{"simple": true}'),
+    (["--field", "GF:2", "--h", "x", "prime-test", "Y^2 - Y"], 0,
+     "CentralIrreducible: irreducible in the central generator h^p y^p",
+     '{"detail": "irreducible in the central generator h^p y^p", "kind": "CentralIrreducible"}'),
+    (["--field", "QQ", "--h", "x^2", "prime-test", "x"], 0,
+     "FactorOfH: associate of the prime factor x",
+     '{"detail": "associate of the prime factor x", "kind": "FactorOfH"}'),
+    (["--field", "QQ", "--h", "x^2 - x", "aut-p"], 0,
+     "{(-1, 1), (1, 0)}", '{"pairs": [["-1", "1"], ["1", "0"]], "shape": "finite"}'),
+    (["--field", "QQ", "--h", "x^3", "aut-p"], 0,
+     "family (alpha, (1 - alpha)*0) for alpha in QQ*",
+     '{"lambda": "0", "shape": "one_parameter_family"}'),
+    (["--field", "GF:5", "--h", "x^2", "aut-p"], 0,
+     "{(1, 0), (2, 0), (3, 0), (4, 0)}",
+     '{"lambda": "0", "pairs": [["1", "0"], ["2", "0"], ["3", "0"], ["4", "0"]], "shape": "one_parameter_family"}'),
+    (["--field", "GF:3", "--h", "x^3 - x", "aut-g"], 0,
+     "{0, 1, 2}", '{"G": ["0", "1", "2"]}'),
+    (["--field", "QQ", "--h", "x^2", "aut-g"], 0,
+     "{0}", '{"G": ["0"]}'),
+    (["--field", "QQ", "--h", "x^2*(x-1)", "aut-classify"], 0,
+     "case poly_only; k = 2; G = {0}; t: x; q: 1",
+     '{"G": ["0"], "P": {"pairs": [["1", "0"]], "shape": "finite"}, "case": "poly_only", "dz_kind": "whole_ring", "ell": 1, "generator": null, "k": 2, "n_exponent": null, "q": "1", "t": "x", "t_kind": "whole_ring"}'),
+    (["--field", "GF:5", "--h", "(x-1)^2", "aut-classify"], 0,
+     "case semidirect_fstar; k = 1; G = {0}; generator (2, 4) of order 4; t: x^4 + x^3 + x^2 + x + 1; q: x + 4",
+     '{"G": ["0"], "P": {"lambda": "1", "pairs": [["1", "0"], ["2", "4"], ["3", "3"], ["4", "2"]], "shape": "one_parameter_family"}, "case": "semidirect_fstar", "dz_kind": "module", "ell": 4, "generator": {"alpha": "2", "beta": "4"}, "k": 1, "n_exponent": 1, "q": "x + 4", "t": "x^4 + x^3 + x^2 + x + 1", "t_kind": "generated"}'),
+    (["--field", "QQ", "--h", "x^3", "aut-classify"], 0,
+     "case semidirect_fstar; k = 1; G = {0}; t: None; q: x^2",
+     '{"G": ["0"], "P": {"lambda": "0", "shape": "one_parameter_family"}, "case": "semidirect_fstar", "dz_kind": "module", "ell": null, "generator": null, "k": 1, "n_exponent": 2, "q": "x^2", "t": null, "t_kind": "constants"}'),
+    (["--field", "GF:3", "--h", "x^3 - x", "aut-classify"], 0,
+     "case semidirect_finite; k = 3; G = {0, 1, 2}; generator (2, 0) of order 2; t: x^6 + x^4 + x^2; q: 1",
+     '{"G": ["0", "1", "2"], "P": {"pairs": [["1", "0"], ["1", "1"], ["1", "2"], ["2", "0"], ["2", "1"], ["2", "2"]], "shape": "finite"}, "case": "semidirect_finite", "dz_kind": "module", "ell": 2, "generator": {"alpha": "2", "beta": "0"}, "k": 3, "n_exponent": 0, "q": "1", "t": "x^6 + x^4 + x^2", "t_kind": "generated"}'),
+    (["--field", "QQ", "--h", "x^2 - x", "aut-apply", "-1", "1", "0", "Y"], 0,
+     "-Y", '{"result": "-Y"}'),
+    (["--field", "QQ", "--h", "x^2 - x", "aut-apply", "2", "0", "0", "Y"], 1,
+     "error: (2, 0) violates h(a*x+b) = a^deg(h) * h",
+     '{"error": "(2, 0) violates h(a*x+b) = a^deg(h) * h"}'),
+    (["--field", "QQ", "--h", "x^2", "aut-compose", "1", "0", "x", "1", "0", "x^2"], 0,
+     "alpha = 1, beta = 0, f = x^2 + x", '{"alpha": "1", "beta": "0", "f": "x^2 + x"}'),
+    (["--field", "QQ", "--h", "x^2", "aut-compose", "2", "0", "x", "3", "0", "1"], 0,
+     "alpha = 6, beta = 0, f = 3*x + 1", '{"alpha": "6", "beta": "0", "f": "3*x + 1"}'),
+    (["--field", "QQ", "--h", "x^2", "aut-invert", "2", "0", "x"], 0,
+     "alpha = 1/2, beta = 0, f = -1/4*x", '{"alpha": "1/2", "beta": "0", "f": "-1/4*x"}'),
+    (["--field", "GF:5", "--h", "x^2-x", "aut-invert", "4", "1", "x^2"], 0,
+     "alpha = 4, beta = 1, f = x^2 + 3*x + 1",
+     '{"alpha": "4", "beta": "1", "f": "x^2 + 3*x + 1"}'),
+    (["--field", "QQ", "--h", "x^2", "invariants"], 0,
+     "only scalars are invariant", '{"t": null, "t_kind": "constants"}'),
+    (["--field", "GF:5", "--h", "x^3", "invariants"], 0,
+     "invariants are generated by t = x^4", '{"t": "x^4", "t_kind": "generated"}'),
+    (["--field", "QQ", "--h", "x^2 - x", "invariants"], 0,
+     "invariants are generated by t = x^2 - x + 1/4",
+     '{"t": "x^2 - x + 1/4", "t_kind": "generated"}'),
+    (["--field", "QQ", "--h", "x^3", "aut-center"], 0,
+     "central shears: scalar multiples of x^2",
+     '{"dz_kind": "module", "n_exponent": 2, "q": "x^2", "t": null, "t_kind": "constants"}'),
+    (["--field", "GF:5", "--h", "x^3", "aut-center"], 0,
+     "central shears: (x^2) * F[x^4]",
+     '{"dz_kind": "module", "n_exponent": 2, "q": "x^2", "t": "x^4", "t_kind": "generated"}'),
+    (["--field", "QQ", "--h", "x^2 - x", "aut-center"], 0,
+     "central shears: (x - 1/2) * F[x^2 - x + 1/4]",
+     '{"dz_kind": "module", "n_exponent": 1, "q": "x - 1/2", "t": "x^2 - x + 1/4", "t_kind": "generated"}'),
+    (["--field", "QQ", "--h", "x^2", "iso", "4*x^2"], 0,
+     "alpha = 1, beta = 0, nu = 1/4",
+     '{"isomorphic": true, "witness": {"alpha": "1", "beta": "0", "nu": "1/4"}}'),
+    (["--field", "QQ", "--h", "x^2", "iso", "x^2 + 1"], 0,
+     "not isomorphic", '{"isomorphic": false, "witness": null}'),
+    (["--field", "QQ", "--h", "x^2", "endo-eta", "2", "x"], 0,
+     "x^2 (surjective: False)", '{"result": "x^2", "surjective": false}'),
+    (["--field", "QQ", "--h", "x^2 + 1", "endo-eta", "2", "x"], 1,
+     "error: this endomorphism family needs h = x^n",
+     '{"error": "this endomorphism family needs h = x^n"}'),
+    (["--field", "GF:2", "--h", "x", "endo-kappa", "Y^2 - Y", "Y"], 0,
+     "Y^2 (surjective: False)", '{"result": "Y^2", "surjective": false}'),
+    (["--field", "QQ", "--h", "x^2", "aut-extend", "x", "1", "0", "x"], 0,
+     "extends with f = 1 on the algebra of h = x",
+     '{"alpha": "1", "beta": "0", "extends": true, "f": "1", "target_h": "x"}'),
+    (["--field", "QQ", "--h", "x^2", "aut-extend", "x+1", "1", "0", "x"], 1,
+     "error: x + 1 does not divide x^2", '{"error": "x + 1 does not divide x^2"}'),
+    (["--field", "QQ", "--h", "x", "aut-restrict", "x^2", "1", "0", "1"], 0,
+     "restricts with f = x on the algebra of h = x^2",
+     '{"alpha": "1", "beta": "0", "f": "x", "restricts": true, "target_h": "x^2"}'),
+    (["--field", "QQ", "--h", "x", "aut-restrict", "x^2", "2", "0", "1"], 0,
+     "restricts with f = 2*x on the algebra of h = x^2",
+     '{"alpha": "2", "beta": "0", "f": "2*x", "restricts": true, "target_h": "x^2"}'),
+    (["--field", "QQ", "--h", "x^2", "aut-extend", "x", "1", "0", "1"], 0,
+     "does not extend", '{"extends": false}'),
+    (["--field", "QQ", "--h", "x", "aut-restrict", "x^2-x", "2", "0", "1"], 0,
+     "does not restrict", '{"restricts": false}'),
+    (["--field", "QQ", "eval", "Y"], 1,
+     "error: this command needs --h", '{"error": "this command needs --h"}'),
+]
+
+
+def _invoke(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,code,pretty,as_json", COMMAND_MATRIX)
+def test_command_matrix(capsys, argv, code, pretty, as_json):
+    for flags, expected in (([], pretty), (["--json"], as_json)):
+        got, out, err = _invoke(argv + flags, capsys)
+        assert got == code
+        if code == 2:
+            assert out == "" and err.startswith("usage:") and expected in err
+        elif code == 1 and not flags:
+            assert (out, err) == ("", expected + "\n")
+        else:
+            assert (out, err) == (expected + "\n", "")
+
+
+def test_command_matrix_covers_every_command():
+    from ahalg.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    names = {argv[4] if argv[2] == "--h" else argv[2] for argv, *_ in COMMAND_MATRIX}
+    assert names == set(sub.choices)
+
+
 def test_domain_error_exit_code(capsys):
     code = run(["--field", "QQ", "--h", "x", "from-weyl", "y"])
     captured = capsys.readouterr()
