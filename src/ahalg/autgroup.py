@@ -527,7 +527,11 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
 
 
 def _law_sample(structure: AutGroupStructure):
-    """Pairs against which the t/q laws are checked."""
+    """Pairs against which the t/q laws are checked.
+
+    Both laws are multiplicative, so on the family over GF(p) the generator
+    alone is checked, once P is certified to be exactly its p - 1 powers.
+    """
     ctx = structure.ctx
     spec = ctx.spec
     if structure.P.lam is not None and not spec.is_prime_field:
@@ -537,7 +541,17 @@ def _law_sample(structure: AutGroupStructure):
             alpha = spec.elem(raw)
             yield alpha, (one - alpha) * lam
         return
-    yield from structure.P.pairs()
+    if structure.P.lam is None or structure.generator is None:
+        yield from structure.P.pairs()
+        return
+    alpha, beta = structure.generator
+    power, powers = (spec.one(), spec.zero()), set()
+    for _ in range(spec.p - 1):
+        powers.add(power)
+        power = (power[0] * alpha, power[1] * alpha + beta)
+    if powers != set(structure.P.pairs()):
+        raise SelfCheckError("the family is not the powers of its generator")
+    yield structure.generator
 
 
 def _assert_laws(structure: AutGroupStructure) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AhContext, OreElement, commutator
-from .errors import CharacteristicError
+from .errors import CharacteristicError, SelfCheckError
 from .fields import FieldElem
 from .poly import Poly
 from .weyl import from_weyl, to_weyl, weyl_context
@@ -48,7 +48,8 @@ def center(ctx: AhContext) -> CenterDescription:
     if p == 0:
         return CenterDescription(0, None, None, None)
     correction, rem = divmod(ctx.delta_power(Poly.x(ctx.spec), p), ctx.h)
-    assert rem.is_zero(), "h must divide every delta power of x"
+    if not rem.is_zero():
+        raise SelfCheckError("h must divide every delta power of x")
     y_gen = ctx.monomial(Poly.one(ctx.spec), p) - ctx.monomial(correction, 1)
     return CenterDescription(p, Poly.x(ctx.spec) ** p, y_gen, correction)
 
@@ -76,7 +77,8 @@ def centralizer_x_membership(a: OreElement) -> bool:
         structural = all(
             r.is_zero() for i, r in enumerate(w.coeffs) if i % p
         )
-    assert verdict == structural, "centralizer criteria disagree"
+    if verdict != structural:
+        raise SelfCheckError("centralizer criteria disagree")
     return verdict
 
 
@@ -123,7 +125,8 @@ def central_decompose(a: OreElement) -> CentralDecomposition:
         if r.is_zero():
             continue
         f, rem = divmod(r, ctx.h**ypow)
-        assert rem.is_zero(), "element of the subalgebra expected"
+        if not rem.is_zero():
+            raise SelfCheckError("element of the subalgebra expected")
         b_low, b_high = ypow % p, ypow // p
         for xexp, c in enumerate(f.coeffs):
             if c.is_zero():
@@ -193,14 +196,16 @@ def bracket_x_preimage(a: OreElement) -> OreElement:
         if r.is_zero():
             continue
         g, rem = divmod(r, ctx.h ** (i + 1))
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise SelfCheckError("h^(i+1) must divide the Weyl coefficient of y^i")
         scale = -spec.from_int(i + 1).inverse()
         acc[i + 1] = g.scaled(scale) * ctx.h ** (i + 1)
     wctx = weyl_context(spec)
     size = max(acc) + 1 if acc else 0
     w_pre = wctx.element([acc.get(i, Poly.zero(spec)) for i in range(size)])
     b = from_weyl(w_pre, ctx)
-    assert commutator(ctx.x(), b) == a
+    if commutator(ctx.x(), b) != a:
+        raise SelfCheckError("[x, b] differs from the element")
     return b
 
 
@@ -218,11 +223,13 @@ def bracket_yhat_preimage(a: OreElement) -> OreElement:
     coeffs = []
     for f in a.coeffs:
         q, rem = divmod(f, ctx.h)
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise SelfCheckError("h must divide every coefficient")
         anti = [spec.zero()] + [
             c / spec.from_int(j + 1) for j, c in enumerate(q.coeffs)
         ]
         coeffs.append(Poly(spec, anti))
     b = ctx.element(coeffs)
-    assert commutator(ctx.gen(), b) == a
+    if commutator(ctx.gen(), b) != a:
+        raise SelfCheckError("[Y, b] differs from the element")
     return b

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .algebra import AhContext, OreElement, commutator
 from .center import central_decompose, is_central
-from .errors import NotNormalError, UnverifiableError, ZeroInputError
+from .errors import NotNormalError, SelfCheckError, UnverifiableError, ZeroInputError
 from .poly import FactoredPoly, Poly, factor, is_irreducible
 from .weyl import to_weyl
 
@@ -113,7 +113,8 @@ def classify_normal(
     if not is_central(z):
         raise NotNormalError("residual part is not central")
     out = NormalClassification(tuple(factors), z)
-    assert out.reassemble() == v
+    if out.reassemble() != v:
+        raise SelfCheckError("the classification does not reassemble the element")
     return out
 
 
@@ -126,14 +127,16 @@ def _classification_reference(v: OreElement) -> Poly:
     """
     ctx = v.ctx
     if ctx.spec.characteristic == 0:
-        assert len(v.coeffs) == 1, "char-0 normal elements are polynomials"
+        if len(v.coeffs) != 1:
+            raise SelfCheckError("char-0 normal elements are polynomials")
         return v.coeffs[0]
     w = to_weyl(v)
     for i, r in enumerate(w.coeffs):
         if r.is_zero():
             continue
         f, rem = divmod(r, ctx.h**i)
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise SelfCheckError("h^i must divide the Weyl coefficient of y^i")
         return f
     raise ZeroInputError("zero element")
 
@@ -240,7 +243,8 @@ def _central_coordinates(v: OreElement):
     dec = central_decompose(v)
     cell = dec.table.get((0, 0), {})
     others = {k: c for k, c in dec.table.items() if k != (0, 0) and c}
-    assert not others, "central element must decompose on the identity basis element"
+    if others:
+        raise SelfCheckError("central element must decompose on the identity basis element")
     xs = {a for (a, b) in cell if b == 0}
     ys = {b for (a, b) in cell if a == 0}
     if all(b == 0 for (_, b) in cell):

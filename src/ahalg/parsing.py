@@ -4,14 +4,15 @@ Grammar (shared with the command line):
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := atom ('^' nat)?
-    atom   := scalar | 'x' | 'Y' | 'y' | '(' expr ')' | '-' atom
+    factor := '-' factor | atom ('^' nat)?
+    atom   := scalar | 'x' | 'Y' | 'y' | '(' expr ')'
     scalar := int ('/' int)?          -- the '/denominator' form only over QQ
 
 ``*`` is order-sensitive: the parser evaluates directly into the target
 algebra, so noncommutative products come out in normal form.  The generator
 letter is fixed per call ('Y' for subalgebra elements, 'y' for Weyl-algebra
-elements) and the two letters never mix inside one expression.
+elements) and the two letters never mix inside one expression.  At most
+``MAX_NESTING`` parentheses and unary minus signs may be open at once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from .algebra import AhContext, OreElement
 from .errors import ParseError
 from .fields import FieldElem, FieldSpec
 from .poly import Poly
+
+# each level of nesting costs at most four Python frames of the descent, so 200
+# levels stay well inside the interpreter's default recursion limit of 1000
+MAX_NESTING = 200
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z])|(?P<op>[-+*/^()]))")
 
@@ -62,6 +67,7 @@ class _Parser:
         self.lift_scalar = lift_scalar
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -70,6 +76,12 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
+
+    def enter(self, pos):
+        """Open one more level of '(' or unary '-'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", pos)
 
     def expect_op(self, op):
         kind, value, pos = self.peek()
@@ -106,11 +118,14 @@ class _Parser:
                 return value
 
     def factor(self):
-        kind, op, _ = self.peek()
+        kind, op, pos = self.peek()
         if kind == "op" and op == "-":
             # negation binds looser than '^': -x^4 means -(x^4)
             self.advance()
-            return -self.factor()
+            self.enter(pos)
+            value = -self.factor()
+            self.depth -= 1
+            return value
         value = self.atom()
         kind, op, pos = self.peek()
         if kind == "op" and op == "^":
@@ -133,11 +148,11 @@ class _Parser:
                 raise ParseError(f"unknown name {value!r} here", pos)
             return self.atoms[value]
         if kind == "op" and value == "(":
+            self.enter(pos)
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
-        if kind == "op" and value == "-":
-            return -self.atom()
         raise ParseError("expected a value", pos)
 
     def scalar_tail(self, num: int, pos: int) -> FieldElem:

@@ -20,7 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AhContext, OreElement, antiautomorphism, apply_poly_map
-from .errors import ContextMismatch, NotDivisibleError, NotInSubalgebraError, ZeroInputError
+from .errors import (
+    ContextMismatch,
+    NotDivisibleError,
+    NotInSubalgebraError,
+    SelfCheckError,
+    ZeroInputError,
+)
 from .fields import FieldSpec
 from .poly import Poly
 
@@ -138,14 +144,17 @@ def ore_witness(a: OreElement, f: Poly, side: str = "right") -> OreWitness:
         quot = []
         for c in prod.coeffs:
             q, rem = divmod(c, f)
-            assert rem.is_zero(), "Ore divisibility must hold coefficientwise"
+            if not rem.is_zero():
+                raise SelfCheckError("Ore divisibility must hold coefficientwise")
             quot.append(q)
         a1 = ctx.element(quot)
-        assert a * ctx.from_poly(s1) == ctx.from_poly(f) * a1
+        if a * ctx.from_poly(s1) != ctx.from_poly(f) * a1:
+            raise SelfCheckError("right Ore witness fails a * s1 = f * a1")
         return OreWitness(a1, s1, "right")
     mirrored = ore_witness(antiautomorphism(a), f, "right")
     a1 = antiautomorphism(mirrored.a1)
-    assert ctx.from_poly(s1) * a == a1 * ctx.from_poly(f)
+    if ctx.from_poly(s1) * a != a1 * ctx.from_poly(f):
+        raise SelfCheckError("left Ore witness fails s1 * a = a1 * f")
     return OreWitness(a1, s1, "left")
 
 

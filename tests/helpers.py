@@ -147,6 +147,21 @@ def exhaustive_translations(ctx):
     )
 
 
+def laws_hold_on_all_pairs(structure):
+    """The t and q transformation laws checked against every pair of P."""
+    spec = structure.ctx.spec
+    d = structure.ctx.deg_h
+    for alpha, beta in structure.P.pairs():
+        move = Poly(spec, (beta, alpha))
+        if structure.t_kind == "generated" and structure.t.compose(move) != structure.t:
+            return False
+        if structure.t_kind == "whole_ring" and not (alpha.is_one() and beta.is_zero()):
+            return False
+        if structure.q.compose(move) != structure.q.scaled(alpha ** (d - 1)):
+            return False
+    return True
+
+
 def exhaustive_iso(h, g, spec):
     """The least (alpha, beta, nu) with h(alpha*x + beta) == nu*g(x), or None."""
     if h.degree != g.degree:

@@ -1,6 +1,7 @@
 """Admissible pairs, group classification, invariants, and endomorphisms."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from ahalg import (
     tau,
 )
 from ahalg.autgroup import (
+    _assert_laws,
     _poly_roots,
     affine_equivalences,
     multiplicative_order,
@@ -42,6 +44,7 @@ from helpers import (
     exhaustive_iso,
     exhaustive_pairs,
     exhaustive_translations,
+    laws_hold_on_all_pairs,
     rand_elem,
     rand_poly,
 )
@@ -275,6 +278,43 @@ def test_classify_family_over_gfp():
         m = (n - 1) % (p - 1)
         assert structure.q == Poly.monomial(spec, spec.one(), m)
         assert structure.t == Poly.monomial(spec, spec.one(), p - 1)
+
+
+def test_generator_law_check_agrees_with_all_pairs():
+    # on the family over GF(p) the t/q laws are checked on the generator
+    # alone; checking every pair is the oracle, on right and on altered t and q
+    verdicts = []
+    for p in (3, 5, 7, 11, 13):
+        spec = FieldSpec.gf(p)
+        x = Poly.x(spec)
+        for h in ((x - Poly.one(spec)) ** 2, x**3, (x + Poly.from_ints(spec, (2,))) ** 4):
+            structure = classify_aut_group(AhContext(spec, h))
+            assert structure.P.lam is not None and structure.generator is not None
+            for s in (
+                structure,
+                replace(structure, t=structure.t * structure.t),
+                replace(structure, q=structure.q.scaled(spec.from_int(2))),
+                replace(structure, t=structure.t + x),
+                replace(structure, q=structure.q * x),
+            ):
+                try:
+                    _assert_laws(s)
+                    ok = True
+                except SelfCheckError:
+                    ok = False
+                assert ok == laws_hold_on_all_pairs(s), (p, h, s.t, s.q)
+                verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
+def test_law_check_needs_a_generator_of_the_family():
+    # 4 = 2^2 has order 3 in GF(7)*, so its powers miss half of the family
+    spec = FieldSpec.gf(7)
+    structure = classify_aut_group(ctx_for(spec, 1, -2, 1))  # (x - 1)^2
+    alpha = spec.from_int(4)
+    wrong = (alpha, (spec.one() - alpha) * structure.P.lam)
+    with pytest.raises(SelfCheckError, match="powers of its generator"):
+        _assert_laws(replace(structure, generator=wrong))
 
 
 def test_classify_family_gf2_degenerates():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from ahalg.cli import run
+from ahalg.cli import COMMANDS, run
 
 GOLDEN = [
     (["--field", "QQ", "--h", "x^2", "comm", "Y", "x"], "x^2"),
@@ -129,7 +129,8 @@ def test_byte_determinism_across_runs(capsys):
 
 
 # every command in both output modes: (argv, exit code, pretty output, --json
-# output); a pretty-mode error goes to stderr, everything else to stdout
+# output); a pretty-mode error goes to stderr, everything else to stdout, and
+# for a usage error (exit 2) both texts are a part of argparse's message
 COMMAND_MATRIX = [
     (["--field", "QQ", "--h", "x^2", "eval", "Y*x"], 0,
      "x*Y + x^2", '{"result": "x*Y + x^2"}'),
@@ -157,9 +158,8 @@ COMMAND_MATRIX = [
      "2*x^3", '{"result": "2*x^3"}'),
     (["--field", "GF:3", "--h", "x+1", "delta", "x^2", "3"], 0,
      "2*x^2 + 2*x", '{"result": "2*x^2 + 2*x"}'),
-    (["--field", "QQ", "--h", "x", "delta", "x", "abc"], 1,
-     "error: invalid literal for int() with base 10: 'abc'",
-     '{"error": "invalid literal for int() with base 10: \'abc\'"}'),
+    (["--field", "QQ", "--h", "x", "delta", "x", "abc"], 2,
+     "argument power: invalid int value: 'abc'", "argument power: invalid int value: 'abc'"),
     (["--field", "GF:2", "--h", "x^2+1", "factor", "x^2+1"], 0,
      "1 * (x + 1)^2",
      '{"factors": [{"multiplicity": 2, "poly": "x + 1", "verified": true}], "unit": "1"}'),
@@ -186,8 +186,8 @@ COMMAND_MATRIX = [
      "a1 = x, s1 = x + 1 (right)", '{"a1": "x", "s1": "x + 1", "side": "right"}'),
     (["--field", "QQ", "--h", "x^2", "ore-witness", "Y", "x", "left"], 0,
      "a1 = x*Y - x^2, s1 = x^2 (left)", '{"a1": "x*Y - x^2", "s1": "x^2", "side": "left"}'),
-    (["--field", "QQ", "--h", "x^2", "ore-witness", "Y", "x", "middle"], 1,
-     "error: side must be 'left' or 'right'", '{"error": "side must be \'left\' or \'right\'"}'),
+    (["--field", "QQ", "--h", "x^2", "ore-witness", "Y", "x", "middle"], 2,
+     "argument side: invalid choice: 'middle'", "argument side: invalid choice: 'middle'"),
     (["--field", "QQ", "--h", "x", "localized-equal", "Y", "1", "y", "0"], 0,
      "true", '{"equal": true}'),
     (["--field", "QQ", "--h", "x", "localized-equal", "Y", "0", "y", "0"], 0,
@@ -221,9 +221,8 @@ COMMAND_MATRIX = [
      "true", '{"member": true}'),
     (["--field", "QQ", "--h", "x^2", "in-commutator", "x", "bracket_x"], 0,
      "false", '{"member": false}'),
-    (["--field", "QQ", "--h", "x^2", "in-commutator", "Y", "bogus"], 1,
-     "error: space must be one of bracket_x, bracket_yhat, lie_ideal",
-     '{"error": "space must be one of bracket_x, bracket_yhat, lie_ideal"}'),
+    (["--field", "QQ", "--h", "x^2", "in-commutator", "Y", "bogus"], 2,
+     "argument space: invalid choice: 'bogus'", "argument space: invalid choice: 'bogus'"),
     (["--field", "GF:3", "--h", "x", "in-commutator", "x", "lie_ideal"], 1,
      "error: no closed-form membership test for the Lie ideal in char p",
      '{"error": "no closed-form membership test for the Lie ideal in char p"}'),
@@ -354,11 +353,8 @@ def test_command_matrix(capsys, argv, code, pretty, as_json):
 
 
 def test_command_matrix_covers_every_command():
-    from ahalg.cli import build_parser
-
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
     names = {argv[4] if argv[2] == "--h" else argv[2] for argv, *_ in COMMAND_MATRIX}
-    assert names == set(sub.choices)
+    assert names == set(COMMANDS)
 
 
 def test_domain_error_exit_code(capsys):
@@ -390,6 +386,22 @@ def test_usage_error_exit_code(capsys):
                 run(argv)
             assert exc.value.code == 2
             assert "usage:" in capsys.readouterr().err
+    # so is a malformed integer or fixed-choice positional, in either output mode
+    for argv in (
+        ["delta", "x", "abc"],
+        ["localized-equal", "Y", "one", "y", "0"],
+        ["yh-product", "2.5", "right"],
+        ["endo-eta", "k", "x"],
+        ["ore-witness", "Y", "x", "middle"],
+        ["yh-product", "1", "up"],
+        ["in-commutator", "Y", "bogus"],
+    ):
+        for flags in ([], ["--json"]):
+            with pytest.raises(SystemExit) as exc:
+                run(["--field", "QQ", "--h", "x^2", *argv, *flags])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "usage:" in captured.err
 
 
 def test_bad_field_spec(capsys):
@@ -500,6 +512,25 @@ def test_failed_self_check_is_an_exit_1_error(capsys, monkeypatch):
     assert "exhausted" in json.loads(capsys.readouterr().out)["error"]
 
 
+def test_deep_nesting_is_a_domain_error(capsys):
+    code = run(["--field", "QQ", "--h", "x", "eval", "(" * 3000 + "x" + ")" * 3000])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: expression nested too deeply")
+
+
+def test_no_bare_asserts_in_src():
+    # self-checks raise SelfCheckError, so they still run under python -O
+    import ast
+    from pathlib import Path
+
+    import ahalg
+
+    for path in sorted(Path(ahalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"
+
+
 # outputs as the exhaustive searches printed them (5 to 70 s each); the
 # root-finding solvers must reproduce them in well under a second
 LARGE_P = [
@@ -518,6 +549,13 @@ LARGE_P = [
     (
         ["--field", "GF:307", "--h", "x^3-x", "aut-classify"],
         "case semidirect_finite; k = 3; G = {0}; generator (306, 0) of order 2; t: x^2; q: 1",
+    ),
+    # the family over GF(307): t = (x - 1)^306, the sum of x^i for i < 307
+    (
+        ["--field", "GF:307", "--h", "(x-1)^2", "aut-classify"],
+        "case semidirect_fstar; k = 1; G = {0}; generator (5, 303) of order 306; t: "
+        + " + ".join(f"x^{i}" for i in range(306, 1, -1))
+        + " + x + 1; q: x + 306",
     ),
 ]
 

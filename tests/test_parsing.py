@@ -7,6 +7,7 @@ import pytest
 from ahalg import AhContext, FieldSpec, Poly, parse_element, parse_poly, parse_scalar
 from ahalg.algebra import format_element
 from ahalg.errors import ParseError
+from ahalg.parsing import MAX_NESTING
 from ahalg.poly import format_poly
 
 from helpers import rand_elem, rand_poly
@@ -69,6 +70,17 @@ def test_error_positions():
     assert err.value.pos == 2
     with pytest.raises(ParseError):
         parse_element("x^-2", ctx_for(QQ, 0, 1))
+
+
+def test_nesting_is_bounded():
+    ctx = ctx_for(QQ, 0, 1)
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_element(deepest, ctx) == ctx.x()
+    assert parse_element("-" * MAX_NESTING + "Y", ctx) == ctx.gen()
+    mixed = "(-" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    for text in ("(" + deepest + ")", "-" * 3000 + "x", mixed):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_element(text, ctx)
 
 
 def test_exponent_must_be_literal():
