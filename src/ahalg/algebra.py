@@ -9,7 +9,8 @@ polynomial h.  Multiplication reorders products with the closed-form rule
 
 where ``delta(f) = h * f'`` is the derivation that the relation induces on
 the polynomial subring.  Binomial coefficients are taken in Z and mapped
-into the field, so they vanish automatically in characteristic p.
+into the field, so they vanish automatically in characteristic p.  Each
+output coefficient is one ``sum_of_products`` of its terms, normalized once.
 
 Beyond the ring operations this module provides the commutator, the
 involutive anti-automorphism fixing x and sending Y to -Y + h', substitution
@@ -25,7 +26,7 @@ from math import comb
 
 from .errors import ContextMismatch, SelfCheckError, ZeroInputError
 from .fields import FieldElem, FieldSpec
-from .poly import NEG_INF, Poly, format_poly
+from .poly import NEG_INF, Poly, format_poly, sum_of_products
 
 
 class AhContext:
@@ -134,9 +135,6 @@ class OreElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def constant_part(self) -> Poly:
-        return self.coeff(0)
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -208,9 +206,14 @@ class OreElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers do not exist in the algebra")
-        result = self.ctx.one()
-        for _ in range(n):
-            result = result * self
+        # square-and-multiply: powers of one element commute
+        result, base = self.ctx.one(), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __str__(self):
@@ -234,31 +237,28 @@ def _mul(a: OreElement, b: OreElement) -> OreElement:
     ctx = a.ctx
     if a.is_zero() or b.is_zero():
         return ctx.zero()
-    na, nb = len(a.coeffs), len(b.coeffs)
+    na = len(a.coeffs)
     p = ctx.spec.characteristic
-    out = [Poly.zero(ctx.spec)] * (na + nb - 1)
+    slots = [[] for _ in range(na + len(b.coeffs) - 1)]
     for j, g in enumerate(b.coeffs):
         if g.is_zero():
             continue
-        # delta-power table, shared across all left coefficients
+        # delta-power table shared by all left coefficients, cut at its first zero
         table = [g]
-        for _ in range(na - 1):
-            table.append(ctx.delta(table[-1]))
+        while len(table) < na:
+            d = ctx.delta(table[-1])
+            if d.is_zero():
+                break
+            table.append(d)
         for i, f in enumerate(a.coeffs):
             if f.is_zero():
                 continue
-            for m in range(i + 1):
-                if table[m].is_zero():
-                    break
+            for m in range(min(i + 1, len(table))):
                 # C(i, m) as an integer, reduced so it vanishes in char p
                 c = comb(i, m) % p if p else comb(i, m)
-                if not c:
-                    continue
-                term = f * table[m]
-                if c != 1:
-                    term = term.scaled(c)
-                out[i - m + j] = out[i - m + j] + term
-    return OreElement(ctx, out)
+                if c:
+                    slots[i - m + j].append((c, f, table[m]))
+    return OreElement(ctx, [sum_of_products(ctx.spec, s) for s in slots])
 
 
 def commutator(a: OreElement, b: OreElement) -> OreElement:

@@ -153,10 +153,6 @@ class Automorphism:
         return f"Automorphism(alpha={self.alpha}, beta={self.beta}, f={self.f})"
 
 
-def identity_automorphism(ctx: AhContext) -> Automorphism:
-    return Automorphism(ctx, ctx.spec.one(), ctx.spec.zero())
-
-
 def tau(ctx: AhContext, alpha, beta) -> Automorphism:
     """The affine automorphism with no shear part."""
     return Automorphism(ctx, alpha, beta)

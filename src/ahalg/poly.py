@@ -72,6 +72,31 @@ def _poly(spec: FieldSpec, nums, den: int = 1) -> "Poly":
     return f
 
 
+def sum_of_products(spec: FieldSpec, terms) -> "Poly":
+    """``sum c * f * g`` over triples ``(int c, Poly f, Poly g)`` of one field.
+
+    The products accumulate as ints over the lcm of their denominators and
+    the sum is normalized once.
+    """
+    den = 1 if spec.p else lcm(*(f._den * g._den for _, f, g in terms))
+    out = []
+    for c, f, g in terms:
+        a, b = f._nums, g._nums
+        if not a or not b:
+            continue
+        if den != 1:
+            c *= den // (f._den * g._den)
+        if len(a) > len(b):
+            a, b = b, a
+        out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+        for i, x in enumerate(a):
+            if x:
+                x *= c
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    return _poly(spec, out, den)
+
+
 def _scaled_horner(nums, n: int, m: int) -> int:
     """``m^k * f(n/m)`` for ``f = sum nums[i] * x^i`` of degree k, in integers."""
     acc = 0
@@ -159,9 +184,6 @@ class Poly:
 
     def is_one(self) -> bool:
         return self._nums == (1,) and self._den == 1
-
-    def is_constant(self) -> bool:
-        return len(self._nums) <= 1
 
     def is_monic(self) -> bool:
         return bool(self._nums) and self._nums[-1] == self._den

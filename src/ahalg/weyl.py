@@ -6,7 +6,8 @@ moves elements across the embedding ``Y = y*h``:
 
 * ``to_weyl`` expands an element into Weyl normal form ``sum r_i(x) y^i``;
 * ``from_weyl`` inverts it, which succeeds exactly when ``h^i`` divides the
-  coefficient of ``y^i`` for every i;
+  coefficient of ``y^i`` for every i; at Y-degree n both take O(n^2)
+  polynomial products and normalize each output coefficient once;
 * ``yh_product`` builds the telescoping products that express ``y^i h^i``
   and ``h^i y^i`` in terms of the subalgebra generator;
 * ``embed`` maps one subalgebra into another along a divisor of its h;
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AhContext, OreElement, antiautomorphism, apply_poly_map
+from .algebra import AhContext, OreElement, antiautomorphism
 from .errors import (
     ContextMismatch,
     NotDivisibleError,
@@ -28,7 +29,7 @@ from .errors import (
     ZeroInputError,
 )
 from .fields import FieldSpec
-from .poly import Poly
+from .poly import Poly, sum_of_products
 
 
 def weyl_context(spec: FieldSpec) -> AhContext:
@@ -40,35 +41,45 @@ def is_weyl_context(ctx: AhContext) -> bool:
     return ctx.h.is_one()
 
 
+def _weyl_rows(h: Poly, n: int) -> list[list[Poly]]:
+    """``rows[i][j]`` is the coefficient of y^j in Y^i (i <= n); ``rows[i][i] = h^i``."""
+    zero, rows = Poly.zero(h.spec), [[Poly.one(h.spec)]]
+    for _ in range(n):
+        # (y h)(r y^j) = (h r) y^(j+1) + (h r)' y^j
+        hr = [h * r for r in rows[-1]]
+        rows.append([d.derivative() + s for d, s in zip(hr + [zero], [zero] + hr)])
+    return rows
+
+
 def to_weyl(a: OreElement) -> OreElement:
-    """Expand a through Y = y*h into Weyl normal form."""
-    wctx = weyl_context(a.ctx.spec)
-    y_image = wctx.gen() * a.ctx.h
-    return apply_poly_map(a, Poly.x(a.ctx.spec), y_image)
+    """Expand a through Y = y*h: the coefficient of y^j is ``sum_i f_i * rows[i][j]``."""
+    spec, fs, n = a.ctx.spec, a.coeffs, len(a.coeffs)
+    rows = _weyl_rows(a.ctx.h, n - 1)
+    terms = ([(1, fs[i], rows[i][j]) for i in range(j, n)] for j in range(n))
+    return weyl_context(spec).element([sum_of_products(spec, t) for t in terms])
 
 
 def from_weyl(w: OreElement, ctx: AhContext) -> OreElement:
     """The unique preimage of w under ``to_weyl``, if w lies in the subalgebra.
 
     Membership holds exactly when h^i divides the coefficient of y^i for
-    every i; the preimage is peeled off top degree first.  Raises
+    every i; one pass, top degree first, divides each coefficient less the
+    images of the higher terms by ``rows[i][i] = h^i``.  Raises
     :class:`NotInSubalgebraError` (with the offending index) otherwise.
     """
     if not is_weyl_context(w.ctx):
         raise ContextMismatch("from_weyl expects an element of the Weyl algebra")
     if w.ctx.spec != ctx.spec:
         raise ContextMismatch("Weyl element over a different field")
-    out: dict[int, Poly] = {}
-    cur = w
-    while not cur.is_zero():
-        n = len(cur.coeffs) - 1
-        q, rem = divmod(cur.coeffs[-1], ctx.h**n)
+    ws, n = w.coeffs, len(w.coeffs)
+    rows = _weyl_rows(ctx.h, n - 1)
+    out = [None] * n
+    for i in range(n - 1, -1, -1):
+        terms = [(1, ws[i], rows[0][0])] + [(-1, out[k], rows[k][i]) for k in range(i + 1, n)]
+        out[i], rem = divmod(sum_of_products(ctx.spec, terms), rows[i][i])
         if not rem.is_zero():
-            raise NotInSubalgebraError(n)
-        out[n] = q
-        cur = cur - to_weyl(ctx.monomial(q, n))
-    size = max(out) + 1 if out else 0
-    return ctx.element([out.get(i, Poly.zero(ctx.spec)) for i in range(size)])
+            raise NotInSubalgebraError(i)
+    return ctx.element(out)
 
 
 def yh_product(ctx: AhContext, i: int, side: str = "right") -> OreElement:

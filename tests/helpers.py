@@ -6,11 +6,14 @@ from ahalg import (
     AhContext,
     OreElement,
     Poly,
+    apply_poly_map,
     commutator,
     div_left_exact,
     div_right_exact,
+    weyl_context,
 )
 from ahalg.autgroup import pair_is_valid
+from ahalg.errors import NotInSubalgebraError
 
 QQ_SPEC = None  # set lazily to avoid import order issues
 
@@ -62,6 +65,27 @@ def naive_mul(a: OreElement, b: OreElement) -> OreElement:
             for k, poly in cur.items():
                 total = total + ctx.monomial(f * poly, k + j)
     return total
+
+
+def to_weyl_oracle(a: OreElement) -> OreElement:
+    """Weyl expansion oracle: substitute x -> x, Y -> y*h by apply_poly_map."""
+    wctx = weyl_context(a.ctx.spec)
+    return apply_poly_map(a, Poly.x(a.ctx.spec), wctx.gen() * a.ctx.h)
+
+
+def from_weyl_oracle(w: OreElement, ctx: AhContext) -> OreElement:
+    """Pullback oracle: peel the top y-monomial, one Weyl expansion per step."""
+    out = {}
+    cur = w
+    while not cur.is_zero():
+        n = len(cur.coeffs) - 1
+        q, rem = divmod(cur.coeffs[-1], ctx.h**n)
+        if not rem.is_zero():
+            raise NotInSubalgebraError(n)
+        out[n] = q
+        cur = cur - to_weyl_oracle(ctx.monomial(q, n))
+    size = max(out) + 1 if out else 0
+    return ctx.element([out.get(i, Poly.zero(ctx.spec)) for i in range(size)])
 
 
 def normal_oracle(v: OreElement) -> bool:

@@ -22,6 +22,7 @@ from helpers import naive_mul, rand_elem, rand_poly
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.gf(5)
+FIELDS = (QQ, FieldSpec.gf(2), FieldSpec.gf(3), F5, FieldSpec.gf(7), FieldSpec.gf(1000003))
 
 
 def ctx_for(spec, *ints):
@@ -105,12 +106,37 @@ def test_ring_axioms_random():
 
 def test_reordering_rule_matches_naive_rewriter():
     rng = random.Random(43)
+    for spec in FIELDS:
+        p = spec.characteristic
+        x = Poly.x(spec)
+        hs = [Poly.from_ints(spec, (0, 1, 1)), Poly.one(spec)]
+        small_p = 0 < p < 10  # x^p is too large to rewrite naively at p = 1000003
+        if small_p:
+            hs.append(x**p - x)
+        for h in hs:
+            ctx = AhContext(spec, h)
+            for _ in range(5):
+                a = rand_elem(rng, ctx, 3, 3)
+                b = rand_elem(rng, ctx, 3, 3)
+                assert a * b == naive_mul(a, b)
+            if small_p:
+                # delta(x^p) = 0, so the delta table of x^p ends at its first entry
+                a = rand_elem(rng, ctx, 4, 2)
+                b = ctx.element([x**p, rand_poly(rng, spec, 2), x**p])
+                assert a * b == naive_mul(a, b)
+                assert b * a == naive_mul(b, a)
+
+
+def test_power_is_repeated_product():
+    rng = random.Random(48)
     for spec in (QQ, F5):
-        ctx = AhContext(spec, Poly.from_ints(spec, (0, 1, 1)))
-        for _ in range(10):
-            a = rand_elem(rng, ctx, 3, 3)
-            b = rand_elem(rng, ctx, 3, 3)
-            assert a * b == naive_mul(a, b)
+        ctx = AhContext(spec, Poly.from_ints(spec, (1, 0, 1)))
+        for n in range(9):
+            a = rand_elem(rng, ctx, 2, 2)
+            expected = ctx.one()
+            for _ in range(n):
+                expected = expected * a
+            assert a**n == expected
 
 
 def test_closed_form_commutator_identity():

@@ -404,6 +404,22 @@ def test_usage_error_exit_code(capsys):
             assert captured.out == "" and "usage:" in captured.err
 
 
+def test_expression_starting_with_minus_after_double_dash(capsys):
+    # argparse takes "-x" and "-1/2" for options unless "--" ends the options
+    for argv, expected in (
+        (["--field", "QQ", "--h", "x", "eval", "--", "-x"], "-x"),
+        (["--field", "QQ", "--h", "x", "aut-apply", "--", "-1/2", "0", "0", "Y"], "Y"),
+    ):
+        assert _invoke(argv, capsys) == (0, expected + "\n", "")
+
+
+def test_large_power_by_squaring(capsys):
+    start = time.perf_counter()
+    got = _invoke(["--field", "QQ", "--h", "x^2", "eval", "Y^1000"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert got == (0, "Y^1000\n", "")
+
+
 def test_bad_field_spec(capsys):
     code = run(["--field", "GF:6", "--h", "x", "eval", "Y"])
     capsys.readouterr()

@@ -21,10 +21,11 @@ from ahalg import (
 )
 from ahalg.errors import NotDivisibleError, NotInSubalgebraError
 
-from helpers import rand_elem, rand_poly
+from helpers import from_weyl_oracle, rand_elem, rand_poly, rand_scalar, to_weyl_oracle
 
 QQ = FieldSpec.rationals()
 F3 = FieldSpec.gf(3)
+FIELDS = (QQ, FieldSpec.gf(2), F3, FieldSpec.gf(7), FieldSpec.gf(1000003))
 
 
 def ctx_for(spec, *ints):
@@ -122,6 +123,40 @@ def test_roundtrip_and_homomorphism():
             assert from_weyl(to_weyl(a), ctx) == a
             assert to_weyl(a * b) == to_weyl(a) * to_weyl(b)
             assert to_weyl(a + b) == to_weyl(a) + to_weyl(b)
+
+
+def _pullback(w, ctx, convert):
+    try:
+        return convert(w, ctx)
+    except NotInSubalgebraError as err:
+        return ("not a member", err.index)
+
+
+def test_conversions_match_the_oracles():
+    # random rational coefficients have mixed denominators; h of degree 0 is constant
+    rng = random.Random(27)
+    for spec in FIELDS:
+        wctx = weyl_context(spec)
+        for h_deg in (0, 1, 2, 3):
+            while True:
+                h = Poly(spec, [rand_scalar(rng, spec) for _ in range(h_deg + 1)])
+                if h.degree == h_deg:
+                    break
+            ctx = AhContext(spec, h)
+            for ydeg in range(8):
+                a = ctx.element([rand_poly(rng, spec, 2) for _ in range(ydeg + 1)])
+                w = to_weyl(a)
+                assert w == to_weyl_oracle(a)
+                assert from_weyl(w, ctx) == a == from_weyl_oracle(w, ctx)
+                # a perturbed expansion and an arbitrary Weyl element, members or not
+                i = rng.randint(0, ydeg)
+                planted = w + wctx.monomial(rand_poly(rng, spec, 2), i)
+                other = wctx.element([rand_poly(rng, spec, 3) for _ in range(ydeg + 1)])
+                for v in (planted, other):
+                    expected = _pullback(v, ctx, from_weyl_oracle)
+                    assert _pullback(v, ctx, from_weyl) == expected
+            if h_deg:
+                assert _pullback(wctx.gen(), ctx, from_weyl) == ("not a member", 1)
 
 
 def test_membership_criterion_with_planted_failures():
