@@ -10,12 +10,14 @@ is deterministic given the same arguments and --seed.
 its positional arguments, its help text and a handler that returns the JSON
 data and the pretty text.  ``build_parser`` walks the table to declare the
 subcommands, and ``run`` looks the handler up and prints one of the two
-renderings.  Commands with the same output shape share one renderer.
+renderings.  Commands with the same output shape share one renderer.  One
+parser, built at the first ``run``, serves every later ``run`` of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -452,9 +454,11 @@ def _run(args) -> int:
     return 0
 
 
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except (AhError, NotImplementedError, ZeroDivisionError, ValueError) as exc:

@@ -9,7 +9,8 @@ Grammar (shared with the command line):
     scalar := int ('/' int)?          -- the '/denominator' form only over QQ
 
 ``*`` is order-sensitive: the parser evaluates directly into the target
-algebra, so noncommutative products come out in normal form.  The generator
+algebra, so noncommutative products come out in normal form; subexpressions
+without the generator stay in the subring F[x], as polynomials.  The generator
 letter is fixed per call ('Y' for subalgebra elements, 'y' for Weyl-algebra
 elements) and the two letters never mix inside one expression.  At most
 ``MAX_NESTING`` parentheses and unary minus signs may be open at once.
@@ -182,11 +183,7 @@ def parse_scalar(src: str, spec: FieldSpec) -> FieldElem:
 
 def parse_poly(src: str, spec: FieldSpec) -> Poly:
     """A polynomial in x over the given field."""
-    atoms = {"x": Poly.x(spec)}
-    value = _Parser(src, spec, atoms, lambda c: Poly.constant(c)).parse()
-    if isinstance(value, FieldElem):
-        value = Poly.constant(value)
-    return value
+    return _Parser(src, spec, {"x": Poly.x(spec)}, Poly.constant).parse()
 
 
 def parse_element(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
@@ -203,10 +200,6 @@ def parse_element(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
             f"generator {other!r} cannot appear in a {generator!r} expression",
             src.index(other),
         )
-    atoms = {"x": ctx.x(), generator: ctx.gen()}
-    value = _Parser(src, ctx.spec, atoms, lambda c: ctx.from_scalar(c)).parse()
-    if isinstance(value, FieldElem):
-        value = ctx.from_scalar(value)
-    if isinstance(value, Poly):
-        value = ctx.from_poly(value)
-    return value
+    atoms = {"x": Poly.x(ctx.spec), generator: ctx.gen()}
+    value = _Parser(src, ctx.spec, atoms, Poly.constant).parse()
+    return value if isinstance(value, OreElement) else ctx.from_poly(value)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AhContext, OreElement, antiautomorphism
+from .algebra import AhContext, OreElement, div_right_exact
 from .errors import (
     ContextMismatch,
     NotDivisibleError,
@@ -139,9 +139,10 @@ class OreWitness:
 def ore_witness(a: OreElement, f: Poly, side: str = "right") -> OreWitness:
     """Produce the witness showing {f^n} satisfies the Ore condition at a.
 
-    Uses s1 = f^(k+1) with k the generator-degree of a; the right-side
-    quotient is an exact coefficientwise division, and the left side is
-    obtained from the right side of the anti-automorphic image.
+    Uses s1 = f^(k+1) with k the generator-degree of a.  On the right, a1 is
+    the coefficientwise quotient of ``a * s1`` by f; on the left, ``s1 * a``
+    only scales the coefficients and a1 is its exact right quotient by f.
+    Each side checks its identity and raises :class:`SelfCheckError` if it fails.
     """
     if f.is_zero():
         raise ZeroDivisionError("Ore witnesses need a nonzero denominator")
@@ -159,12 +160,12 @@ def ore_witness(a: OreElement, f: Poly, side: str = "right") -> OreWitness:
                 raise SelfCheckError("Ore divisibility must hold coefficientwise")
             quot.append(q)
         a1 = ctx.element(quot)
-        if a * ctx.from_poly(s1) != ctx.from_poly(f) * a1:
+        if prod != f * a1:
             raise SelfCheckError("right Ore witness fails a * s1 = f * a1")
         return OreWitness(a1, s1, "right")
-    mirrored = ore_witness(antiautomorphism(a), f, "right")
-    a1 = antiautomorphism(mirrored.a1)
-    if ctx.from_poly(s1) * a != a1 * ctx.from_poly(f):
+    prod = ctx.element([s1 * c for c in a.coeffs])
+    a1 = div_right_exact(prod, ctx.from_poly(f))
+    if a1 is None or prod != a1 * f:
         raise SelfCheckError("left Ore witness fails s1 * a = a1 * f")
     return OreWitness(a1, s1, "left")
 

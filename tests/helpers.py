@@ -6,6 +6,7 @@ from ahalg import (
     AhContext,
     OreElement,
     Poly,
+    antiautomorphism,
     apply_poly_map,
     commutator,
     div_left_exact,
@@ -13,7 +14,8 @@ from ahalg import (
     weyl_context,
 )
 from ahalg.autgroup import pair_is_valid
-from ahalg.errors import NotInSubalgebraError
+from ahalg.errors import NotInSubalgebraError, ParseError
+from ahalg.parsing import _Parser
 
 QQ_SPEC = None  # set lazily to avoid import order issues
 
@@ -86,6 +88,38 @@ def from_weyl_oracle(w: OreElement, ctx: AhContext) -> OreElement:
         cur = cur - to_weyl_oracle(ctx.monomial(q, n))
     size = max(out) + 1 if out else 0
     return ctx.element([out.get(i, Poly.zero(ctx.spec)) for i in range(size)])
+
+
+def ore_witness_oracle(a: OreElement, f: Poly, side: str):
+    """``(a1, s1)`` by the mirrored route, with s1 = f^(k+1) at Y-degree k.
+
+    The right side divides ``a * s1`` by f coefficientwise; the left side is
+    the anti-automorphic image of the right witness of the image of a.
+    """
+    ctx = a.ctx
+    if side == "left":
+        a1, s1 = ore_witness_oracle(antiautomorphism(a), f, "right")
+        return antiautomorphism(a1), s1
+    s1 = f ** max(len(a.coeffs), 1)
+    quot = []
+    for c in (a * ctx.from_poly(s1)).coeffs:
+        q, rem = divmod(c, f)
+        assert rem.is_zero()
+        quot.append(q)
+    return ctx.element(quot), s1
+
+
+def parse_element_oracle(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
+    """``parse_element`` with every atom and scalar an element of the algebra,
+    so each operation of the expression is one of the algebra's."""
+    other = "y" if generator == "Y" else "Y"
+    if other in src:
+        raise ParseError(
+            f"generator {other!r} cannot appear in a {generator!r} expression",
+            src.index(other),
+        )
+    atoms = {"x": ctx.x(), generator: ctx.gen()}
+    return _Parser(src, ctx.spec, atoms, ctx.from_scalar).parse()
 
 
 def normal_oracle(v: OreElement) -> bool:

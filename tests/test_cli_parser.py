@@ -100,3 +100,45 @@ def _invoke(argv, capsys):
 def test_help_output_is_pinned(capsys, monkeypatch, argv, expected):
     monkeypatch.setenv("COLUMNS", "80")
     assert _invoke(argv, capsys) == (0, expected, "")
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    from ahalg.cli import build_parser
+
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert first.parse_args(["--h", "x", "eval", "Y"]).expr == "Y"
+
+
+H = ["--field", "QQ", "--h", "x^2"]
+SEQUENCES = [
+    # a usage error, then a valid command
+    [["--field", "QQ", "no-such-command"], [*H, "eval", "Y*x"]],
+    [[*H, "delta", "x", "abc", "--json"], [*H, "delta", "x^3", "2"]],
+    # the same argv in pretty mode, with --json, then pretty again
+    [[*H, "mul", "Y", "x"], [*H, "mul", "Y", "x", "--json"], [*H, "mul", "Y", "x"]],
+    [[*H, "aut-p"], [*H, "--json", "aut-p"], [*H, "aut-p"]],
+    # global flags before and after the subcommand
+    [["--field", "GF:5", "--h", "x", "eval", "Y*x"],
+     ["eval", "Y*x", "--field", "GF:5", "--h", "x"],
+     ["--h", "x", "eval", "Y*x"],
+     ["eval", "Y*x", "--h", "x"]],
+    [["--seed", "3", "--field", "GF:5", "factor", "x^2-1"], ["factor", "x^2-1"],
+     ["factor", "x^2-1", "--seed", "3", "--field", "GF:5"]],
+    # a domain error, then a success
+    [[*H, "from-weyl", "y"], [*H, "from-weyl", "y*x^2"]],
+    [[*H, "--json", "from-weyl", "y"], [*H, "from-weyl", "y*x^2", "--json"]],
+    # help, then a command, then help again
+    [["--help"], [*H, "eval", "Y"], ["eval", "--help"], ["--help"]],
+]
+
+
+@pytest.mark.parametrize("sequence", SEQUENCES)
+def test_no_state_leaks_between_runs(capsys, monkeypatch, sequence):
+    from ahalg import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    shared = [_invoke(argv, capsys) for argv in sequence]
+    # a new parser per command: what one process per command prints
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == [_invoke(argv, capsys) for argv in sequence]

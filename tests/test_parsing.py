@@ -4,16 +4,25 @@ import random
 
 import pytest
 
-from ahalg import AhContext, FieldSpec, Poly, parse_element, parse_poly, parse_scalar
+from ahalg import (
+    AhContext,
+    FieldSpec,
+    Poly,
+    parse_element,
+    parse_poly,
+    parse_scalar,
+    weyl_context,
+)
 from ahalg.algebra import format_element
 from ahalg.errors import ParseError
 from ahalg.parsing import MAX_NESTING
 from ahalg.poly import format_poly
 
-from helpers import rand_elem, rand_poly
+from helpers import parse_element_oracle, rand_elem, rand_poly
 
 QQ = FieldSpec.rationals()
 F3 = FieldSpec.gf(3)
+FIELDS = (QQ, FieldSpec.gf(2), F3, FieldSpec.gf(7), FieldSpec.gf(1000003))
 
 
 def ctx_for(spec, *ints):
@@ -103,3 +112,99 @@ def test_print_parse_roundtrip_polys():
         for _ in range(25):
             f = rand_poly(rng, spec, 6)
             assert parse_poly(format_poly(f), spec) == f
+
+
+def _rand_expr(rng, gen, rational, depth=0):
+    out = _rand_term(rng, gen, rational, depth)
+    for _ in range(rng.randint(0, 2)):
+        out += rng.choice((" + ", " - ", "+", "-")) + _rand_term(rng, gen, rational, depth)
+    return out
+
+
+def _rand_term(rng, gen, rational, depth):
+    return "*".join(_rand_factor(rng, gen, rational, depth) for _ in range(rng.randint(1, 3)))
+
+
+def _rand_factor(rng, gen, rational, depth):
+    roll = rng.random()
+    if roll < 0.15:
+        return "-" + _rand_factor(rng, gen, rational, depth)
+    if roll < 0.35 and depth < 2:
+        atom = "(" + _rand_expr(rng, gen, rational, depth + 1) + ")"
+    else:
+        atom = rng.choice(("x", gen, str(rng.randint(0, 12))))
+        if atom[0].isdigit() and rational and rng.random() < 0.4:
+            atom += f"/{rng.randint(1, 5)}"
+    if rng.random() < 0.3:
+        atom += f"^{rng.randint(0, 3)}"
+    return atom
+
+
+def _outcome(parse, src, ctx, gen):
+    """The parsed element, or the message and position of the ParseError."""
+    try:
+        return parse(src, ctx, gen)
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+def _contexts(spec):
+    yield ctx_for(spec, 0, 0, 1), "Y"  # h = x^2
+    yield ctx_for(spec, 1, 2, 1), "Y"  # h = (x + 1)^2
+    yield weyl_context(spec), "y"
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "x*Y", "Y*x", "Y*(x^2+1)", "(x^2+1)*Y", "(x*Y+1)^3", "(Y+x)^2*(x-Y)",
+        "-x*Y", "-(Y*x)", "- -Y", "x - -Y*x", "-x^2*Y^2",
+        "3", "-1/2", "0", "2/4 + 1/2", "x", "x^3 + 2*x - 1", "-(x+1)^2", "(x+2)^3*(x^2-x)^2",
+        "Y^0", "x*Y^0", "Y^0*x", "(x*Y)^0", "0*Y", "Y - Y",
+    ],
+)
+def test_element_parser_matches_oracle_on_chosen_inputs(src):
+    for spec in FIELDS:
+        for ctx, gen in _contexts(spec):
+            text = src.replace("Y", gen)
+            if spec.is_prime_field and "/" in text:
+                continue
+            got = parse_element(text, ctx, gen)
+            assert got == parse_element_oracle(text, ctx, gen), (spec, gen, text)
+
+
+def test_order_sensitive_products_keep_the_relation():
+    ctx = ctx_for(QQ, 0, 0, 1)  # h = x^2
+    x, y = ctx.x(), ctx.gen()
+    assert parse_element("Y*(x^2+1)", ctx) == (x**2 + 1) * y + 2 * x**3
+    assert parse_element("(x^2+1)*Y", ctx) == (x**2 + 1) * y
+    assert parse_element("x*Y - Y*x", ctx) == -x**2
+    assert parse_element("(x*Y+1)^3", ctx) == (x * y + 1) * (x * y + 1) * (x * y + 1)
+    weyl = weyl_context(QQ)
+    assert parse_element("y*x - x*y", weyl, "y") == weyl.one()
+
+
+def test_element_parser_matches_oracle_on_random_expressions():
+    rng = random.Random(82)
+    for spec in FIELDS:
+        for ctx, gen in _contexts(spec):
+            for _ in range(40):
+                src = _rand_expr(rng, gen, not spec.is_prime_field)
+                got = parse_element(src, ctx, gen)
+                assert got == parse_element_oracle(src, ctx, gen), (spec, gen, src)
+
+
+def test_parse_errors_match_oracle():
+    # corrupted expressions: the same element, or the same message and position
+    rng = random.Random(83)
+    for spec in (QQ, FieldSpec.gf(5)):
+        for ctx, gen in _contexts(spec):
+            for _ in range(60):
+                src = _rand_expr(rng, gen, True)
+                cut = rng.randrange(len(src) + 1)
+                if rng.random() < 0.5:
+                    src = src[:cut]
+                else:
+                    src = src[:cut] + rng.choice("@)(^*/+-zYy") + src[cut:]
+                want = _outcome(parse_element_oracle, src, ctx, gen)
+                assert _outcome(parse_element, src, ctx, gen) == want, (spec, gen, src)

@@ -19,9 +19,16 @@ from ahalg import (
     weyl_context,
     yh_product,
 )
-from ahalg.errors import NotDivisibleError, NotInSubalgebraError
+from ahalg.errors import NotDivisibleError, NotInSubalgebraError, SelfCheckError
 
-from helpers import from_weyl_oracle, rand_elem, rand_poly, rand_scalar, to_weyl_oracle
+from helpers import (
+    from_weyl_oracle,
+    ore_witness_oracle,
+    rand_elem,
+    rand_poly,
+    rand_scalar,
+    to_weyl_oracle,
+)
 
 QQ = FieldSpec.rationals()
 F3 = FieldSpec.gf(3)
@@ -256,6 +263,34 @@ def test_ore_witness_property():
             assert a * right.s1 == f * right.a1
             left = ore_witness(a, f, "left")
             assert left.s1 * a == left.a1 * f
+
+
+def test_ore_witness_matches_mirrored_route():
+    rng = random.Random(27)
+    for spec in (*FIELDS, FieldSpec.gf(5)):
+        ctx = ctx_for(spec, 0, 1, 1)  # h = x*(x + 1)
+        denominators = (
+            Poly.from_ints(spec, (1, 1)),  # divides h
+            Poly.from_ints(spec, (1, 1, 1)),  # does not
+            rand_poly(rng, spec, 0, nonzero=True),
+        )
+        for k in range(7):
+            coeffs = [rand_poly(rng, spec, 2) for _ in range(k)]
+            a = ctx.element(coeffs + [rand_poly(rng, spec, 2, nonzero=True)])
+            for f in denominators:
+                for side in ("right", "left"):
+                    w = ore_witness(a, f, side)
+                    assert (w.a1, w.s1, w.side) == (*ore_witness_oracle(a, f, side), side)
+
+
+@pytest.mark.parametrize("quotient", [lambda w, v: None, lambda w, v: v])
+def test_failed_left_ore_witness_is_a_self_check_error(monkeypatch, quotient):
+    from ahalg import weyl
+
+    monkeypatch.setattr(weyl, "div_right_exact", quotient)
+    ctx = ctx_for(QQ, 0, 1)
+    with pytest.raises(SelfCheckError):
+        ore_witness(ctx.gen(), Poly.from_ints(QQ, (1, 1)), "left")
 
 
 def test_localized_equal():
