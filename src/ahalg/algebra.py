@@ -12,11 +12,12 @@ the polynomial subring.  Binomial coefficients are taken in Z and mapped
 into the field, so they vanish automatically in characteristic p.  Each
 output coefficient is one ``sum_of_products`` of its terms, normalized once.
 
-Beyond the ring operations this module provides the commutator, the
-involutive anti-automorphism fixing x and sending Y to -Y + h', substitution
-of generator images (used for endomorphisms and basis changes), and exact
-one-sided division by a fixed element (used as a complete decision procedure
-for one-sided multiple membership).
+On the same term kernel (``_table`` and ``_terms``) this module provides the
+commutator (only the terms with j >= 1), the involutive anti-automorphism
+fixing x and sending Y to -Y + h' (by Horner), and exact one-sided division
+by a fixed element, solved top-down (a complete decision procedure for
+one-sided multiple membership); and substitution of generator images (used
+for endomorphisms and basis changes).
 """
 
 from __future__ import annotations
@@ -233,37 +234,55 @@ def _lift(ctx: AhContext, value):
     return NotImplemented
 
 
+def _table(ctx: AhContext, g: Poly, depth: int) -> list:
+    """``[g, delta(g), ..., delta^(depth-1)(g)]``, cut at its first zero."""
+    table = [g] if g else []
+    while 0 < len(table) < depth:
+        d = ctx.delta(table[-1])
+        if d.is_zero():
+            break
+        table.append(d)
+    return table
+
+
+def _terms(slots, f: Poly, i: int, table, j: int, p: int, sign=1, low=0):
+    """Append the terms of ``f*Y^i * table[0]*Y^j`` with m >= low:
+    ``sign * C(i, m) * f * delta^m(g)`` goes to slot ``i - m + j``."""
+    if f:
+        for m in range(low, min(i + 1, len(table))):
+            # C(i, m) as an integer, reduced so it vanishes in char p
+            c = comb(i, m) % p if p else comb(i, m)
+            if c:
+                slots[i - m + j].append((sign * c, f, table[m]))
+
+
 def _mul(a: OreElement, b: OreElement) -> OreElement:
-    ctx = a.ctx
-    if a.is_zero() or b.is_zero():
-        return ctx.zero()
-    na = len(a.coeffs)
+    ctx, na = a.ctx, len(a.coeffs)
     p = ctx.spec.characteristic
     slots = [[] for _ in range(na + len(b.coeffs) - 1)]
     for j, g in enumerate(b.coeffs):
-        if g.is_zero():
-            continue
-        # delta-power table shared by all left coefficients, cut at its first zero
-        table = [g]
-        while len(table) < na:
-            d = ctx.delta(table[-1])
-            if d.is_zero():
-                break
-            table.append(d)
+        table = _table(ctx, g, na)  # shared by all left coefficients
         for i, f in enumerate(a.coeffs):
-            if f.is_zero():
-                continue
-            for m in range(min(i + 1, len(table))):
-                # C(i, m) as an integer, reduced so it vanishes in char p
-                c = comb(i, m) % p if p else comb(i, m)
-                if c:
-                    slots[i - m + j].append((c, f, table[m]))
+            _terms(slots, f, i, table, j, p)
     return OreElement(ctx, [sum_of_products(ctx.spec, s) for s in slots])
 
 
-def commutator(a: OreElement, b: OreElement) -> OreElement:
-    """The ring commutator a*b - b*a."""
-    return a * b - b * a
+def commutator(a, b) -> OreElement:
+    """The ring commutator a*b - b*a; either side may be a polynomial or scalar.
+    Only the terms with m >= 1 are formed: those with m = 0 cancel."""
+    a = a if isinstance(a, OreElement) else _lift(b.ctx, a)
+    b = NotImplemented if a is NotImplemented else a._mate(b)
+    if b is NotImplemented:
+        raise TypeError("the commutator needs elements, polynomials or scalars")
+    ctx, p = a.ctx, a.ctx.spec.characteristic
+    na, nb = len(a.coeffs), len(b.coeffs)
+    slots = [[] for _ in range(na + nb - 2)]
+    for sign, (x, y) in ((1, (a, b)), (-1, (b, a))):
+        for j, g in enumerate(y.coeffs):
+            table = _table(ctx, g, len(x.coeffs))
+            for i, f in enumerate(x.coeffs):
+                _terms(slots, f, i, table, j, p, sign, 1)
+    return OreElement(ctx, [sum_of_products(ctx.spec, s) for s in slots])
 
 
 def apply_poly_map(a: OreElement, x_image, y_image: OreElement) -> OreElement:
@@ -299,27 +318,30 @@ def _eval_poly_at(f: Poly, point: OreElement) -> OreElement:
 def antiautomorphism(a: OreElement) -> OreElement:
     """The involutive anti-automorphism fixing x and sending Y to -Y + h'.
 
-    It reverses products, so the image of ``f * Y^i`` is ``(-Y + h')^i * f``.
+    It reverses products, so the image of ``sum f_i * Y^i`` is
+    ``sum (h' - Y)^i * f_i``, evaluated by Horner: ``r <- (h' - Y)*r + f_i``
+    from the top coefficient down, one delta per coefficient of r.
     """
-    ctx = a.ctx
-    flip = ctx.element((ctx.h_prime,)) - ctx.gen()
-    result = ctx.zero()
-    power = ctx.one()
-    for i, f in enumerate(a.coeffs):
-        if i:
-            power = power * flip
-        if f.is_zero():
-            continue
-        result = result + power * ctx.from_poly(f)
-    return result
+    ctx, p = a.ctx, a.ctx.spec.characteristic
+    one = Poly.one(ctx.spec)
+    flip = (ctx.h_prime, -one)
+    r = []
+    for f in reversed(a.coeffs):
+        slots = [[(1, one, f)]] + [[] for _ in r]
+        for k, g in enumerate(r):
+            table = _table(ctx, g, 2)
+            for i, c in enumerate(flip):
+                _terms(slots, c, i, table, k, p)
+        r = [sum_of_products(ctx.spec, s) for s in slots]
+    return ctx.element(r)
 
 
 def div_left_exact(w: OreElement, v: OreElement) -> OreElement | None:
     """Solve ``w == v * q`` exactly; return q, or None when no such q exists.
 
-    Works by leading-coefficient elimination: the top Y-coefficient of a
-    product is the commutative product of the factors' top coefficients,
-    so each quotient coefficient is forced by one exact polynomial division.
+    Works from the top Y-degree down: each quotient coefficient is forced by
+    one exact polynomial division by the divisor's top coefficient, and each
+    lower coefficient of w must then be matched exactly.
     """
     return _div_one_sided(w, v, left=True)
 
@@ -330,30 +352,38 @@ def div_right_exact(w: OreElement, v: OreElement) -> OreElement | None:
 
 
 def _div_one_sided(w, v, left):
+    # Top-down solve: the Y^s coefficient of v*q (or q*v) is lc(v) * q_(s-kv)
+    # plus terms of the q_j with j > s-kv, known by then.  Slot s holds w_s
+    # minus those terms, and every slot must come out matched.
     if v.is_zero():
         raise ZeroDivisionError("division by the zero element")
     ctx = w.ctx
     if v.ctx != ctx:
         raise ContextMismatch("divisor from a different context")
-    kv = len(v.coeffs) - 1
-    lead = v.coeffs[-1]
-    quot: dict[int, Poly] = {}
-    cur = w
-    while not cur.is_zero():
-        kw = len(cur.coeffs) - 1
-        j = kw - kv
-        if j < 0:
+    spec, p = ctx.spec, ctx.spec.characteristic
+    kv, kw = len(v.coeffs) - 1, len(w.coeffs) - 1
+    slots = [[(1, Poly.one(spec), c)] for c in w.coeffs]
+    quot = [Poly.zero(spec)] * max(kw - kv + 1, 0)
+    tables = [] if left else [_table(ctx, c, len(quot)) for c in v.coeffs]
+    for j in range(kw - kv, -1, -1):
+        s = j + kv
+        r, slots[s] = sum_of_products(spec, slots[s]), []
+        quot[j], rem = divmod(r, v.coeffs[-1])
+        if rem:
             return None
-        qj, rem = divmod(cur.coeffs[-1], lead)
-        if not rem.is_zero():
-            return None
-        mono = ctx.monomial(qj, j)
-        cur = cur - (v * mono if left else mono * v)
-        if not cur.is_zero() and len(cur.coeffs) - 1 >= kw:
-            raise SelfCheckError("one-sided division failed to lower the degree")
-        quot[j] = qj
-    size = max(quot) + 1 if quot else 0
-    return ctx.element([quot.get(i, Poly.zero(ctx.spec)) for i in range(size)])
+        # the lead's m = 0 term, lc(v) * q_j, is the one matched in slot s
+        if left:
+            table = _table(ctx, quot[j], kv + 1)
+            for i, c in enumerate(v.coeffs):
+                _terms(slots, c, i, table, j, p, -1, i == kv)
+        else:
+            for i, table in enumerate(tables):
+                _terms(slots, quot[j], j, table, i, p, -1, i == kv)
+        if any(slots[s:]):
+            raise SelfCheckError("one-sided division put a term above its solved slot")
+    if any(sum_of_products(spec, t) for t in slots[:kv]):
+        return None
+    return ctx.element(quot)
 
 
 def format_element(a: OreElement) -> str:

@@ -13,7 +13,9 @@ algebra, so noncommutative products come out in normal form; subexpressions
 without the generator stay in the subring F[x], as polynomials.  The generator
 letter is fixed per call ('Y' for subalgebra elements, 'y' for Weyl-algebra
 elements) and the two letters never mix inside one expression.  At most
-``MAX_NESTING`` parentheses and unary minus signs may be open at once.
+``MAX_NESTING`` parentheses and unary minus signs may be open at once, and a
+power whose result is predicted to be larger than ``MAX_POWER_WORDS`` words is
+refused before it is computed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .poly import Poly
 # each level of nesting costs at most four Python frames of the descent, so 200
 # levels stay well inside the interpreter's default recursion limit of 1000
 MAX_NESTING = 200
+# a power is refused when its result is predicted to take more than this many
+# 64-bit words (terms times words per coefficient): 2^13 words are 64 KiB, and
+# ``(x+1)^8191`` over GF(1000003), the densest result allowed, takes about 4 s
+MAX_POWER_WORDS = 2**13
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z])|(?P<op>[-+*/^()]))")
 
@@ -137,6 +143,10 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
+            # value^0 and value^1 are no larger than value
+            words = _power_words(value, exp, self.spec.characteristic) if exp > 1 else 0
+            if words > MAX_POWER_WORDS:
+                raise ParseError(f"power too large: {words} words, limit {MAX_POWER_WORDS}", pos)
             value = value**exp
         return value
 
@@ -171,6 +181,30 @@ class _Parser:
 
             return self.spec.elem(Fraction(num, den))
         return self.spec.from_int(num)
+
+
+def _power_words(value, n: int, p: int) -> int:
+    """The predicted size of ``value**n`` in 64-bit words: terms times words
+    per coefficient.  An element has ``n*ydeg + 1`` Y-degrees times
+    ``n*w + 1`` x-degrees, the weight w counting x as 1 and Y as deg h - 1
+    (what delta adds), or 0 if every coefficient is constant.  A coefficient
+    has the bits of p, or over QQ ``1 + n*log2(height * terms)`` bits."""
+    if isinstance(value, OreElement):
+        polys, step = value.coeffs, max(value.ctx.deg_h - 1, 0)
+        weight = 0
+        if any(f.degree > 0 for f in polys):
+            weight = max(f.degree + i * step for i, f in enumerate(polys) if f)
+        terms = (n * max(len(polys) - 1, 0) + 1) * (n * weight + 1)
+    else:
+        polys = [value if isinstance(value, Poly) else Poly.constant(value)]
+        terms = n * max(polys[0].degree, 0) + 1
+    if p:
+        return terms * -(-p.bit_length() // 64)
+    # the raw ints of each Poly: integer numerators over one denominator
+    nums = [c for f in polys for c in f._nums if c]
+    height = max([abs(c) for c in nums] + [f._den for f in polys], default=1)
+    bits = 1 + n * ((height - 1).bit_length() + (len(nums) - 1).bit_length())
+    return terms * -(-bits // 64)
 
 
 def parse_scalar(src: str, spec: FieldSpec) -> FieldElem:

@@ -14,7 +14,7 @@ from ahalg import (
     weyl_context,
 )
 from ahalg.autgroup import pair_is_valid
-from ahalg.errors import NotInSubalgebraError, ParseError
+from ahalg.errors import ContextMismatch, NotInSubalgebraError, ParseError, SelfCheckError
 from ahalg.parsing import _Parser
 
 QQ_SPEC = None  # set lazily to avoid import order issues
@@ -67,6 +67,52 @@ def naive_mul(a: OreElement, b: OreElement) -> OreElement:
             for k, poly in cur.items():
                 total = total + ctx.monomial(f * poly, k + j)
     return total
+
+
+def div_one_sided_oracle(w: OreElement, v: OreElement, left: bool):
+    """Exact one-sided division by subtract-and-repeat: peel the top Y-term of
+    the remainder with one product ``v * q_j Y^j`` (or ``q_j Y^j * v``) per
+    quotient coefficient.  None when no quotient exists."""
+    if v.is_zero():
+        raise ZeroDivisionError("division by the zero element")
+    ctx = w.ctx
+    if v.ctx != ctx:
+        raise ContextMismatch("divisor from a different context")
+    kv = len(v.coeffs) - 1
+    lead = v.coeffs[-1]
+    quot = {}
+    cur = w
+    while not cur.is_zero():
+        kw = len(cur.coeffs) - 1
+        j = kw - kv
+        if j < 0:
+            return None
+        qj, rem = divmod(cur.coeffs[-1], lead)
+        if not rem.is_zero():
+            return None
+        mono = ctx.monomial(qj, j)
+        cur = cur - (v * mono if left else mono * v)
+        if not cur.is_zero() and len(cur.coeffs) - 1 >= kw:
+            raise SelfCheckError("one-sided division failed to lower the degree")
+        quot[j] = qj
+    size = max(quot) + 1 if quot else 0
+    return ctx.element([quot.get(i, Poly.zero(ctx.spec)) for i in range(size)])
+
+
+def antiautomorphism_oracle(a: OreElement) -> OreElement:
+    """The anti-automorphism as a power sum: ``sum (-Y + h')^i * f_i``, one
+    full product per power and per coefficient."""
+    ctx = a.ctx
+    flip = ctx.from_poly(ctx.h_prime) - ctx.gen()
+    result = ctx.zero()
+    power = ctx.one()
+    for i, f in enumerate(a.coeffs):
+        if i:
+            power = power * flip
+        if f.is_zero():
+            continue
+        result = result + power * ctx.from_poly(f)
+    return result
 
 
 def to_weyl_oracle(a: OreElement) -> OreElement:

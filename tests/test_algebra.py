@@ -1,6 +1,7 @@
 """Normal forms, the reordering rule, and the structural maps of the algebra."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -18,7 +19,13 @@ from ahalg import (
 from ahalg import algebra
 from ahalg.errors import ContextMismatch, SelfCheckError, ZeroInputError
 
-from helpers import naive_mul, rand_elem, rand_poly
+from helpers import (
+    antiautomorphism_oracle,
+    div_one_sided_oracle,
+    naive_mul,
+    rand_elem,
+    rand_poly,
+)
 
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.gf(5)
@@ -170,6 +177,11 @@ def test_antiautomorphism():
             b = rand_elem(rng, ctx2, 3, 3)
             assert antiautomorphism(antiautomorphism(a)) == a
             assert antiautomorphism(a * b) == antiautomorphism(b) * antiautomorphism(a)
+    for spec in FIELDS:
+        for ctx2 in division_contexts(spec):
+            for k in range(9):
+                a = rand_elem(rng, ctx2, k, 3)
+                assert antiautomorphism(a) == antiautomorphism_oracle(a)
 
 
 def test_apply_poly_map():
@@ -199,9 +211,105 @@ def test_exact_one_sided_division():
 
 
 def test_one_sided_division_checks_its_degree_drop(monkeypatch):
+    # the solve must never put a term of a new quotient coefficient into the
+    # slot it was solved from or above; breaking that raises, also under python -O
+    ctx = ctx_for(QQ, 0, 1)
+    w = ctx.gen() * ctx.x()
+    real = algebra._terms
+    monkeypatch.setattr(
+        algebra,
+        "_terms",
+        lambda slots, f, i, table, j, p, sign=1, low=0: real(slots, f, i, table, j, p, sign),
+    )
+    for div in (div_left_exact, div_right_exact):
+        with pytest.raises(SelfCheckError):
+            div(w, ctx.gen())
+
+
+def test_division_oracle_checks_its_degree_drop(monkeypatch):
     # a product that does not cancel the top term must raise, also under python -O
     ctx = ctx_for(QQ, 0, 1)
     w = ctx.gen() * ctx.x()
     monkeypatch.setattr(algebra, "_mul", lambda a, b: a.ctx.zero())
     with pytest.raises(SelfCheckError):
-        div_left_exact(w, ctx.gen())
+        div_one_sided_oracle(w, ctx.gen(), left=True)
+
+
+def division_contexts(spec):
+    p = spec.characteristic
+    hs = [(0, 1), (1, 0, 1), (0, 2, 0, 1)]
+    if 0 < p < 10:
+        hs.append((0, p - 1) + (0,) * (p - 2) + (1,))  # x^p - x: delta(x^p) = 0
+    return [ctx_for(spec, *h) for h in hs]
+
+
+def check_division(w, v):
+    for left, div in ((True, div_left_exact), (False, div_right_exact)):
+        got = div(w, v)
+        assert got == div_one_sided_oracle(w, v, left)
+        if got is not None:
+            assert (v * got if left else got * v) == w
+
+
+def check_exact(v, q):
+    assert div_left_exact(v * q, v) == q
+    assert div_right_exact(q * v, v) == q
+    check_division(v * q, v)
+    check_division(q * v, v)
+
+
+def test_division_matches_oracle():
+    rng = random.Random(49)
+    for spec in FIELDS:
+        for ctx in division_contexts(spec):
+            for k in range(9):
+                # Y-degree k >= p makes C(i, m) vanish mod p in the small fields
+                v = rand_elem(rng, ctx, k, 2, nonzero=True)
+                q = rand_elem(rng, ctx, 8 - k, 2)
+                check_exact(v, q)
+                w = v * q + ctx.monomial(rand_poly(rng, spec, 2, nonzero=True), rng.randint(0, 8))
+                check_division(w, v)
+                check_division(q * v + ctx.x(), v)
+
+
+def test_division_edge_cases():
+    for spec in FIELDS:
+        ctx = ctx_for(spec, 1, 0, 1)
+        y, x = ctx.gen(), ctx.x()
+        v = y**3 + x * y + 1
+        check_division(y**2 + x, v)  # kw < kv
+        check_exact(v, ctx.zero())
+        unit = ctx.from_scalar(-3 if spec.characteristic != 3 else 2)
+        check_division(x * y**4, unit)  # a constant divisor
+        check_division(x * y**4 + y, ctx.from_poly(Poly.from_ints(spec, (1, 1))))
+        for div in (div_left_exact, div_right_exact):
+            with pytest.raises(ZeroDivisionError):
+                div(v, ctx.zero())
+            with pytest.raises(ContextMismatch):
+                div(v, ctx_for(spec, 0, 1).gen())
+    ctx = ctx_for(QQ, 0, 1, 1)
+    y, x = ctx.gen(), ctx.x()
+    v = ctx.monomial(Poly.from_ints(QQ, (1, 2)), 2) + x * y + 3  # (2x+1)*Y^2 + ...
+    q = y**2 - x + Fraction(1, 2)
+    check_exact(v, q)
+    check_division(v * q + y, v)
+    check_division(y**2, v)  # the top coefficient 1 is not a multiple of 2x+1
+
+
+def test_commutator_is_ab_minus_ba():
+    rng = random.Random(50)
+    for spec in FIELDS:
+        for ctx in division_contexts(spec):
+            for k in range(9):
+                a = rand_elem(rng, ctx, k, 3)
+                b = rand_elem(rng, ctx, 8 - k, 3)
+                assert commutator(a, b) == a * b - b * a
+                f = rand_poly(rng, spec, 3)
+                assert commutator(f, b) == f * b - b * f
+                assert commutator(a, f) == a * f - f * a
+                assert commutator(5, a).is_zero() and commutator(a, -2).is_zero()
+    a = ctx_for(QQ, 0, 1).gen()
+    with pytest.raises(ContextMismatch):
+        commutator(a, ctx_for(QQ, 0, 0, 1).gen())
+    with pytest.raises(ContextMismatch):
+        commutator(Poly.x(F5), a)

@@ -1,6 +1,7 @@
 """Grammar, evaluation order, error reporting, and print round-trips."""
 
 import random
+import time
 
 import pytest
 
@@ -14,8 +15,9 @@ from ahalg import (
     weyl_context,
 )
 from ahalg.algebra import format_element
+from ahalg.cli import run
 from ahalg.errors import ParseError
-from ahalg.parsing import MAX_NESTING
+from ahalg.parsing import MAX_NESTING, MAX_POWER_WORDS
 from ahalg.poly import format_poly
 
 from helpers import parse_element_oracle, rand_elem, rand_poly
@@ -208,3 +210,32 @@ def test_parse_errors_match_oracle():
                     src = src[:cut] + rng.choice("@)(^*/+-zYy") + src[cut:]
                 want = _outcome(parse_element_oracle, src, ctx, gen)
                 assert _outcome(parse_element, src, ctx, gen) == want, (spec, gen, src)
+
+
+def test_powers_are_bounded():
+    f7, ctx = FieldSpec.gf(7), ctx_for(QQ, 0, 0, 1)  # h = x^2
+    assert parse_poly(f"x^{MAX_POWER_WORDS - 1}", f7).degree == MAX_POWER_WORDS - 1
+    assert parse_element("Y^1000", ctx) == ctx.gen() ** 1000  # constants stay in F[Y]
+    assert parse_scalar("2^100000", QQ) == 2**100000
+    for text, spec in (
+        (f"x^{MAX_POWER_WORDS}", f7),
+        ("(x+1)^300000", QQ),  # few terms, but coefficients of 300000 bits
+        ("(1/2*x+3)^1000", QQ),
+        ("(x^2+x)^5000", FieldSpec.gf(1000003)),
+    ):
+        with pytest.raises(ParseError, match="power too large"):
+            parse_poly(text, spec)
+    with pytest.raises(ParseError, match="power too large"):
+        parse_scalar("3^1000000", QQ)
+    # x*Y weighs 2 when h = x^2: its 100th power has 101 Y-degrees times 201 x-degrees
+    with pytest.raises(ParseError, match="power too large"):
+        parse_element("(x*Y)^100", ctx)
+    assert parse_element("(x*Y)^30", ctx) == (ctx.x() * ctx.gen()) ** 30
+
+
+@pytest.mark.parametrize("expr", ["x^10000000", "(x+1)^300000"])
+def test_huge_powers_exit_1_at_once(capsys, expr):
+    start = time.perf_counter()
+    assert run(["--field", "QQ", "--h", "x", "eval", expr]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "power too large" in capsys.readouterr().err
