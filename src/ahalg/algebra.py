@@ -17,7 +17,8 @@ commutator (only the terms with j >= 1), the involutive anti-automorphism
 fixing x and sending Y to -Y + h' (by Horner), and exact one-sided division
 by a fixed element, solved top-down (a complete decision procedure for
 one-sided multiple membership); and substitution of generator images (used
-for endomorphisms and basis changes).
+for endomorphisms and basis changes), whose x-image is a polynomial, so each
+coefficient is one ``Poly.compose``.
 """
 
 from __future__ import annotations
@@ -285,34 +286,25 @@ def commutator(a, b) -> OreElement:
     return OreElement(ctx, [sum_of_products(ctx.spec, s) for s in slots])
 
 
-def apply_poly_map(a: OreElement, x_image, y_image: OreElement) -> OreElement:
+def apply_poly_map(a: OreElement, x_image: Poly, y_image: OreElement) -> OreElement:
     """Substitute images for the generators: ``sum f_i(P) * Q^i``.
 
-    ``x_image`` may be a polynomial or an element of the target context;
-    ``y_image`` fixes the target.  Coefficients are evaluated by Horner and
-    multiplied on the left of the powers of the Y-image, in that order.
+    ``x_image`` is a polynomial P over the field of a and of the target,
+    which ``y_image`` fixes; anything else raises :class:`ContextMismatch`.
+    Each coefficient is ``f_i.compose(P)``, multiplied on the left of the
+    powers of the Y-image.
     """
     target = y_image.ctx
-    P = _lift(target, x_image)
-    if P is NotImplemented or P.ctx != target:
-        raise ContextMismatch("generator images live in different contexts")
+    if not isinstance(x_image, Poly) or not x_image.spec == target.spec == a.ctx.spec:
+        raise ContextMismatch("the x-image must be a polynomial over the target's field")
     result = target.zero()
     q_power = target.one()
     for i, f in enumerate(a.coeffs):
         if i:
             q_power = q_power * y_image
-        if f.is_zero():
-            continue
-        result = result + _eval_poly_at(f, P) * q_power
+        if f:
+            result = result + target.from_poly(f.compose(x_image)) * q_power
     return result
-
-
-def _eval_poly_at(f: Poly, point: OreElement) -> OreElement:
-    target = point.ctx
-    acc = target.zero()
-    for c in reversed(f.coeffs):
-        acc = acc * point + target.from_scalar(c)
-    return acc
 
 
 def antiautomorphism(a: OreElement) -> OreElement:

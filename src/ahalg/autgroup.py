@@ -50,7 +50,6 @@ from .fields import FieldElem, FieldSpec
 from .poly import (
     Poly,
     _equal_degree,
-    _prime_divisors,
     distinct_root_count,
     gcd_monic,
     pow_mod,
@@ -349,6 +348,20 @@ def multiplicative_order(a: FieldElem) -> int:
     if not (a * a).is_one():
         raise AhError(f"{a} is not a root of unity of order <= 2")
     return _order(a, 2)
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _order(a: FieldElem, n: int) -> int:

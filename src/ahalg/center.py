@@ -7,8 +7,9 @@ is a polynomial algebra on two generators: x^p and the central element
 
 whose ``correction`` polynomial delta^p(x)/h is always an exact division.
 The whole algebra is then a free module over the center with basis
-``x^i h^j y^j`` (0 <= i, j < p), and :func:`central_decompose` computes the
-coordinates of any element in that basis.
+``x^i h^j y^j`` (0 <= i, j < p); :func:`central_decompose` reads the
+coordinates of an element in ``h^j y^j`` (``weyl.hy_coordinates``), as do
+the centralizer and [x, A] tests, and splits off the central powers.
 
 The commutator-space tests decide membership in [x, A], [Y, A] and the Lie
 ideal [A, A]: in characteristic 0 all three coincide with h*A and the module
@@ -25,7 +26,7 @@ from .algebra import AhContext, OreElement, commutator
 from .errors import CharacteristicError, SelfCheckError
 from .fields import FieldElem
 from .poly import Poly
-from .weyl import from_weyl, to_weyl, weyl_context
+from .weyl import from_hy_coordinates, hy_coordinates
 
 COMMUTATOR_SPACES = ("bracket_x", "bracket_yhat", "lie_ideal")
 
@@ -64,8 +65,8 @@ def centralizer_x_membership(a: OreElement) -> bool:
     """Membership in the centralizer of x.
 
     Decided by the commutator and cross-checked against the structural
-    description: polynomials only in characteristic 0, and Weyl coefficients
-    supported on powers of p in characteristic p.
+    description: polynomials only in characteristic 0, and coordinates in
+    ``h^j y^j`` supported on multiples of p in characteristic p.
     """
     ctx = a.ctx
     verdict = commutator(a, ctx.x()).is_zero()
@@ -73,10 +74,7 @@ def centralizer_x_membership(a: OreElement) -> bool:
     if p == 0:
         structural = len(a.coeffs) <= 1
     else:
-        w = to_weyl(a)
-        structural = all(
-            r.is_zero() for i, r in enumerate(w.coeffs) if i % p
-        )
+        structural = all(f.is_zero() for j, f in enumerate(hy_coordinates(a)) if j % p)
     if verdict != structural:
         raise SelfCheckError("centralizer criteria disagree")
     return verdict
@@ -96,46 +94,36 @@ class CentralDecomposition:
     def reassemble(self) -> OreElement:
         ctx = self.ctx
         p = ctx.spec.characteristic
-        wctx = weyl_context(ctx.spec)
         acc: dict[int, Poly] = {}
         for (i, j), cell in self.table.items():
             for (a, b), coeff in cell.items():
-                xexp = a * p + i
                 ypow = b * p + j
-                poly = Poly.monomial(ctx.spec, coeff, xexp) * ctx.h**ypow
+                poly = Poly.monomial(ctx.spec, coeff, a * p + i)
                 acc[ypow] = acc.get(ypow, Poly.zero(ctx.spec)) + poly
-        size = max(acc) + 1 if acc else 0
-        w = wctx.element([acc.get(i, Poly.zero(ctx.spec)) for i in range(size)])
-        return from_weyl(w, ctx)
+        fs = [acc.get(j, Poly.zero(ctx.spec)) for j in range(max(acc, default=-1) + 1)]
+        return from_hy_coordinates(fs, ctx)
 
 
 def central_decompose(a: OreElement) -> CentralDecomposition:
     """Write a over the center in the free basis {x^i h^j y^j : 0 <= i,j < p}.
 
-    Uses the Weyl expansion: each monomial x^e h^b y^b splits off p-th powers
-    of x and of h y, leaving one basis monomial with a central coordinate.
+    Reads the coordinates f_b of a in ``h^b y^b``: each monomial x^e h^b y^b
+    splits off powers of the central x^p and h^p y^p, leaving one basis
+    monomial with a central coordinate.
     """
     ctx = a.ctx
     p = ctx.spec.characteristic
     if p == 0:
         raise CharacteristicError("central decomposition requires char p")
-    w = to_weyl(a)
     table: dict[tuple[int, int], dict[tuple[int, int], FieldElem]] = {}
-    for ypow, r in enumerate(w.coeffs):
-        if r.is_zero():
-            continue
-        f, rem = divmod(r, ctx.h**ypow)
-        if not rem.is_zero():
-            raise SelfCheckError("element of the subalgebra expected")
+    for ypow, f in enumerate(hy_coordinates(a)):
         b_low, b_high = ypow % p, ypow // p
         for xexp, c in enumerate(f.coeffs):
             if c.is_zero():
                 continue
             i, a_high = xexp % p, xexp // p
-            cell = table.setdefault((i, b_low), {})
-            key = (a_high, b_high)
-            cur = cell.get(key)
-            cell[key] = c if cur is None else cur + c
+            # (xexp, ypow) fixes both the cell and the key: no entry repeats
+            table.setdefault((i, b_low), {})[(a_high, b_high)] = c
     return CentralDecomposition(ctx, table)
 
 
@@ -144,9 +132,9 @@ def in_commutator_space(a: OreElement, space: str) -> bool:
 
     Characteristic 0: all three coincide with h*A (every Y-coefficient is
     divisible by h).  Characteristic p: membership in the two adjoint images
-    is a coefficient condition on the Weyl (for x) or normal-form (for Y)
-    expansion; the Lie ideal has no closed description and raises
-    ``NotImplementedError``.
+    is a coefficient condition on the coordinates in ``h^j y^j`` (for x) or
+    on the normal form (for Y); the Lie ideal has no closed description and
+    raises ``NotImplementedError``.
     """
     if space not in COMMUTATOR_SPACES:
         raise ValueError(f"unknown commutator space {space!r}")
@@ -159,22 +147,17 @@ def in_commutator_space(a: OreElement, space: str) -> bool:
             "no closed-form membership test for the Lie ideal in char p"
         )
     if space == "bracket_x":
-        w = to_weyl(a)
-        for i, r in enumerate(w.coeffs):
-            if i % p == p - 1:
-                if not r.is_zero():
-                    return False
-            elif not (ctx.h ** (i + 1)).divides(r):
-                return False
-        return True
+        # [x, g h^(i+1) y^(i+1)] = -(i+1) (h g) h^i y^i, and i + 1 = 0 in F when p | i + 1
+        return all(
+            f.is_zero() if i % p == p - 1 else ctx.h.divides(f)
+            for i, f in enumerate(hy_coordinates(a))
+        )
     # bracket_yhat: each coefficient lies in h * im(d/dx)
     for f in a.coeffs:
         q, rem = divmod(f, ctx.h)
         if not rem.is_zero():
             return False
-        if any(
-            not c.is_zero() for j, c in enumerate(q.coeffs) if j % p == p - 1
-        ):
+        if any(not c.is_zero() for j, c in enumerate(q.coeffs) if j % p == p - 1):
             return False
     return True
 
@@ -182,7 +165,8 @@ def in_commutator_space(a: OreElement, space: str) -> bool:
 def bracket_x_preimage(a: OreElement) -> OreElement:
     """In char 0, an explicit b with [x, b] == a, for a in h*A.
 
-    Built in the Weyl view: h*g*h^i*y^i has preimage -g/(i+1) * h^(i+1) y^(i+1).
+    Built on the coordinates in ``h^i y^i``: h*g*h^i*y^i has preimage
+    -g/(i+1) * h^(i+1) y^(i+1).
     """
     ctx = a.ctx
     if ctx.spec.characteristic != 0:
@@ -190,20 +174,13 @@ def bracket_x_preimage(a: OreElement) -> OreElement:
     if not in_commutator_space(a, "bracket_x"):
         raise ValueError("element is not in [x, A]")
     spec = ctx.spec
-    w = to_weyl(a)
-    acc: dict[int, Poly] = {}
-    for i, r in enumerate(w.coeffs):
-        if r.is_zero():
-            continue
-        g, rem = divmod(r, ctx.h ** (i + 1))
+    fs = [Poly.zero(spec)]
+    for i, f in enumerate(hy_coordinates(a)):
+        g, rem = divmod(f, ctx.h)
         if not rem.is_zero():
-            raise SelfCheckError("h^(i+1) must divide the Weyl coefficient of y^i")
-        scale = -spec.from_int(i + 1).inverse()
-        acc[i + 1] = g.scaled(scale) * ctx.h ** (i + 1)
-    wctx = weyl_context(spec)
-    size = max(acc) + 1 if acc else 0
-    w_pre = wctx.element([acc.get(i, Poly.zero(spec)) for i in range(size)])
-    b = from_weyl(w_pre, ctx)
+            raise SelfCheckError("h must divide the coordinate of h^i y^i")
+        fs.append(g.scaled(-spec.from_int(i + 1).inverse()))
+    b = from_hy_coordinates(fs, ctx)
     if commutator(ctx.x(), b) != a:
         raise SelfCheckError("[x, b] differs from the element")
     return b

@@ -108,7 +108,8 @@ def _parse_field(text: str) -> FieldSpec:
 
 
 def _parse_h_factored(text: str, spec, h: Poly) -> FactoredPoly:
-    """Parse 'factor^mult,factor^mult[,unit]'; the product must reproduce h."""
+    """Parse 'factor^mult,factor^mult[,unit]' with positive multiplicities and
+    distinct factors; the product must reproduce h."""
     terms = []
     unit = spec.one()
     for chunk in text.split(","):
@@ -120,14 +121,19 @@ def _parse_h_factored(text: str, spec, h: Poly) -> FactoredPoly:
         else:
             poly = parse_poly(chunk, spec)
             mult = 1
+        if mult < 1:
+            raise AhError(f"supplied factor {chunk!r} has a multiplicity below 1")
         if poly.degree < 1:
             unit = unit * poly.coeff(0)
             continue
         if not poly.is_monic():
             raise AhError(f"supplied factor {chunk!r} is not monic")
+        if any(t.poly == poly for t in terms):
+            raise AhError(f"supplied factor {chunk!r} is repeated")
         terms.append(FactorTerm(poly, mult, True))
     fac = FactoredPoly(unit, tuple(terms))
-    if fac.expand() != h:
+    # the degree count comes first: it bounds the cost of expand
+    if sum(t.poly.degree * t.multiplicity for t in terms) != h.degree or fac.expand() != h:
         raise AhError("--h-factored does not multiply out to h")
     return fac
 

@@ -20,7 +20,7 @@ from .algebra import AhContext, OreElement, commutator
 from .center import central_decompose, is_central
 from .errors import NotNormalError, SelfCheckError, UnverifiableError, ZeroInputError
 from .poly import FactoredPoly, Poly, factor, is_irreducible
-from .weyl import to_weyl
+from .weyl import hy_coordinates
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _classification_reference(v: OreElement) -> Poly:
     """A polynomial carrying the common prime content of v's coefficients.
 
     In char 0 a normal element lies in F[x], so v itself works.  In char p
-    the Weyl coefficients are f_i * h^i with a common prime part up to
+    the coordinates f_i of v in ``h^i y^i`` share a common prime part up to
     central (p-th power) factors; the first nonzero f_i is a reference.
     """
     ctx = v.ctx
@@ -130,14 +130,9 @@ def _classification_reference(v: OreElement) -> Poly:
         if len(v.coeffs) != 1:
             raise SelfCheckError("char-0 normal elements are polynomials")
         return v.coeffs[0]
-    w = to_weyl(v)
-    for i, r in enumerate(w.coeffs):
-        if r.is_zero():
-            continue
-        f, rem = divmod(r, ctx.h**i)
-        if not rem.is_zero():
-            raise SelfCheckError("h^i must divide the Weyl coefficient of y^i")
-        return f
+    for f in hy_coordinates(v):
+        if not f.is_zero():
+            return f
     raise ZeroInputError("zero element")
 
 

@@ -15,10 +15,13 @@ Fractions and field elements, and ``coeffs``, ``coeff``, ``lc``,
 
 On top of the ring operations the module provides the calculus and
 factorization support the rest of the library leans on: formal derivatives,
-monic gcd, composition, squarefree decomposition in both characteristics
-(with p-th-root descent when the derivative vanishes), distinct-root
-counting, full factorization over GF(p) (squarefree + distinct-degree +
-equal-degree splitting), and rational-root based factor extraction over Q.
+monic gcd, composition, squarefree decomposition (one loop for both
+characteristics, with p-th-root descent when the derivative vanishes),
+distinct-root counting, full factorization over GF(p) (squarefree +
+distinct-degree + equal-degree splitting), the irreducibility test over
+GF(p) on the same distinct-degree split, and rational-root based factor
+extraction over Q.  Every product of two polynomials, alone or in a sum,
+runs the one schoolbook loop of ``sum_of_products``.
 
 Factorization over Q is not a complete irreducibility decision procedure:
 factors this module cannot certify carry ``verified=False`` and downstream
@@ -263,17 +266,7 @@ class Poly:
             return NotImplemented
         if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch("polynomials over different fields")
-        a, b = self._nums, other._nums
-        if not a or not b:
-            return _poly(self.spec, ())
-        if len(a) > len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return _poly(self.spec, out, self._den * other._den)
+        return sum_of_products(self.spec, ((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -484,39 +477,15 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Write monic(f) as a product of pairwise-coprime squarefree parts.
 
     Returns ``[(g, m), ...]`` with each g monic squarefree and
-    ``prod g**m == monic(f)``.  Handles characteristic p via p-th-root
-    descent when the derivative vanishes (GF(p) is perfect).
+    ``prod g**m == monic(f)``, sorted by multiplicity.  The i-th pass of the
+    inner loop splits off the part of multiplicity i (times p^k after k
+    descents).  In characteristic p what is left has a vanishing derivative
+    and the loop descends to its p-th root (GF(p) is perfect); in
+    characteristic 0 the leftover is 1.
     """
     if f.is_zero():
         raise ZeroInputError("cannot decompose the zero polynomial")
     f = f.monic()
-    if f.degree == 0:
-        return []
-    if f.spec.characteristic == 0:
-        return _squarefree_char0(f)
-    return _squarefree_charp(f)
-
-
-def _squarefree_char0(f: Poly) -> list[tuple[Poly, int]]:
-    # Yun's algorithm
-    out = []
-    fp = f.derivative()
-    a = gcd_monic(f, fp)
-    b = f // a
-    c = fp // a
-    i = 1
-    while b.degree > 0:
-        d = c - b.derivative()
-        g = gcd_monic(b, d)
-        if g.degree > 0:
-            out.append((g, i))
-        b = b // g
-        c = d // g
-        i += 1
-    return out
-
-
-def _squarefree_charp(f: Poly) -> list[tuple[Poly, int]]:
     p = f.spec.characteristic
     out = []
     n = 1
@@ -537,11 +506,10 @@ def _squarefree_charp(f: Poly) -> list[tuple[Poly, int]]:
             w = y
             g = g // y
             i += 1
-        if g.degree > 0:
-            f = pth_root(g)
-            n *= p
-        else:
+        if g.degree <= 0:
             break
+        f = pth_root(g)
+        n *= p
     return sorted(out, key=lambda t: (t[1], _poly_sort_key(t[0])))
 
 
@@ -561,8 +529,6 @@ def distinct_root_count(f: Poly) -> int:
     """
     if f.is_zero():
         raise ZeroInputError("the zero polynomial has no root count")
-    if f.degree == 0:
-        return 0
     return squarefree_part(f).degree
 
 
@@ -766,39 +732,12 @@ def _trace_map(r: Poly, d: int, mod: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over GF(p)."""
+    """Irreducibility over GF(p): f of degree n >= 1 is irreducible exactly
+    when it is squarefree and the distinct-degree split finds no factor of
+    degree below n."""
     if not f.spec.is_prime_field:
         raise FieldMismatch("irreducibility test implemented over GF(p) only")
-    n = f.degree
-    if n == NEG_INF or n == 0:
+    if f.degree < 1:
         return False
-    if n == 1:
-        return True
-    p = f.spec.characteristic
     f = f.monic()
-    x = Poly.x(f.spec)
-    # x^(p^k) mod f, built one Frobenius step at a time
-    frob = [x]
-    for _ in range(n):
-        frob.append(pow_mod(frob[-1], p, f))
-    if frob[n] != x % f:
-        return False
-    for q in _prime_divisors(n):
-        probe = frob[n // q] - x
-        if probe.is_zero() or gcd_monic(f, probe).degree > 0:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return gcd_monic(f, f.derivative()).degree == 0 and _distinct_degree(f) == [(f, f.degree)]

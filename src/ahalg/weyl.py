@@ -2,12 +2,14 @@
 
 The Weyl algebra is the h = 1 instance of the same Ore machinery, so this
 module creates contexts with ``h = 1`` (printed with generator ``y``) and
-moves elements across the embedding ``Y = y*h``:
+moves elements across the embedding ``Y = y*h``, under which A_h is
+``sum_j F[x] h^j y^j``.  No other module reads these coordinates f_j:
 
-* ``to_weyl`` expands an element into Weyl normal form ``sum r_i(x) y^i``;
-* ``from_weyl`` inverts it, which succeeds exactly when ``h^i`` divides the
-  coefficient of ``y^i`` for every i; at Y-degree n both take O(n^2)
-  polynomial products and normalize each output coefficient once;
+* ``hy_coordinates`` and its inverse ``from_hy_coordinates`` use the rows of
+  Y^i in the basis ``h^j y^j``, which are unitriangular: O(n^2) products at
+  Y-degree n, one normalize step per output coefficient, and no division;
+* ``to_weyl`` gives ``sum f_j h^j y^j``; ``from_weyl`` inverts it, which
+  succeeds exactly when ``h^j`` divides the coefficient of ``y^j`` for all j;
 * ``yh_product`` builds the telescoping products that express ``y^i h^i``
   and ``h^i y^i`` in terms of the subalgebra generator;
 * ``embed`` maps one subalgebra into another along a divisor of its h;
@@ -41,45 +43,70 @@ def is_weyl_context(ctx: AhContext) -> bool:
     return ctx.h.is_one()
 
 
-def _weyl_rows(h: Poly, n: int) -> list[list[Poly]]:
-    """``rows[i][j]`` is the coefficient of y^j in Y^i (i <= n); ``rows[i][i] = h^i``."""
-    zero, rows = Poly.zero(h.spec), [[Poly.one(h.spec)]]
+def _hy_rows(ctx: AhContext, n: int) -> list[list[Poly]]:
+    """``rows[i][j]`` is the coefficient of h^j y^j in Y^i (i <= n); ``rows[i][i] = 1``."""
+    spec, h, dh = ctx.spec, ctx.h, ctx.h_prime
+    one, zero = Poly.one(spec), Poly.zero(spec)
+    rows = [[one]]
     for _ in range(n):
-        # (y h)(r y^j) = (h r) y^(j+1) + (h r)' y^j
-        hr = [h * r for r in rows[-1]]
-        rows.append([d.derivative() + s for d, s in zip(hr + [zero], [zero] + hr)])
+        # (y h)(r h^j y^j) = r h^(j+1) y^(j+1) + (h r' + (j+1) h' r) h^j y^j
+        prev = rows[-1] + [zero]  # prev[-1] is zero: no shifted term at j = 0
+        rows.append([
+            sum_of_products(spec, [(1, one, prev[j - 1]), (1, h, r.derivative()), (j + 1, dh, r)])
+            for j, r in enumerate(prev)
+        ])
     return rows
 
 
-def to_weyl(a: OreElement) -> OreElement:
-    """Expand a through Y = y*h: the coefficient of y^j is ``sum_i f_i * rows[i][j]``."""
+def hy_coordinates(a: OreElement) -> list[Poly]:
+    """The coordinates f_j of a in ``sum_j F[x] h^j y^j``: ``f_j = sum_i a_i * rows[i][j]``."""
     spec, fs, n = a.ctx.spec, a.coeffs, len(a.coeffs)
-    rows = _weyl_rows(a.ctx.h, n - 1)
-    terms = ([(1, fs[i], rows[i][j]) for i in range(j, n)] for j in range(n))
-    return weyl_context(spec).element([sum_of_products(spec, t) for t in terms])
+    rows = _hy_rows(a.ctx, n - 1)
+    return [sum_of_products(spec, [(1, fs[i], rows[i][j]) for i in range(j, n)]) for j in range(n)]
+
+
+def from_hy_coordinates(fs, ctx: AhContext) -> OreElement:
+    """The element with coordinates fs: the unitriangular system is solved
+    top-down, ``a_j = f_j - sum_(i > j) a_i * rows[i][j]``, with no division."""
+    n = len(fs)
+    rows = _hy_rows(ctx, n - 1)
+    one, out = Poly.one(ctx.spec), [None] * n
+    for j in range(n - 1, -1, -1):
+        terms = [(1, one, fs[j])] + [(-1, out[i], rows[i][j]) for i in range(j + 1, n)]
+        out[j] = sum_of_products(ctx.spec, terms)
+    return ctx.element(out)
+
+
+def _h_powers(h: Poly, n: int) -> list[Poly]:
+    """``[h^0, ..., h^(n-1)]``, one product per power."""
+    out = [Poly.one(h.spec)] if n else []
+    while len(out) < n:
+        out.append(out[-1] * h)
+    return out
+
+
+def to_weyl(a: OreElement) -> OreElement:
+    """Expand a through Y = y*h: the coefficient of y^j is ``f_j * h^j``."""
+    fs = hy_coordinates(a)
+    hs = _h_powers(a.ctx.h, len(fs))
+    return weyl_context(a.ctx.spec).element([f * hj for f, hj in zip(fs, hs)])
 
 
 def from_weyl(w: OreElement, ctx: AhContext) -> OreElement:
-    """The unique preimage of w under ``to_weyl``, if w lies in the subalgebra.
-
-    Membership holds exactly when h^i divides the coefficient of y^i for
-    every i; one pass, top degree first, divides each coefficient less the
-    images of the higher terms by ``rows[i][i] = h^i``.  Raises
-    :class:`NotInSubalgebraError` (with the offending index) otherwise.
-    """
+    """The unique preimage of w under ``to_weyl``: the quotients w_j / h^j are
+    its coordinates.  Raises :class:`NotInSubalgebraError` with the highest j
+    for which h^j does not divide w_j."""
     if not is_weyl_context(w.ctx):
         raise ContextMismatch("from_weyl expects an element of the Weyl algebra")
     if w.ctx.spec != ctx.spec:
         raise ContextMismatch("Weyl element over a different field")
-    ws, n = w.coeffs, len(w.coeffs)
-    rows = _weyl_rows(ctx.h, n - 1)
-    out = [None] * n
-    for i in range(n - 1, -1, -1):
-        terms = [(1, ws[i], rows[0][0])] + [(-1, out[k], rows[k][i]) for k in range(i + 1, n)]
-        out[i], rem = divmod(sum_of_products(ctx.spec, terms), rows[i][i])
+    ws = w.coeffs
+    hs, fs = _h_powers(ctx.h, len(ws)), [None] * len(ws)
+    for j in range(len(ws) - 1, -1, -1):
+        fs[j], rem = divmod(ws[j], hs[j])
         if not rem.is_zero():
-            raise NotInSubalgebraError(i)
-    return ctx.element(out)
+            raise NotInSubalgebraError(j)
+    return from_hy_coordinates(fs, ctx)
 
 
 def yh_product(ctx: AhContext, i: int, side: str = "right") -> OreElement:

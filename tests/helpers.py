@@ -16,6 +16,7 @@ from ahalg import (
 from ahalg.autgroup import pair_is_valid
 from ahalg.errors import ContextMismatch, NotInSubalgebraError, ParseError, SelfCheckError
 from ahalg.parsing import _Parser
+from ahalg.poly import gcd_monic, pow_mod
 
 QQ_SPEC = None  # set lazily to avoid import order issues
 
@@ -134,6 +135,35 @@ def from_weyl_oracle(w: OreElement, ctx: AhContext) -> OreElement:
         cur = cur - to_weyl_oracle(ctx.monomial(q, n))
     size = max(out) + 1 if out else 0
     return ctx.element([out.get(i, Poly.zero(ctx.spec)) for i in range(size)])
+
+
+def central_decompose_oracle(a: OreElement) -> dict:
+    """The table of ``central_decompose`` by the Weyl route: expand a, divide
+    the coefficient of y^b by h^b, and split every monomial x^e h^b y^b into
+    central powers of x^p and h^p y^p times one basis monomial."""
+    ctx, p = a.ctx, a.ctx.spec.characteristic
+    table = {}
+    for b, r in enumerate(to_weyl_oracle(a).coeffs):
+        f, rem = divmod(r, ctx.h**b)
+        if rem:
+            raise NotInSubalgebraError(b)
+        for e, c in enumerate(f.coeffs):
+            if not c.is_zero():
+                table.setdefault((e % p, b % p), {})[(e // p, b // p)] = c
+    return table
+
+
+def bracket_x_oracle(a: OreElement) -> bool:
+    """Membership in [x, A] over GF(p) by the Weyl route: the coefficient of
+    y^i vanishes when p divides i + 1, and h^(i+1) divides it otherwise."""
+    ctx, p = a.ctx, a.ctx.spec.characteristic
+    for i, r in enumerate(to_weyl_oracle(a).coeffs):
+        if (i + 1) % p == 0:
+            if not r.is_zero():
+                return False
+        elif not (ctx.h ** (i + 1)).divides(r):
+            return False
+    return True
 
 
 def ore_witness_oracle(a: OreElement, f: Poly, side: str):
@@ -278,3 +308,43 @@ def exhaustive_iso(h, g, spec):
             if h.compose(Poly(spec, (beta, alpha))) == g.scaled(nu):
                 return (alpha, beta, nu)
     return None
+
+
+# -- the polynomial questions' former algorithms, now oracles -----------------
+
+
+def squarefree_oracle(f: Poly):
+    """Yun's squarefree decomposition over QQ: ``[(g, m), ...]`` by increasing m."""
+    f = f.monic()
+    if f.degree == 0:
+        return []
+    out = []
+    fp = f.derivative()
+    a = gcd_monic(f, fp)
+    b, c = f // a, fp // a
+    i = 1
+    while b.degree > 0:
+        d = c - b.derivative()
+        g = gcd_monic(b, d)
+        if g.degree > 0:
+            out.append((g, i))
+        b, c = b // g, d // g
+        i += 1
+    return out
+
+
+def irreducible_oracle(f: Poly) -> bool:
+    """Rabin's test over GF(p): x^(p^n) = x mod f, and x^(p^(n/q)) - x is
+    coprime to f for every prime q dividing n = deg f."""
+    n, p = f.degree, f.spec.characteristic
+    if n < 1:
+        return False
+    f = f.monic()
+    x = Poly.x(f.spec)
+    frob = [x % f]  # x^(p^k) mod f, one Frobenius step at a time
+    for _ in range(n):
+        frob.append(pow_mod(frob[-1], p, f))
+    if frob[n] != frob[0]:
+        return False
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    return all(gcd_monic(f, frob[n // q] - x).is_one() for q in primes)

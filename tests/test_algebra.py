@@ -197,6 +197,15 @@ def test_apply_poly_map():
     assert got == shear * x
 
 
+def test_apply_poly_map_takes_a_polynomial_over_the_target_field():
+    ctx = ctx_for(QQ, 0, 0, 1)
+    y = ctx.gen()
+    with pytest.raises(ContextMismatch):
+        apply_poly_map(y, ctx.x(), y)
+    with pytest.raises(ContextMismatch):
+        apply_poly_map(y, Poly.x(FieldSpec.gf(5)), y)
+
+
 def test_exact_one_sided_division():
     ctx = ctx_for(QQ, 0, 1)
     rng = random.Random(47)

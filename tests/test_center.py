@@ -21,7 +21,13 @@ from ahalg import (
 )
 from ahalg.errors import CharacteristicError
 
-from helpers import central_oracle, rand_elem
+from helpers import (
+    bracket_x_oracle,
+    central_decompose_oracle,
+    central_oracle,
+    rand_elem,
+    rand_poly,
+)
 
 QQ = FieldSpec.rationals()
 
@@ -141,6 +147,23 @@ def test_central_decompose_roundtrip_random():
             assert dec.reassemble() == a
             for (i, j) in dec.table:
                 assert 0 <= i < p and 0 <= j < p
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_coordinates_match_the_weyl_route(p):
+    # the Weyl route: to_weyl, then divide the coefficient of y^j by h^j
+    spec = FieldSpec.gf(p)
+    rng = random.Random(36 + p)
+    x = Poly.x(spec)
+    for h in (Poly.constant(spec.from_int(p - 1)), x, x**2 + x, rand_poly(rng, spec, 2) + x**3):
+        ctx = AhContext(spec, h)
+        for _ in range(6):
+            a = rand_elem(rng, ctx, 2 * p, 3)
+            assert central_decompose(a).table == central_decompose_oracle(a)
+            member = commutator(ctx.x(), a)
+            for b in (a, member, member + ctx.monomial(Poly.one(spec), rng.randrange(2 * p))):
+                assert in_commutator_space(b, "bracket_x") == bracket_x_oracle(b)
+            assert in_commutator_space(member, "bracket_x")
 
 
 def test_central_decompose_uniqueness():

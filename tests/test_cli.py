@@ -461,6 +461,19 @@ def test_h_factored_must_multiply_out(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "h, factored",
+    [("x", "x^1,(x+1)^0"), ("x", "x^30000000"), ("x^2", "x,x")],
+)
+def test_h_factored_refuses_bad_multiplicities_at_once(capsys, h, factored):
+    # a zero multiplicity once passed the product check, a huge one hung in expand
+    start = time.perf_counter()
+    code = run(["--field", "QQ", "--h", h, "--h-factored", factored, "prime-test", "x+1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_seed_flag_changes_nothing_visible(capsys):
     base = ["--field", "GF:5", "--h", "x", "factor", "x^6 + x^2 + 1", "--json"]
     run(base + ["--seed", "1"])

@@ -1,5 +1,6 @@
 """Polynomial ring, calculus, squarefree structure, and factorization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from ahalg import poly as poly_module
 from ahalg.errors import FieldMismatch, SelfCheckError, ZeroInputError
 from ahalg.poly import is_irreducible, pow_mod, pth_root
 
-from helpers import rand_poly
+from helpers import irreducible_oracle, rand_poly, squarefree_oracle
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -100,6 +101,41 @@ def test_squarefree_part_divides():
             for g, m in parts:
                 rebuilt = rebuilt * g**m
             assert rebuilt == f
+
+
+def test_squarefree_matches_yun_over_qq():
+    rng = random.Random(8)
+    for _ in range(60):
+        f = Poly.constant(QQ.elem(Fraction(rng.randint(1, 5), rng.randint(1, 3))))
+        for m in range(1, 4):
+            for _ in range(rng.randint(0, 2)):
+                f = f * rand_poly(rng, QQ, 3, nonzero=True) ** m
+        assert squarefree_decomposition(f) == squarefree_oracle(f)
+
+
+def monic_polys(spec, max_deg):
+    for deg in range(1, max_deg + 1):
+        for tail in itertools.product(range(spec.p), repeat=deg):
+            yield Poly.from_ints(spec, tail + (1,))
+
+
+@pytest.mark.parametrize("p, max_deg", [(2, 7), (3, 5), (5, 4), (7, 3)])
+def test_irreducibility_matches_rabin_exhaustively(p, max_deg):
+    spec = FieldSpec.gf(p)
+    irreducible = []
+    for f in monic_polys(spec, max_deg):
+        verdict = is_irreducible(f)
+        assert verdict == irreducible_oracle(f), f
+        if verdict:
+            irreducible.append(f)
+    # reducible on purpose: p-th powers, squares, products of two of one degree
+    for u, v in zip(irreducible, irreducible[1:]):
+        for g in [u**p, u**2] + ([u * v] if v.degree == u.degree else []):
+            assert not is_irreducible(g) and not irreducible_oracle(g), g
+            assert not is_irreducible(g.scaled(spec.from_int(p - 1)))
+    counts = [sum(f.degree == d for f in irreducible) for d in range(1, max_deg + 1)]
+    # Gauss: the number of monic irreducibles of degree d is (1/d) sum_(e | d) mu(e) p^(d/e)
+    assert counts[:3] == [p, (p * p - p) // 2, (p**3 - p) // 3]
 
 
 def test_pth_root():

@@ -20,6 +20,7 @@ from ahalg import (
     yh_product,
 )
 from ahalg.errors import NotDivisibleError, NotInSubalgebraError, SelfCheckError
+from ahalg.weyl import from_hy_coordinates, hy_coordinates
 
 from helpers import (
     from_weyl_oracle,
@@ -164,6 +165,49 @@ def test_conversions_match_the_oracles():
                     assert _pullback(v, ctx, from_weyl) == expected
             if h_deg:
                 assert _pullback(wctx.gen(), ctx, from_weyl) == ("not a member", 1)
+
+
+def coordinate_contexts(rng, spec):
+    """h of degree 0 to 3: a constant other than 1 where the field has one,
+    x and a cubic with h(0) = 0, and a random monic quadratic."""
+    x = Poly.x(spec)
+    cubic = x**3 + rand_poly(rng, spec, 2)
+    hs = (
+        Poly.constant(spec.from_int(1 if spec.p == 2 else 2)),
+        x,
+        x**2 + rand_poly(rng, spec, 1),
+        cubic - Poly.constant(cubic.coeff(0)),
+    )
+    return [AhContext(spec, h) for h in hs]
+
+
+COORDINATE_FIELDS = (QQ, FieldSpec.gf(2), F3, FieldSpec.gf(5), FieldSpec.gf(7), FieldSpec.gf(101))
+
+
+@pytest.mark.parametrize("spec", COORDINATE_FIELDS, ids=str)
+def test_hy_coordinates_match_the_weyl_oracle(spec):
+    rng = random.Random(f"hy:{spec}")
+    wctx = weyl_context(spec)
+    for ctx in coordinate_contexts(rng, spec):
+        for ydeg in range(9):
+            a = ctx.element([rand_poly(rng, spec, 2) for _ in range(ydeg)] + [Poly.x(spec) + 1])
+            fs = hy_coordinates(a)
+            assert wctx.element([f * ctx.h**j for j, f in enumerate(fs)]) == to_weyl_oracle(a)
+            assert from_hy_coordinates(fs, ctx) == a
+
+
+@pytest.mark.parametrize("spec", COORDINATE_FIELDS, ids=str)
+def test_from_weyl_reports_the_highest_planted_failure(spec):
+    rng = random.Random(f"plant:{spec}")
+    wctx = weyl_context(spec)
+    for ctx in coordinate_contexts(rng, spec)[1:]:
+        w = to_weyl(rand_elem(rng, ctx, 6, 2))
+        for top in range(1, 8):
+            # y^k alone is not a multiple of h^k for k >= 1
+            planted = [top] + [k for k in range(1, top) if rng.random() < 0.5]
+            v = w + sum((wctx.monomial(Poly.one(spec), k) for k in planted), wctx.zero())
+            assert _pullback(v, ctx, from_weyl) == ("not a member", top)
+            assert _pullback(v, ctx, from_weyl_oracle) == ("not a member", top)
 
 
 def test_membership_criterion_with_planted_failures():
