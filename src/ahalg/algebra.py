@@ -3,32 +3,32 @@
 Every element has a unique normal form ``sum_i f_i(x) * Y^i`` with the
 polynomial coefficients kept on the left; :class:`OreElement` stores that
 coefficient list and :class:`AhContext` fixes the field and the commutation
-polynomial h.  Multiplication reorders products with the closed-form rule
+polynomial h.  Every product rests on the rule ``Y * c*Y^k = c*Y^(k+1) +
+delta(c)*Y^k``, where ``delta(c) = h * c'``: so ``a*b = sum_i f_i * (Y^i*b)``,
+each row ``Y^(i+1)*b`` one step from the row ``Y^i*b``, each left coefficient
+multiplied once.  Rows are raw ints (residues mod p, or numerators over one
+denominator with no gcd taken); each output coefficient is one
+``sum_of_raw_products``, normalized once.  A polynomial right factor g takes
+``Y^i*g = sum_m C(i, m) delta^m(g) Y^(i-m)`` from one table of delta powers,
+the binomials reduced so they vanish in characteristic p.
 
-    Y^n * f  =  sum_{j=0..n}  C(n, j) * delta^j(f) * Y^(n-j)
-
-where ``delta(f) = h * f'`` is the derivation that the relation induces on
-the polynomial subring.  Binomial coefficients are taken in Z and mapped
-into the field, so they vanish automatically in characteristic p.  Each
-output coefficient is one ``sum_of_products`` of its terms, normalized once.
-
-On the same term kernel (``_table`` and ``_terms``) this module provides the
-commutator (only the terms with j >= 1), the involutive anti-automorphism
-fixing x and sending Y to -Y + h' (by Horner), and exact one-sided division
-by a fixed element, solved top-down (a complete decision procedure for
-one-sided multiple membership); and substitution of generator images (used
-for endomorphisms and basis changes), whose x-image is a polynomial, so each
+On the same rows this module provides the commutator (both products in one
+set of output coefficients), the involutive anti-automorphism fixing x and
+sending Y to -Y + h' (by Horner), and exact one-sided division by a fixed
+element, solved top-down (a complete decision procedure for one-sided
+multiple membership); and substitution of generator images (used for
+endomorphisms and basis changes), whose x-image is a polynomial, so each
 coefficient is one ``Poly.compose``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import ContextMismatch, SelfCheckError, ZeroInputError
 from .fields import FieldElem, FieldSpec
-from .poly import NEG_INF, Poly, format_poly, sum_of_products
+from .poly import NEG_INF, Poly, _mul_add, format_poly, sum_of_raw_products
 
 
 class AhContext:
@@ -235,55 +235,88 @@ def _lift(ctx: AhContext, value):
     return NotImplemented
 
 
-def _table(ctx: AhContext, g: Poly, depth: int) -> list:
-    """``[g, delta(g), ..., delta^(depth-1)(g)]``, cut at its first zero."""
-    table = [g] if g else []
-    while 0 < len(table) < depth:
-        d = ctx.delta(table[-1])
-        if d.is_zero():
-            break
-        table.append(d)
-    return table
+def _delta(ctx: AhContext, c, acc: list, scale=1) -> list:
+    """Add ``scale * h * c'`` to the list acc and return it: raw numerators,
+    over hd times the denominator of c, reduced mod p."""
+    _mul_add(acc, scale, [i * c[i] for i in range(1, len(c))], ctx.h._nums)
+    if ctx.spec.p:
+        acc = [v % ctx.spec.p for v in acc]
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
 
 
-def _terms(slots, f: Poly, i: int, table, j: int, p: int, sign=1, low=0):
-    """Append the terms of ``f*Y^i * table[0]*Y^j`` with m >= low:
-    ``sign * C(i, m) * f * delta^m(g)`` goes to slot ``i - m + j``."""
-    if f:
-        for m in range(low, min(i + 1, len(table))):
-            # C(i, m) as an integer, reduced so it vanishes in char p
-            c = comb(i, m) % p if p else comb(i, m)
-            if c:
-                slots[i - m + j].append((sign * c, f, table[m]))
+def _rows(ctx: AhContext, gs, n: int):
+    """Yield ``Y^i * sum_j gs[j] * Y^j`` for i < n as rows of terms
+    ``(k, c, nums, den)``, meaning ``c * nums/den * Y^k``, k rising: from the
+    delta table of a polynomial (i deltas, not i(i+1)/2), else by steps."""
+    p, hd = ctx.spec.p, ctx.h._den
+    if len(gs) == 1:
+        table = [(gs[0]._nums, gs[0]._den)] if gs[0] else []
+        while 0 < len(table) < n and (nums := _delta(ctx, table[-1][0], [])):
+            table.append((nums, table[-1][1] * hd))
+        for i in range(n):
+            row = []
+            for m in range(min(i, len(table) - 1), -1, -1):
+                # C(i, m) taken in Z and reduced, so it vanishes in char p
+                c = comb(i, m) % p if p else comb(i, m)
+                if c:
+                    row.append((i - m, c) + table[m])
+            yield row
+        return
+    row = [(k, 1, g._nums, g._den) for k, g in enumerate(gs) if g]
+    for i in range(n):
+        if i:
+            last, row = row, []
+            den = 1 if p else lcm(*(t[3] for t in last)) * hd
+            for k, _, nums, d in last:
+                # c*Y^k -> c*Y^(k+1) + delta(c)*Y^k; delta(c) joins the shifted c_(k-1)
+                acc = row.pop()[2] if row and row[-1][0] == k else []
+                acc = _delta(ctx, nums, acc, den // (d * hd))
+                if acc:
+                    row.append((k, 1, acc, den))
+                row.append((k + 1, 1, [v * (den // d) for v in nums], den))
+        yield row
+
+
+def _terms(slots, fs, rows, shift=0, sign=1, low=None):
+    """Append the terms of ``sign * sum_i fs[i] * rows[i]`` to the slots,
+    moved up by shift; the rows from index low on lose their top entry."""
+    for i, (f, row) in enumerate(zip(fs, rows)):
+        if f:
+            a, fd = f._nums, f._den
+            for k, c, nums, den in row if low is None or i < low else row[:-1]:
+                slots[k + shift].append((sign * c, a, nums, fd * den))
 
 
 def _mul(a: OreElement, b: OreElement) -> OreElement:
-    ctx, na = a.ctx, len(a.coeffs)
-    p = ctx.spec.characteristic
-    slots = [[] for _ in range(na + len(b.coeffs) - 1)]
-    for j, g in enumerate(b.coeffs):
-        table = _table(ctx, g, na)  # shared by all left coefficients
-        for i, f in enumerate(a.coeffs):
-            _terms(slots, f, i, table, j, p)
-    return OreElement(ctx, [sum_of_products(ctx.spec, s) for s in slots])
+    ctx, fs = a.ctx, a.coeffs
+    slots = [[] for _ in range(len(fs) + len(b.coeffs) - 1)]
+    _terms(slots, fs, _rows(ctx, b.coeffs, len(fs)))
+    return OreElement(ctx, [sum_of_raw_products(ctx.spec, s) for s in slots])
 
 
 def commutator(a, b) -> OreElement:
     """The ring commutator a*b - b*a; either side may be a polynomial or scalar.
-    Only the terms with m >= 1 are formed: those with m = 0 cancel."""
+    Both products go into one set of output coefficients; against a
+    polynomial, the terms that cancel are not formed."""
     a = a if isinstance(a, OreElement) else _lift(b.ctx, a)
     b = NotImplemented if a is NotImplemented else a._mate(b)
     if b is NotImplemented:
         raise TypeError("the commutator needs elements, polynomials or scalars")
-    ctx, p = a.ctx, a.ctx.spec.characteristic
-    na, nb = len(a.coeffs), len(b.coeffs)
-    slots = [[] for _ in range(na + nb - 2)]
-    for sign, (x, y) in ((1, (a, b)), (-1, (b, a))):
-        for j, g in enumerate(y.coeffs):
-            table = _table(ctx, g, len(x.coeffs))
-            for i, f in enumerate(x.coeffs):
-                _terms(slots, f, i, table, j, p, sign, 1)
-    return OreElement(ctx, [sum_of_products(ctx.spec, s) for s in slots])
+    ctx, fs, gs, sign = a.ctx, a.coeffs, b.coeffs, 1
+    if len(fs) < 2 and len(gs) < 2:
+        return ctx.zero()  # polynomials commute
+    if len(fs) == 1:
+        fs, gs, sign = gs, fs, -1  # [f, b] = -[b, f]
+    slots = [[] for _ in range(len(fs) + len(gs) - 1)]
+    if len(gs) == 1:
+        # [a, g] = sum_i f_i * (Y^i*g - g*Y^i): the rows of g without their tops
+        _terms(slots, fs, _rows(ctx, gs, len(fs)), 0, sign, 0)
+    else:
+        _terms(slots, fs, _rows(ctx, gs, len(fs)))
+        _terms(slots, gs, _rows(ctx, fs, len(gs)), 0, -1)
+    return OreElement(ctx, [sum_of_raw_products(ctx.spec, s) for s in slots])
 
 
 def apply_poly_map(a: OreElement, x_image: Poly, y_image: OreElement) -> OreElement:
@@ -312,19 +345,15 @@ def antiautomorphism(a: OreElement) -> OreElement:
 
     It reverses products, so the image of ``sum f_i * Y^i`` is
     ``sum (h' - Y)^i * f_i``, evaluated by Horner: ``r <- (h' - Y)*r + f_i``
-    from the top coefficient down, one delta per coefficient of r.
+    from the top coefficient down, where ``Y*r`` is one row step.
     """
-    ctx, p = a.ctx, a.ctx.spec.characteristic
-    one = Poly.one(ctx.spec)
-    flip = (ctx.h_prime, -one)
-    r = []
+    ctx = a.ctx
+    flip = (ctx.h_prime, -Poly.one(ctx.spec))
+    r = ()
     for f in reversed(a.coeffs):
-        slots = [[(1, one, f)]] + [[] for _ in r]
-        for k, g in enumerate(r):
-            table = _table(ctx, g, 2)
-            for i, c in enumerate(flip):
-                _terms(slots, c, i, table, k, p)
-        r = [sum_of_products(ctx.spec, s) for s in slots]
+        slots = [[(1, f._nums, (1,), f._den)]] + [[] for _ in r]
+        _terms(slots, flip, _rows(ctx, r, 2))
+        r = [sum_of_raw_products(ctx.spec, s) for s in slots]
     return ctx.element(r)
 
 
@@ -352,28 +381,27 @@ def _div_one_sided(w, v, left):
     ctx = w.ctx
     if v.ctx != ctx:
         raise ContextMismatch("divisor from a different context")
-    spec, p = ctx.spec, ctx.spec.characteristic
+    spec = ctx.spec
     kv, kw = len(v.coeffs) - 1, len(w.coeffs) - 1
-    slots = [[(1, Poly.one(spec), c)] for c in w.coeffs]
+    slots = [[(1, c._nums, (1,), c._den)] for c in w.coeffs]
     quot = [Poly.zero(spec)] * max(kw - kv + 1, 0)
-    tables = [] if left else [_table(ctx, c, len(quot)) for c in v.coeffs]
+    # q*v = sum_j q_j * (Y^j * v): the rows of v serve every q_j
+    rows = [] if left else list(_rows(ctx, v.coeffs, len(quot)))
     for j in range(kw - kv, -1, -1):
         s = j + kv
-        r, slots[s] = sum_of_products(spec, slots[s]), []
+        r, slots[s] = sum_of_raw_products(spec, slots[s]), []
         quot[j], rem = divmod(r, v.coeffs[-1])
         if rem:
             return None
-        # the lead's m = 0 term, lc(v) * q_j, is the one matched in slot s
+        # the top entry, lc(v) * q_j, is the one matched in slot s
         if left:
-            table = _table(ctx, quot[j], kv + 1)
-            for i, c in enumerate(v.coeffs):
-                _terms(slots, c, i, table, j, p, -1, i == kv)
+            # v * q_j Y^j = sum_i v_i * (Y^i * q_j) * Y^j
+            _terms(slots, v.coeffs, _rows(ctx, quot[j:j + 1], kv + 1), j, -1, kv)
         else:
-            for i, table in enumerate(tables):
-                _terms(slots, quot[j], j, table, i, p, -1, i == kv)
+            _terms(slots, quot[j:j + 1], rows[j:j + 1], 0, -1, 0)
         if any(slots[s:]):
             raise SelfCheckError("one-sided division put a term above its solved slot")
-    if any(sum_of_products(spec, t) for t in slots[:kv]):
+    if any(sum_of_raw_products(spec, t) for t in slots[:kv]):
         return None
     return ctx.element(quot)
 

@@ -35,7 +35,7 @@ from .autgroup import (
 )
 from .center import COMMUTATOR_SPACES, center, central_decompose, in_commutator_space, is_central
 from .errors import AhError
-from .fields import FieldSpec
+from .fields import FieldSpec, decimal_int
 from .normal import classify_normal, height_one_prime_test, is_normal, is_simple
 from .parsing import parse_element, parse_poly, parse_scalar
 from .poly import FactoredPoly, FactorTerm, Poly, factor, format_poly
@@ -104,7 +104,7 @@ def _parse_field(text: str) -> FieldSpec:
     # the syntax was checked by _field_syntax when the arguments were parsed
     if text == "QQ":
         return FieldSpec.rationals()
-    return FieldSpec.gf(int(text[3:]))
+    return FieldSpec.gf(decimal_int(text[3:]))
 
 
 def _parse_h_factored(text: str, spec, h: Poly) -> FactoredPoly:
@@ -114,17 +114,17 @@ def _parse_h_factored(text: str, spec, h: Poly) -> FactoredPoly:
     unit = spec.one()
     for chunk in text.split(","):
         chunk = chunk.strip()
-        if "^" in chunk:
-            body, _, mult = chunk.rpartition("^")
-            poly = parse_poly(body, spec)
+        body, _, mult = chunk.rpartition("^") if "^" in chunk else (chunk, "", "1")
+        try:
             mult = int(mult)
-        else:
-            poly = parse_poly(chunk, spec)
-            mult = 1
+        except ValueError:
+            raise AhError(f"supplied factor {chunk!r} has a multiplicity that is not an integer") from None
         if mult < 1:
             raise AhError(f"supplied factor {chunk!r} has a multiplicity below 1")
+        poly = parse_poly(body, spec)
         if poly.degree < 1:
-            unit = unit * poly.coeff(0)
+            # a constant chunk contributes c^mult, taken under the parser's power limit
+            unit = unit * parse_poly(f"({body})^{mult}", spec).coeff(0)
             continue
         if not poly.is_monic():
             raise AhError(f"supplied factor {chunk!r} is not monic")

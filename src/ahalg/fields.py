@@ -57,6 +57,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def value_str(v) -> str:
+    """``str`` of an int or a Fraction, also past the interpreter's limit on
+    int-to-str conversion (process-wide state, which is left as it is)."""
+    try:
+        return str(v)
+    except ValueError:
+        if isinstance(v, Fraction):
+            den = v.denominator
+            return value_str(v.numerator) + ("" if den == 1 else "/" + value_str(den))
+        sign, v = ("-", -v) if v < 0 else ("", v)
+        k = v.bit_length() * 3 // 20  # about half of the decimal digits
+        hi, lo = divmod(v, 10**k)
+        return sign + value_str(hi) + value_str(lo).zfill(k)
+
+
+def decimal_int(digits: str) -> int:
+    """``int`` of a string of decimal digits, also past that limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        k = len(digits) // 2
+        return decimal_int(digits[:-k]) * 10**k + decimal_int(digits[-k:])
+
+
 class FieldSpec:
     """An exact field: the rationals, or GF(p) for a prime p."""
 
@@ -238,10 +262,10 @@ class FieldElem:
         return bool(self.val)
 
     def __str__(self):
-        return str(self.val)
+        return value_str(self.val)
 
     def __repr__(self):
-        return f"{self.val} in {self.spec!r}"
+        return f"{value_str(self.val)} in {self.spec!r}"
 
 
 QQ = FieldSpec.rationals()

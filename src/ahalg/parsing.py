@@ -24,7 +24,7 @@ import re
 
 from .algebra import AhContext, OreElement
 from .errors import ParseError
-from .fields import FieldElem, FieldSpec
+from .fields import FieldElem, FieldSpec, decimal_int
 from .poly import Poly
 
 # each level of nesting costs at most four Python frames of the descent, so 200
@@ -50,7 +50,7 @@ def _tokenize(src: str):
                 raise ParseError(f"unexpected character {src[bad]!r}", bad)
             break
         if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), m.start("int")))
+            tokens.append(("int", decimal_int(m.group("int")), m.start("int")))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name"), m.start("name")))
         else:

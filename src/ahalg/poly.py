@@ -21,7 +21,7 @@ distinct-root counting, full factorization over GF(p) (squarefree +
 distinct-degree + equal-degree splitting), the irreducibility test over
 GF(p) on the same distinct-degree split, and rational-root based factor
 extraction over Q.  Every product of two polynomials, alone or in a sum,
-runs the one schoolbook loop of ``sum_of_products``.
+runs the one schoolbook loop ``_mul_add`` on raw ints.
 
 Factorization over Q is not a complete irreducibility decision procedure:
 factors this module cannot certify carry ``verified=False`` and downstream
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldMismatch, SelfCheckError, ZeroInputError
-from .fields import FieldElem, FieldSpec
+from .fields import FieldElem, FieldSpec, value_str
 
 NEG_INF = float("-inf")
 
@@ -75,6 +75,20 @@ def _poly(spec: FieldSpec, nums, den: int = 1) -> "Poly":
     return f
 
 
+def _mul_add(out: list, c: int, a, b) -> list:
+    """Add ``c * a * b`` to the int list ``out``, extended as needed, and
+    return it: the one schoolbook loop of every product, on numerator lists."""
+    if len(a) > len(b):
+        a, b = b, a
+    out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+    for i, x in enumerate(a):
+        if x:
+            x *= c
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 def sum_of_products(spec: FieldSpec, terms) -> "Poly":
     """``sum c * f * g`` over triples ``(int c, Poly f, Poly g)`` of one field.
 
@@ -84,19 +98,19 @@ def sum_of_products(spec: FieldSpec, terms) -> "Poly":
     den = 1 if spec.p else lcm(*(f._den * g._den for _, f, g in terms))
     out = []
     for c, f, g in terms:
-        a, b = f._nums, g._nums
-        if not a or not b:
-            continue
-        if den != 1:
-            c *= den // (f._den * g._den)
-        if len(a) > len(b):
-            a, b = b, a
-        out.extend([0] * (len(a) + len(b) - 1 - len(out)))
-        for i, x in enumerate(a):
-            if x:
-                x *= c
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
+        if f._nums and g._nums:
+            _mul_add(out, c if den == 1 else c * (den // (f._den * g._den)), f._nums, g._nums)
+    return _poly(spec, out, den)
+
+
+def sum_of_raw_products(spec: FieldSpec, terms) -> "Poly":
+    """``sum c * a * b / d`` over raw terms ``(int c, nums a, nums b, int d)``,
+    d the product of the denominators of a and b, like ``sum_of_products``."""
+    den = 1 if spec.p else lcm(*(t[3] for t in terms))
+    out = []
+    for c, a, b, d in terms:
+        if a and b:
+            _mul_add(out, c if d == den else c * (den // d), a, b)
     return _poly(spec, out, den)
 
 
@@ -266,7 +280,7 @@ class Poly:
             return NotImplemented
         if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch("polynomials over different fields")
-        return sum_of_products(self.spec, ((1, self, other),))
+        return _poly(self.spec, _mul_add([], 1, self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -422,13 +436,13 @@ def format_poly(f: Poly, var: str = "x") -> str:
 def _term_str(c, var: str, i: int) -> str:
     # c is a residue in range(p) or a Fraction, so c == -1 only over QQ
     if i == 0:
-        return str(c)
+        return value_str(c)
     v = var if i == 1 else f"{var}^{i}"
     if c == 1:
         return v
     if c == -1:
         return f"-{v}"
-    return f"{c}*{v}"
+    return f"{value_str(c)}*{v}"
 
 
 # -- gcd and modular arithmetic ----------------------------------------

@@ -228,7 +228,7 @@ def test_one_sided_division_checks_its_degree_drop(monkeypatch):
     monkeypatch.setattr(
         algebra,
         "_terms",
-        lambda slots, f, i, table, j, p, sign=1, low=0: real(slots, f, i, table, j, p, sign),
+        lambda slots, fs, rows, shift=0, sign=1, low=None: real(slots, fs, rows, shift, sign),
     )
     for div in (div_left_exact, div_right_exact):
         with pytest.raises(SelfCheckError):

@@ -1,0 +1,147 @@
+"""The ah CLI on awkward input: --h-factored chunks, integers past the
+interpreter's int/str digit limit, and a grammar fuzz of ``cli.run``.
+
+Kept apart from test_cli.py, whose GOLDEN table the benchmark reads by
+parsing that whole file.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ahalg import QQ
+from ahalg.cli import run
+
+
+def _invoke(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _prime_test(h, factored):
+    return _invoke(["--field", "QQ", "--h", h, "--h-factored", factored, "prime-test", "x"])
+
+
+@pytest.mark.parametrize(
+    "factored",
+    ["x,2^3", "x,8", "2^3,x", "x,(-2)^3,-1", "x^1,2^2,2"],
+)
+def test_h_factored_constant_chunks_count_their_multiplicity(factored):
+    code, out, err = _prime_test("8*x", factored)
+    assert (code, err) == (0, "")
+    assert out.startswith("FactorOfH")
+
+
+@pytest.mark.parametrize("factored", ["x^abc", "x,2^", "x^2.5", "x,3^x"])
+def test_h_factored_names_a_multiplicity_that_is_not_an_integer(factored):
+    code, out, err = _prime_test("x", factored)
+    assert (code, out) == (1, "")
+    chunk = factored.split(",")[-1]
+    assert err == f"error: supplied factor {chunk!r} has a multiplicity that is not an integer\n"
+
+
+def test_h_factored_constant_power_is_bounded():
+    code, out, err = _prime_test("x", "x,3^3000000000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: power too large")
+
+
+def _digits(n: int) -> str:
+    # the reference conversion, made under a raised digit limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_integers_past_the_digit_limit_print_and_parse():
+    limit = sys.get_int_max_str_digits()
+    eval_ = ["--field", "QQ", "--h", "x", "eval"]
+    assert _invoke(eval_ + ["2^20000"]) == (0, _digits(2**20000) + "\n", "")
+    num, den = -(3**10000), 7**6000
+    text = f"{_digits(num)}/{_digits(den)}*x*Y + {_digits(10**9000)}"
+    expected = f"{_digits(num)}/{_digits(den)}*x*Y + {_digits(10**9000)}\n"
+    assert _invoke(eval_ + [text]) == (0, expected, "")
+    code, out, _ = _invoke(["--json"] + eval_ + ["2^20000"])
+    assert code == 0 and json.loads(out) == {"result": _digits(2**20000)}
+    big = QQ.elem(Fraction(-(2**20000), 3))
+    digits = _digits(-(2**20000))
+    assert (str(big), repr(big)) == (f"{digits}/3", f"{digits}/3 in QQ")
+    # the process-wide limit is left as it was
+    assert sys.get_int_max_str_digits() == limit
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+_LEAVES = st.sampled_from(
+    ["0", "1", "2", "7", "12", "3/4", "-5/2", "x", "Y", "y", "x^2", "1/0"]
+)
+
+
+def _combine(children):
+    ops = st.sampled_from(["+", "-", "*", " + ", "*-"])
+    binary = st.tuples(children, ops, children).map("".join)
+    power = st.tuples(children, st.integers(0, 4)).map(lambda t: f"({t[0]})^{t[1]}")
+    return binary | power | children.map(lambda s: f"({s})") | children.map(lambda s: "-" + s)
+
+
+_EXPRS = st.recursive(_LEAVES, _combine, max_leaves=6)
+
+
+@st.composite
+def _noisy(draw):
+    """An expression, sometimes with a stray character inserted."""
+    text = draw(_EXPRS)
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(text)))
+        stray = draw(st.sampled_from(list("()^*/$#.,é\t") + ["x x", "**", ""]))
+        text = text[:pos] + stray + text[pos:]
+    return text
+
+
+# valid fields three times over, so most examples get past the field check
+_FIELDS = st.sampled_from(
+    ["QQ", "GF:2", "GF:3", "GF:7", "GF:1000003"] * 3
+    + ["GF:4", "GF:1", "GF:", "GF:x", "gf:5", "QQ2", ""]
+)
+_COMMANDS = {
+    "eval": 1, "mul": 2, "add": 2, "comm": 2, "anti": 1, "to-weyl": 1,
+    "from-weyl": 1, "is-central": 1, "delta": 2,
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    field=_FIELDS,
+    h=st.one_of(st.sampled_from(["x", "x^2+1", "1", "0", "x^2-x"]), _noisy()),
+    command=st.sampled_from(sorted(_COMMANDS)),
+    args=st.lists(st.one_of(_noisy(), st.sampled_from(["3", "-1", "x1"])), min_size=2, max_size=2),
+    as_json=st.booleans(),
+)
+def test_run_exits_cleanly_on_any_input(field, h, command, args, as_json):
+    argv = ["--field", field, "--h", h, command, *args[: _COMMANDS[command]]]
+    argv += ["--json"] * as_json
+    code, out, err = _invoke(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("usage:")
+    elif as_json:
+        assert err == ""
+        payload = json.loads(out)
+        assert code == 0 or set(payload) == {"error"}
+    elif code == 1:
+        assert out == "" and err.startswith("error: ")
