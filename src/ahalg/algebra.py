@@ -34,7 +34,8 @@ from .poly import NEG_INF, Poly, _mul_add, format_poly, sum_of_raw_products
 class AhContext:
     """A fixed field and a fixed nonzero h; the home of its elements."""
 
-    __slots__ = ("spec", "h", "h_prime", "gen_symbol")
+    # hy_rows: the rows of Y^i in the basis h^j y^j, grown by weyl._hy_rows; not in == or hash
+    __slots__ = ("spec", "h", "h_prime", "gen_symbol", "hy_rows")
 
     def __init__(self, spec: FieldSpec, h: Poly, gen_symbol: str = "Y"):
         if h.spec != spec:
@@ -45,6 +46,7 @@ class AhContext:
         self.h = h
         self.h_prime = h.derivative()
         self.gen_symbol = gen_symbol
+        self.hy_rows = ()
 
     @property
     def deg_h(self) -> int:
@@ -141,20 +143,21 @@ class OreElement:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem, Poly)):
-            other = _lift(self.ctx, other)
         if not isinstance(other, OreElement):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, FieldElem, Poly)):
+                return NotImplemented
+            other = _lift(self.ctx, other)
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
 
     def _mate(self, other) -> "OreElement":
-        if isinstance(other, (int, Fraction, FieldElem, Poly)):
-            return _lift(self.ctx, other)
+        # OreElement is tested first: Fraction is an ABC, so isinstance against it is slow
         if not isinstance(other, OreElement):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, FieldElem, Poly)):
+                return NotImplemented
+            return _lift(self.ctx, other)
         if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ContextMismatch(f"{self.ctx!r} vs {other.ctx!r}")
         return other

@@ -158,6 +158,11 @@ class FieldElem:
     __slots__ = ("spec", "val")
 
     def __init__(self, spec: FieldSpec, value):
+        self.spec = spec
+        if type(value) is int:
+            # the common case, tested before the ABC check against Fraction
+            self.val = value % spec.p if spec.p else Fraction(value)
+            return
         if isinstance(value, FieldElem):
             if value.spec != spec:
                 raise FieldMismatch("cannot re-wrap an element of another field")
@@ -170,7 +175,6 @@ class FieldElem:
                     raise ValueError("non-integer value in a prime field")
                 value = value.numerator
             self.val = value % spec.p
-        self.spec = spec
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
@@ -249,10 +253,10 @@ class FieldElem:
         return self.val
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = FieldElem(self.spec, other)
         if not isinstance(other, FieldElem):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = FieldElem(self.spec, other)
         return self.spec == other.spec and self.val == other.val
 
     def __hash__(self):

@@ -14,8 +14,8 @@ without the generator stay in the subring F[x], as polynomials.  The generator
 letter is fixed per call ('Y' for subalgebra elements, 'y' for Weyl-algebra
 elements) and the two letters never mix inside one expression.  At most
 ``MAX_NESTING`` parentheses and unary minus signs may be open at once, and a
-power whose result is predicted to be larger than ``MAX_POWER_WORDS`` words is
-refused before it is computed.
+power or product whose result is predicted to be larger than
+``MAX_POWER_WORDS`` words is refused before it is computed.
 """
 
 from __future__ import annotations
@@ -117,10 +117,14 @@ class _Parser:
     def term(self):
         value = self.factor()
         while True:
-            kind, op, _ = self.peek()
+            kind, op, pos = self.peek()
             if kind == "op" and op == "*":
                 self.advance()
-                value = value * self.factor()
+                factor = self.factor()
+                p = self.spec.characteristic
+                (ya, wa, ba), (yb, wb, bb) = _size(value, p), _size(factor, p)
+                _refuse_if_large("product", ya + yb, wa + wb, ba + bb, p, pos)
+                value = value * factor
             else:
                 return value
 
@@ -143,10 +147,10 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
-            # value^0 and value^1 are no larger than value
-            words = _power_words(value, exp, self.spec.characteristic) if exp > 1 else 0
-            if words > MAX_POWER_WORDS:
-                raise ParseError(f"power too large: {words} words, limit {MAX_POWER_WORDS}", pos)
+            if exp > 1:  # value^0 and value^1 are no larger than value
+                p = self.spec.characteristic
+                ydeg, weight, bits = _size(value, p)
+                _refuse_if_large("power", exp * ydeg, exp * weight, exp * bits, p, pos)
             value = value**exp
         return value
 
@@ -183,28 +187,43 @@ class _Parser:
         return self.spec.from_int(num)
 
 
-def _power_words(value, n: int, p: int) -> int:
-    """The predicted size of ``value**n`` in 64-bit words: terms times words
-    per coefficient.  An element has ``n*ydeg + 1`` Y-degrees times
-    ``n*w + 1`` x-degrees, the weight w counting x as 1 and Y as deg h - 1
-    (what delta adds), or 0 if every coefficient is constant.  A coefficient
-    has the bits of p, or over QQ ``1 + n*log2(height * terms)`` bits."""
-    if isinstance(value, OreElement):
+def _size(value, p: int) -> tuple[int, int, int]:
+    """The Y-degree, weight and coefficient bits of a parsed value, which add
+    up under products.  The weight counts x as 1 and Y as deg h - 1 (what
+    delta adds), or is 0 if every coefficient is constant; the bits are
+    ``log2(height * terms)`` over QQ and 0 over GF(p)."""
+    if isinstance(value, Poly):
+        polys, ydeg, weight = (value,), 0, max(len(value._nums) - 1, 0)
+    elif isinstance(value, OreElement):
         polys, step = value.coeffs, max(value.ctx.deg_h - 1, 0)
+        degs = [len(f._nums) - 1 for f in polys]
         weight = 0
-        if any(f.degree > 0 for f in polys):
-            weight = max(f.degree + i * step for i, f in enumerate(polys) if f)
-        terms = (n * max(len(polys) - 1, 0) + 1) * (n * weight + 1)
+        if max(degs, default=0) > 0:
+            weight = max(d + i * step for i, d in enumerate(degs) if d >= 0)
+        ydeg = max(len(polys) - 1, 0)
     else:
-        polys = [value if isinstance(value, Poly) else Poly.constant(value)]
-        terms = n * max(polys[0].degree, 0) + 1
+        polys, ydeg, weight = (Poly.constant(value),), 0, 0
     if p:
-        return terms * -(-p.bit_length() // 64)
+        return ydeg, weight, 0
     # the raw ints of each Poly: integer numerators over one denominator
-    nums = [c for f in polys for c in f._nums if c]
-    height = max([abs(c) for c in nums] + [f._den for f in polys], default=1)
-    bits = 1 + n * ((height - 1).bit_length() + (len(nums) - 1).bit_length())
-    return terms * -(-bits // 64)
+    height, terms = 1, 0
+    for f in polys:
+        nums = f._nums
+        if nums:
+            height = max(height, f._den, max(nums), -min(nums))
+            terms += len(nums) - nums.count(0)
+    return ydeg, weight, (height - 1).bit_length() + (terms - 1).bit_length()
+
+
+def _refuse_if_large(what: str, ydeg: int, weight: int, bits: int, p: int, pos: int) -> None:
+    """Refuse a power or product of that size when it is predicted to take
+    more than ``MAX_POWER_WORDS`` 64-bit words: ``ydeg + 1`` Y-degrees times
+    ``weight + 1`` x-degrees, times the words of a coefficient, which has the
+    bits of p, or over QQ ``1 + bits`` bits."""
+    bits = p.bit_length() if p else 1 + bits
+    words = (ydeg + 1) * (weight + 1) * -(-bits // 64)
+    if words > MAX_POWER_WORDS:
+        raise ParseError(f"{what} too large: {words} words, limit {MAX_POWER_WORDS}", pos)
 
 
 def parse_scalar(src: str, spec: FieldSpec) -> FieldElem:

@@ -89,14 +89,15 @@ def _mul_add(out: list, c: int, a, b) -> list:
     return out
 
 
-def sum_of_products(spec: FieldSpec, terms) -> "Poly":
-    """``sum c * f * g`` over triples ``(int c, Poly f, Poly g)`` of one field.
+def sum_of_products(spec: FieldSpec, terms, base: "Poly | None" = None) -> "Poly":
+    """``base + sum c * f * g`` over triples ``(int c, Poly f, Poly g)`` of one field.
 
-    The products accumulate as ints over the lcm of their denominators and
-    the sum is normalized once.
+    The products accumulate as ints over the lcm of their denominators, on
+    top of the raw ints of base, and the sum is normalized once.
     """
-    den = 1 if spec.p else lcm(*(f._den * g._den for _, f, g in terms))
-    out = []
+    bnums, bden = (base._nums, base._den) if base is not None else ((), 1)
+    den = 1 if spec.p else lcm(bden, *(f._den * g._den for _, f, g in terms))
+    out = [c * (den // bden) for c in bnums]
     for c, f, g in terms:
         if f._nums and g._nums:
             _mul_add(out, c if den == 1 else c * (den // (f._den * g._den)), f._nums, g._nums)
@@ -209,10 +210,11 @@ class Poly:
         return bool(self._nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            other = Poly(self.spec, (other,))
+        # Poly is tested first: Fraction is an ABC, so isinstance against it is slow
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, FieldElem)):
+                return NotImplemented
+            other = Poly(self.spec, (other,))
         return (
             self.spec == other.spec
             and self._nums == other._nums
@@ -223,10 +225,10 @@ class Poly:
         return hash((self.spec, self._nums, self._den))
 
     def _check(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction, FieldElem)):
-            return Poly(self.spec, (other,))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, FieldElem)):
+                return NotImplemented
+            return Poly(self.spec, (other,))
         if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch("polynomials over different fields")
         return other
@@ -274,10 +276,10 @@ class Poly:
         return _poly(self.spec, [-c for c in self._nums], self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            return self.scaled(self.spec.elem(other))
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, FieldElem)):
+                return NotImplemented
+            return self.scaled(self.spec.elem(other))
         if other.spec is not self.spec and other.spec != self.spec:
             raise FieldMismatch("polynomials over different fields")
         return _poly(self.spec, _mul_add([], 1, self._nums, other._nums), self._den * other._den)

@@ -7,12 +7,15 @@ moves elements across the embedding ``Y = y*h``, under which A_h is
 
 * ``hy_coordinates`` and its inverse ``from_hy_coordinates`` use the rows of
   Y^i in the basis ``h^j y^j``, which are unitriangular: O(n^2) products at
-  Y-degree n, one normalize step per output coefficient, and no division;
+  Y-degree n, one normalize step per output coefficient, and no division.
+  The rows depend only on h, so they live on the context: built once on
+  first use, and grown from the last row when a higher Y-degree is asked for;
 * ``to_weyl`` gives ``sum f_j h^j y^j``; ``from_weyl`` inverts it, which
   succeeds exactly when ``h^j`` divides the coefficient of ``y^j`` for all j;
 * ``yh_product`` builds the telescoping products that express ``y^i h^i``
   and ``h^i y^i`` in terms of the subalgebra generator;
-* ``embed`` maps one subalgebra into another along a divisor of its h;
+* ``embed`` maps A_g into A_f along g = f*v by multiplying the coordinates by
+  ``v^j``, with no Weyl round trip and no division by ``f^j``;
 * ``ore_witness`` produces common-denominator witnesses for the powers of a
   fixed polynomial, and ``localized_equal`` compares right fractions over
   the powers of h without building a localization type.
@@ -20,6 +23,7 @@ moves elements across the embedding ``Y = y*h``, under which A_h is
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .algebra import AhContext, OreElement, div_right_exact
@@ -34,6 +38,9 @@ from .fields import FieldSpec
 from .poly import Poly, sum_of_products
 
 
+_GROW_LOCK = threading.Lock()
+
+
 def weyl_context(spec: FieldSpec) -> AhContext:
     """The Weyl algebra over the given field: relation y*x - x*y = 1."""
     return AhContext(spec, Poly.one(spec), gen_symbol="y")
@@ -44,17 +51,23 @@ def is_weyl_context(ctx: AhContext) -> bool:
 
 
 def _hy_rows(ctx: AhContext, n: int) -> list[list[Poly]]:
-    """``rows[i][j]`` is the coefficient of h^j y^j in Y^i (i <= n); ``rows[i][i] = 1``."""
+    """``rows[i][j]`` is the coefficient of h^j y^j in Y^i (i <= n); ``rows[i][i] = 1``.
+    Kept on ctx, grown from its last row into a copy that replaces it whole."""
+    rows = ctx.hy_rows
+    if len(rows) > n:
+        return rows
     spec, h, dh = ctx.spec, ctx.h, ctx.h_prime
-    one, zero = Poly.one(spec), Poly.zero(spec)
-    rows = [[one]]
-    for _ in range(n):
+    zero = Poly.zero(spec)
+    rows = list(rows) or [[Poly.one(spec)]]
+    while len(rows) <= n:
         # (y h)(r h^j y^j) = r h^(j+1) y^(j+1) + (h r' + (j+1) h' r) h^j y^j
         prev = rows[-1] + [zero]  # prev[-1] is zero: no shifted term at j = 0
         rows.append([
-            sum_of_products(spec, [(1, one, prev[j - 1]), (1, h, r.derivative()), (j + 1, dh, r)])
+            sum_of_products(spec, [(1, h, r.derivative()), (j + 1, dh, r)], prev[j - 1])
             for j, r in enumerate(prev)
         ])
+    with _GROW_LOCK:  # a longer table installed meanwhile by another thread stays
+        ctx.hy_rows = max(ctx.hy_rows, rows, key=len)
     return rows
 
 
@@ -70,25 +83,25 @@ def from_hy_coordinates(fs, ctx: AhContext) -> OreElement:
     top-down, ``a_j = f_j - sum_(i > j) a_i * rows[i][j]``, with no division."""
     n = len(fs)
     rows = _hy_rows(ctx, n - 1)
-    one, out = Poly.one(ctx.spec), [None] * n
+    out = [None] * n
     for j in range(n - 1, -1, -1):
-        terms = [(1, one, fs[j])] + [(-1, out[i], rows[i][j]) for i in range(j + 1, n)]
-        out[j] = sum_of_products(ctx.spec, terms)
+        terms = [(-1, out[i], rows[i][j]) for i in range(j + 1, n)]
+        out[j] = sum_of_products(ctx.spec, terms, fs[j])
     return ctx.element(out)
 
 
-def _h_powers(h: Poly, n: int) -> list[Poly]:
-    """``[h^0, ..., h^(n-1)]``, one product per power."""
-    out = [Poly.one(h.spec)] if n else []
+def _powers(f: Poly, n: int) -> list[Poly]:
+    """``[f^0, ..., f^(n-1)]``, one product per power."""
+    out = [Poly.one(f.spec)] if n else []
     while len(out) < n:
-        out.append(out[-1] * h)
+        out.append(out[-1] * f)
     return out
 
 
 def to_weyl(a: OreElement) -> OreElement:
     """Expand a through Y = y*h: the coefficient of y^j is ``f_j * h^j``."""
     fs = hy_coordinates(a)
-    hs = _h_powers(a.ctx.h, len(fs))
+    hs = _powers(a.ctx.h, len(fs))
     return weyl_context(a.ctx.spec).element([f * hj for f, hj in zip(fs, hs)])
 
 
@@ -101,7 +114,7 @@ def from_weyl(w: OreElement, ctx: AhContext) -> OreElement:
     if w.ctx.spec != ctx.spec:
         raise ContextMismatch("Weyl element over a different field")
     ws = w.coeffs
-    hs, fs = _h_powers(ctx.h, len(ws)), [None] * len(ws)
+    hs, fs = _powers(ctx.h, len(ws)), [None] * len(ws)
     for j in range(len(ws) - 1, -1, -1):
         fs[j], rem = divmod(ws[j], hs[j])
         if not rem.is_zero():
@@ -133,21 +146,22 @@ def embed(a: OreElement, f: Poly) -> OreElement:
     """Embed an element of A_g into A_f along f | g.
 
     The map sends the generator of A_g to (generator of A_f) * (g/f); inside
-    the common Weyl algebra both expand to y*g, so the image is the pullback
-    of the Weyl expansion into the target's normal form.  The result lives
-    in ``AhContext(spec, f)``, and the Weyl expansion is the correctness
-    anchor: the defining relation [image, x] = g is preserved automatically.
+    the common Weyl algebra both expand to y*g.  With g = f*v the
+    coordinates carry over: ``a = sum_j c_j g^j y^j = sum_j (c_j v^j) f^j y^j``,
+    so the image has coordinates ``c_j v^j`` in the target
+    ``AhContext(spec, f)``, and the relation [image, x] = g holds.
     """
     g = a.ctx.h
     if f.spec != a.ctx.spec:
         raise ContextMismatch("divisor over a different field")
     if f.is_zero():
         raise ZeroInputError("cannot embed along a zero divisor")
-    _, rem = divmod(g, f)
+    v, rem = divmod(g, f)
     if not rem.is_zero():
         raise NotDivisibleError(f"{f} does not divide {g}")
     target = AhContext(a.ctx.spec, f, gen_symbol=a.ctx.gen_symbol)
-    return from_weyl(to_weyl(a), target)
+    cs = hy_coordinates(a)
+    return from_hy_coordinates([c * vj for c, vj in zip(cs, _powers(v, len(cs)))], target)
 
 
 @dataclass(frozen=True)

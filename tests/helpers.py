@@ -14,7 +14,14 @@ from ahalg import (
     weyl_context,
 )
 from ahalg.autgroup import pair_is_valid
-from ahalg.errors import ContextMismatch, NotInSubalgebraError, ParseError, SelfCheckError
+from ahalg.errors import (
+    ContextMismatch,
+    NotDivisibleError,
+    NotInSubalgebraError,
+    ParseError,
+    SelfCheckError,
+    ZeroInputError,
+)
 from ahalg.parsing import _Parser
 from ahalg.poly import gcd_monic, pow_mod
 
@@ -135,6 +142,29 @@ def from_weyl_oracle(w: OreElement, ctx: AhContext) -> OreElement:
         cur = cur - to_weyl_oracle(ctx.monomial(q, n))
     size = max(out) + 1 if out else 0
     return ctx.element([out.get(i, Poly.zero(ctx.spec)) for i in range(size)])
+
+
+def hy_rows_oracle(ctx: AhContext, n: int) -> list[list[Poly]]:
+    """The rows of Y^0..Y^n in the basis h^j y^j, built afresh on every call:
+    ``rows[i+1][j] = rows[i][j-1] + h*rows[i][j]' + (j+1)*h'*rows[i][j]``."""
+    h, dh, zero = ctx.h, ctx.h_prime, Poly.zero(ctx.spec)
+    rows = [[Poly.one(ctx.spec)]]
+    for _ in range(n):
+        prev = rows[-1] + [zero]  # prev[-1] is zero: no shifted term at j = 0
+        rows.append([
+            prev[j - 1] + h * r.derivative() + (j + 1) * dh * r for j, r in enumerate(prev)
+        ])
+    return rows
+
+
+def embed_oracle(a: OreElement, f: Poly) -> OreElement:
+    """The embedding A_g -> A_f along f | g through the Weyl algebra and back."""
+    if f.is_zero():
+        raise ZeroInputError("cannot embed along a zero divisor")
+    if not f.divides(a.ctx.h):
+        raise NotDivisibleError(f"{f} does not divide {a.ctx.h}")
+    target = AhContext(a.ctx.spec, f, gen_symbol=a.ctx.gen_symbol)
+    return from_weyl_oracle(to_weyl_oracle(a), target)
 
 
 def central_decompose_oracle(a: OreElement) -> dict:

@@ -233,9 +233,47 @@ def test_powers_are_bounded():
     assert parse_element("(x*Y)^30", ctx) == (ctx.x() * ctx.gen()) ** 30
 
 
+@pytest.mark.parametrize(
+    "spec, factor",
+    [
+        (QQ, "(x^3000+x+1)"),  # too many terms
+        (FieldSpec.gf(1000003), "(x^3000+x+1)"),
+        (QQ, "(x+1)^300"),  # coefficients too long
+        (QQ, "x^2000*Y^2000"),  # too many terms in x and Y
+        (FieldSpec.gf(1000003), "x^2000*Y^2000"),
+    ],
+    ids=str,
+)
+def test_product_chains_are_bounded(spec, factor):
+    # every factor is under the limit; the running product crosses it
+    ctx = ctx_for(spec, 0, 0, 1)  # h = x^2
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="product too large"):
+        parse_element("*".join([factor] * 40), ctx)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_products_just_under_the_limit_parse():
+    f7, ctx = FieldSpec.gf(7), ctx_for(QQ, 0, 0, 1)  # h = x^2
+    half = MAX_POWER_WORDS // 2
+    assert parse_poly(f"x^{half}*x^{half - 1}", f7).degree == MAX_POWER_WORDS - 1
+    with pytest.raises(ParseError, match="product too large"):
+        parse_poly(f"x^{half}*x^{half}", f7)
+    assert parse_element("(x*Y)^10*(x*Y)^10", ctx) == (ctx.x() * ctx.gen()) ** 20
+    assert parse_scalar("2^8000*2^8000", QQ) == 2**16000
+
+
 @pytest.mark.parametrize("expr", ["x^10000000", "(x+1)^300000"])
 def test_huge_powers_exit_1_at_once(capsys, expr):
     start = time.perf_counter()
     assert run(["--field", "QQ", "--h", "x", "eval", expr]) == 1
     assert time.perf_counter() - start < 1.0
     assert "power too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF:1000003"])
+def test_huge_products_exit_1_at_once(capsys, field):
+    start = time.perf_counter()
+    assert run(["--field", field, "--h", "x", "eval", "*".join(["(x^5000+1)"] * 20)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "product too large" in capsys.readouterr().err

@@ -455,3 +455,31 @@ def test_boundary_errors():
         Poly(F7, [1, Fraction(1, 2)])
     with pytest.raises(ValueError):
         P(F7, 1, 2).scaled(Fraction(1, 2))
+
+
+class _IntSub(int):
+    pass
+
+
+class _PolySub(Poly):
+    __slots__ = ()
+
+
+def test_operand_types_outside_the_fast_paths():
+    # bool, int subclasses, Fractions and Poly subclasses take the general route
+    for spec in (QQ, FieldSpec.gf(7)):
+        one = Poly.one(spec)
+        assert FieldElem(spec, True) == 1 == FieldElem(spec, _IntSub(8 if spec.p else 1))
+        assert FieldElem(spec, Fraction(14, 2)) == 7
+        assert one * True == one == one + False and one.__eq__(True)
+        sub = object.__new__(_PolySub)
+        sub.spec, sub._nums, sub._den = spec, (0, 1), 1
+        assert sub == Poly.x(spec) and one * sub == Poly.x(spec) and (one + sub).degree == 1
+        assert (one == "1") is False and one.__mul__("1") is NotImplemented
+        with pytest.raises(TypeError):
+            one + "1"
+        with pytest.raises(FieldMismatch):
+            one * Poly.one(FieldSpec.gf(5))
+    with pytest.raises(ValueError):
+        FieldElem(FieldSpec.gf(7), Fraction(1, 2))
+    assert FieldElem(QQ, 3).val == Fraction(3) and type(FieldElem(QQ, 3).val) is Fraction

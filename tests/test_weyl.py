@@ -1,6 +1,9 @@
 """The Weyl view: basis conversions, embeddings, and Ore witnesses."""
 
 import random
+import sys
+import threading
+from fractions import Fraction
 
 import pytest
 
@@ -19,11 +22,13 @@ from ahalg import (
     weyl_context,
     yh_product,
 )
-from ahalg.errors import NotDivisibleError, NotInSubalgebraError, SelfCheckError
-from ahalg.weyl import from_hy_coordinates, hy_coordinates
+from ahalg.errors import NotDivisibleError, NotInSubalgebraError, SelfCheckError, ZeroInputError
+from ahalg.weyl import _hy_rows, from_hy_coordinates, hy_coordinates
 
 from helpers import (
+    embed_oracle,
     from_weyl_oracle,
+    hy_rows_oracle,
     ore_witness_oracle,
     rand_elem,
     rand_poly,
@@ -282,6 +287,105 @@ def test_embed_is_homomorphism_down_to_ax():
         u = rand_elem(rng, ctx_g, 2, 2)
         v = rand_elem(rng, ctx_g, 2, 2)
         assert embed(u * v, f) == embed(u, f) * embed(v, f)
+
+
+def table_contexts():
+    """One context per field: h = x^2/3 + 1/2 over QQ, x^3 + x + 1 over GF(2),
+    x^5 - x over GF(5) (every element a root) and a non-monic cubic over GF(101)."""
+    half, third = QQ.elem(Fraction(1, 2)), QQ.elem(Fraction(1, 3))
+    f2, f5, f101 = FieldSpec.gf(2), FieldSpec.gf(5), FieldSpec.gf(101)
+    return [
+        AhContext(QQ, Poly(QQ, (half, 0, third))),
+        ctx_for(f2, 1, 1, 0, 1),
+        ctx_for(f5, 0, -1, 0, 0, 0, 1),
+        ctx_for(f101, 7, 5, 0, 3),
+    ]
+
+
+@pytest.mark.parametrize("ctx", table_contexts(), ids=lambda c: str(c.spec))
+def test_hy_rows_grow_on_demand(ctx):
+    longest = 0
+    for n in (2, 7, 3, 0):
+        before = ctx.hy_rows
+        size = len(before)
+        rows = _hy_rows(ctx, n)
+        assert rows[: n + 1] == hy_rows_oracle(ctx, n)
+        longest = max(longest, n + 1)
+        assert len(ctx.hy_rows) == longest
+        # grown from the last row, never rebuilt, and the old table left whole
+        assert all(new is old for new, old in zip(ctx.hy_rows, before))
+        assert len(before) == size
+
+
+@pytest.mark.parametrize("ctx", table_contexts(), ids=lambda c: str(c.spec))
+def test_warm_context_compares_and_hashes_as_fresh(ctx):
+    fresh = AhContext(ctx.spec, ctx.h)
+    key = hash(ctx)
+    rng = random.Random(f"warm:{ctx.spec}")
+    a = rand_elem(rng, ctx, 6, 2)
+    fs = hy_coordinates(a)
+    assert ctx.hy_rows and not fresh.hy_rows
+    assert ctx == fresh and hash(ctx) == key == hash(fresh)
+    assert a == fresh.element(a.coeffs) and hash(a) == hash(fresh.element(a.coeffs))
+    assert from_hy_coordinates(fs, fresh) == from_hy_coordinates(fs, ctx) == a
+
+
+@pytest.mark.parametrize("ctx", table_contexts(), ids=lambda c: str(c.spec))
+def test_threads_warm_one_context(ctx):
+    # more threads than cores, switching often: the longest table must survive
+    start, results, sizes = threading.Barrier(4), {}, (9, 4, 12, 6)
+
+    def warm(n):
+        start.wait(timeout=30)
+        results[n] = _hy_rows(ctx, n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=warm, args=(n,)) for n in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == len(sizes)
+    want = hy_rows_oracle(ctx, max(sizes))
+    for n, rows in results.items():
+        assert rows[: n + 1] == want[: n + 1]
+    assert ctx.hy_rows == want
+
+
+def _embed_outcome(embedding, a, f):
+    try:
+        return embedding(a, f)
+    except (NotDivisibleError, ZeroInputError) as err:
+        return type(err)
+
+
+def test_embed_matches_the_weyl_route():
+    rng = random.Random(28)
+    for spec in FIELDS:
+        x = Poly.x(spec)
+        two = spec.from_int(2 if spec.p != 2 else 1)
+        for f, v in (
+            ((x + 1).scaled(two), x**2 + 3),  # non-monic f
+            (x**2 + 1, Poly.one(spec)),  # f = g
+            (Poly.one(spec), x**3 + x),  # f = 1
+            (Poly.constant(two), (x + 1) ** 2),  # constant f
+        ):
+            ctx = AhContext(spec, f * v)
+            for ydeg in range(5):
+                a = ctx.element([rand_poly(rng, spec, 2) for _ in range(ydeg + 1)])
+                image = embed(a, f)
+                assert image == embed_oracle(a, f) and image.ctx.h == f
+                assert image.ctx.gen_symbol == ctx.gen_symbol
+            for bad in (Poly.zero(spec), x + 2, x**4 + x + 1):
+                if bad.divides(ctx.h):
+                    continue
+                want = _embed_outcome(embed_oracle, ctx.gen(), bad)
+                assert want in (NotDivisibleError, ZeroInputError)
+                assert _embed_outcome(embed, ctx.gen(), bad) is want
 
 
 def test_ore_witness_right():
