@@ -21,10 +21,11 @@ F* is tried and beta solved by the same gcd, which is linear in p.
 
 On top of the pair computations the module classifies the group (polynomial
 shears only / semidirect with the scalar group / semidirect with a finite
-cyclic part), produces the invariant polynomial t and the center-of-the-
-automorphism-group generator q for each case, and implements the two
-families of injective non-surjective endomorphisms together with extension
-and restriction of automorphisms along an embedding.
+cyclic part) and produces the invariant polynomial t and the center-of-the-
+automorphism-group generator q, in one construction for every finite P (the
+family over GF(p) included) and in closed form for the family over QQ.  It
+also implements the two families of injective non-surjective endomorphisms
+together with extension and restriction of automorphisms along an embedding.
 """
 
 from __future__ import annotations
@@ -338,18 +339,6 @@ def _poly_roots(f: Poly) -> list[FieldElem]:
     return sorted(roots, key=lambda e: e.sort_key())
 
 
-def multiplicative_order(a: FieldElem) -> int:
-    """The order of a in F*: a divisor of p - 1 over GF(p), 1 or 2 over QQ."""
-    if a.is_zero():
-        raise ZeroDivisionError("zero has no multiplicative order")
-    if a.spec.is_prime_field:
-        return _order(a, a.spec.p - 1)
-    # the pair computations only meet roots of unity: +-1 over QQ
-    if not (a * a).is_one():
-        raise AhError(f"{a} is not a root of unity of order <= 2")
-    return _order(a, 2)
-
-
 def _prime_divisors(n: int) -> list[int]:
     out = []
     d = 2
@@ -415,7 +404,12 @@ class AutGroupStructure:
 def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     """Compute the group shape, the invariant generator t, and the center generator q.
 
-    The transformation laws for t and q are checked against the computed
+    Outside the family over QQ, P is finite with translations G, and its
+    image in F* is cyclic of order ell = |P|/|G|, so G and one pair generate
+    it: the least pair whose alpha has order ell, or the least nonzero
+    translation when ell = 1.  With shift = beta/(alpha - 1) (0 if ell = 1)
+    and base = prod_{nu in G} (x + shift + nu), t = base^ell and q = base^n,
+    n = (d-1)*|G|^-1 mod ell.  The laws for t and q are checked against the
     generators before returning, so a wrong case selection cannot escape.
     """
     if ctx.deg_h < 1:
@@ -425,7 +419,6 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     G = compute_G(ctx)
     k = distinct_root_count(ctx.h)
     d = ctx.deg_h
-    one = Poly.one(spec)
 
     if pset.lam is not None and not spec.is_prime_field:
         # infinite one-parameter family: invariants are constants only
@@ -447,90 +440,44 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
         _assert_laws(structure)
         return structure
 
-    if pset.lam is not None:
-        # the family over GF(p): alpha runs over all of F*, which is cyclic of
-        # order p - 1 and generated by the least primitive root
-        ell = spec.p - 1
-        alpha = next(
-            a
-            for a in map(spec.from_int, range(1, spec.p))
-            if multiplicative_order(a) == ell
-        )
-        best = (alpha, (spec.one() - alpha) * pset.lam)
-    else:
-        # alpha permutes the k >= 2 roots of h with at most one fixed point,
-        # so its order divides k or k - 1
-        pairs = pset.finite_pairs
-        orders = {ab: _order(ab[0], k * (k - 1)) for ab in pairs}
-        ell = max(orders.values())
-        best = min((ab for ab, o in orders.items() if o == ell), key=_pair_key)
-        if ell == 1 and len(G) > 1:
-            best = min(
-                (ab for ab in pairs if not ab[1].is_zero()), key=_pair_key
-            )
-
-    if ell == 1 and len(G) == 1:
-        structure = AutGroupStructure(
-            ctx,
-            POLY_ONLY,
-            k,
-            G,
-            pset,
-            pset.lam,
-            None,
-            1,
-            Poly.x(spec),
-            "whole_ring",
-            one,
-            "whole_ring",
-            None,
-        )
-    elif ell == 1:
-        t = one
-        for nu in G:
-            t = t * Poly(spec, (nu, 1))
-        structure = AutGroupStructure(
-            ctx,
-            SEMIDIRECT_FINITE,
-            k,
-            G,
-            pset,
-            pset.lam,
-            best,
-            1,
-            t,
-            "generated",
-            one,
-            "module",
-            0,
-        )
-    else:
-        if k % ell and (k - 1) % ell:
-            raise SelfCheckError("order must divide k or k-1")
-        if (len(G) - 1) % ell:
-            raise SelfCheckError("|G| - 1 must be divisible by ell")
-        alpha, beta = best
-        shift = beta / (alpha - spec.one())
-        base = one
-        for nu in G:
-            base = base * Poly(spec, (shift + nu, 1))
-        n_exp = (d - 1) * pow(len(G), -1, ell) % ell
-        case = SEMIDIRECT_FSTAR if pset.lam is not None else SEMIDIRECT_FINITE
-        structure = AutGroupStructure(
-            ctx,
-            case,
-            k,
-            G,
-            pset,
-            pset.lam,
-            best,
-            ell,
-            base**ell,
-            "generated",
-            base**n_exp,
-            "module",
-            n_exp,
-        )
+    pairs = pset.pairs()
+    ell, rem = divmod(len(pairs), len(G))
+    if rem:
+        raise SelfCheckError("|G| must divide |P|")
+    # alpha != 1 permutes the k roots of h with at most one fixed point and
+    # the nonzero translations in G without any, in orbits of size ell
+    if k % ell and (k - 1) % ell:
+        raise SelfCheckError("order must divide k or k-1")
+    if (len(G) - 1) % ell:
+        raise SelfCheckError("|G| - 1 must be divisible by ell")
+    identity = (spec.one(), spec.zero())
+    best = next(
+        (ab for ab in pairs if ab != identity and _order(ab[0], ell) == ell), None
+    )
+    if best is None and len(pairs) > 1:
+        raise SelfCheckError("no pair of P has an alpha of order |P|/|G|")
+    shift = best[1] / (best[0] - spec.one()) if ell > 1 else spec.zero()
+    base = Poly.one(spec)
+    for nu in G:
+        base = base * Poly(spec, (shift + nu, 1))
+    n_exp = (d - 1) * pow(len(G), -1, ell) % ell
+    whole = best is None  # P = {identity}: only the shears
+    case = SEMIDIRECT_FSTAR if pset.lam is not None else SEMIDIRECT_FINITE
+    structure = AutGroupStructure(
+        ctx,
+        POLY_ONLY if whole else case,
+        k,
+        G,
+        pset,
+        pset.lam,
+        best,
+        ell,
+        base**ell,
+        "whole_ring" if whole else "generated",
+        base**n_exp,
+        "whole_ring" if whole else "module",
+        None if whole else n_exp,
+    )
     _assert_laws(structure)
     return structure
 
@@ -538,29 +485,32 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
 def _law_sample(structure: AutGroupStructure):
     """Pairs against which the t/q laws are checked.
 
-    Both laws are multiplicative, so on the family over GF(p) the generator
-    alone is checked, once P is certified to be exactly its p - 1 powers.
+    Both laws are multiplicative, so for a finite P it suffices to check a
+    nonzero translation of G and the generator, once they are certified to
+    generate P: G is an additive subgroup of the prime field (size 1 or p),
+    so the generator's alpha scales it onto itself, and an alpha of order
+    ell = |P|/|G| makes G and the generator's powers all |P| pairs.
     """
-    ctx = structure.ctx
-    spec = ctx.spec
-    if structure.P.lam is not None and not spec.is_prime_field:
-        lam = structure.P.lam
+    spec = structure.ctx.spec
+    pset = structure.P
+    if pset.lam is not None and not spec.is_prime_field:
         one = spec.one()
         for raw in (2, 3, -1, 7, Fraction(1, 2)):
             alpha = spec.elem(raw)
-            yield alpha, (one - alpha) * lam
+            yield alpha, (one - alpha) * pset.lam
         return
-    if structure.P.lam is None or structure.generator is None:
-        yield from structure.P.pairs()
-        return
-    alpha, beta = structure.generator
-    power, powers = (spec.one(), spec.zero()), set()
-    for _ in range(spec.p - 1):
-        powers.add(power)
-        power = (power[0] * alpha, power[1] * alpha + beta)
-    if powers != set(structure.P.pairs()):
-        raise SelfCheckError("the family is not the powers of its generator")
-    yield structure.generator
+    G = structure.G
+    if len(G) not in (1, spec.p):
+        raise SelfCheckError("G is not an additive subgroup of the field")
+    translation = next(((spec.one(), nu) for nu in G if not nu.is_zero()), None)
+    sample = [ab for ab in (translation, structure.generator) if ab is not None]
+    if structure.generator is not None:
+        alpha, ell = structure.generator[0], structure.ell
+        if not (alpha**ell).is_one() or _order(alpha, ell) != ell:
+            raise SelfCheckError("P is not G times the powers of its generator")
+    if not all(pset.contains(a, b) for a, b in sample):
+        raise SelfCheckError("a generator of P is not in P")
+    yield from sample
 
 
 def _assert_laws(structure: AutGroupStructure) -> None:
@@ -598,15 +548,13 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
         return None
     if h.degree == 0:
         return (spec.one(), spec.zero(), h.lc / g.lc)
-    kh, kg = distinct_root_count(h), distinct_root_count(g)
-    if kh != kg:
+    # the radicals are monic, so their degrees count the distinct roots
+    rad_h, rad_g = squarefree_part(h), squarefree_part(g)
+    if rad_h.degree != rad_g.degree:
         return None
-    if kh == 1:
-        lam_h = -squarefree_part(h).coeff(0)
-        lam_g = -squarefree_part(g).coeff(0)
-        alpha = spec.one()
-        beta = lam_h - lam_g
-        nu = h.lc / g.lc
+    if rad_h.degree == 1:
+        # with rad = x - lam, beta = lam_h - lam_g
+        alpha, beta, nu = spec.one(), rad_g.coeff(0) - rad_h.coeff(0), h.lc / g.lc
         if h.compose(_affine(spec, alpha, beta)) != g.scaled(nu):
             raise SelfCheckError("powers of linear factors are not equivalent")
         return (alpha, beta, nu)

@@ -34,10 +34,10 @@ from .autgroup import (
     restrict_automorphism,
 )
 from .center import COMMUTATOR_SPACES, center, central_decompose, in_commutator_space, is_central
-from .errors import AhError
+from .errors import AhError, ParseError
 from .fields import FieldSpec, decimal_int
 from .normal import classify_normal, height_one_prime_test, is_normal, is_simple
-from .parsing import parse_element, parse_poly, parse_scalar
+from .parsing import MAX_POWER_WORDS, _refuse_if_large, _size, parse_element, parse_poly, parse_scalar
 from .poly import FactoredPoly, FactorTerm, Poly, factor, format_poly
 from .weyl import embed, from_weyl, localized_equal, ore_witness, to_weyl, weyl_context, yh_product
 
@@ -241,9 +241,54 @@ def _structure(env) -> dict:
     }
 
 
+# yh-product multiplies i factors into a result of Y-degree up to i, so it
+# costs about i^2 coefficient operations even when every coefficient is a
+# constant: with h = x over GF(1000003), i = 800 takes about 3 s (Python 3.11,
+# one Xeon core)
+MAX_YH_STEPS = 800
+
+
+def _refuse_exponent(env, what, n, powered, fixed=(), steps=MAX_POWER_WORDS):
+    """Refuse an integer argument n before any work starts: n acts as the
+    exponent of the values ``powered``, next to the values ``fixed``, and the
+    result is sized by the parser's words model; n is also refused past
+    ``steps`` steps.  A negative n is left to the command's own check."""
+    p, n = env.spec.p, max(n, 0)
+    total = (0, 0, 0)
+    for values, scale in ((powered, n), (fixed, 1)):
+        for value in values:
+            total = tuple(t + scale * s for t, s in zip(total, _size(value, p)))
+    _refuse_if_large(what, *total, p, None)
+    if n > steps:
+        raise ParseError(f"{what} too large: {n} steps, limit {steps}")
+
+
 def _delta(env, args):
     f = parse_poly(args.poly, env.spec)
+    _refuse_exponent(env, "delta power", args.power, (env.ctx.h,), (f,))
     return _result(format_poly(env.ctx.delta_power(f, args.power)))
+
+
+def _yh_product(env, args):
+    ctx, i = env.ctx, args.power
+    # the factor Y + i*h' has the largest shift of either side
+    factor = ctx.gen() + ctx.from_poly(ctx.h_prime.scaled(ctx.spec.from_int(i)))
+    _refuse_exponent(env, "yh-product power", i, (factor,), steps=MAX_YH_STEPS)
+    return _element(yh_product(ctx, i, args.side))
+
+
+def _localized_equal(env, args):
+    a, b, h = env.element(args.expr), env.weyl_element(args.weyl_expr), env.ctx.h
+    _refuse_exponent(env, "localized-equal power", args.n, (h,), (a,))
+    _refuse_exponent(env, "localized-equal power", args.m, (h,), (b,))
+    return _verdict("equal", localized_equal(a, args.m, b, args.n))
+
+
+def _endo_eta(env, args):
+    # eta_k(a) has k times the weight of a, and checking it computes h(x^k)
+    a = env.element(args.expr)
+    _refuse_exponent(env, "endo-eta k", args.k, (env.ctx.h, a))
+    return _endomorphism(eta_endo(env.ctx, args.k), a)
 
 
 def _factor(env, args):
@@ -395,14 +440,10 @@ COMMANDS = {
                   lambda env, a: _element(from_weyl(env.weyl_element(a.expr), env.ctx))),
     "embed": (("divisor", "expr"), "embed into the algebra of a divisor of h", _embed),
     "ore-witness": (("expr", "poly", ("side", _SIDE)), "common-denominator witness", _ore_witness),
-    "localized-equal": (
-        ("expr", ("m", _INT), "weyl_expr", ("n", _INT)),
-        "compare right fractions over powers of h",
-        lambda env, a: _verdict("equal", localized_equal(
-            env.element(a.expr), a.m, env.weyl_element(a.weyl_expr), a.n)),
-    ),
+    "localized-equal": (("expr", ("m", _INT), "weyl_expr", ("n", _INT)),
+                        "compare right fractions over powers of h", _localized_equal),
     "yh-product": ((("power", _INT), ("side", _SIDE)), "Y-products equal to y^i h^i / h^i y^i",
-                   lambda env, a: _element(yh_product(env.ctx, a.power, a.side))),
+                   _yh_product),
     "center": ((), "generators of the center", _center),
     "is-central": (("expr",), "does the element commute with everything",
                    lambda env, a: _verdict("central", is_central(env.element(a.expr)))),
@@ -434,8 +475,7 @@ COMMANDS = {
     "invariants": ((), "the polynomials fixed by every automorphism", _invariants),
     "aut-center": ((), "the center of the automorphism group", _aut_center),
     "iso": (("other",), "isomorphism witness against another polynomial", _iso),
-    "endo-eta": ((("k", _INT), "expr"), "apply the power endomorphism (h = x^n)",
-                 lambda env, a: _endomorphism(eta_endo(env.ctx, a.k), env.element(a.expr))),
+    "endo-eta": ((("k", _INT), "expr"), "apply the power endomorphism (h = x^n)", _endo_eta),
     "endo-kappa": (("shift", "expr"), "apply the central shift endomorphism",
                    lambda env, a: _endomorphism(kappa_endo(env.ctx, env.element(a.shift)),
                                                 env.element(a.expr))),

@@ -135,10 +135,11 @@ def yh_product(ctx: AhContext, i: int, side: str = "right") -> OreElement:
         raise ValueError("side must be 'left' or 'right'")
     result = ctx.one()
     yhat = ctx.gen()
-    for j in range(i):
+    # multiplied in from the left, each factor costs one row step of the result
+    for j in reversed(range(i)):
         shift = j if side == "right" else -(i - j)
         factor = yhat + ctx.from_poly(ctx.h_prime.scaled(ctx.spec.from_int(shift)))
-        result = result * factor
+        result = factor * result
     return result
 
 

@@ -23,7 +23,7 @@ from ahalg.errors import (
     ZeroInputError,
 )
 from ahalg.parsing import _Parser
-from ahalg.poly import gcd_monic, pow_mod
+from ahalg.poly import distinct_root_count, gcd_monic, pow_mod
 
 QQ_SPEC = None  # set lazily to avoid import order issues
 
@@ -292,15 +292,22 @@ def all_elements(ctx, max_ydeg, max_deg):
 
 
 def exhaustive_pairs(ctx):
-    """Every pair (alpha, beta) in F* x F satisfying the pair law, sorted."""
-    spec = ctx.spec
-    return tuple(
-        (a, b)
-        for a in spec.elements()
-        if not a.is_zero()
-        for b in spec.elements()
-        if pair_is_valid(ctx, a, b)
-    )
+    """Every pair (alpha, beta) in F* x F satisfying the pair law, sorted.
+
+    The law at x = 0, h(beta) == alpha^d * h(0), screens each pair before
+    the full composition.
+    """
+    spec, h, d = ctx.spec, ctx.h, ctx.deg_h
+    elems = list(spec.elements())
+    values = [h.evaluate(b) for b in elems]
+    h0 = values[0]
+    out = []
+    for a in elems[1:]:
+        target = a**d * h0
+        out += [
+            (a, b) for b, hb in zip(elems, values) if hb == target and pair_is_valid(ctx, a, b)
+        ]
+    return tuple(out)
 
 
 def exhaustive_translations(ctx):
@@ -324,6 +331,59 @@ def laws_hold_on_all_pairs(structure):
         if structure.q.compose(move) != structure.q.scaled(alpha ** (d - 1)):
             return False
     return True
+
+
+def classify_oracle(ctx):
+    """Every field of ``classify_aut_group(ctx)`` over GF(p), by exhaustive search.
+
+    P and G are searched pair by pair, and each order by repeated
+    multiplication.  ell is the largest order of an alpha in P, and the
+    generator is the least pair of that order, or the least nonzero
+    translation when ell = 1 (none when P is only the identity).  k is the
+    library's distinct root count; t and q are the paper's formulas on the
+    generator.  P is returned as its pair list.
+    """
+    spec, h, d = ctx.spec, ctx.h, ctx.deg_h
+    one, x = spec.one(), Poly.x(spec)
+    pairs = exhaustive_pairs(ctx)
+    G = exhaustive_translations(ctx)
+
+    def order(a):
+        e, power = 1, a
+        while not power.is_one():
+            e, power = e + 1, power * a
+        return e
+
+    ell = max(order(a) for a, _ in pairs)
+    identity = (one, spec.zero())
+    best = min(
+        (ab for ab in pairs if ab != identity and order(ab[0]) == ell),
+        key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()),
+        default=None,
+    )
+    lams = [lam for lam in spec.elements() if h == (x - Poly.constant(lam)) ** d * h.lc]
+    lam = lams[0] if lams else None
+    shift = best[1] / (best[0] - one) if ell > 1 else spec.zero()
+    base = Poly.one(spec)
+    for nu in G:
+        base = base * (x + Poly.constant(shift + nu))
+    n = (d - 1) * pow(len(G), -1, ell) % ell
+    whole = len(pairs) == 1
+    return {
+        "case": "poly_only" if whole else "semidirect_fstar" if lams else "semidirect_finite",
+        "k": distinct_root_count(h),
+        "G": G,
+        "P": pairs,
+        "shape": "one_parameter_family" if lams else "finite",
+        "lam": lam,
+        "generator": best,
+        "ell": ell,
+        "t": base**ell,
+        "t_kind": "whole_ring" if whole else "generated",
+        "q": base**n,
+        "dz_kind": "whole_ring" if whole else "module",
+        "n_exponent": None if whole else n,
+    }
 
 
 def exhaustive_iso(h, g, spec):

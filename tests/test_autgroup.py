@@ -26,9 +26,9 @@ from ahalg import (
 )
 from ahalg.autgroup import (
     _assert_laws,
+    _order,
     _poly_roots,
     affine_equivalences,
-    multiplicative_order,
     pair_is_valid,
 )
 from ahalg.errors import (
@@ -41,6 +41,7 @@ from ahalg.errors import (
 
 from helpers import (
     all_polys,
+    classify_oracle,
     exhaustive_iso,
     exhaustive_pairs,
     exhaustive_translations,
@@ -280,16 +281,69 @@ def test_classify_family_over_gfp():
         assert structure.t == Poly.monomial(spec, spec.one(), p - 1)
 
 
+def _classify_shapes(spec):
+    """h of every classification shape over GF(p): split, a power of a linear
+    factor, p | deg h, t(x^p - x), and non-monic."""
+    p = spec.p
+    x = Poly.x(spec)
+    minus_one = spec.from_int(-1)
+
+    def lin(r):
+        return x - Poly.constant(spec.from_int(r))
+
+    artin = x**p - x
+    shapes = [
+        lin(0) * lin(1) * lin(3),  # split, with a double root over GF(2) and GF(3)
+        x ** (p - 1) - Poly.one(spec),  # split over F*: ell = p - 1
+        (lin(2) ** 4).scaled(minus_one),  # a power of a linear factor: the family
+        lin(1) ** p,  # the family with p | deg h
+        artin,  # G = F_p, p | deg h
+        artin + Poly.one(spec),  # Artin-Schreier: G = F_p, ell = 1
+        artin * artin + artin.scaled(spec.from_int(2)),  # t(x^p - x)
+        Poly.from_ints(spec, (5, 2, 0, 3)),  # non-monic 3x^3 + 2x + 5
+        Poly.from_ints(spec, (-1, 0, 0, 0, 1)).scaled(minus_one),  # 1 - x^4
+    ]
+    return [h for h in shapes if h.degree >= 1]
+
+
+def _fields(structure):
+    return {
+        "case": structure.case,
+        "k": structure.k,
+        "G": structure.G,
+        "P": structure.P.pairs(),
+        "shape": structure.P.shape,
+        "lam": structure.lam,
+        "generator": structure.generator,
+        "ell": structure.ell,
+        "t": structure.t,
+        "t_kind": structure.t_kind,
+        "q": structure.q,
+        "dz_kind": structure.dz_kind,
+        "n_exponent": structure.n_exponent,
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+def test_classification_matches_exhaustive_search(p):
+    spec = FieldSpec.gf(p)
+    for h in _classify_shapes(spec):
+        ctx = AhContext(spec, h)
+        assert _fields(classify_aut_group(ctx)) == classify_oracle(ctx), h
+
+
 def test_generator_law_check_agrees_with_all_pairs():
-    # on the family over GF(p) the t/q laws are checked on the generator
-    # alone; checking every pair is the oracle, on right and on altered t and q
+    # the t/q laws are checked on a translation and the generator alone;
+    # checking every pair is the oracle, on right and on altered t and q.
+    # Past GF(7) only the family keeps all pairs cheap to check.
     verdicts = []
-    for p in (3, 5, 7, 11, 13):
+    for p in (2, 3, 5, 7, 11, 13):
         spec = FieldSpec.gf(p)
         x = Poly.x(spec)
-        for h in ((x - Poly.one(spec)) ** 2, x**3, (x + Poly.from_ints(spec, (2,))) ** 4):
+        shapes = [x**3, (x + Poly.from_ints(spec, (2,))) ** 4]
+        shapes += _classify_shapes(spec) if p <= 7 else []
+        for h in shapes:
             structure = classify_aut_group(AhContext(spec, h))
-            assert structure.P.lam is not None and structure.generator is not None
             for s in (
                 structure,
                 replace(structure, t=structure.t * structure.t),
@@ -315,6 +369,33 @@ def test_law_check_needs_a_generator_of_the_family():
     wrong = (alpha, (spec.one() - alpha) * structure.P.lam)
     with pytest.raises(SelfCheckError, match="powers of its generator"):
         _assert_laws(replace(structure, generator=wrong))
+
+
+def test_law_check_needs_G_to_be_a_subgroup():
+    # h = x^3 - x over GF(3) has G = GF(3); two of its translations are no group
+    structure = classify_aut_group(ctx_for(F3, 0, -1, 0, 1))
+    with pytest.raises(SelfCheckError, match="additive subgroup"):
+        _assert_laws(replace(structure, G=structure.G[:2]))
+
+
+def test_law_check_needs_the_generator_in_P():
+    # x^3 - x over GF(7) has P = {(1, 0), (-1, 0)}; (-1, 1) has the right order
+    spec = FieldSpec.gf(7)
+    structure = classify_aut_group(ctx_for(spec, 0, -1, 0, 1))
+    assert structure.generator == (spec.from_int(-1), spec.zero())
+    outside = (spec.from_int(-1), spec.one())
+    with pytest.raises(SelfCheckError, match="not in P"):
+        _assert_laws(replace(structure, generator=outside))
+
+
+def test_law_check_needs_a_generator_of_order_ell():
+    # x^4 - 1 over GF(13): alpha runs over the fourth roots of unity, and -1
+    # is in P but has order 2
+    spec = FieldSpec.gf(13)
+    structure = classify_aut_group(ctx_for(spec, -1, 0, 0, 0, 1))
+    assert structure.ell == 4
+    with pytest.raises(SelfCheckError, match="powers of its generator"):
+        _assert_laws(replace(structure, generator=(spec.from_int(-1), spec.zero())))
 
 
 def test_classify_family_gf2_degenerates():
@@ -533,10 +614,12 @@ def test_restriction_acts_like_the_original():
 
 
 def test_multiplicative_order():
-    assert multiplicative_order(QQ.one()) == 1
-    assert multiplicative_order(QQ.from_int(-1)) == 2
-    assert multiplicative_order(F5.from_int(2)) == 4
-    assert multiplicative_order(F5.from_int(4)) == 2
+    assert _order(QQ.one(), 2) == 1
+    assert _order(QQ.from_int(-1), 2) == 2
+    assert _order(F5.from_int(2), 4) == 4
+    assert _order(F5.from_int(4), 4) == 2
+    with pytest.raises(SelfCheckError, match="does not divide"):
+        _order(F5.from_int(2), 2)
 
 
 def test_same_alpha_pairs_differ_by_G():
@@ -641,7 +724,7 @@ def test_solvers_match_exhaustive_search(p):
     for a in spec.elements():
         if not a.is_zero():
             order = next(e for e in range(1, p) if (a**e).is_one())
-            assert multiplicative_order(a) == order
+            assert _order(a, p - 1) == order
 
 
 @pytest.mark.parametrize("p", [2, 5, 7, 13])

@@ -9,12 +9,13 @@ import contextlib
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ahalg import QQ
+from ahalg import QQ, cli
 from ahalg.cli import run
 
 
@@ -84,6 +85,64 @@ def test_integers_past_the_digit_limit_print_and_parse():
     assert sys.get_int_max_str_digits() == limit
 
 
+# -- integer arguments ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--h", "x^2+1", "yh-product", "100000", "right"], "yh-product power"),
+        (["--field", "GF:7", "--h", "x^2+1", "yh-product", "100000", "left"], "yh-product power"),
+        (["--h", "x^2+1", "delta", "x", "100000"], "delta power"),
+        (["--h", "x^2", "endo-eta", "100000000", "x"], "endo-eta k"),
+        (["--h", "x^2+1", "localized-equal", "Y", "100000000", "y", "0"], "localized-equal power"),
+    ],
+)
+def test_large_integer_arguments_are_refused_before_any_work(argv, what):
+    start = time.perf_counter()
+    code, out, err = _invoke(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {what} too large: ") and "words, limit 8192" in err
+
+
+# (argv with N for the integer, the largest accepted N, the message past it)
+_INTEGER_BOUNDS = [
+    (["--field", "GF:2", "--h", "x^2+1", "delta", "x", "N"], 4095, "8194 words"),
+    (["--field", "GF:2", "--h", "1", "delta", "x", "N"], 8192, "8193 steps, limit 8192"),
+    (["--field", "QQ", "--h", "x^2+1", "yh-product", "N", "left"], 39, "words"),
+    (["--field", "QQ", "--h", "x", "localized-equal", "Y", "N", "y", "0"], 4095, "8194 words"),
+    (["--field", "QQ", "--h", "x", "localized-equal", "Y", "0", "y", "N"], 4095, "8194 words"),
+    (["--field", "QQ", "--h", "1", "localized-equal", "Y", "N", "y", "0"], 8192, "8193 steps"),
+    (["--field", "QQ", "--h", "x^2", "endo-eta", "N", "x"], 2730, "8194 words"),
+]
+
+
+@pytest.mark.parametrize("argv, largest, refusal", _INTEGER_BOUNDS)
+def test_integer_arguments_just_under_their_bound_run(argv, largest, refusal):
+    def at(n):
+        return _invoke([str(n) if a == "N" else a for a in argv])
+
+    code, out, err = at(largest)
+    assert (code, err) == (0, "") and out
+    code, out, err = at(largest + 1)
+    assert (code, out) == (1, "")
+    assert "too large: " in err and refusal in err
+
+
+def test_yh_product_steps_are_bounded(monkeypatch):
+    # with h = x every coefficient is a constant, so the words model never
+    # binds; the product itself takes seconds at the bound, so it is stubbed
+    calls = []
+    monkeypatch.setattr(cli, "yh_product", lambda ctx, i, side: calls.append(i) or ctx.one())
+    argv = ["--field", "GF:1000003", "--h", "x", "yh-product"]
+    assert _invoke(argv + [str(cli.MAX_YH_STEPS), "right"]) == (0, "1\n", "")
+    assert calls == [cli.MAX_YH_STEPS]
+    code, out, err = _invoke(argv + [str(cli.MAX_YH_STEPS + 1), "right"])
+    assert (code, out, calls) == (1, "", [cli.MAX_YH_STEPS])
+    assert err == f"error: yh-product power too large: {cli.MAX_YH_STEPS + 1} steps, limit {cli.MAX_YH_STEPS}\n"
+
+
 # -- fuzz ---------------------------------------------------------------------
 
 _LEAVES = st.sampled_from(
@@ -128,7 +187,9 @@ _COMMANDS = {
     field=_FIELDS,
     h=st.one_of(st.sampled_from(["x", "x^2+1", "1", "0", "x^2-x"]), _noisy()),
     command=st.sampled_from(sorted(_COMMANDS)),
-    args=st.lists(st.one_of(_noisy(), st.sampled_from(["3", "-1", "x1"])), min_size=2, max_size=2),
+    args=st.lists(
+        st.one_of(_noisy(), st.sampled_from(["3", "-1", "x1", "100000000"])), min_size=2, max_size=2
+    ),
     as_json=st.booleans(),
 )
 def test_run_exits_cleanly_on_any_input(field, h, command, args, as_json):
