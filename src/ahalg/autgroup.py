@@ -488,8 +488,8 @@ def _law_sample(structure: AutGroupStructure):
     Both laws are multiplicative, so for a finite P it suffices to check a
     nonzero translation of G and the generator, once they are certified to
     generate P: G is an additive subgroup of the prime field (size 1 or p),
-    so the generator's alpha scales it onto itself, and an alpha of order
-    ell = |P|/|G| makes G and the generator's powers all |P| pairs.
+    so the generator's alpha scales it onto itself, |G| * ell is |P|, and
+    an alpha of order ell makes G and the generator's powers all |P| pairs.
     """
     spec = structure.ctx.spec
     pset = structure.P
@@ -499,15 +499,15 @@ def _law_sample(structure: AutGroupStructure):
             alpha = spec.elem(raw)
             yield alpha, (one - alpha) * pset.lam
         return
-    G = structure.G
+    G, ell, generator = structure.G, structure.ell, structure.generator
     if len(G) not in (1, spec.p):
         raise SelfCheckError("G is not an additive subgroup of the field")
+    alpha = generator[0] if generator is not None else spec.one()
+    counted = len(G) * ell == len(pset.pairs()) and (alpha**ell).is_one()
+    if not counted or _order(alpha, ell) != ell:
+        raise SelfCheckError("P is not G times the powers of its generator")
     translation = next(((spec.one(), nu) for nu in G if not nu.is_zero()), None)
-    sample = [ab for ab in (translation, structure.generator) if ab is not None]
-    if structure.generator is not None:
-        alpha, ell = structure.generator[0], structure.ell
-        if not (alpha**ell).is_one() or _order(alpha, ell) != ell:
-            raise SelfCheckError("P is not G times the powers of its generator")
+    sample = [ab for ab in (translation, generator) if ab is not None]
     if not all(pset.contains(a, b) for a, b in sample):
         raise SelfCheckError("a generator of P is not in P")
     yield from sample

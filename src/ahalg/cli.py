@@ -37,7 +37,7 @@ from .center import COMMUTATOR_SPACES, center, central_decompose, in_commutator_
 from .errors import AhError, ParseError
 from .fields import FieldSpec, decimal_int
 from .normal import classify_normal, height_one_prime_test, is_normal, is_simple
-from .parsing import MAX_POWER_WORDS, _refuse_if_large, _size, parse_element, parse_poly, parse_scalar
+from .parsing import parse_element, parse_poly, parse_scalar, refuse_power
 from .poly import FactoredPoly, FactorTerm, Poly, factor, format_poly
 from .weyl import embed, from_weyl, localized_equal, ore_witness, to_weyl, weyl_context, yh_product
 
@@ -248,24 +248,9 @@ def _structure(env) -> dict:
 MAX_YH_STEPS = 800
 
 
-def _refuse_exponent(env, what, n, powered, fixed=(), steps=MAX_POWER_WORDS):
-    """Refuse an integer argument n before any work starts: n acts as the
-    exponent of the values ``powered``, next to the values ``fixed``, and the
-    result is sized by the parser's words model; n is also refused past
-    ``steps`` steps.  A negative n is left to the command's own check."""
-    p, n = env.spec.p, max(n, 0)
-    total = (0, 0, 0)
-    for values, scale in ((powered, n), (fixed, 1)):
-        for value in values:
-            total = tuple(t + scale * s for t, s in zip(total, _size(value, p)))
-    _refuse_if_large(what, *total, p, None)
-    if n > steps:
-        raise ParseError(f"{what} too large: {n} steps, limit {steps}")
-
-
 def _delta(env, args):
     f = parse_poly(args.poly, env.spec)
-    _refuse_exponent(env, "delta power", args.power, (env.ctx.h,), (f,))
+    refuse_power("delta power", args.power, env.spec.p, (env.ctx.h,), (f,))
     return _result(format_poly(env.ctx.delta_power(f, args.power)))
 
 
@@ -273,21 +258,21 @@ def _yh_product(env, args):
     ctx, i = env.ctx, args.power
     # the factor Y + i*h' has the largest shift of either side
     factor = ctx.gen() + ctx.from_poly(ctx.h_prime.scaled(ctx.spec.from_int(i)))
-    _refuse_exponent(env, "yh-product power", i, (factor,), steps=MAX_YH_STEPS)
+    refuse_power("yh-product power", i, ctx.spec.p, (factor,), steps=MAX_YH_STEPS)
     return _element(yh_product(ctx, i, args.side))
 
 
 def _localized_equal(env, args):
     a, b, h = env.element(args.expr), env.weyl_element(args.weyl_expr), env.ctx.h
-    _refuse_exponent(env, "localized-equal power", args.n, (h,), (a,))
-    _refuse_exponent(env, "localized-equal power", args.m, (h,), (b,))
+    refuse_power("localized-equal power", args.n, env.spec.p, (h,), (a,))
+    refuse_power("localized-equal power", args.m, env.spec.p, (h,), (b,))
     return _verdict("equal", localized_equal(a, args.m, b, args.n))
 
 
 def _endo_eta(env, args):
     # eta_k(a) has k times the weight of a, and checking it computes h(x^k)
     a = env.element(args.expr)
-    _refuse_exponent(env, "endo-eta k", args.k, (env.ctx.h, a))
+    refuse_power("endo-eta k", args.k, env.spec.p, (env.ctx.h, a))
     return _endomorphism(eta_endo(env.ctx, args.k), a)
 
 

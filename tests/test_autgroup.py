@@ -340,8 +340,11 @@ def test_generator_law_check_agrees_with_all_pairs():
     for p in (2, 3, 5, 7, 11, 13):
         spec = FieldSpec.gf(p)
         x = Poly.x(spec)
-        shapes = [x**3, (x + Poly.from_ints(spec, (2,))) ** 4]
-        shapes += _classify_shapes(spec) if p <= 7 else []
+        family = [(x - Poly.one(spec)) ** 2, x**3, (x + Poly.from_ints(spec, (2,))) ** 4]
+        for h in family if p > 2 else ():  # F2* = {1}: no family over GF(2)
+            structure = classify_aut_group(AhContext(spec, h))
+            assert structure.P.lam is not None and structure.generator is not None
+        shapes = family + (_classify_shapes(spec) if p <= 7 else [])
         for h in shapes:
             structure = classify_aut_group(AhContext(spec, h))
             for s in (
@@ -396,6 +399,20 @@ def test_law_check_needs_a_generator_of_order_ell():
     assert structure.ell == 4
     with pytest.raises(SelfCheckError, match="powers of its generator"):
         _assert_laws(replace(structure, generator=(spec.from_int(-1), spec.zero())))
+
+
+def test_law_check_needs_ell_to_count_P():
+    # x^4 - 1 over GF(13) with ell = 2: -1 has order 2 and t = x^2, q = x
+    # obey the laws on it, but x^2 is not invariant under x -> 5x
+    spec = FieldSpec.gf(13)
+    structure = classify_aut_group(ctx_for(spec, -1, 0, 0, 0, 1))
+    x = Poly.x(spec)
+    wrong = replace(
+        structure, ell=2, generator=(spec.from_int(-1), spec.zero()), t=x * x, q=x
+    )
+    assert pair_is_valid(structure.ctx, spec.from_int(5), spec.zero())
+    with pytest.raises(SelfCheckError, match="powers of its generator"):
+        _assert_laws(wrong)
 
 
 def test_classify_family_gf2_degenerates():

@@ -9,7 +9,6 @@ import contextlib
 import io
 import json
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -99,9 +98,7 @@ def test_integers_past_the_digit_limit_print_and_parse():
     ],
 )
 def test_large_integer_arguments_are_refused_before_any_work(argv, what):
-    start = time.perf_counter()
     code, out, err = _invoke(argv)
-    assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {what} too large: ") and "words, limit 8192" in err
 
