@@ -8,16 +8,21 @@ satisfy the compatibility identity
 
 The set of admissible pairs is either a finite list or, exactly when h is a
 scalar times a power of a single linear factor (x - lambda), the
-one-parameter family {(alpha, (1-alpha)*lambda)}.  One solver,
-:func:`affine_equivalences`, finds the finite lists and the isomorphism
-witnesses over both fields: beta is eliminated through the x^(deg h - 1)
-coefficient and the remaining coefficient conditions become univariate
-polynomials in alpha, whose common roots are the candidates.  Roots are
-rational roots over QQ and come from gcd(f, x^p - x) plus equal-degree
-splitting over GF(p), so over GF(p) the pairs, the translations fixing h and
-the isomorphism test cost time polynomial in deg h and log p.  The one
-exception is p | deg h, where beta cannot be eliminated: there each alpha in
-F* is tried and beta solved by the same gcd, which is linear in p.
+one-parameter family {(alpha, (1-alpha)*lambda)}.  A finite P is a subgroup
+of the affine group of the line, so it either contains every translation or
+fixes one point c.  :func:`compute_P` finds that point (the centroid
+-h_(d-1)/(d*lc) when deg h is nonzero in the field, else a common root of
+Hasse derivatives of h), reads the roots of unity that fix it off the zero
+pattern of h(x + c), and lists them as the powers of one element, certified
+on its generators.  :func:`affine_equivalences` answers the isomorphism
+question the same way: with h and g moved to their centroids, each
+coefficient identity is a binomial in alpha and beta is linear in alpha.
+Roots are rational roots over QQ and come from gcd(f, x^p - x) plus
+equal-degree splitting over GF(p), so over GF(p) the pairs and the
+translations fixing h cost time polynomial in deg h and log p, apart from
+listing an output of size p.  The one exception is the isomorphism test
+when p | deg h, where there is no centroid: there each alpha in F* is tried
+and beta solved by a gcd, which is linear in p.
 
 On top of the pair computations the module classifies the group (polynomial
 shears only / semidirect with the scalar group / semidirect with a finite
@@ -34,7 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import gcd
 
 from .algebra import AhContext, OreElement, apply_poly_map, commutator
 from .errors import (
@@ -51,6 +56,7 @@ from .fields import FieldElem, FieldSpec
 from .poly import (
     Poly,
     _equal_degree,
+    _poly,
     distinct_root_count,
     gcd_monic,
     pow_mod,
@@ -204,51 +210,152 @@ class PSet:
 def compute_G(ctx: AhContext) -> tuple[FieldElem, ...]:
     """All translations fixing h: {nu : h(x + nu) == h(x)}.
 
-    Trivial in characteristic 0.  Over GF(p) the x^i coefficients of
-    h(x + nu) - h(x) are polynomials in nu, and G is the root set of their
-    gcd, found in time polynomial in deg h and log p.
+    G is an additive subgroup of the field, so it is {0} or all of GF(p).
+    When deg h is nonzero in the field (always in characteristic 0), the
+    x^(d-1) coefficient of h(x + nu) - h(x) is d*lc(h)*nu, so G = {0} with
+    no solve.  When p | deg h, G = GF(p) exactly when 1 is in G, which the
+    Hasse derivatives decide at t = 1.  Listing GF(p) is the only cost
+    linear in p, and it is the size of the output.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("G needs deg h >= 1")
     spec = ctx.spec
-    if spec.characteristic == 0:
+    if not spec.p or ctx.deg_h % spec.p:
         return (spec.zero(),)
-    return tuple(_shift_roots(_taylor(ctx.h), spec.one(), ctx.h))
+    return _translations(ctx.h, _taylor(ctx.h))
+
+
+def _translations(h: Poly, taylor: list[Poly]) -> tuple[FieldElem, ...]:
+    """G over GF(p), from taylor = _taylor(h): the x^i coefficient of
+    h(x + 1) is taylor[i] at t = 1, and G = GF(p) iff it is h_i for all i."""
+    spec = h.spec
+    if any((sum(t._nums) - c) % spec.p for t, c in zip(taylor, h._nums)):
+        return (spec.zero(),)
+    return tuple(spec.from_int(n) for n in range(spec.p))
 
 
 def compute_P(ctx: AhContext) -> PSet:
     """All pairs satisfying the pair law.
 
     A single distinct root (necessarily in the field, since the radical is
-    then linear) yields the one-parameter family; otherwise the finite list
-    comes from :func:`affine_equivalences` with g = h, over either field.
+    then linear) yields the one-parameter family.  Otherwise P either
+    contains the translations G = GF(p), or it fixes one point c: the
+    centroid -h_(d-1)/(d*lc) when deg h is nonzero in the field, else one of
+    :func:`_fixed_points` (c = 0 in the first case).  With H = h(x + c), the
+    pairs fixing c are (alpha, c*(1-alpha)) for the m-th roots of unity
+    alpha, m = gcd(n, d - i : H_i != 0, i < d), where n is p - 1, or 2 over
+    QQ; so P = {(alpha, c*(1-alpha) + nu) : alpha^m = 1, nu in G}.  The
+    roots are listed as the powers of one element of order exactly m, so
+    there are |G|*m pairs, and the generators are certified: the pair of
+    order m, and a nonzero translation when G = GF(p), satisfy the pair law.
+    Over GF(p) the cost is polynomial in deg h and log p, apart from
+    listing the output.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("P needs deg h >= 1")
-    spec = ctx.spec
-    rad = squarefree_part(ctx.h)
+    spec, h, d = ctx.spec, ctx.h, ctx.deg_h
+    rad = squarefree_part(h)
     if rad.degree == 1:
         lam = -rad.coeff(0)
-        if ctx.h != Poly(spec, (-lam, 1)) ** ctx.deg_h * ctx.h.lc:
+        if h != Poly(spec, (-lam, 1)) ** d * h.lc:
             raise SelfCheckError("h with a linear radical is not a power of it")
         return PSet(ctx, lam=lam)
-    pairs = tuple((a, b) for a, b, _ in affine_equivalences(ctx.h, ctx.h))
-    return PSet(ctx, finite_pairs=pairs)
+    zero = spec.zero()
+    if spec.p and d % spec.p == 0:
+        taylor = _taylor(h)
+        G = _translations(h, taylor)
+        centers = [(zero, h)] if len(G) > 1 else (
+            (c, _moved(h, c)) for c in _fixed_points(taylor, spec.p)
+        )
+    else:
+        G = (zero,)
+        centers = [_centered(h)]
+    # at most one center is fixed by a pair other than the identity
+    n = spec.p - 1 if spec.p else 2
+    c, m = zero, 1
+    for center, H in centers:
+        m_c = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
+        if m_c > 1:
+            c, m = center, m_c
+            break
+    one = spec.one()
+    alpha = _unit_of_order(spec, n, m)
+    generators = [(alpha, c - alpha * c)] if m > 1 else []
+    if len(G) > 1:
+        generators.append((one, one))
+    if not all(pair_is_valid(ctx, a, b) for a, b in generators):
+        raise SelfCheckError("P is not G times the powers of its generator")
+    powers = [one]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * alpha)
+    pairs = sorted(((a, c - a * c + nu) for a in powers for nu in G), key=_pair_key)
+    return PSet(ctx, finite_pairs=tuple(pairs))
+
+
+def _moved(f: Poly, c: FieldElem) -> Poly:
+    """f(x + c)."""
+    return f if c.is_zero() else f.compose(Poly(f.spec, (c, 1)))
+
+
+def _centered(f: Poly) -> tuple[FieldElem, Poly]:
+    """(c, f(x + c)) for the centroid c = -f_(d-1)/(d*lc(f)) of f, d = deg f
+    nonzero in the field: f(x + c) has no x^(d-1) term."""
+    d = f.degree
+    c = -f.coeff(d - 1) / (f.spec.from_int(d) * f.lc)
+    return c, _moved(f, c)
+
+
+def _fixed_points(taylor: list[Poly], p: int) -> list[FieldElem]:
+    """Candidates for the point fixed by P when p | deg h and G = {0}.
+
+    If P is not trivial it has a pair of prime order r, r | p - 1, fixing c;
+    then H = h(x + c) has H_i = 0 unless r | d - i, and H_i is h^[i](c), so
+    c is a common root of the h^[i] with r not dividing d - i.  Also r <= d,
+    since otherwise H = lc*x^d.  Those h^[i] are not all zero: else every
+    point would be fixed by a pair of order r, and two of them would give a
+    nonzero translation.
+    """
+    d = len(taylor) - 1
+    out = []
+    for r in _prime_divisors(p - 1):
+        if r > d:
+            break
+        conditions = [t for i, t in enumerate(taylor[:d]) if (d - i) % r and t]
+        if not conditions:
+            raise SelfCheckError("every point is fixed, but G is trivial")
+        out += [c for c in _poly_roots(reduce(gcd_monic, conditions)) if c not in out]
+    return out
+
+
+def _unit_of_order(spec: FieldSpec, n: int, m: int) -> FieldElem:
+    """An element of order m, certified by :func:`_order`, among the n roots
+    of unity of F (m divides n).  Over GF(p), a^(n/m) has order m for a
+    share phi(m)/m of the a in F*, so the search over a = 1, 2, ... stops
+    after a few steps; over QQ, a = -1 serves."""
+    for a in range(1, spec.p) if spec.p else (-1,):
+        b = spec.from_int(a) ** (n // m)
+        if _order(b, m) == m:
+            return b
+    raise SelfCheckError(f"{spec!r} has no element of order {m}")
 
 
 def affine_equivalences(h: Poly, g: Poly):
     """Solve h(alpha*x + beta) == nu * g(x) for every (alpha, beta, nu).
 
     Requires deg h == deg g == d >= 1; nu = alpha^d * lc(h)/lc(g) is pinned
-    by the leading coefficients.  When d is nonzero in the field, beta is
-    linear in alpha by the x^(d-1) coefficient, and the remaining
-    coefficient identities become polynomials in alpha whose common roots
-    are the candidates: over GF(p) this costs time polynomial in d and
-    log p.  When p divides d that elimination is unavailable; then each
-    alpha in F* is tried, and beta is a common root of the x^i coefficients
-    of h(alpha*x + beta) - nu*g(x) as polynomials in beta, which is linear
-    in p.  Every candidate is verified by composition.  Returns the
-    verified (alpha, beta, nu) triples sorted by (alpha, beta).
+    by the leading coefficients.  When d is nonzero in the field, h and g
+    are moved to their centroids c_h and c_g (see :func:`_centered`):
+    H = h(x + c_h) and K = g(x + c_g) have no x^(d-1) term, and the law
+    holds exactly when beta = c_h - alpha*c_g and H_i = ratio *
+    alpha^(d-i) * K_i for every i < d, ratio = lc(h)/lc(g).  So either the
+    zero patterns of H and K differ and there is no solution, or the
+    candidates are the common roots of the binomials ratio*K_i*x^(d-i) - H_i,
+    at most d of them: over GF(p) this costs time polynomial in d and log p.
+    When p divides d there is no centroid and no coset analogue is known;
+    then each alpha in F* is tried, and beta is a common root of the x^i
+    coefficients of h(alpha*x + beta) - nu*g(x) as polynomials in beta,
+    which is linear in p.  Every candidate is verified by composition.
+    Returns the verified (alpha, beta, nu) triples sorted by (alpha, beta).
     """
     spec = h.spec
     d = h.degree
@@ -264,7 +371,7 @@ def affine_equivalences(h: Poly, g: Poly):
             for beta in _shift_roots(taylor, alpha, g.scaled(ratio * alpha**d))
         ]
     else:
-        candidates = _eliminate_beta(h, g, ratio)
+        candidates = _centered_candidates(h, g, ratio)
     out = []
     for alpha, beta in candidates:
         nu = ratio * alpha**d
@@ -274,42 +381,75 @@ def affine_equivalences(h: Poly, g: Poly):
     return out
 
 
-def _eliminate_beta(h: Poly, g: Poly, ratio: FieldElem):
-    """Candidate pairs (alpha, beta(alpha)) when deg h is nonzero in the field."""
+def _centered_candidates(h: Poly, g: Poly, ratio: FieldElem):
+    """Candidate pairs (alpha, c_h - alpha*c_g) when deg h is nonzero in the field."""
     spec = h.spec
     d = h.degree
-    d_scalar = spec.from_int(d) * h.lc
-    # beta(alpha) = B1 * alpha + B0, from the x^(d-1) coefficient identity
-    beta_poly = Poly(
-        spec, (-h.coeff(d - 1) / d_scalar, g.coeff(d - 1) * ratio / d_scalar)
-    )
-    # the x^i coefficient of h(alpha*x + beta(alpha)) - ratio*alpha^d*g(x), in alpha
-    conditions = [
-        t.compose(beta_poly).shifted(i) - Poly.monomial(spec, ratio * g.coeff(i), d)
-        for i, t in enumerate(_taylor(h))
-    ]
-    conditions = [c for c in conditions if not c.is_zero()]
-    if conditions:
-        candidates = _poly_roots(reduce(gcd_monic, conditions))
+    (c_h, H), (c_g, K) = _centered(h), _centered(g)
+    binomials = []
+    for i in range(d):
+        H_i, K_i = H.coeff(i), K.coeff(i)
+        if H_i.is_zero() != K_i.is_zero():
+            return []
+        if H_i:
+            binomials.append(Poly.monomial(spec, ratio * K_i, d - i) - Poly.constant(H_i))
+    if binomials:
+        alphas = _poly_roots(reduce(gcd_monic, binomials))
     elif spec.is_prime_field:
-        # the conditions vanish identically, so every alpha qualifies
-        candidates = [a for a in spec.elements() if not a.is_zero()]
+        # H and K are monomials, so h and g are powers of linear factors
+        alphas = [a for a in spec.elements() if not a.is_zero()]
     else:
         raise AhError("elimination degenerated to the one-parameter family")
-    return [(a, beta_poly.evaluate(a)) for a in candidates if not a.is_zero()]
+    return [(a, c_h - a * c_g) for a in alphas]
 
 
 def _taylor(h: Poly) -> list[Poly]:
     """The Hasse derivatives of h as polynomials in t.
 
     Entry i is sum_j C(j, i) h_j t^(j-i), the x^i coefficient of h(x + t);
-    the x^i coefficient of h(alpha*x + t) is alpha^i times it.
+    the x^i coefficient of h(alpha*x + t) is alpha^i times it.  Built on the
+    raw numerators, skipping the zero coefficients of h.  Over GF(p) each
+    C(j, i) is taken mod p by Lucas' theorem from one table of factorials
+    below min(p, d + 1); over QQ it stays exact, stepped along row j of
+    Pascal's triangle.
     """
-    c = h.coeffs
-    return [
-        Poly(h.spec, [comb(j, i) * c[j] for j in range(i, len(c))])
-        for i in range(len(c))
-    ]
+    spec, nums = h.spec, h._nums
+    n, p = len(nums), spec.p
+    if p:
+        top = min(p - 1, n - 1)
+        fact = [1] * (top + 1)
+        for k in range(1, top + 1):
+            fact[k] = fact[k - 1] * k % p
+        inv = [pow(f, -1, p) for f in fact]
+
+        def column(j, c):
+            # c * C(j, i) mod p for i = 0..j, digit by digit in base p
+            for i in range(j + 1):
+                out, a, b = c, j, i
+                while b and out:
+                    a0, b0 = a % p, b % p
+                    out = out * fact[a0] * inv[b0] * inv[a0 - b0] % p if b0 <= a0 else 0
+                    a, b = a // p, b // p
+                yield out
+
+    else:
+
+        def column(j, c):
+            # c * C(j, i) for i = 0..j, exactly: c*C(j, i)*(j-i) is divisible by i+1
+            for i in range(j + 1):
+                yield c
+                c = c * (j - i) // (i + 1)
+
+    # rows grow only up to their last nonzero entry, so a sparse h gives short rows
+    rows = [[] for _ in range(n)]
+    for j, c in enumerate(nums):
+        if c:
+            for i, v in enumerate(column(j, c)):
+                if v:
+                    row = rows[i]
+                    row += [0] * (j - i - len(row))
+                    row.append(v)
+    return [_poly(spec, row, h._den) for row in rows]
 
 
 def _shift_roots(taylor: list[Poly], alpha: FieldElem, target: Poly) -> list[FieldElem]:
@@ -538,7 +678,9 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
     The witness is the least by (alpha, beta).  Over both fields it comes
     from :func:`affine_equivalences`, except when h and g have one distinct
     root each: then the witnesses are (alpha, lam_h - alpha*lam_g), and
-    alpha = 1 is the least.
+    alpha = 1 is the least.  Over GF(p) the cost is polynomial in deg h and
+    log p when p does not divide deg h (the centered binomials), and linear
+    in p when it does (each alpha in F* is tried).
     """
     if h.spec != spec or g.spec != spec:
         raise ContextMismatch("polynomials over the wrong field")

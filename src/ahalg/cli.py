@@ -270,9 +270,11 @@ def _localized_equal(env, args):
 
 
 def _endo_eta(env, args):
-    # eta_k(a) has k times the weight of a, and checking it computes h(x^k)
+    # eta_k(a) keeps the Y-degree of a and has k times its weight; checking
+    # eta_k computes h(x^k), which is sized on its own
     a = env.element(args.expr)
-    refuse_power("endo-eta k", args.k, env.spec.p, (env.ctx.h, a))
+    for value in (env.ctx.h, a):
+        refuse_power("endo-eta k", args.k, env.spec.p, (value,), substitute=True)
     return _endomorphism(eta_endo(env.ctx, args.k), a)
 
 

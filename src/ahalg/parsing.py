@@ -226,16 +226,21 @@ def _refuse_if_large(what: str, ydeg: int, weight: int, bits: int, p: int, pos: 
         raise ParseError(f"{what} too large: {words} words, limit {MAX_POWER_WORDS}", pos)
 
 
-def refuse_power(what: str, n: int, p: int, powered, fixed=(), steps=MAX_POWER_WORDS) -> None:
+def refuse_power(
+    what: str, n: int, p: int, powered, fixed=(), steps=MAX_POWER_WORDS, substitute=False
+) -> None:
     """Refuse an integer argument n before any work starts: n acts as the
     exponent of the values ``powered``, next to the values ``fixed``, and the
     result is sized by the words model above; n is also refused past
-    ``steps`` steps.  A negative n is left to the caller's own check."""
+    ``steps`` steps.  With ``substitute``, n substitutes x -> x^n in the
+    values ``powered`` instead, which multiplies their weight and bits by n
+    and keeps their Y-degree.  A negative n is left to the caller's own
+    check."""
     n = max(n, 0)
     total = (0, 0, 0)
-    for values, scale in ((powered, n), (fixed, 1)):
+    for values, scales in ((powered, (1 if substitute else n, n, n)), (fixed, (1, 1, 1))):
         for value in values:
-            total = tuple(t + scale * s for t, s in zip(total, _size(value, p)))
+            total = tuple(t + k * s for t, k, s in zip(total, scales, _size(value, p)))
     _refuse_if_large(what, *total, p, None)
     if n > steps:
         raise ParseError(f"{what} too large: {n} steps, limit {steps}")

@@ -1,6 +1,7 @@
 """Shared test helpers: random generators and independent oracles."""
 
 from fractions import Fraction
+from math import comb
 
 from ahalg import (
     AhContext,
@@ -384,6 +385,17 @@ def classify_oracle(ctx):
         "dz_kind": "whole_ring" if whole else "module",
         "n_exponent": None if whole else n,
     }
+
+
+def taylor_oracle(h: Poly) -> list[Poly]:
+    """The Hasse derivatives of h, entry i being sum_j C(j, i) h_j t^(j-i),
+    with each binomial an exact integer times a field element (the former
+    ``autgroup._taylor``)."""
+    c = h.coeffs
+    return [
+        Poly(h.spec, [comb(j, i) * c[j] for j in range(i, len(c))])
+        for i in range(len(c))
+    ]
 
 
 def exhaustive_iso(h, g, spec):

@@ -28,6 +28,7 @@ from ahalg.autgroup import (
     _assert_laws,
     _order,
     _poly_roots,
+    _taylor,
     affine_equivalences,
     pair_is_valid,
 )
@@ -48,6 +49,7 @@ from helpers import (
     laws_hold_on_all_pairs,
     rand_elem,
     rand_poly,
+    taylor_oracle,
 )
 
 QQ = FieldSpec.rationals()
@@ -774,3 +776,139 @@ def test_failed_law_check_is_a_self_check_error(monkeypatch):
     )
     with pytest.raises(SelfCheckError, match="t is not invariant"):
         classify_aut_group(ctx_for(FieldSpec.gf(7), 0, -1, 0, 1))
+
+
+# -- the fixed-point solver: Hasse derivatives, p | deg h, centroids -------------
+
+PRIMES_BELOW_60 = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("spec", [QQ] + [FieldSpec.gf(p) for p in PRIMES_BELOW_60], ids=str)
+def test_taylor_on_raw_residues_matches_the_oracle(spec):
+    rng = random.Random(93)
+    x = Poly.x(spec)
+    p = spec.p or 7
+    shapes = [
+        x**p + x**2,  # p | deg h, sparse
+        (x ** (2 * p) + x).scaled(spec.from_int(-1)),  # p | deg h, not monic for odd p
+        Poly.from_ints(spec, (5, 0, -2) + (0,) * 9 + (3,)),  # sparse, not monic
+        Poly.one(spec),
+    ] + [rand_poly(rng, spec, 9, nonzero=True) for _ in range(4)]  # with fractions over QQ
+    for h in shapes:
+        assert _taylor(h) == taylor_oracle(h), h
+
+
+def _p_divides_d_shapes(spec):
+    """Non-family h with p | deg h, one per shape of P."""
+    p = spec.p
+    x = Poly.x(spec)
+    one = Poly.one(spec)
+    artin = x**p - x
+    shapes = [
+        artin + one,  # G = F_p, alpha = 1 only
+        artin**2 + one,  # G = F_p and H = {1, -1}
+        x**p + x**2,  # G = {0}
+        x ** (2 * p) + x,  # G = {0}
+        x**p + x,  # every alpha in F* fixes 0, for odd p
+        # a symmetric q(x^2), moved off 0: (-1, 10) fixes c = 5, for odd p
+        (x ** (2 * p) + x**2 + one).compose(x - Poly.constant(spec.from_int(5))),
+    ]
+    return [h for h in shapes if h.degree >= 1 and h.degree % p == 0]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_60)
+def test_fixed_point_solver_matches_exhaustive_search_when_p_divides_d(p):
+    spec = FieldSpec.gf(p)
+    for h in _p_divides_d_shapes(spec):
+        ctx = AhContext(spec, h)
+        assert compute_P(ctx).pairs() == exhaustive_pairs(ctx), h
+        assert compute_G(ctx) == exhaustive_translations(ctx), h
+
+
+def test_fixed_point_shapes_have_the_claimed_groups():
+    spec = FieldSpec.gf(13)
+    G_size, P_size = [], []
+    for h in _p_divides_d_shapes(spec):
+        ctx = AhContext(spec, h)
+        G_size.append(len(compute_G(ctx)))
+        P_size.append(len(compute_P(ctx).pairs()))
+    assert G_size == [13, 13, 1, 1, 1, 1]
+    # (x^13 - x)^2 + 1 has H = {1, -1}; x^13 + x takes every alpha; the
+    # symmetric q(x^2) moved to 5 is fixed by (-1, 10)
+    assert P_size == [13, 26, 1, 1, 12, 2]
+
+
+def _centroid_shapes(spec):
+    """h with p not dividing deg h, and zero patterns around the centroid."""
+    x = Poly.x(spec)
+
+    def c(n):
+        return Poly.constant(spec.from_int(n))
+
+    return [
+        (x**4 + c(3) * x**2 + c(1)).compose(x + c(2)),  # alpha = -1 fixes -2
+        x**5 + c(2) * x**3 + c(3),
+        (x**6 + c(4)).compose(x - c(1)).scaled(spec.from_int(3)),  # mu_6
+        x**3 + c(2) * x + c(1),
+        x**4 + c(1) * x**3 + c(2) * x + c(5),
+    ]
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_BELOW_60 if p < 30])
+def test_centered_iso_matches_exhaustive_search(p):
+    spec = FieldSpec.gf(p)
+    x = Poly.x(spec)
+    for h in _centroid_shapes(spec):
+        if h.degree % p == 0 or h.degree < 2:
+            continue
+        ctx = AhContext(spec, h)
+        assert compute_P(ctx).pairs() == exhaustive_pairs(ctx), h
+        assert compute_G(ctx) == exhaustive_translations(ctx), h
+        moved = h.compose(Poly.from_ints(spec, (3, 2 % p or 1))).scaled(spec.from_int(4 % p or 1))
+        # zero patterns around the centroid that differ in one coefficient
+        for g in (moved, moved + x.shifted(1), moved + Poly.one(spec), moved + x):
+            assert iso_test(h, g, spec) == exhaustive_iso(h, g, spec), (h, g)
+
+
+def test_centered_solver_over_QQ_finds_alpha_minus_one_exactly_when_it_exists():
+    x = Poly.x(QQ)
+    two = Poly.constant(QQ.from_int(2))
+    shifted_cubic = (x**3 - x.scaled(3)).compose(x + two)  # odd about -2
+    assert pairs_of(compute_P(ctx_for(QQ, -1, 0, 0, 0, 1))) == {(1, 0), (-1, 0)}  # x^4 - 1
+    assert pairs_of(compute_P(AhContext(QQ, shifted_cubic))) == {(1, 0), (-1, -4)}
+    for ints in ((0, 1, 0, 0, 1), (1, -3, 0, 1), (-1, 0, 1, 0, 1, 1)):
+        # x^4 + x, x^3 - 3x + 1 and x^5 + x^4 + x^2 - 1: no symmetry
+        assert pairs_of(compute_P(ctx_for(QQ, *ints))) == {(1, 0)}
+    # iso over QQ: the least witness, and none across a broken symmetry
+    g = shifted_cubic.compose(Poly.from_ints(QQ, (1, -2))).scaled(QQ.from_int(5))
+    witness = iso_test(shifted_cubic, g, QQ)
+    assert witness is not None
+    alpha, beta, nu = witness
+    assert shifted_cubic.compose(Poly(QQ, (beta, alpha))) == g.scaled(nu)
+    assert [t[:2] for t in affine_equivalences(shifted_cubic, g)][0] == (alpha, beta)
+    assert iso_test(shifted_cubic, g + Poly.one(QQ), QQ) is None
+    assert iso_test(Poly.from_ints(QQ, (-1, 0, 0, 0, 1)), Poly.from_ints(QQ, (-1, 0, 1, 0, 1)), QQ) is None
+
+
+def test_P_and_G_never_loop_over_the_field(monkeypatch):
+    spec = FieldSpec.gf(101)
+    x = Poly.x(spec)
+    one = Poly.one(spec)
+    artin = x**101 - x
+    expected = [
+        (artin + one, 101, 101),  # degree p, G = F_p
+        (artin**2 + one, 101, 202),  # degree 2p, G = F_p, H = {1, -1}
+        (x**101 + x**2, 1, 1),  # degree p, G = {0}
+        (x**202 + x, 1, 1),  # degree 2p, G = {0}
+    ]
+
+    def no_loop(self):
+        raise AssertionError("a loop over the field ran")
+
+    monkeypatch.setattr(FieldSpec, "elements", no_loop)
+    for h, g_size, p_size in expected:
+        ctx = AhContext(spec, h)
+        assert len(compute_G(ctx)) == g_size
+        pairs = compute_P(ctx).pairs()
+        assert len(pairs) == p_size
+        assert all(pair_is_valid(ctx, a, b) for a, b in pairs[:3])

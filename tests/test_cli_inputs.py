@@ -111,7 +111,7 @@ _INTEGER_BOUNDS = [
     (["--field", "QQ", "--h", "x", "localized-equal", "Y", "N", "y", "0"], 4095, "8194 words"),
     (["--field", "QQ", "--h", "x", "localized-equal", "Y", "0", "y", "N"], 4095, "8194 words"),
     (["--field", "QQ", "--h", "1", "localized-equal", "Y", "N", "y", "0"], 8192, "8193 steps"),
-    (["--field", "QQ", "--h", "x^2", "endo-eta", "N", "x"], 2730, "8194 words"),
+    (["--field", "QQ", "--h", "x^2", "endo-eta", "N", "x"], 4095, "8193 words"),
 ]
 
 
@@ -125,6 +125,19 @@ def test_integer_arguments_just_under_their_bound_run(argv, largest, refusal):
     code, out, err = at(largest + 1)
     assert (code, out) == (1, "")
     assert "too large: " in err and refusal in err
+
+
+def test_endo_eta_sizes_its_image_without_powering_the_y_degree():
+    # eta_k keeps the Y-degree of x*Y, so its image at k = 29 is sized at
+    # 2 * 146 words, far under the bound
+    argv = ["--field", "GF:1000003", "--h", "x^5", "endo-eta", "29", "x*Y"]
+    code, out, err = _invoke(argv)
+    # 758623 is 1/29 mod 1000003, and x^29 * x^(28*4) is x^141
+    assert (code, out, err) == (0, "758623*x^141*Y (surjective: False)\n", "")
+    # h(x^k) alone is past the bound: refused before any work
+    code, out, err = _invoke(["--h", "x^2", "endo-eta", "100000000", "x*Y"])
+    assert (code, out) == (1, "")
+    assert err == "error: endo-eta k too large: 200000001 words, limit 8192\n"
 
 
 def test_yh_product_steps_are_bounded(monkeypatch):
