@@ -6,31 +6,30 @@ satisfy the compatibility identity
 
     h(alpha*x + beta) == alpha^(deg h) * h(x).                      (pair law)
 
-The set of admissible pairs is either a finite list or, exactly when h is a
-scalar times a power of a single linear factor (x - lambda), the
-one-parameter family {(alpha, (1-alpha)*lambda)}.  A finite P is a subgroup
-of the affine group of the line, so it either contains every translation or
-fixes one point c.  :func:`compute_P` finds that point (the centroid
--h_(d-1)/(d*lc) when deg h is nonzero in the field, else a common root of
-Hasse derivatives of h), reads the roots of unity that fix it off the zero
-pattern of h(x + c), and lists them as the powers of one element, certified
-on its generators.  :func:`affine_equivalences` answers the isomorphism
-question the same way: with h and g moved to their centroids, each
-coefficient identity is a binomial in alpha and beta is linear in alpha.
-Roots are rational roots over QQ and come from gcd(f, x^p - x) plus
-equal-degree splitting over GF(p), so over GF(p) the pairs and the
-translations fixing h cost time polynomial in deg h and log p, apart from
-listing an output of size p.  The one exception is the isomorphism test
+The admissible pairs form a subgroup P of the affine group of the line, so
+P either contains every translation or fixes one point c.
+:func:`compute_P` keeps P as a presentation (:class:`PSet`): c, the
+translations G ({0} or GF(p)) and an element of order m whose powers are the
+alphas.  c is the centroid -h_(d-1)/(d*lc) when deg h is nonzero in the
+field, else a common root of Hasse derivatives of h, and m comes off the
+zero pattern of h(x + c).  When h is a scalar times (x - lam)^d, every alpha
+in F* is admissible: c = lam, and m = p - 1, or m = None over QQ.
+:func:`affine_equivalences` answers the isomorphism question the same way:
+with h and g moved to their centroids, each coefficient identity is a
+binomial in alpha and beta is linear in alpha.  Roots are rational roots
+over QQ and come from gcd(f, x^p - x) plus equal-degree splitting over
+GF(p), so over GF(p) the pairs and the translations fixing h cost time
+polynomial in deg h and log p.  The one exception is the isomorphism test
 when p | deg h, where there is no centroid: there each alpha in F* is tried
 and beta solved by a gcd, which is linear in p.
 
 On top of the pair computations the module classifies the group (polynomial
 shears only / semidirect with the scalar group / semidirect with a finite
 cyclic part) and produces the invariant polynomial t and the center-of-the-
-automorphism-group generator q, in one construction for every finite P (the
-family over GF(p) included) and in closed form for the family over QQ.  It
-also implements the two families of injective non-surjective endomorphisms
-together with extension and restriction of automorphisms along an embedding.
+automorphism-group generator q, in one construction from the presentation
+for every P, the family over QQ included.  It also implements the two
+families of injective non-surjective endomorphisms together with extension
+and restriction of automorphisms along an embedding.
 """
 
 from __future__ import annotations
@@ -174,37 +173,58 @@ def phi(ctx: AhContext, f: Poly) -> Automorphism:
 
 @dataclass(frozen=True)
 class PSet:
-    """The admissible pairs: a finite list, or the family (alpha, (1-alpha)*lam)."""
+    """The admissible pairs, kept as the presentation that generates them.
+
+    P = {(alpha, c*(1-alpha) + nu) : alpha^m = 1, nu in G}.  G is the group
+    of translations fixing h, {0} or all of GF(p); c is the point fixed by
+    the pairs (0 when m = 1); ``unit`` has order exactly m, so its powers are
+    the m-th roots of unity.  ``lam`` is set exactly when h is a scalar times
+    (x - lam)^d: then every alpha in F* is admissible, which over GF(p) is
+    the cyclic case c = lam, m = p - 1, and over QQ the one infinite case,
+    m = None (no unit), where P stays symbolic.
+    """
 
     ctx: AhContext
-    lam: FieldElem | None = None
-    finite_pairs: tuple[tuple[FieldElem, FieldElem], ...] | None = None
+    lam: FieldElem | None
+    c: FieldElem
+    G: tuple[FieldElem, ...]
+    unit: FieldElem | None
+    m: int | None
 
     @property
     def shape(self) -> str:
         return "one_parameter_family" if self.lam is not None else "finite"
 
-    def pairs(self) -> tuple[tuple[FieldElem, FieldElem], ...]:
-        """Materialize the pair list (finite fields materialize the family)."""
-        if self.finite_pairs is not None:
-            return self.finite_pairs
-        spec = self.ctx.spec
-        if not spec.is_prime_field:
+    @property
+    def finite_pairs(self) -> tuple[tuple[FieldElem, FieldElem], ...] | None:
+        """The pair list, for a P that is not the family."""
+        return self.pairs() if self.lam is None else None
+
+    def alphas(self) -> list[FieldElem]:
+        """The m-th roots of unity, as the powers 1, unit, ..., unit^(m-1)."""
+        if self.m is None:
             raise AhError("the family over QQ cannot be materialized")
-        one = spec.one()
-        out = [
-            (a, (one - a) * self.lam) for a in spec.elements() if not a.is_zero()
-        ]
+        powers = [self.ctx.spec.one()]
+        for _ in range(self.m - 1):
+            powers.append(powers[-1] * self.unit)
+        return powers
+
+    def pairs(self) -> tuple[tuple[FieldElem, FieldElem], ...]:
+        """The |G|*m pairs, sorted."""
+        c = self.c
+        out = ((a, c - a * c + nu) for a in self.alphas() for nu in self.G)
         return tuple(sorted(out, key=_pair_key))
 
+    def __len__(self) -> int:
+        if self.m is None:
+            raise AhError("the family over QQ is infinite")
+        return len(self.G) * self.m
+
     def contains(self, alpha, beta) -> bool:
-        alpha = self.ctx.spec.elem(alpha)
-        beta = self.ctx.spec.elem(beta)
-        if self.lam is not None:
-            return not alpha.is_zero() and beta == (
-                self.ctx.spec.one() - alpha
-            ) * self.lam
-        return (alpha, beta) in self.finite_pairs
+        alpha, beta = self.ctx.spec.elem(alpha), self.ctx.spec.elem(beta)
+        if alpha.is_zero() or self.m is not None and not (alpha**self.m).is_one():
+            return False
+        return len(self.G) > 1 or beta == self.c - alpha * self.c
 
 
 def compute_G(ctx: AhContext) -> tuple[FieldElem, ...]:
@@ -235,61 +255,56 @@ def _translations(h: Poly, taylor: list[Poly]) -> tuple[FieldElem, ...]:
 
 
 def compute_P(ctx: AhContext) -> PSet:
-    """All pairs satisfying the pair law.
+    """The pair set P, as its presentation (see :class:`PSet`); nothing is listed.
 
-    A single distinct root (necessarily in the field, since the radical is
-    then linear) yields the one-parameter family.  Otherwise P either
-    contains the translations G = GF(p), or it fixes one point c: the
-    centroid -h_(d-1)/(d*lc) when deg h is nonzero in the field, else one of
+    A single distinct root lam (necessarily in the field, since the radical
+    is then linear) gives the family: c = lam and every alpha in F*, so
+    m = p - 1 over GF(p) and m = None over QQ.  Otherwise P either contains
+    the translations G = GF(p), or it fixes one point c: the centroid
+    -h_(d-1)/(d*lc) when deg h is nonzero in the field, else one of
     :func:`_fixed_points` (c = 0 in the first case).  With H = h(x + c), the
     pairs fixing c are (alpha, c*(1-alpha)) for the m-th roots of unity
     alpha, m = gcd(n, d - i : H_i != 0, i < d), where n is p - 1, or 2 over
-    QQ; so P = {(alpha, c*(1-alpha) + nu) : alpha^m = 1, nu in G}.  The
-    roots are listed as the powers of one element of order exactly m, so
-    there are |G|*m pairs, and the generators are certified: the pair of
-    order m, and a nonzero translation when G = GF(p), satisfy the pair law.
-    Over GF(p) the cost is polynomial in deg h and log p, apart from
-    listing the output.
+    QQ.  The generators are certified: the pair of an element of order
+    exactly m, and a nonzero translation when G = GF(p), satisfy the pair
+    law.  Over GF(p) the cost is polynomial in deg h and log p.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("P needs deg h >= 1")
     spec, h, d = ctx.spec, ctx.h, ctx.deg_h
+    zero, one = spec.zero(), spec.one()
+    n = spec.p - 1 if spec.p else 2
+    G, c, m, lam = (zero,), zero, 1, None
     rad = squarefree_part(h)
     if rad.degree == 1:
         lam = -rad.coeff(0)
         if h != Poly(spec, (-lam, 1)) ** d * h.lc:
             raise SelfCheckError("h with a linear radical is not a power of it")
-        return PSet(ctx, lam=lam)
-    zero = spec.zero()
-    if spec.p and d % spec.p == 0:
-        taylor = _taylor(h)
-        G = _translations(h, taylor)
-        centers = [(zero, h)] if len(G) > 1 else (
-            (c, _moved(h, c)) for c in _fixed_points(taylor, spec.p)
-        )
+        if not spec.p:
+            return PSet(ctx, lam, lam, G, None, None)
+        c, m = lam, n
     else:
-        G = (zero,)
-        centers = [_centered(h)]
-    # at most one center is fixed by a pair other than the identity
-    n = spec.p - 1 if spec.p else 2
-    c, m = zero, 1
-    for center, H in centers:
-        m_c = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
-        if m_c > 1:
-            c, m = center, m_c
-            break
-    one = spec.one()
-    alpha = _unit_of_order(spec, n, m)
-    generators = [(alpha, c - alpha * c)] if m > 1 else []
+        if spec.p and d % spec.p == 0:
+            taylor = _taylor(h)
+            G = _translations(h, taylor)
+            centers = [(zero, h)] if len(G) > 1 else (
+                (c, _moved(h, c)) for c in _fixed_points(taylor, spec.p)
+            )
+        else:
+            centers = [_centered(h)]
+        # at most one center is fixed by a pair other than the identity
+        for center, H in centers:
+            m_c = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
+            if m_c > 1:
+                c, m = center, m_c
+                break
+    unit = _unit_of_order(spec, n, m)
+    generators = [(unit, c - unit * c)] if m > 1 else []
     if len(G) > 1:
         generators.append((one, one))
     if not all(pair_is_valid(ctx, a, b) for a, b in generators):
         raise SelfCheckError("P is not G times the powers of its generator")
-    powers = [one]
-    for _ in range(m - 1):
-        powers.append(powers[-1] * alpha)
-    pairs = sorted(((a, c - a * c + nu) for a in powers for nu in G), key=_pair_key)
-    return PSet(ctx, finite_pairs=tuple(pairs))
+    return PSet(ctx, lam, c if m > 1 else zero, G, unit, m)
 
 
 def _moved(f: Poly, c: FieldElem) -> Poly:
@@ -339,8 +354,13 @@ def _unit_of_order(spec: FieldSpec, n: int, m: int) -> FieldElem:
     raise SelfCheckError(f"{spec!r} has no element of order {m}")
 
 
-def affine_equivalences(h: Poly, g: Poly):
-    """Solve h(alpha*x + beta) == nu * g(x) for every (alpha, beta, nu).
+def affine_equivalences(h: Poly, g: Poly) -> list:
+    """Every (alpha, beta, nu) with h(alpha*x + beta) == nu * g(x), sorted by (alpha, beta)."""
+    return list(_equivalences(h, g))
+
+
+def _equivalences(h: Poly, g: Poly):
+    """Yield the solutions of h(alpha*x + beta) == nu * g(x) in (alpha, beta) order.
 
     Requires deg h == deg g == d >= 1; nu = alpha^d * lc(h)/lc(g) is pinned
     by the leading coefficients.  When d is nonzero in the field, h and g
@@ -354,8 +374,9 @@ def affine_equivalences(h: Poly, g: Poly):
     When p divides d there is no centroid and no coset analogue is known;
     then each alpha in F* is tried, and beta is a common root of the x^i
     coefficients of h(alpha*x + beta) - nu*g(x) as polynomials in beta,
-    which is linear in p.  Every candidate is verified by composition.
-    Returns the verified (alpha, beta, nu) triples sorted by (alpha, beta).
+    which is linear in p.  The candidates are sorted and each is verified
+    by composition as it is reached, so a caller that stops at the first
+    triple composes only up to the least witness.
     """
     spec = h.spec
     d = h.degree
@@ -372,13 +393,10 @@ def affine_equivalences(h: Poly, g: Poly):
         ]
     else:
         candidates = _centered_candidates(h, g, ratio)
-    out = []
-    for alpha, beta in candidates:
+    for alpha, beta in sorted(candidates, key=_pair_key):
         nu = ratio * alpha**d
         if h.compose(_affine(spec, alpha, beta)) == g.scaled(nu):
-            out.append((alpha, beta, nu))
-    out.sort(key=lambda t: _pair_key(t[:2]))
-    return out
+            yield alpha, beta, nu
 
 
 def _centered_candidates(h: Poly, g: Poly, ratio: FieldElem):
@@ -544,79 +562,53 @@ class AutGroupStructure:
 def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     """Compute the group shape, the invariant generator t, and the center generator q.
 
-    Outside the family over QQ, P is finite with translations G, and its
-    image in F* is cyclic of order ell = |P|/|G|, so G and one pair generate
-    it: the least pair whose alpha has order ell, or the least nonzero
-    translation when ell = 1.  With shift = beta/(alpha - 1) (0 if ell = 1)
-    and base = prod_{nu in G} (x + shift + nu), t = base^ell and q = base^n,
-    n = (d-1)*|G|^-1 mod ell.  The laws for t and q are checked against the
-    generators before returning, so a wrong case selection cannot escape.
+    One construction for every P, read off its presentation (see
+    :class:`PSet`).  With base = x - c when G = {0} and base = x^p - x (the
+    product of x - c - nu over nu in G) when G = GF(p), q = base^n.  For a
+    finite P the image in F* is cyclic of order ell = m = |P|/|G|, so G and
+    one pair generate P: the least pair whose alpha has order ell, or the
+    least nonzero translation when ell = 1.  Then t = base^ell and
+    n = (d-1)*|G|^-1 mod ell.  For the family over QQ (m = None) every
+    alpha in QQ* is admissible, so only scalars are invariant and
+    n = d - 1.  The laws for t and q are checked against the generators
+    before returning, so a wrong case selection cannot escape.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("classification needs deg h >= 1")
-    spec = ctx.spec
+    spec, d = ctx.spec, ctx.deg_h
     pset = compute_P(ctx)
-    G = compute_G(ctx)
+    G = pset.G
     k = distinct_root_count(ctx.h)
-    d = ctx.deg_h
-
-    if pset.lam is not None and not spec.is_prime_field:
-        # infinite one-parameter family: invariants are constants only
-        structure = AutGroupStructure(
-            ctx,
-            SEMIDIRECT_FSTAR,
-            k,
-            G,
-            pset,
-            pset.lam,
-            None,
-            None,
-            None,
-            "constants",
-            Poly(spec, (-pset.lam, 1)) ** (d - 1),
-            "module",
-            d - 1,
-        )
-        _assert_laws(structure)
-        return structure
-
-    pairs = pset.pairs()
-    ell, rem = divmod(len(pairs), len(G))
-    if rem:
-        raise SelfCheckError("|G| must divide |P|")
-    # alpha != 1 permutes the k roots of h with at most one fixed point and
-    # the nonzero translations in G without any, in orbits of size ell
-    if k % ell and (k - 1) % ell:
-        raise SelfCheckError("order must divide k or k-1")
-    if (len(G) - 1) % ell:
-        raise SelfCheckError("|G| - 1 must be divisible by ell")
-    identity = (spec.one(), spec.zero())
-    best = next(
-        (ab for ab in pairs if ab != identity and _order(ab[0], ell) == ell), None
-    )
-    if best is None and len(pairs) > 1:
-        raise SelfCheckError("no pair of P has an alpha of order |P|/|G|")
-    shift = best[1] / (best[0] - spec.one()) if ell > 1 else spec.zero()
-    base = Poly.one(spec)
-    for nu in G:
-        base = base * Poly(spec, (shift + nu, 1))
-    n_exp = (d - 1) * pow(len(G), -1, ell) % ell
-    whole = best is None  # P = {identity}: only the shears
+    x = Poly.x(spec)
+    base = x - Poly.constant(pset.c) if len(G) == 1 else x**spec.p - x
+    ell, generator, t_kind, n_exp = pset.m, None, "constants", d - 1
+    if ell is not None:
+        ell, rem = divmod(len(pset), len(G))
+        if rem:
+            raise SelfCheckError("|G| must divide |P|")
+        # alpha != 1 permutes the k roots of h with at most one fixed point and
+        # the nonzero translations in G without any, in orbits of size ell
+        if k % ell and (k - 1) % ell:
+            raise SelfCheckError("order must divide k or k-1")
+        if (len(G) - 1) % ell:
+            raise SelfCheckError("|G| - 1 must be divisible by ell")
+        if ell > 1:
+            alphas = sorted(pset.alphas(), key=FieldElem.sort_key)
+            alpha = next((a for a in alphas if _order(a, ell) == ell), None)
+            if alpha is None:
+                raise SelfCheckError("no pair of P has an alpha of order |P|/|G|")
+            # beta runs over c*(1 - alpha) + G, which is all of GF(p) when |G| > 1
+            generator = (alpha, spec.zero() if len(G) > 1 else pset.c - alpha * pset.c)
+        elif len(G) > 1:
+            generator = (spec.one(), spec.one())
+        n_exp = (d - 1) * pow(len(G), -1, ell) % ell
+        t_kind = "generated" if generator is not None else "whole_ring"
+    whole = t_kind == "whole_ring"  # P = {identity}: only the shears
     case = SEMIDIRECT_FSTAR if pset.lam is not None else SEMIDIRECT_FINITE
     structure = AutGroupStructure(
-        ctx,
-        POLY_ONLY if whole else case,
-        k,
-        G,
-        pset,
-        pset.lam,
-        best,
-        ell,
-        base**ell,
-        "whole_ring" if whole else "generated",
-        base**n_exp,
-        "whole_ring" if whole else "module",
-        None if whole else n_exp,
+        ctx, POLY_ONLY if whole else case, k, G, pset, pset.lam, generator, ell,
+        None if ell is None else base**ell, t_kind,
+        base**n_exp, "whole_ring" if whole else "module", None if whole else n_exp,
     )
     _assert_laws(structure)
     return structure
@@ -630,20 +622,20 @@ def _law_sample(structure: AutGroupStructure):
     generate P: G is an additive subgroup of the prime field (size 1 or p),
     so the generator's alpha scales it onto itself, |G| * ell is |P|, and
     an alpha of order ell makes G and the generator's powers all |P| pairs.
+    The family over QQ is sampled at a few alpha.
     """
     spec = structure.ctx.spec
     pset = structure.P
-    if pset.lam is not None and not spec.is_prime_field:
-        one = spec.one()
+    if pset.m is None:
         for raw in (2, 3, -1, 7, Fraction(1, 2)):
             alpha = spec.elem(raw)
-            yield alpha, (one - alpha) * pset.lam
+            yield alpha, pset.c - alpha * pset.c
         return
     G, ell, generator = structure.G, structure.ell, structure.generator
     if len(G) not in (1, spec.p):
         raise SelfCheckError("G is not an additive subgroup of the field")
     alpha = generator[0] if generator is not None else spec.one()
-    counted = len(G) * ell == len(pset.pairs()) and (alpha**ell).is_one()
+    counted = len(G) * ell == len(pset) and (alpha**ell).is_one()
     if not counted or _order(alpha, ell) != ell:
         raise SelfCheckError("P is not G times the powers of its generator")
     translation = next(((spec.one(), nu) for nu in G if not nu.is_zero()), None)
@@ -675,12 +667,13 @@ def _assert_laws(structure: AutGroupStructure) -> None:
 def iso_test(h: Poly, g: Poly, spec: FieldSpec):
     """A witness (alpha, beta, nu) with nu*g(x) == h(alpha*x + beta), or None.
 
-    The witness is the least by (alpha, beta).  Over both fields it comes
-    from :func:`affine_equivalences`, except when h and g have one distinct
-    root each: then the witnesses are (alpha, lam_h - alpha*lam_g), and
-    alpha = 1 is the least.  Over GF(p) the cost is polynomial in deg h and
-    log p when p does not divide deg h (the centered binomials), and linear
-    in p when it does (each alpha in F* is tried).
+    The witness is the least by (alpha, beta).  Over both fields it is the
+    first triple of :func:`_equivalences`, which verifies the sorted
+    candidates only up to it, except when h and g have one distinct root
+    each: then the witnesses are (alpha, lam_h - alpha*lam_g), and alpha = 1
+    is the least.  Over GF(p) the cost is polynomial in deg h and log p when
+    p does not divide deg h (the centered binomials), and linear in p when
+    it does (each alpha in F* is tried).
     """
     if h.spec != spec or g.spec != spec:
         raise ContextMismatch("polynomials over the wrong field")
@@ -700,8 +693,7 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
         if h.compose(_affine(spec, alpha, beta)) != g.scaled(nu):
             raise SelfCheckError("powers of linear factors are not equivalent")
         return (alpha, beta, nu)
-    found = affine_equivalences(h, g)
-    return found[0] if found else None
+    return next(_equivalences(h, g), None)
 
 
 # -- injective, non-surjective endomorphisms ----------------------------------

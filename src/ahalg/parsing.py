@@ -35,27 +35,16 @@ MAX_NESTING = 200
 # ``(x+1)^8191`` over GF(1000003), the densest result allowed, takes about 4 s
 MAX_POWER_WORDS = 2**13
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z])|(?P<op>[-+*/^()]))")
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z])|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 
 def _tokenize(src: str):
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == m.start():
-            rest = src[pos:]
-            if rest.strip():
-                bad = pos + len(rest) - len(rest.lstrip())
-                raise ParseError(f"unexpected character {src[bad]!r}", bad)
-            break
-        if m.group("int") is not None:
-            tokens.append(("int", decimal_int(m.group("int")), m.start("int")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", m.start())
+        tokens.append((kind, decimal_int(text) if kind == "int" else text, m.start()))
     tokens.append(("end", None, len(src)))
     return tokens
 

@@ -415,7 +415,7 @@ class Poly:
         return f"Poly({self.spec!r}, {format_poly(self)!r})"
 
 
-def format_poly(f: Poly, var: str = "x") -> str:
+def format_poly(f: Poly) -> str:
     """Canonical text form: terms in decreasing degree, e.g. ``x^2 - 2*x + 1``."""
     if f.is_zero():
         return "0"
@@ -425,7 +425,7 @@ def format_poly(f: Poly, var: str = "x") -> str:
         c = values[i]
         if not c:
             continue
-        body = _term_str(c, var, i)
+        body = _term_str(c, i)
         if not parts:
             parts.append(body)
         elif body.startswith("-"):
@@ -435,11 +435,11 @@ def format_poly(f: Poly, var: str = "x") -> str:
     return "".join(parts)
 
 
-def _term_str(c, var: str, i: int) -> str:
+def _term_str(c, i: int) -> str:
     # c is a residue in range(p) or a Fraction, so c == -1 only over QQ
     if i == 0:
         return value_str(c)
-    v = var if i == 1 else f"{var}^{i}"
+    v = "x" if i == 1 else f"x^{i}"
     if c == 1:
         return v
     if c == -1:

@@ -1,5 +1,6 @@
 """Shared test helpers: random generators and independent oracles."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +24,7 @@ from ahalg.errors import (
     SelfCheckError,
     ZeroInputError,
 )
+from ahalg.fields import decimal_int
 from ahalg.parsing import _Parser
 from ahalg.poly import distinct_root_count, gcd_monic, pow_mod
 
@@ -214,6 +216,33 @@ def ore_witness_oracle(a: OreElement, f: Poly, side: str):
         assert rem.is_zero()
         quot.append(q)
     return ctx.element(quot), s1
+
+
+_TOKEN_ORACLE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z])|(?P<op>[-+*/^()]))")
+
+
+def tokenize_oracle(src: str):
+    """The tokens of src, matched one at a time from each position, with
+    whitespace skipped in front of each (the former ``parsing._tokenize``)."""
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN_ORACLE.match(src, pos)
+        if not m or m.end() == m.start():
+            rest = src[pos:]
+            if rest.strip():
+                bad = pos + len(rest) - len(rest.lstrip())
+                raise ParseError(f"unexpected character {src[bad]!r}", bad)
+            break
+        if m.group("int") is not None:
+            tokens.append(("int", decimal_int(m.group("int")), m.start("int")))
+        elif m.group("name") is not None:
+            tokens.append(("name", m.group("name"), m.start("name")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    tokens.append(("end", None, len(src)))
+    return tokens
 
 
 def parse_element_oracle(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:

@@ -1,5 +1,6 @@
 """Admissible pairs, group classification, invariants, and endomorphisms."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -32,7 +33,9 @@ from ahalg.autgroup import (
     affine_equivalences,
     pair_is_valid,
 )
+from ahalg.cli import run
 from ahalg.errors import (
+    AhError,
     CharacteristicError,
     ConstantHError,
     InvalidPairError,
@@ -900,6 +903,8 @@ def test_P_and_G_never_loop_over_the_field(monkeypatch):
         (artin**2 + one, 101, 202),  # degree 2p, G = F_p, H = {1, -1}
         (x**101 + x**2, 1, 1),  # degree p, G = {0}
         (x**202 + x, 1, 1),  # degree 2p, G = {0}
+        ((x - Poly.constant(spec.from_int(3))) ** 2, 1, 100),  # the family
+        ((x - Poly.constant(spec.from_int(3))) ** 101, 1, 100),  # the family, p | deg h
     ]
 
     def no_loop(self):
@@ -912,3 +917,92 @@ def test_P_and_G_never_loop_over_the_field(monkeypatch):
         pairs = compute_P(ctx).pairs()
         assert len(pairs) == p_size
         assert all(pair_is_valid(ctx, a, b) for a, b in pairs[:3])
+        assert len(classify_aut_group(ctx).P.pairs()) == p_size
+
+
+# -- the presentation of P: one listing, membership and size from the generators --
+
+
+def _qq_shapes():
+    x = Poly.x(QQ)
+    two = Poly.constant(QQ.from_int(2))
+    return [
+        Poly.from_ints(QQ, (0, -1, 1)),  # x^2 - x: (-1, 1)
+        Poly.from_ints(QQ, (-1, 0, 0, 0, 1)),  # x^4 - 1: (-1, 0)
+        (x**3 - x.scaled(3)).compose(x + two),  # odd about -2: (-1, -4)
+        Poly.from_ints(QQ, (1, -3, 0, 1)),  # no symmetry
+        Poly.from_ints(QQ, (0, 0, 1)),  # the family x^2
+        (x - Poly.constant(QQ.elem(Fraction(1, 2)))) ** 3,  # the family at 1/2
+    ]
+
+
+@pytest.mark.parametrize("spec", [QQ] + [FieldSpec.gf(p) for p in PRIMES_BELOW_60 if p < 30], ids=str)
+def test_membership_and_size_come_from_the_presentation(spec):
+    if spec.p:
+        shapes = _classify_shapes(spec)
+        grid = [(a, b) for a in spec.elements() if not a.is_zero() for b in spec.elements()]
+    else:
+        shapes = _qq_shapes()
+        values = [QQ.elem(v) for v in (0, 1, -1, 2, -2, -4, Fraction(1, 2), Fraction(-3, 4))]
+        grid = [(a, b) for a in values if not a.is_zero() for b in values]
+    for h in shapes:
+        pset = compute_P(AhContext(spec, h))
+        if pset.m is None:  # the family over QQ: symbolic, never listed
+            with pytest.raises(AhError):
+                len(pset)
+            assert all(pset.contains(a, b) == (b == (1 - a) * pset.lam) for a, b in grid)
+            continue
+        pairs = set(pset.pairs())
+        assert len(pset) == len(pset.pairs()) == len(pairs), h
+        assert all(pset.contains(a, b) == ((a, b) in pairs) for a, b in grid), h
+
+
+def test_iso_verifies_only_up_to_the_least_witness(monkeypatch):
+    # x^48 + 3 over GF(97) has 48 candidates, every alpha with alpha^48 = 1;
+    # h is centered at 0, so g alone is moved, and one candidate is verified
+    spec = FieldSpec.gf(97)
+    x = Poly.x(spec)
+    three = Poly.constant(spec.from_int(3))
+    h, g = x**48 + three, (x + Poly.one(spec)) ** 48 + three
+    calls = []
+    compose = Poly.compose
+    monkeypatch.setattr(Poly, "compose", lambda f, u: calls.append(1) or compose(f, u))
+    assert iso_test(h, g, spec) == (spec.one(), spec.one(), spec.one())
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert len(affine_equivalences(h, g)) == 48
+
+
+PINNED = [
+    (
+        ["--field", "QQ", "--h", "x^3", "aut-classify", "--json"],
+        {
+            "G": ["0"], "P": {"lambda": "0", "shape": "one_parameter_family"},
+            "case": "semidirect_fstar", "dz_kind": "module", "ell": None, "generator": None,
+            "k": 1, "n_exponent": 2, "q": "x^2", "t": None, "t_kind": "constants",
+        },
+    ),
+    (
+        ["--field", "GF:7", "--h", "(x-1)^2", "aut-p", "--json"],
+        {
+            "lambda": "1",
+            "pairs": [["1", "0"], ["2", "6"], ["3", "5"], ["4", "4"], ["5", "3"], ["6", "2"]],
+            "shape": "one_parameter_family",
+        },
+    ),
+    (
+        ["--field", "GF:7", "--h", "x^7-x+1", "aut-classify"],
+        "case semidirect_finite; k = 7; G = {0, 1, 2, 3, 4, 5, 6}; "
+        "generator (1, 1) of order 1; t: x^7 + 6*x; q: 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED, ids=[" ".join(argv) for argv, _ in PINNED])
+def test_pinned_outputs_of_the_presentation(argv, expected, capsys):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if isinstance(expected, dict):
+        assert out == json.dumps(expected, sort_keys=True) + "\n"
+    else:
+        assert out == expected + "\n"

@@ -17,10 +17,10 @@ from ahalg import (
 from ahalg.algebra import format_element
 from ahalg.cli import run
 from ahalg.errors import ParseError
-from ahalg.parsing import MAX_NESTING, MAX_POWER_WORDS
+from ahalg.parsing import MAX_NESTING, MAX_POWER_WORDS, _tokenize
 from ahalg.poly import format_poly
 
-from helpers import parse_element_oracle, rand_elem, rand_poly
+from helpers import parse_element_oracle, rand_elem, rand_poly, tokenize_oracle
 
 QQ = FieldSpec.rationals()
 F3 = FieldSpec.gf(3)
@@ -277,3 +277,20 @@ def test_huge_products_exit_1_at_once(capsys, field):
     assert run(["--field", field, "--h", "x", "eval", "*".join(["(x^5000+1)"] * 20)]) == 1
     assert time.perf_counter() - start < 1.0
     assert "product too large" in capsys.readouterr().err
+
+
+def _tokens_or_error(tokenize, src):
+    try:
+        return tokenize(src)
+    except ParseError as err:
+        return str(err), err.pos
+
+
+def test_one_pass_tokenizer_matches_the_oracle():
+    # digits, names and operators among tabs, newlines, other Unicode spaces,
+    # a superscript two, an Arabic-Indic three and an accented letter
+    alphabet = "0123456789xYyz+-*/^() \t\n\r\x0b\x0c\x1c\u00a0\u2003.,_\u00b2\u0663\u00e9"
+    rng = random.Random(15)
+    for _ in range(20000):
+        src = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert _tokens_or_error(_tokenize, src) == _tokens_or_error(tokenize_oracle, src), repr(src)
