@@ -10,18 +10,11 @@ The admissible pairs form a subgroup P of the affine group of the line, so
 P either contains every translation or fixes one point c.
 :func:`compute_P` keeps P as a presentation (:class:`PSet`): c, the
 translations G ({0} or GF(p)) and an element of order m whose powers are the
-alphas.  c is the centroid -h_(d-1)/(d*lc) when deg h is nonzero in the
-field, else a common root of Hasse derivatives of h, and m comes off the
-zero pattern of h(x + c).  When h is a scalar times (x - lam)^d, every alpha
-in F* is admissible: c = lam, and m = p - 1, or m = None over QQ.
-:func:`affine_equivalences` answers the isomorphism question the same way:
-with h and g moved to their centroids, each coefficient identity is a
-binomial in alpha and beta is linear in alpha.  Roots are rational roots
-over QQ and come from gcd(f, x^p - x) plus equal-degree splitting over
-GF(p), so over GF(p) the pairs and the translations fixing h cost time
-polynomial in deg h and log p.  The one exception is the isomorphism test
-when p | deg h, where there is no centroid: there each alpha in F* is tried
-and beta solved by a gcd, which is linear in p.
+alphas.  P, G and isomorphism all solve h(alpha*x + beta) == nu*g(x) one
+way for every deg h: each solution maps the anchor of g to that of h
+(:func:`_anchor`), and around the anchors each coefficient identity is a
+binomial in alpha.  So over GF(p) every question costs time polynomial in
+deg h and log p, apart from listing an output of size p.
 
 On top of the pair computations the module classifies the group (polynomial
 shears only / semidirect with the scalar group / semidirect with a finite
@@ -38,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import gcd
 
 from .algebra import AhContext, OreElement, apply_poly_map, commutator
@@ -62,10 +56,6 @@ from .poly import (
     rational_roots,
     squarefree_part,
 )
-
-
-def _pair_key(pair):
-    return (pair[0].sort_key(), pair[1].sort_key())
 
 
 def _affine(spec: FieldSpec, alpha: FieldElem, beta: FieldElem) -> Poly:
@@ -213,7 +203,7 @@ class PSet:
         """The |G|*m pairs, sorted."""
         c = self.c
         out = ((a, c - a * c + nu) for a in self.alphas() for nu in self.G)
-        return tuple(sorted(out, key=_pair_key))
+        return tuple(sorted(out, key=lambda ab: (ab[0].sort_key(), ab[1].sort_key())))
 
     def __len__(self) -> int:
         if self.m is None:
@@ -230,51 +220,36 @@ class PSet:
 def compute_G(ctx: AhContext) -> tuple[FieldElem, ...]:
     """All translations fixing h: {nu : h(x + nu) == h(x)}.
 
-    G is an additive subgroup of the field, so it is {0} or all of GF(p).
-    When deg h is nonzero in the field (always in characteristic 0), the
-    x^(d-1) coefficient of h(x + nu) - h(x) is d*lc(h)*nu, so G = {0} with
-    no solve.  When p | deg h, G = GF(p) exactly when 1 is in G, which the
-    Hasse derivatives decide at t = 1.  Listing GF(p) is the only cost
-    linear in p, and it is the size of the output.
+    G is an additive subgroup of the field, so it is {0} or all of GF(p),
+    and it is GF(p) exactly when h has no anchor (see :func:`_anchor`).
+    Listing GF(p) is the only cost linear in p: the size of the output.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("G needs deg h >= 1")
-    spec = ctx.spec
-    if not spec.p or ctx.deg_h % spec.p:
-        return (spec.zero(),)
-    return _translations(ctx.h, _taylor(ctx.h))
-
-
-def _translations(h: Poly, taylor: list[Poly]) -> tuple[FieldElem, ...]:
-    """G over GF(p), from taylor = _taylor(h): the x^i coefficient of
-    h(x + 1) is taylor[i] at t = 1, and G = GF(p) iff it is h_i for all i."""
-    spec = h.spec
-    if any((sum(t._nums) - c) % spec.p for t, c in zip(taylor, h._nums)):
-        return (spec.zero(),)
-    return tuple(spec.from_int(n) for n in range(spec.p))
+    if _anchor(ctx.h) is not None:
+        return (ctx.spec.zero(),)
+    return tuple(ctx.spec.from_int(n) for n in range(ctx.spec.p))
 
 
 def compute_P(ctx: AhContext) -> PSet:
     """The pair set P, as its presentation (see :class:`PSet`); nothing is listed.
 
-    A single distinct root lam (necessarily in the field, since the radical
-    is then linear) gives the family: c = lam and every alpha in F*, so
-    m = p - 1 over GF(p) and m = None over QQ.  Otherwise P either contains
-    the translations G = GF(p), or it fixes one point c: the centroid
-    -h_(d-1)/(d*lc) when deg h is nonzero in the field, else one of
-    :func:`_fixed_points` (c = 0 in the first case).  With H = h(x + c), the
-    pairs fixing c are (alpha, c*(1-alpha)) for the m-th roots of unity
-    alpha, m = gcd(n, d - i : H_i != 0, i < d), where n is p - 1, or 2 over
-    QQ.  The generators are certified: the pair of an element of order
-    exactly m, and a nonzero translation when G = GF(p), satisfy the pair
-    law.  Over GF(p) the cost is polynomial in deg h and log p.
+    A single distinct root lam (in the field, since the radical is then
+    linear) gives the family: every alpha in F*, m = None over QQ.  Else P
+    contains G = GF(p) when h has no anchor (c = 0), or fixes the anchor c
+    of h (:func:`_anchor`; lam for the family).  With H = h(x + c), the
+    pairs fixing c are (alpha, c*(1-alpha)) for the m-th roots of unity,
+    m = gcd(n, d - i : H_i != 0, i < d), n = p - 1, or 2 over QQ.  The
+    generators are certified: the pair of an element of order exactly m,
+    and a nonzero translation when G = GF(p), satisfy the pair law.  Over
+    GF(p) the cost is polynomial in deg h and log p.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("P needs deg h >= 1")
     spec, h, d = ctx.spec, ctx.h, ctx.deg_h
     zero, one = spec.zero(), spec.one()
     n = spec.p - 1 if spec.p else 2
-    G, c, m, lam = (zero,), zero, 1, None
+    G, lam = (zero,), None
     rad = squarefree_part(h)
     if rad.degree == 1:
         lam = -rad.coeff(0)
@@ -282,22 +257,11 @@ def compute_P(ctx: AhContext) -> PSet:
             raise SelfCheckError("h with a linear radical is not a power of it")
         if not spec.p:
             return PSet(ctx, lam, lam, G, None, None)
-        c, m = lam, n
-    else:
-        if spec.p and d % spec.p == 0:
-            taylor = _taylor(h)
-            G = _translations(h, taylor)
-            centers = [(zero, h)] if len(G) > 1 else (
-                (c, _moved(h, c)) for c in _fixed_points(taylor, spec.p)
-            )
-        else:
-            centers = [_centered(h)]
-        # at most one center is fixed by a pair other than the identity
-        for center, H in centers:
-            m_c = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
-            if m_c > 1:
-                c, m = center, m_c
-                break
+    c = _anchor(h)
+    if c is None:
+        G, c = tuple(spec.from_int(v) for v in range(spec.p)), zero
+    H = _moved(h, c)
+    m = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
     unit = _unit_of_order(spec, n, m)
     generators = [(unit, c - unit * c)] if m > 1 else []
     if len(G) > 1:
@@ -312,34 +276,28 @@ def _moved(f: Poly, c: FieldElem) -> Poly:
     return f if c.is_zero() else f.compose(Poly(f.spec, (c, 1)))
 
 
-def _centered(f: Poly) -> tuple[FieldElem, Poly]:
-    """(c, f(x + c)) for the centroid c = -f_(d-1)/(d*lc(f)) of f, d = deg f
-    nonzero in the field: f(x + c) has no x^(d-1) term."""
-    d = f.degree
-    c = -f.coeff(d - 1) / (f.spec.from_int(d) * f.lc)
-    return c, _moved(f, c)
+def _anchor(h: Poly) -> FieldElem | None:
+    """The anchor of h, or None when h(x + t) == h(x) for every t in GF(p).
 
-
-def _fixed_points(taylor: list[Poly], p: int) -> list[FieldElem]:
-    """Candidates for the point fixed by P when p | deg h and G = {0}.
-
-    If P is not trivial it has a pair of prime order r, r | p - 1, fixing c;
-    then H = h(x + c) has H_i = 0 unless r | d - i, and H_i is h^[i](c), so
-    c is a common root of the h^[i] with r not dividing d - i.  Also r <= d,
-    since otherwise H = lc*x^d.  Those h^[i] are not all zero: else every
-    point would be fixed by a pair of order r, and two of them would give a
-    nonzero translation.
+    Each Hasse derivative h^[i] (:func:`_taylor`) is reduced mod t^p - t,
+    folding an exponent e >= p to (e-1) mod (p-1) + 1; the anchor is the
+    centroid -r_(e-1)/(e*r_e) of the first reduction r, from i = d-1 down,
+    that is not constant (its degree e < p is a unit).  For A = alpha*x +
+    beta, h(A)^[i] = alpha^i * h^[i](A) and (t^p - t)(A) = alpha*(t^p - t),
+    so if h(A) == nu*g, A maps the anchor of g to the anchor of h.  With no
+    anchor, h^[i](t) = h_i on GF(p) for all i.  Over QQ, and when p does not
+    divide d, the scan stops at h^[d-1] = h_(d-1) + d*lc*t: the centroid.
     """
-    d = len(taylor) - 1
-    out = []
-    for r in _prime_divisors(p - 1):
-        if r > d:
-            break
-        conditions = [t for i, t in enumerate(taylor[:d]) if (d - i) % r and t]
-        if not conditions:
-            raise SelfCheckError("every point is fixed, but G is trivial")
-        out += [c for c in _poly_roots(reduce(gcd_monic, conditions)) if c not in out]
-    return out
+    spec, d, p = h.spec, h.degree, h.spec.p
+    if not p or d % p:
+        return -h.coeff(d - 1) / (spec.from_int(d) * h.lc)
+    for row in reversed(_taylor(h)[:d]):
+        r = [0] * min(len(row._nums), p)
+        for k, v in enumerate(row._nums):
+            r[k if k < p else (k - 1) % (p - 1) + 1] += v
+        e = next((k for k in range(len(r) - 1, 0, -1) if r[k] % p), 0)
+        if e:
+            return spec.from_int(-r[e - 1] * pow(e * r[e], -1, p))
 
 
 def _unit_of_order(spec: FieldSpec, n: int, m: int) -> FieldElem:
@@ -362,63 +320,47 @@ def affine_equivalences(h: Poly, g: Poly) -> list:
 def _equivalences(h: Poly, g: Poly):
     """Yield the solutions of h(alpha*x + beta) == nu * g(x) in (alpha, beta) order.
 
-    Requires deg h == deg g == d >= 1; nu = alpha^d * lc(h)/lc(g) is pinned
-    by the leading coefficients.  When d is nonzero in the field, h and g
-    are moved to their centroids c_h and c_g (see :func:`_centered`):
-    H = h(x + c_h) and K = g(x + c_g) have no x^(d-1) term, and the law
-    holds exactly when beta = c_h - alpha*c_g and H_i = ratio *
-    alpha^(d-i) * K_i for every i < d, ratio = lc(h)/lc(g).  So either the
-    zero patterns of H and K differ and there is no solution, or the
-    candidates are the common roots of the binomials ratio*K_i*x^(d-i) - H_i,
-    at most d of them: over GF(p) this costs time polynomial in d and log p.
-    When p divides d there is no centroid and no coset analogue is known;
-    then each alpha in F* is tried, and beta is a common root of the x^i
-    coefficients of h(alpha*x + beta) - nu*g(x) as polynomials in beta,
-    which is linear in p.  The candidates are sorted and each is verified
-    by composition as it is reached, so a caller that stops at the first
-    triple composes only up to the least witness.
+    Requires deg h == deg g == d >= 1.  Each solution maps the anchor c_g of
+    g to the anchor c_h of h (:func:`_anchor`), so there is none unless both
+    or neither exist; without them c_h = c_g = 0 and beta is free up to
+    GF(p).  With H = h(x + c_h), K = g(x + c_g) and ratio = lc(h)/lc(g), the
+    law holds exactly when beta = c_h - alpha*c_g, nu = ratio*alpha^d and
+    H_i = ratio*alpha^(d-i)*K_i for every i < d: the alphas are the common
+    roots of the binomials ratio*K_i*x^(d-i) - H_i (none if the zero
+    patterns of H and K differ), at a cost polynomial in d and log p.  Each
+    candidate is verified by composition as it is reached, so a caller that
+    stops at the first triple composes only up to the least witness.
     """
-    spec = h.spec
-    d = h.degree
+    spec, d = h.spec, h.degree
     if d != g.degree or d < 1:
         raise AhError("affine elimination needs equal degrees >= 1")
     ratio = h.lc / g.lc
-    if spec.p and d % spec.p == 0:
-        taylor = _taylor(h)
-        candidates = [
-            (alpha, beta)
-            for alpha in spec.elements()
-            if not alpha.is_zero()
-            for beta in _shift_roots(taylor, alpha, g.scaled(ratio * alpha**d))
-        ]
-    else:
-        candidates = _centered_candidates(h, g, ratio)
-    for alpha, beta in sorted(candidates, key=_pair_key):
-        nu = ratio * alpha**d
-        if h.compose(_affine(spec, alpha, beta)) == g.scaled(nu):
-            yield alpha, beta, nu
-
-
-def _centered_candidates(h: Poly, g: Poly, ratio: FieldElem):
-    """Candidate pairs (alpha, c_h - alpha*c_g) when deg h is nonzero in the field."""
-    spec = h.spec
-    d = h.degree
-    (c_h, H), (c_g, K) = _centered(h), _centered(g)
+    c_h, c_g = _anchor(h), _anchor(g)
+    if (c_h is None) != (c_g is None):
+        return
+    shifts = range(spec.p) if c_h is None else (0,)
+    c_h, c_g = c_h or spec.zero(), c_g or spec.zero()
+    H, K = _moved(h, c_h), _moved(g, c_g)
     binomials = []
     for i in range(d):
         H_i, K_i = H.coeff(i), K.coeff(i)
         if H_i.is_zero() != K_i.is_zero():
-            return []
+            return
         if H_i:
             binomials.append(Poly.monomial(spec, ratio * K_i, d - i) - Poly.constant(H_i))
     if binomials:
         alphas = _poly_roots(reduce(gcd_monic, binomials))
     elif spec.is_prime_field:
         # H and K are monomials, so h and g are powers of linear factors
-        alphas = [a for a in spec.elements() if not a.is_zero()]
+        alphas = [spec.from_int(a) for a in range(1, spec.p)]
     else:
         raise AhError("elimination degenerated to the one-parameter family")
-    return [(a, c_h - a * c_g) for a in alphas]
+    for alpha in alphas:
+        nu = ratio * alpha**d
+        for shift in shifts:
+            beta = c_h - alpha * c_g + spec.from_int(shift)
+            if h.compose(_affine(spec, alpha, beta)) == g.scaled(nu):
+                yield alpha, beta, nu
 
 
 def _taylor(h: Poly) -> list[Poly]:
@@ -470,31 +412,69 @@ def _taylor(h: Poly) -> list[Poly]:
     return [_poly(spec, row, h._den) for row in rows]
 
 
-def _shift_roots(taylor: list[Poly], alpha: FieldElem, target: Poly) -> list[FieldElem]:
-    """All t with h(alpha*x + t) == target(x), where taylor = _taylor(h)."""
-    conditions = [
-        t.scaled(alpha**i) - Poly.constant(target.coeff(i))
-        for i, t in enumerate(taylor)
-    ]
-    # entry 0 is h(t) - target(0), of degree deg h >= 1 in t, so the gcd is defined
-    return _poly_roots(reduce(gcd_monic, conditions))
-
-
 def _poly_roots(f: Poly) -> list[FieldElem]:
     """The distinct roots of a nonzero f in its field, sorted.
 
-    Over GF(p) they are the roots of gcd(f, x^p - x), the product of the
-    linear factors of f, split by equal-degree factorization.
+    Over GF(p) a binomial lc*(x^u - w*x^k) has the root 0 when k > 0 and the
+    roots of x^(u-k) = w (:func:`_binomial_roots`); any other f the roots of
+    gcd(f, x^p - x), split by equal-degree factorization.
     """
     spec = f.spec
     if not spec.is_prime_field:
         return rational_roots(f)
+    p, nums = spec.p, f._nums
+    terms = [k for k, v in enumerate(nums) if v]
+    if len(terms) == 2:
+        k, u = terms
+        zero = [spec.zero()] if k else []
+        return zero + _binomial_roots(spec, u - k, -nums[k] * pow(nums[u], -1, p) % p)
     x = Poly.x(spec)
-    linear = gcd_monic(f, pow_mod(x, spec.p, f) - x)
+    linear = gcd_monic(f, pow_mod(x, p, f) - x)
     if linear.degree < 1:
         return []
     roots = [-lin.coeff(0) for lin in _equal_degree(linear, 1, random.Random(0))]
     return sorted(roots, key=lambda e: e.sort_key())
+
+
+def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[FieldElem]:
+    """The roots of x^m = w in GF(p), w a nonzero residue, sorted.
+
+    With n = p - 1 and g = gcd(m, n), alpha^m = w exactly when alpha^g = v,
+    v = w^(1/(m/g) mod n/g), if w^(n/g) = 1 (else there is no root).  One
+    root y of x^g = v by Adleman-Manders-Miller: with n = s*t, t the largest
+    divisor prime to g, y = v^(1/g mod t) leaves e = y^g/v a g-th power in
+    the subgroup of order s, so its logarithm L to a unit zeta of order s,
+    found one digit at a time (Pohlig-Hellman), is a multiple of g and
+    y*zeta^(-L/g) is a root.  The roots are y times the powers of
+    zeta^(s/g), of order g: O(g) products, and no splitting.
+    """
+    p = spec.p
+    n = t = p - 1
+    g = gcd(m, n)
+    if pow(w, n // g, p) != 1:
+        return []
+    v = pow(w, pow(m // g, -1, n // g), p)
+    while gcd(t, g) > 1:
+        t //= gcd(t, g)
+    s = n // t
+    y, zeta = pow(v, pow(g, -1, t), p), _unit_of_order(spec, n, s).val
+    e = pow(y, g, p) * pow(v, -1, p) % p
+    # primes not dividing n/g first: their digits are 0, since e is a g-th
+    # power, so a digit search runs only over primes r with r^2 | n
+    log, place = 0, 1
+    for r in sorted(_prime_divisors(s), key=lambda r: n // g % r == 0):
+        gamma = pow(zeta, s // r, p)
+        while s // place % r == 0:
+            target, power, digit = pow(e * pow(zeta, -log, p) % p, s // place // r, p), 1, 0
+            while power != target and digit < r:
+                power, digit = power * gamma % p, digit + 1
+            log, place = log + digit * place, place * r
+    y = y * pow(zeta, -(log // g), p) % p
+    if pow(y, m, p) != w:
+        raise SelfCheckError(f"{y} is not a root of x^{m} - {w}")
+    unit = pow(zeta, s // g, p)  # g divides s, so this has order g
+    roots = accumulate(range(g - 1), lambda a, _: a * unit % p, initial=y)
+    return [spec.from_int(a) for a in sorted(roots)]
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -563,15 +543,15 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     """Compute the group shape, the invariant generator t, and the center generator q.
 
     One construction for every P, read off its presentation (see
-    :class:`PSet`).  With base = x - c when G = {0} and base = x^p - x (the
-    product of x - c - nu over nu in G) when G = GF(p), q = base^n.  For a
-    finite P the image in F* is cyclic of order ell = m = |P|/|G|, so G and
-    one pair generate P: the least pair whose alpha has order ell, or the
-    least nonzero translation when ell = 1.  Then t = base^ell and
-    n = (d-1)*|G|^-1 mod ell.  For the family over QQ (m = None) every
-    alpha in QQ* is admissible, so only scalars are invariant and
-    n = d - 1.  The laws for t and q are checked against the generators
-    before returning, so a wrong case selection cannot escape.
+    :class:`PSet`).  With base = x - c when G = {0} and base = x^p - x when
+    G = GF(p) (:func:`_base`), q = base^n.  For a finite P the image in F*
+    is cyclic of order ell = m = |P|/|G|, so G and one pair generate P: the
+    least pair whose alpha has order ell, or the least nonzero translation
+    when ell = 1.  Then t = base^ell and n = (d-1)*|G|^-1 mod ell.  For the
+    family over QQ (m = None) every alpha in QQ* is admissible, so only
+    scalars are invariant and n = d - 1.  The laws for t and q are checked
+    against the generators before returning, so a wrong case selection
+    cannot escape.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("classification needs deg h >= 1")
@@ -579,8 +559,7 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     pset = compute_P(ctx)
     G = pset.G
     k = distinct_root_count(ctx.h)
-    x = Poly.x(spec)
-    base = x - Poly.constant(pset.c) if len(G) == 1 else x**spec.p - x
+    base = _base(spec, pset.c, G)
     ell, generator, t_kind, n_exp = pset.m, None, "constants", d - 1
     if ell is not None:
         ell, rem = divmod(len(pset), len(G))
@@ -645,20 +624,41 @@ def _law_sample(structure: AutGroupStructure):
     yield from sample
 
 
+def _base(spec: FieldSpec, c: FieldElem, G: tuple) -> Poly:
+    """x - c when G = {0}, else x^p - x, the product of x - c - nu over nu in G."""
+    return Poly(spec, (-c, 1)) if len(G) == 1 else Poly.monomial(spec, 1, spec.p) - Poly.x(spec)
+
+
 def _assert_laws(structure: AutGroupStructure) -> None:
-    ctx = structure.ctx
-    spec = ctx.spec
-    d = ctx.deg_h
-    for alpha, beta in _law_sample(structure):
-        move = _affine(spec, alpha, beta)
-        if structure.t_kind == "generated":
-            if structure.t.compose(move) != structure.t:
-                raise SelfCheckError("t is not invariant")
-        elif structure.t_kind == "whole_ring":
-            if not (alpha.is_one() and beta.is_zero()):
-                raise SelfCheckError("whole ring fixed only by shears")
-        if structure.q.compose(move) != structure.q.scaled(alpha ** (d - 1)):
+    """Check the t/q laws on :func:`_law_sample` without composing t or q.
+
+    A pair moves base to alpha*base: on x^p - x always, by Frobenius
+    ((alpha*x + beta)^p = alpha*x^p + beta), and on x - c when
+    beta = c - alpha*c.  So it moves a scalar times base^k to alpha^k times it.
+    """
+    d, c, G = structure.ctx.deg_h, structure.P.c, structure.G
+    sample = list(_law_sample(structure))
+    base = _base(structure.ctx.spec, c, G)
+    generated = structure.t_kind == "generated"
+    t_exp = _exponent(structure.t, base) if generated else 0
+    q_exp = _exponent(structure.q, base)
+    for alpha, beta in sample:
+        if len(G) == 1 and beta != c - alpha * c:
+            raise SelfCheckError("the pair does not scale x - c")
+        if generated and structure.t.scaled(alpha**t_exp) != structure.t:
+            raise SelfCheckError("t is not invariant")
+        if structure.t_kind == "whole_ring" and not (alpha.is_one() and beta.is_zero()):
+            raise SelfCheckError("whole ring fixed only by shears")
+        if structure.q.scaled(alpha**q_exp) != structure.q.scaled(alpha ** (d - 1)):
             raise SelfCheckError("q violates its transformation law")
+
+
+def _exponent(f: Poly, base: Poly) -> int:
+    """The k with f a scalar times base^k, base monic (0 for f = 0)."""
+    k, rem = divmod(max(f.degree, 0), base.degree)
+    if rem or f and f != (base**k).scaled(f.lc):
+        raise SelfCheckError(f"{f} is not a scalar times a power of {base}")
+    return k
 
 
 # -- the isomorphism problem --------------------------------------------------
@@ -667,13 +667,11 @@ def _assert_laws(structure: AutGroupStructure) -> None:
 def iso_test(h: Poly, g: Poly, spec: FieldSpec):
     """A witness (alpha, beta, nu) with nu*g(x) == h(alpha*x + beta), or None.
 
-    The witness is the least by (alpha, beta).  Over both fields it is the
-    first triple of :func:`_equivalences`, which verifies the sorted
-    candidates only up to it, except when h and g have one distinct root
-    each: then the witnesses are (alpha, lam_h - alpha*lam_g), and alpha = 1
-    is the least.  Over GF(p) the cost is polynomial in deg h and log p when
-    p does not divide deg h (the centered binomials), and linear in p when
-    it does (each alpha in F* is tried).
+    The witness is the least by (alpha, beta): the first triple of
+    :func:`_equivalences`, which verifies candidates only up to it, or, when
+    h and g have one distinct root each, (1, lam_h - lam_g), the least of
+    the (alpha, lam_h - alpha*lam_g).  Over GF(p) the cost is polynomial in
+    deg h and log p for every deg h.
     """
     if h.spec != spec or g.spec != spec:
         raise ContextMismatch("polynomials over the wrong field")

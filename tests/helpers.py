@@ -427,18 +427,27 @@ def taylor_oracle(h: Poly) -> list[Poly]:
     ]
 
 
-def exhaustive_iso(h, g, spec):
-    """The least (alpha, beta, nu) with h(alpha*x + beta) == nu*g(x), or None."""
+def exhaustive_equivalences(h, g, spec):
+    """Every (alpha, beta, nu) with h(alpha*x + beta) == nu*g(x), in (alpha, beta) order.
+
+    The law at x = 0, h(beta) == nu*g(0), screens each pair before the full
+    composition.
+    """
     if h.degree != g.degree:
-        return None
+        return
+    values = [(beta, h.evaluate(beta)) for beta in spec.elements()]
     for alpha in spec.elements():
         if alpha.is_zero():
             continue
         nu = h.lc / g.lc * alpha**h.degree
-        for beta in spec.elements():
-            if h.compose(Poly(spec, (beta, alpha))) == g.scaled(nu):
-                return (alpha, beta, nu)
-    return None
+        for beta, h_beta in values:
+            if h_beta == nu * g.coeff(0) and h.compose(Poly(spec, (beta, alpha))) == g.scaled(nu):
+                yield alpha, beta, nu
+
+
+def exhaustive_iso(h, g, spec):
+    """The least (alpha, beta, nu) with h(alpha*x + beta) == nu*g(x), or None."""
+    return next(exhaustive_equivalences(h, g, spec), None)
 
 
 # -- the polynomial questions' former algorithms, now oracles -----------------

@@ -46,6 +46,7 @@ from ahalg.errors import (
 from helpers import (
     all_polys,
     classify_oracle,
+    exhaustive_equivalences,
     exhaustive_iso,
     exhaustive_pairs,
     exhaustive_translations,
@@ -762,11 +763,15 @@ def test_family_iso_conditions_vanish_identically(p):
 
 def test_poly_roots_match_evaluation():
     rng = random.Random(92)
-    for p in (2, 3, 7, 13):
+    for p in (2, 3, 7, 13, 17, 19):
         spec = FieldSpec.gf(p)
-        for _ in range(20):
-            f = rand_poly(rng, spec, 6, nonzero=True)
-            assert _poly_roots(f) == [e for e in spec.elements() if f.evaluate(e).is_zero()]
+        # and every binomial x^k*(x^m - w) with m <= p + 1: a coset of roots of unity
+        binomials = [
+            Poly.from_ints(spec, (0,) * k + (-w,) + (0,) * (m - 1) + (1,))
+            for m in range(1, p + 2) for w in range(1, p) for k in (0, 2)
+        ]
+        for f in [rand_poly(rng, spec, 6, nonzero=True) for _ in range(20)] + binomials:
+            assert _poly_roots(f) == [e for e in spec.elements() if f.evaluate(e).is_zero()], f
 
 
 def test_failed_law_check_is_a_self_check_error(monkeypatch):
@@ -802,20 +807,25 @@ def test_taylor_on_raw_residues_matches_the_oracle(spec):
 
 
 def _p_divides_d_shapes(spec):
-    """Non-family h with p | deg h, one per shape of P."""
+    """h with p | deg h: one per shape of P, then seeded random sparse h."""
     p = spec.p
     x = Poly.x(spec)
     one = Poly.one(spec)
     artin = x**p - x
     shapes = [
-        artin + one,  # G = F_p, alpha = 1 only
+        artin + one,  # x^p - x + 1: G = F_p, alpha = 1 only
         artin**2 + one,  # G = F_p and H = {1, -1}
         x**p + x**2,  # G = {0}
         x ** (2 * p) + x,  # G = {0}
         x**p + x,  # every alpha in F* fixes 0, for odd p
         # a symmetric q(x^2), moved off 0: (-1, 10) fixes c = 5, for odd p
         (x ** (2 * p) + x**2 + one).compose(x - Poly.constant(spec.from_int(5))),
+        x ** (2 * p) + x**2 + Poly.constant(spec.from_int(3)),  # (-1, 0), for odd p
     ]
+    rng = random.Random(p)
+    for d in (p, 2 * p, 3 * p):  # three random terms below the top
+        terms = {d: rng.randrange(1, p), **{rng.randrange(d): rng.randrange(1, p) for _ in range(3)}}
+        shapes.append(Poly.from_ints(spec, [terms.get(i, 0) for i in range(d + 1)]))
     return [h for h in shapes if h.degree >= 1 and h.degree % p == 0]
 
 
@@ -835,10 +845,25 @@ def test_fixed_point_shapes_have_the_claimed_groups():
         ctx = AhContext(spec, h)
         G_size.append(len(compute_G(ctx)))
         P_size.append(len(compute_P(ctx).pairs()))
-    assert G_size == [13, 13, 1, 1, 1, 1]
+    assert G_size == [13, 13, 1, 1, 1, 1, 1, 1, 1, 1]
     # (x^13 - x)^2 + 1 has H = {1, -1}; x^13 + x takes every alpha; the
-    # symmetric q(x^2) moved to 5 is fixed by (-1, 10)
-    assert P_size == [13, 26, 1, 1, 12, 2]
+    # symmetric q(x^2) moved to 5 is fixed by (-1, 10), and unmoved by (-1, 0);
+    # the random 5x^13 + 4x^10 + 11x^4 takes the cube roots of unity
+    assert P_size == [13, 26, 1, 1, 12, 2, 2, 3, 1, 1]
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_BELOW_60 if p < 30])
+def test_anchor_iso_matches_exhaustive_search_when_p_divides_d(p):
+    # g moved by (3, 2) and scaled by 4, then perturbed: isomorphic or not,
+    # with and without anchors; every solution is listed for p <= 13
+    spec = FieldSpec.gf(p)
+    x = Poly.x(spec)
+    for h in _p_divides_d_shapes(spec):
+        moved = h.compose(Poly.from_ints(spec, (3, 2 % p or 1))).scaled(spec.from_int(4 % p or 1))
+        for g in (moved, moved + x, moved + Poly.one(spec)):
+            assert iso_test(h, g, spec) == exhaustive_iso(h, g, spec), (h, g)
+            if p <= 13:
+                assert affine_equivalences(h, g) == list(exhaustive_equivalences(h, g, spec)), (h, g)
 
 
 def _centroid_shapes(spec):

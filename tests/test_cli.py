@@ -586,6 +586,14 @@ LARGE_P = [
         + " + ".join(f"x^{i}" for i in range(306, 1, -1))
         + " + x + 1; q: x + 306",
     ),
+    # as the per-alpha solver and the composed law check printed them (1.2 to 7.4 s
+    # each): p | deg h with and without an anchor, and the family over GF(10007)
+    (["--field", "GF:307", "--h", "x^307+x^2", "iso", "(x+2)^307+(x+2)^2"], "alpha = 1, beta = 2, nu = 1"),
+    (["--field", "GF:307", "--h", "x^307-x+1", "iso", "(x+5)^307-x+3"], "alpha = 192, beta = 0, nu = 192"),
+    (
+        ["--field", "GF:10007", "--h", "x^2", "aut-classify"],
+        "case semidirect_fstar; k = 1; G = {0}; generator (5, 0) of order 10006; t: x^10006; q: x",
+    ),
 ]
 
 
