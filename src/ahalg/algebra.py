@@ -438,6 +438,6 @@ def _element_term(f: Poly, sym: str, i: int) -> str:
     if f == -Poly.one(f.spec):
         return f"-{y}"
     body = format_poly(f)
-    if len([c for c in f.coeffs if not c.is_zero()]) > 1:
+    if len(f._nums) - f._nums.count(0) > 1:
         return f"({body})*{y}"
     return f"{body}*{y}"

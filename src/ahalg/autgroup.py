@@ -47,10 +47,10 @@ from .errors import (
 )
 from .fields import FieldElem, FieldSpec
 from .poly import (
+    MAX_DENSE_TERMS,
     Poly,
     _equal_degree,
     _poly,
-    distinct_root_count,
     gcd_monic,
     pow_mod,
     rational_roots,
@@ -232,7 +232,12 @@ def compute_G(ctx: AhContext) -> tuple[FieldElem, ...]:
 
 
 def compute_P(ctx: AhContext) -> PSet:
-    """The pair set P, as its presentation (see :class:`PSet`); nothing is listed.
+    """The pair set P, as its presentation (see :class:`PSet`); nothing is listed."""
+    return _presentation(ctx)[0]
+
+
+def _presentation(ctx: AhContext) -> tuple[PSet, int]:
+    """P and the number of distinct roots of h, the degree of its radical.
 
     A single distinct root lam (in the field, since the radical is then
     linear) gives the family: every alpha in F*, m = None over QQ.  Else P
@@ -256,7 +261,7 @@ def compute_P(ctx: AhContext) -> PSet:
         if h != Poly(spec, (-lam, 1)) ** d * h.lc:
             raise SelfCheckError("h with a linear radical is not a power of it")
         if not spec.p:
-            return PSet(ctx, lam, lam, G, None, None)
+            return PSet(ctx, lam, lam, G, None, None), 1
     c = _anchor(h)
     if c is None:
         G, c = tuple(spec.from_int(v) for v in range(spec.p)), zero
@@ -268,7 +273,7 @@ def compute_P(ctx: AhContext) -> PSet:
         generators.append((one, one))
     if not all(pair_is_valid(ctx, a, b) for a, b in generators):
         raise SelfCheckError("P is not G times the powers of its generator")
-    return PSet(ctx, lam, c if m > 1 else zero, G, unit, m)
+    return PSet(ctx, lam, c if m > 1 else zero, G, unit, m), rad.degree
 
 
 def _moved(f: Poly, c: FieldElem) -> Poly:
@@ -556,9 +561,8 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     if ctx.deg_h < 1:
         raise ConstantHError("classification needs deg h >= 1")
     spec, d = ctx.spec, ctx.deg_h
-    pset = compute_P(ctx)
+    pset, k = _presentation(ctx)
     G = pset.G
-    k = distinct_root_count(ctx.h)
     base = _base(spec, pset.c, G)
     ell, generator, t_kind, n_exp = pset.m, None, "constants", d - 1
     if ell is not None:
@@ -586,8 +590,8 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     case = SEMIDIRECT_FSTAR if pset.lam is not None else SEMIDIRECT_FINITE
     structure = AutGroupStructure(
         ctx, POLY_ONLY if whole else case, k, G, pset, pset.lam, generator, ell,
-        None if ell is None else base**ell, t_kind,
-        base**n_exp, "whole_ring" if whole else "module", None if whole else n_exp,
+        None if ell is None else _binomial_power(base, ell), t_kind,
+        _binomial_power(base, n_exp), "whole_ring" if whole else "module", None if whole else n_exp,
     )
     _assert_laws(structure)
     return structure
@@ -629,12 +633,30 @@ def _base(spec: FieldSpec, c: FieldElem, G: tuple) -> Poly:
     return Poly(spec, (-c, 1)) if len(G) == 1 else Poly.monomial(spec, 1, spec.p) - Poly.x(spec)
 
 
+def _binomial_power(base: Poly, k: int) -> Poly:
+    """base^k for base = (A*x^a + B*x^e)/D by the binomial theorem, each term
+    stepped from the last: O(k) steps (k < p over GF(p)) plus the dense output."""
+    p, nums, a = base.spec.p, base._nums, base.degree
+    e, B = next(((i, v) for i, v in enumerate(nums[:a]) if v), (0, 0))
+    A = nums[a]
+    if a * k + 1 > MAX_DENSE_TERMS:
+        raise AhError(f"power of the base too large: {a * k + 1} coefficients, limit {MAX_DENSE_TERMS}")
+    out, term = [0] * (a * k + 1), A**k
+    out[a * k] = term
+    for j in range(1, k + 1):
+        step = (k - j + 1) * B
+        term = term * step * pow(j * A, -1, p) % p if p else term * step // (j * A)
+        out[a * (k - j) + e * j] += term
+    return _poly(base.spec, out, base._den**k)
+
+
 def _assert_laws(structure: AutGroupStructure) -> None:
     """Check the t/q laws on :func:`_law_sample` without composing t or q.
 
     A pair moves base to alpha*base: on x^p - x always, by Frobenius
     ((alpha*x + beta)^p = alpha*x^p + beta), and on x - c when
-    beta = c - alpha*c.  So it moves a scalar times base^k to alpha^k times it.
+    beta = c - alpha*c.  So it moves a scalar times base^k, nonzero, to
+    alpha^k times it, and t and q obey their laws when alpha^k does.
     """
     d, c, G = structure.ctx.deg_h, structure.P.c, structure.G
     sample = list(_law_sample(structure))
@@ -645,18 +667,26 @@ def _assert_laws(structure: AutGroupStructure) -> None:
     for alpha, beta in sample:
         if len(G) == 1 and beta != c - alpha * c:
             raise SelfCheckError("the pair does not scale x - c")
-        if generated and structure.t.scaled(alpha**t_exp) != structure.t:
+        if generated and not (alpha**t_exp).is_one():
             raise SelfCheckError("t is not invariant")
         if structure.t_kind == "whole_ring" and not (alpha.is_one() and beta.is_zero()):
             raise SelfCheckError("whole ring fixed only by shears")
-        if structure.q.scaled(alpha**q_exp) != structure.q.scaled(alpha ** (d - 1)):
+        if alpha**q_exp != alpha ** (d - 1):
             raise SelfCheckError("q violates its transformation law")
 
 
 def _exponent(f: Poly, base: Poly) -> int:
-    """The k with f a scalar times base^k, base monic (0 for f = 0)."""
+    """The k with f a scalar times base^k, base monic (0 for f = 0).
+
+    For k < p, base*f' == k*base'*f makes f/base^k a rational function of
+    x^p, so a constant: base is squarefree (see the README).
+    """
     k, rem = divmod(max(f.degree, 0), base.degree)
-    if rem or f and f != (base**k).scaled(f.lc):
+    if f.spec.p and k >= f.spec.p:
+        ok = f == (base**k).scaled(f.lc)
+    else:
+        ok = base * f.derivative() == (base.derivative() * f).scaled(k)
+    if rem or not ok:
         raise SelfCheckError(f"{f} is not a scalar times a power of {base}")
     return k
 

@@ -5,7 +5,7 @@ is a polynomial algebra on two generators: x^p and the central element
 
     h^p y^p  =  Y^p - (delta^p(x)/h) * Y,
 
-whose ``correction`` polynomial delta^p(x)/h is always an exact division.
+whose ``correction`` polynomial delta^p(x)/h has a closed form (:func:`center`).
 The whole algebra is then a free module over the center with basis
 ``x^i h^j y^j`` (0 <= i, j < p); :func:`central_decompose` reads the
 coordinates of an element in ``h^j y^j`` (``weyl.hy_coordinates``), as do
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AhContext, OreElement, commutator
-from .errors import CharacteristicError, SelfCheckError
+from .errors import AhError, CharacteristicError, SelfCheckError
 from .fields import FieldElem
-from .poly import Poly
+from .poly import MAX_DENSE_TERMS, Poly, _mul_add, _poly
 from .weyl import from_hy_coordinates, hy_coordinates
 
 COMMUTATOR_SPACES = ("bracket_x", "bracket_yhat", "lie_ideal")
@@ -44,15 +44,67 @@ class CenterDescription:
 
 
 def center(ctx: AhContext) -> CenterDescription:
-    """Describe the center: scalars in char 0, two generators in char p."""
-    p = ctx.spec.characteristic
+    """Describe the center: scalars in char 0, two generators in char p.
+
+    In char p, C = delta^p(x)/h = sum_(k<d) c_k x^(kp), d = deg h, with
+    c_k = [x^(kp+p-1)] h^(p-1) = [x^(d-1)] G_k / lc(h), where G_k =
+    sum_(j>k) h_j R^(j-k-1) mod h, R = x^p mod h (derived in the README).
+    Certified by C == h'^(p-1) mod h, as (h d/dx)^j(h) == h'^j h mod h^2
+    for every j; for squarefree h that decides C.
+    """
+    spec, h, d = ctx.spec, ctx.h, ctx.deg_h
+    p = spec.characteristic
     if p == 0:
         return CenterDescription(0, None, None, None)
-    correction, rem = divmod(ctx.delta_power(Poly.x(ctx.spec), p), ctx.h)
-    if not rem.is_zero():
-        raise SelfCheckError("h must divide every delta power of x")
-    y_gen = ctx.monomial(Poly.one(ctx.spec), p) - ctx.monomial(correction, 1)
-    return CenterDescription(p, Poly.x(ctx.spec) ** p, y_gen, correction)
+    terms = max(d - 1, 1) * p + 1
+    if terms > MAX_DENSE_TERMS:
+        raise AhError(f"center too large: {terms} coefficients, limit {MAX_DENSE_TERMS}")
+    cs = _correction(h, ctx.h_prime) if d else []
+    nums, zero = [0] * (len(cs) * p), Poly.zero(spec)
+    nums[::p] = cs
+    correction = _poly(spec, nums)
+    y_gen = ctx.element((zero, -correction) + (zero,) * (p - 2) + (Poly.one(spec),))
+    return CenterDescription(p, Poly.monomial(spec, 1, p), y_gen, correction)
+
+
+def _correction(h: Poly, dh: Poly) -> list:
+    """c_0..c_(d-1) of :func:`center` as residues, checked against
+    C == h'^(p-1) mod h, all on raw residue lists of length d = deg h."""
+    p, hs = h.spec.p, h._nums
+    d, inv = len(hs) - 1, pow(hs[-1], -1, p)
+    tail = [-c * inv for c in hs[:d]]  # x^d == sum_i tail[i] x^i mod h
+
+    def mul(a, b):
+        out = _mul_add([0] * (2 * d - 1), 1, a, b)
+        for i in range(len(out) - 1, d - 1, -1):
+            q = out[i] % p
+            if q:
+                for j, c in enumerate(tail, i - d):
+                    out[j] += q * c
+        return [v % p for v in out[:d]]
+
+    def power(a, e):  # a has length d, e >= 1
+        r = a
+        for bit in bin(e)[3:]:
+            r = mul(r, r)
+            if bit == "1":
+                r = mul(r, a)
+        return r
+
+    x = [0, 1] if d > 1 else tail
+    R, G, cs = power(x, p), [hs[d]] + [0] * (d - 1), []
+    for k in range(d - 1, -1, -1):
+        cs.append(G[d - 1] * inv % p)
+        if k:
+            G = mul(R, G)
+            G[0] += hs[k]
+    C = cs[:1] + [0] * (d - 1)
+    for c in cs[1:]:  # Horner in R, down to c_0
+        C = mul(C, R)
+        C[0] = (C[0] + c) % p
+    if C != power(list(dh._nums) + [0] * (d - len(dh._nums)), p - 1):
+        raise SelfCheckError("the correction is not h'^(p-1) modulo h")
+    return cs[::-1]
 
 
 def is_central(a: OreElement) -> bool:

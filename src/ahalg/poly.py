@@ -41,6 +41,10 @@ from .fields import FieldElem, FieldSpec, value_str
 
 NEG_INF = float("-inf")
 
+# Dense closed-form outputs (the center over GF(p), powers of x^p - x) are
+# refused past this many coefficients; x^3+2x+5 over GF(1000003) needs 2*10^6
+MAX_DENSE_TERMS = 2**22
+
 
 def _canonical(spec: FieldSpec, nums, den: int) -> tuple[tuple[int, ...], int]:
     """The canonical form of ``sum nums[i] * x^i / den`` (den nonzero).

@@ -26,7 +26,7 @@ from ahalg.errors import (
 )
 from ahalg.fields import decimal_int
 from ahalg.parsing import _Parser
-from ahalg.poly import distinct_root_count, gcd_monic, pow_mod
+from ahalg.poly import distinct_root_count, gcd_monic, is_irreducible, pow_mod
 
 QQ_SPEC = None  # set lazily to avoid import order issues
 
@@ -414,6 +414,40 @@ def classify_oracle(ctx):
         "dz_kind": "whole_ring" if whole else "module",
         "n_exponent": None if whole else n,
     }
+
+
+def center_correction_oracle(ctx: AhContext) -> Poly:
+    """delta^p(x)/h by p derivation steps and one exact division by h (the
+    former ``center`` route)."""
+    correction, rem = divmod(ctx.delta_power(Poly.x(ctx.spec), ctx.spec.p), ctx.h)
+    if not rem.is_zero():
+        raise SelfCheckError("h must divide every delta power of x")
+    return correction
+
+
+def closed_form_shapes(spec) -> list[Poly]:
+    """The h on which the closed forms of the center and of the invariant
+    powers are compared with their oracles: split, irreducible, h(0) = 0,
+    p | deg h, a power of a linear factor, x^p - x times a unit, and not
+    monic (over GF(2) every h is monic).  Over QQ the two shapes tied to p
+    are left out."""
+    p = spec.p
+
+    def poly(*ints):
+        return Poly.from_ints(spec, ints)
+
+    x = Poly.x(spec)
+    split = (x - poly(1)) * (x - poly(2)) * (x + poly(3))
+    if p:
+        quadratics = (poly(b, a, 1) for a in range(p) for b in range(p))
+        irreducible = next(f for f in quadratics if is_irreducible(f))
+    else:
+        irreducible = poly(1, 0, 1)
+    shapes = [split, irreducible, poly(0, 5, 2, 1), (x + poly(1)) ** 3, poly(2, 1, 0, -1)]
+    if p:
+        xp = Poly.monomial(spec, 1, p)
+        shapes += [xp + poly(1, 1, 2), (xp - x).scaled(spec.from_int((p + 1) // 2))]
+    return shapes
 
 
 def taylor_oracle(h: Poly) -> list[Poly]:

@@ -46,6 +46,7 @@ from ahalg.errors import (
 from helpers import (
     all_polys,
     classify_oracle,
+    closed_form_shapes,
     exhaustive_equivalences,
     exhaustive_iso,
     exhaustive_pairs,
@@ -1031,3 +1032,25 @@ def test_pinned_outputs_of_the_presentation(argv, expected, capsys):
         assert out == json.dumps(expected, sort_keys=True) + "\n"
     else:
         assert out == expected + "\n"
+
+
+@pytest.mark.parametrize("p", [0] + [p for p in range(2, 200) if all(p % q for q in range(2, p))])
+def test_invariant_powers_match_repeated_squaring(p):
+    # t = base^ell and q = base^n come from the binomial theorem; Poly.__pow__
+    # squares base instead
+    spec = FieldSpec.gf(p) if p else QQ
+    for h in closed_form_shapes(spec):
+        s = classify_aut_group(AhContext(spec, h))
+        base = Poly.from_ints(spec, (-s.P.c.val, 1))
+        if len(s.G) > 1:
+            base = Poly.monomial(spec, 1, p) - Poly.x(spec)
+        assert s.t == (None if s.ell is None else base**s.ell), h
+        assert s.q == base ** (s.n_exponent or 0), h
+
+
+def test_invariant_power_past_the_dense_bound_is_refused():
+    # t = (x^2053 - x)^2052 would have 2053*2052 + 1 > 2^22 coefficients
+    spec = FieldSpec.gf(2053)
+    h = Poly.monomial(spec, 1, 2053) - Poly.x(spec)
+    with pytest.raises(AhError, match="power of the base too large: 4212757 coefficients"):
+        classify_aut_group(AhContext(spec, h))

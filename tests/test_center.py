@@ -19,12 +19,14 @@ from ahalg import (
     to_weyl,
     weyl_context,
 )
-from ahalg.errors import CharacteristicError
+from ahalg.errors import CharacteristicError, SelfCheckError
 
 from helpers import (
     bracket_x_oracle,
+    center_correction_oracle,
     central_decompose_oracle,
     central_oracle,
+    closed_form_shapes,
     rand_elem,
     rand_poly,
 )
@@ -273,3 +275,33 @@ def test_center_of_the_weyl_algebra_itself():
         assert desc.correction.is_zero()
         assert desc.y_generator == wctx.gen() ** p
         assert is_central(desc.y_generator)
+
+
+PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_200)
+def test_closed_form_center_matches_the_derivation_oracle(p):
+    spec = FieldSpec.gf(p)
+    zero, one = Poly.zero(spec), Poly.one(spec)
+    for h in closed_form_shapes(spec):
+        ctx = AhContext(spec, h)
+        desc = center(ctx)
+        correction = center_correction_oracle(ctx)
+        assert desc.correction == correction, h
+        assert desc.x_generator == Poly.x(spec) ** p
+        assert desc.y_generator.coeffs == (zero, -correction) + (zero,) * (p - 2) + (one,)
+
+
+@pytest.mark.parametrize("p", [3, 5, 11, 13])
+def test_correction_off_h_prime_is_a_self_check_error(p):
+    # the correction is certified by C == h'^(p-1) mod h, which is a unit
+    # mod a squarefree h (x^3 + 2x + 5 and 2x^3 + x + 1 here); with h'
+    # replaced by 0 the two sides differ
+    spec = FieldSpec.gf(p)
+    for ints in ((5, 2, 0, 1), (1, 1, 0, 2)):
+        ctx = AhContext(spec, Poly.from_ints(spec, ints))
+        center(ctx)
+        ctx.h_prime = Poly.zero(spec)
+        with pytest.raises(SelfCheckError, match="modulo h"):
+            center(ctx)

@@ -6,6 +6,7 @@ parsing that whole file.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -151,6 +152,47 @@ def test_yh_product_steps_are_bounded(monkeypatch):
     code, out, err = _invoke(argv + [str(cli.MAX_YH_STEPS + 1), "right"])
     assert (code, out, calls) == (1, "", [cli.MAX_YH_STEPS])
     assert err == f"error: yh-product power too large: {cli.MAX_YH_STEPS + 1} steps, limit {cli.MAX_YH_STEPS}\n"
+
+
+# -- closed forms at large p ----------------------------------------------------
+
+
+def test_center_just_under_its_dense_bound_runs():
+    # a cubic h gives a correction of degree 2p: 2p + 1 = 4194287 and 4194339
+    # coefficients, either side of MAX_DENSE_TERMS = 2^22
+    code, out, err = _invoke(["--field", "GF:2097143", "--h", "x^3+2*x+5", "center"])
+    assert (code, err) == (0, "")
+    assert out.startswith("generators x^2097143 and Y^2097143 + ")
+    code, out, err = _invoke(["--field", "GF:2097169", "--h", "x^3+2*x+5", "center"])
+    assert (code, out) == (1, "")
+    assert err == "error: center too large: 4194339 coefficients, limit 4194304\n"
+
+
+def test_center_at_the_largest_certified_field_is_refused():
+    code, out, err = _invoke(["--field", "GF:3317044064679887385961813", "--h", "x^2+1", "center"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: center too large: 3317044064679887385961814 coefficients")
+
+
+# the bytes the p-step center and the repeated-squaring classification printed
+# (90 min and 8.4 s); the closed forms take well under a second
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--field", "GF:100003", "--h", "x^3+2*x+5", "center"],
+            "3391afa94efffffd1128ccb024ec8b848ba4d832cb48d1df6e10d835640f6b8b",
+        ),
+        (
+            ["--field", "GF:10007", "--h", "(x-1)^2", "aut-classify"],
+            "c3be11c5423cb29c439da620c77c4a834329ca88efc11906ea540629d53d9758",
+        ),
+    ],
+)
+def test_closed_forms_print_what_the_step_routes_printed(argv, digest):
+    code, out, err = _invoke(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- fuzz ---------------------------------------------------------------------
