@@ -83,7 +83,7 @@ def _correction(h: Poly, dh: Poly) -> list:
                     out[j] += q * c
         return [v % p for v in out[:d]]
 
-    def power(a, e):  # a has length d, e >= 1
+    def power(a, e):  # a of length at most d, e >= 1
         r = a
         for bit in bin(e)[3:]:
             r = mul(r, r)
