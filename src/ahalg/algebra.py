@@ -299,6 +299,10 @@ def _mul(a: OreElement, b: OreElement) -> OreElement:
     return OreElement(ctx, [sum_of_raw_products(ctx.spec, s) for s in slots])
 
 
+# the commutator subspaces [x, A], [Y, A] and [A, A] (see center.in_commutator_space)
+COMMUTATOR_SPACES = ("bracket_x", "bracket_yhat", "lie_ideal")
+
+
 def commutator(a, b) -> OreElement:
     """The ring commutator a*b - b*a; either side may be a polynomial or scalar.
     Both products go into one set of output coefficients; against a

@@ -22,13 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AhContext, OreElement, commutator
+from .algebra import COMMUTATOR_SPACES, AhContext, OreElement, commutator
 from .errors import AhError, CharacteristicError, SelfCheckError
 from .fields import FieldElem
 from .poly import MAX_DENSE_TERMS, Poly, _mul_add, _poly
 from .weyl import from_hy_coordinates, hy_coordinates
-
-COMMUTATOR_SPACES = ("bracket_x", "bracket_yhat", "lie_ideal")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ data and the pretty text.  ``build_parser`` walks the table to declare the
 subcommands, and ``run`` looks the handler up and prints one of the two
 renderings.  Commands with the same output shape share one renderer.  One
 parser, built at the first ``run``, serves every later ``run`` of the process.
+
+Importing this module loads what every command needs (``errors``,
+``fields``, ``poly``, ``algebra``, ``parsing``).  The structure operations
+are read as ``ahalg.<name>``, which imports ``autgroup``, ``center``,
+``normal`` or ``weyl`` the first time a command calls into it, so ``ah
+mul`` never loads them.
 """
 
 from __future__ import annotations
@@ -21,25 +27,13 @@ import functools
 import json
 import sys
 
-from .algebra import AhContext, antiautomorphism, commutator, format_element
-from .autgroup import (
-    Automorphism,
-    classify_aut_group,
-    compute_G,
-    compute_P,
-    eta_endo,
-    extend_automorphism,
-    iso_test,
-    kappa_endo,
-    restrict_automorphism,
-)
-from .center import COMMUTATOR_SPACES, center, central_decompose, in_commutator_space, is_central
-from .errors import AhError, ParseError
+import ahalg
+
+from .algebra import COMMUTATOR_SPACES, AhContext, antiautomorphism, commutator, format_element
+from .errors import AhError
 from .fields import FieldSpec, decimal_int
-from .normal import classify_normal, height_one_prime_test, is_normal, is_simple
 from .parsing import parse_element, parse_poly, parse_scalar, refuse_power
 from .poly import FactoredPoly, FactorTerm, Poly, factor, format_poly
-from .weyl import embed, from_weyl, localized_equal, ore_witness, to_weyl, weyl_context, yh_product
 
 
 def _field_syntax(text: str) -> str:
@@ -163,10 +157,10 @@ class _Env:
         return parse_element(text, self.ctx, "Y")
 
     def weyl_element(self, text: str):
-        return parse_element(text, weyl_context(self.spec), "y")
+        return parse_element(text, ahalg.weyl_context(self.spec), "y")
 
-    def automorphism(self, alpha, beta, f) -> Automorphism:
-        return Automorphism(
+    def automorphism(self, alpha, beta, f) -> ahalg.Automorphism:
+        return ahalg.Automorphism(
             self.ctx,
             parse_scalar(alpha, self.spec),
             parse_scalar(beta, self.spec),
@@ -190,12 +184,12 @@ def _verdict(key: str, value: bool):
     return {key: value}, str(value).lower()
 
 
-def _automorphism(omega: Automorphism):
+def _automorphism(omega: ahalg.Automorphism):
     data = {"alpha": str(omega.alpha), "beta": str(omega.beta), "f": format_poly(omega.f)}
     return data, f"alpha = {data['alpha']}, beta = {data['beta']}, f = {data['f']}"
 
 
-def _transported(key: str, verb: str, omega: Automorphism | None):
+def _transported(key: str, verb: str, omega: ahalg.Automorphism | None):
     """An automorphism carried to another algebra, or the verdict that it is not."""
     if omega is None:
         return {key: False}, f"does not {verb}"
@@ -221,13 +215,14 @@ def _pairs(pset):
     return data, _set_text(f"({a}, {b})" for a, b in pairs)
 
 
-def _structure(env) -> dict:
-    """The automorphism-group classification as JSON data."""
-    s = classify_aut_group(env.ctx)
+def _structure(env, listed: bool) -> dict:
+    """The automorphism-group classification as JSON data; P, which has
+    |G|*ell pairs, is listed only when ``listed``."""
+    s = ahalg.classify_aut_group(env.ctx)
     return {
         "case": s.case,
         "k": s.k,
-        "P": _pairs(s.P)[0],
+        "P": _pairs(s.P)[0] if listed else None,
         "G": [str(nu) for nu in s.G],
         "generator": (
             {"alpha": str(s.generator[0]), "beta": str(s.generator[1])} if s.generator else None
@@ -259,14 +254,14 @@ def _yh_product(env, args):
     # the factor Y + i*h' has the largest shift of either side
     factor = ctx.gen() + ctx.from_poly(ctx.h_prime.scaled(ctx.spec.from_int(i)))
     refuse_power("yh-product power", i, ctx.spec.p, (factor,), steps=MAX_YH_STEPS)
-    return _element(yh_product(ctx, i, args.side))
+    return _element(ahalg.yh_product(ctx, i, args.side))
 
 
 def _localized_equal(env, args):
     a, b, h = env.element(args.expr), env.weyl_element(args.weyl_expr), env.ctx.h
     refuse_power("localized-equal power", args.n, env.spec.p, (h,), (a,))
     refuse_power("localized-equal power", args.m, env.spec.p, (h,), (b,))
-    return _verdict("equal", localized_equal(a, args.m, b, args.n))
+    return _verdict("equal", ahalg.localized_equal(a, args.m, b, args.n))
 
 
 def _endo_eta(env, args):
@@ -275,7 +270,7 @@ def _endo_eta(env, args):
     a = env.element(args.expr)
     for value in (env.ctx.h, a):
         refuse_power("endo-eta k", args.k, env.spec.p, (value,), substitute=True)
-    return _endomorphism(eta_endo(env.ctx, args.k), a)
+    return _endomorphism(ahalg.eta_endo(env.ctx, args.k), a)
 
 
 def _factor(env, args):
@@ -291,19 +286,20 @@ def _factor(env, args):
 
 
 def _embed(env, args):
-    image = embed(env.element(args.expr), parse_poly(args.divisor, env.spec))
+    image = ahalg.embed(env.element(args.expr), parse_poly(args.divisor, env.spec))
     data = {"result": format_element(image), "target_h": format_poly(image.ctx.h)}
     return data, f"{data['result']}  (in the algebra of h = {data['target_h']})"
 
 
 def _ore_witness(env, args):
-    witness = ore_witness(env.element(args.expr), parse_poly(args.poly, env.spec), args.side)
+    expr, s = env.element(args.expr), parse_poly(args.poly, env.spec)
+    witness = ahalg.ore_witness(expr, s, args.side)
     data = {"a1": format_element(witness.a1), "s1": format_poly(witness.s1), "side": witness.side}
     return data, f"a1 = {data['a1']}, s1 = {data['s1']} ({witness.side})"
 
 
 def _center(env, args):
-    desc = center(env.ctx)
+    desc = ahalg.center(env.ctx)
     if desc.is_trivial:
         return {"generators": [], "correction": None}, "trivial center (scalars only)"
     gens = [format_poly(desc.x_generator), format_element(desc.y_generator)]
@@ -313,7 +309,7 @@ def _center(env, args):
 
 
 def _decompose_central(env, args):
-    dec = central_decompose(env.element(args.expr))
+    dec = ahalg.central_decompose(env.element(args.expr))
     entries = [
         {"i": i, "j": j, "terms": [
             {"a": a, "b": b, "coeff": str(c)} for (a, b), c in sorted(cell.items())
@@ -329,13 +325,13 @@ def _decompose_central(env, args):
 
 
 def _is_normal(env, args):
-    cert = is_normal(env.element(args.expr))
+    cert = ahalg.is_normal(env.element(args.expr))
     data = {"normal": cert.verdict, "r": format_poly(cert.r) if cert.verdict else None}
     return data, f"normal with [Y, v] = ({data['r']}) * v" if cert.verdict else "not normal"
 
 
 def _classify_normal(env, args):
-    split = classify_normal(env.element(args.expr), env.h_factored())
+    split = ahalg.classify_normal(env.element(args.expr), env.h_factored())
     data = {
         "factors": [[format_poly(u), beta] for u, beta in split.factors],
         "central": format_element(split.central_part),
@@ -347,18 +343,18 @@ def _classify_normal(env, args):
 
 
 def _prime_test(env, args):
-    report = height_one_prime_test(env.element(args.expr), env.h_factored(), seed=env.seed)
+    report = ahalg.height_one_prime_test(env.element(args.expr), env.h_factored(), seed=env.seed)
     data = {"kind": report.kind.value, "detail": report.detail}
     return data, f"{report.kind.value}: {report.detail}"
 
 
 def _aut_g(env, args):
-    G = [str(nu) for nu in compute_G(env.ctx)]
+    G = [str(nu) for nu in ahalg.compute_G(env.ctx)]
     return {"G": G}, _set_text(G)
 
 
 def _aut_classify(env, args):
-    data = _structure(env)
+    data = _structure(env, args.json)
     gen = data["generator"]
     pretty = (
         f"case {data['case']}; k = {data['k']}; G = {_set_text(data['G'])}"
@@ -369,7 +365,7 @@ def _aut_classify(env, args):
 
 
 def _invariants(env, args):
-    data = _structure(env)
+    data = _structure(env, False)
     kinds = {
         "whole_ring": "every polynomial is invariant",
         "constants": "only scalars are invariant",
@@ -379,7 +375,7 @@ def _invariants(env, args):
 
 
 def _aut_center(env, args):
-    data = _structure(env)
+    data = _structure(env, False)
     if data["dz_kind"] == "whole_ring":
         pretty = "central shears: every polynomial"
     elif data["t_kind"] == "generated":
@@ -390,7 +386,7 @@ def _aut_center(env, args):
 
 
 def _iso(env, args):
-    witness = iso_test(env.ctx.h, parse_poly(args.other, env.spec), env.spec)
+    witness = ahalg.iso_test(env.ctx.h, parse_poly(args.other, env.spec), env.spec)
     if witness is None:
         return {"isomorphic": False, "witness": None}, "not isomorphic"
     alpha, beta, nu = witness
@@ -422,9 +418,9 @@ COMMANDS = {
     "delta": (("poly", ("power", _INT)), "iterated derivation h*f' of a polynomial", _delta),
     "factor": (("poly",), "factor a polynomial over the field", _factor),
     "to-weyl": (("expr",), "expand through Y = y*h into the Weyl algebra",
-                lambda env, a: _element(to_weyl(env.element(a.expr)))),
+                lambda env, a: _element(ahalg.to_weyl(env.element(a.expr)))),
     "from-weyl": (("expr",), "pull a Weyl element back into the subalgebra",
-                  lambda env, a: _element(from_weyl(env.weyl_element(a.expr), env.ctx))),
+                  lambda env, a: _element(ahalg.from_weyl(env.weyl_element(a.expr), env.ctx))),
     "embed": (("divisor", "expr"), "embed into the algebra of a divisor of h", _embed),
     "ore-witness": (("expr", "poly", ("side", _SIDE)), "common-denominator witness", _ore_witness),
     "localized-equal": (("expr", ("m", _INT), "weyl_expr", ("n", _INT)),
@@ -433,19 +429,20 @@ COMMANDS = {
                    _yh_product),
     "center": ((), "generators of the center", _center),
     "is-central": (("expr",), "does the element commute with everything",
-                   lambda env, a: _verdict("central", is_central(env.element(a.expr)))),
+                   lambda env, a: _verdict("central", ahalg.is_central(env.element(a.expr)))),
     "decompose-central": (("expr",), "coordinates over the center (char p)", _decompose_central),
     "in-commutator": (
         ("expr", ("space", {"choices": COMMUTATOR_SPACES})),
         "membership in [x,A], [Y,A], [A,A]",
-        lambda env, a: _verdict("member", in_commutator_space(env.element(a.expr), a.space)),
+        lambda env, a: _verdict("member", ahalg.in_commutator_space(env.element(a.expr), a.space)),
     ),
     "is-normal": (("expr",), "normality certificate", _is_normal),
     "classify-normal": (("expr",), "prime factors of h times a central part", _classify_normal),
     "is-simple": ((), "is the algebra simple",
-                  lambda env, a: _verdict("simple", is_simple(env.ctx))),
+                  lambda env, a: _verdict("simple", ahalg.is_simple(env.ctx))),
     "prime-test": (("expr",), "does the element generate a height-one prime", _prime_test),
-    "aut-p": ((), "the admissible (alpha, beta) pairs", lambda env, a: _pairs(compute_P(env.ctx))),
+    "aut-p": ((), "the admissible (alpha, beta) pairs",
+              lambda env, a: _pairs(ahalg.compute_P(env.ctx))),
     "aut-g": ((), "the translations fixing h", _aut_g),
     "aut-classify": ((), "automorphism-group structure report", _aut_classify),
     "aut-apply": ((*_AUT, "expr"), "apply an automorphism",
@@ -464,18 +461,18 @@ COMMANDS = {
     "iso": (("other",), "isomorphism witness against another polynomial", _iso),
     "endo-eta": ((("k", _INT), "expr"), "apply the power endomorphism (h = x^n)", _endo_eta),
     "endo-kappa": (("shift", "expr"), "apply the central shift endomorphism",
-                   lambda env, a: _endomorphism(kappa_endo(env.ctx, env.element(a.shift)),
+                   lambda env, a: _endomorphism(ahalg.kappa_endo(env.ctx, env.element(a.shift)),
                                                 env.element(a.expr))),
     "aut-extend": (
         ("divisor", *_AUT),
         "extend to a larger algebra",
-        lambda env, a: _transported("extends", "extend", extend_automorphism(
+        lambda env, a: _transported("extends", "extend", ahalg.extend_automorphism(
             env.automorphism(a.alpha, a.beta, a.f), parse_poly(a.divisor, env.spec))),
     ),
     "aut-restrict": (
         ("multiple", *_AUT),
         "restrict to a subalgebra",
-        lambda env, a: _transported("restricts", "restrict", restrict_automorphism(
+        lambda env, a: _transported("restricts", "restrict", ahalg.restrict_automorphism(
             env.automorphism(a.alpha, a.beta, a.f), parse_poly(a.multiple, env.spec))),
     ),
 }

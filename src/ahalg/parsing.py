@@ -53,13 +53,16 @@ class _Parser:
     """Recursive-descent evaluator over a small value algebra.
 
     The value operations are injected so the same grammar drives scalar,
-    polynomial, and noncommutative-element parsing.
+    polynomial, and noncommutative-element parsing.  ``powers`` maps a
+    letter to the function n -> letter^n that builds the monomial directly;
+    any other base is raised by square-and-multiply.
     """
 
-    def __init__(self, src, spec, atoms, lift_scalar):
+    def __init__(self, src, spec, atoms, lift_scalar, powers=None):
         self.src = src
         self.spec = spec
         self.atoms = atoms
+        self.powers = powers or {}
         self.lift_scalar = lift_scalar
         self.tokens = _tokenize(src)
         self.i = 0
@@ -126,6 +129,7 @@ class _Parser:
             value = -self.factor()
             self.depth -= 1
             return value
+        power = self.powers.get(op) if kind == "name" else None
         value = self.atom()
         kind, op, pos = self.peek()
         if kind == "op" and op == "^":
@@ -140,7 +144,7 @@ class _Parser:
                 p = self.spec.characteristic
                 ydeg, weight, bits = _size(value, p)
                 _refuse_if_large("power", exp * ydeg, exp * weight, exp * bits, p, pos)
-            value = value**exp
+            value = power(exp) if power else value**exp
         return value
 
     def atom(self):
@@ -245,7 +249,8 @@ def parse_scalar(src: str, spec: FieldSpec) -> FieldElem:
 
 def parse_poly(src: str, spec: FieldSpec) -> Poly:
     """A polynomial in x over the given field."""
-    return _Parser(src, spec, {"x": Poly.x(spec)}, Poly.constant).parse()
+    x_power = {"x": lambda n: Poly.monomial(spec, 1, n)}
+    return _Parser(src, spec, {"x": Poly.x(spec)}, Poly.constant, x_power).parse()
 
 
 def parse_element(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
@@ -263,5 +268,7 @@ def parse_element(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
             src.index(other),
         )
     atoms = {"x": Poly.x(ctx.spec), generator: ctx.gen()}
-    value = _Parser(src, ctx.spec, atoms, Poly.constant).parse()
+    powers = {"x": lambda n: Poly.monomial(ctx.spec, 1, n),
+              generator: lambda n: ctx.monomial(Poly.one(ctx.spec), n)}
+    value = _Parser(src, ctx.spec, atoms, Poly.constant, powers).parse()
     return value if isinstance(value, OreElement) else ctx.from_poly(value)

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ahalg
 from ahalg import QQ, cli
 from ahalg.cli import run
 
@@ -144,8 +145,9 @@ def test_endo_eta_sizes_its_image_without_powering_the_y_degree():
 def test_yh_product_steps_are_bounded(monkeypatch):
     # with h = x every coefficient is a constant, so the words model never
     # binds; the product itself takes seconds at the bound, so it is stubbed
+    # where the CLI reads it, the package's public name
     calls = []
-    monkeypatch.setattr(cli, "yh_product", lambda ctx, i, side: calls.append(i) or ctx.one())
+    monkeypatch.setattr(ahalg, "yh_product", lambda ctx, i, side: calls.append(i) or ctx.one())
     argv = ["--field", "GF:1000003", "--h", "x", "yh-product"]
     assert _invoke(argv + [str(cli.MAX_YH_STEPS), "right"]) == (0, "1\n", "")
     assert calls == [cli.MAX_YH_STEPS]
