@@ -129,7 +129,7 @@ class _Parser:
             value = -self.factor()
             self.depth -= 1
             return value
-        power = self.powers.get(op) if kind == "name" else None
+        power = self.powers.get(op)  # a letter with a monomial builder, or None
         value = self.atom()
         kind, op, pos = self.peek()
         if kind == "op" and op == "^":
