@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 
 from .algebra import AhContext, OreElement, apply_poly_map, commutator
 from .errors import (
@@ -194,10 +194,7 @@ class PSet:
         """The m-th roots of unity, as the powers 1, unit, ..., unit^(m-1)."""
         if self.m is None:
             raise AhError("the family over QQ cannot be materialized")
-        powers = [self.ctx.spec.one()]
-        for _ in range(self.m - 1):
-            powers.append(powers[-1] * self.unit)
-        return powers
+        return [self.ctx.spec.elem(a) for a in _powers(self.unit, self.m)]
 
     def pairs(self) -> tuple[tuple[FieldElem, FieldElem], ...]:
         """The |G|*m pairs, sorted."""
@@ -284,25 +281,63 @@ def _moved(f: Poly, c: FieldElem) -> Poly:
 def _anchor(h: Poly) -> FieldElem | None:
     """The anchor of h, or None when h(x + t) == h(x) for every t in GF(p).
 
-    Each Hasse derivative h^[i] (:func:`_taylor`) is reduced mod t^p - t,
-    folding an exponent e >= p to (e-1) mod (p-1) + 1; the anchor is the
-    centroid -r_(e-1)/(e*r_e) of the first reduction r, from i = d-1 down,
-    that is not constant (its degree e < p is a unit).  For A = alpha*x +
-    beta, h(A)^[i] = alpha^i * h^[i](A) and (t^p - t)(A) = alpha*(t^p - t),
-    so if h(A) == nu*g, A maps the anchor of g to the anchor of h.  With no
-    anchor, h^[i](t) = h_i on GF(p) for all i.  Over QQ, and when p does not
-    divide d, the scan stops at h^[d-1] = h_(d-1) + d*lc*t: the centroid.
+    The Hasse derivatives h^[i] (:func:`_hasse_rows`) are read from i = d-1
+    down, each reduced mod t^p - t over GF(p) (an exponent e >= p folds to
+    (e-1) mod (p-1) + 1), and the anchor is the centroid -r_(e-1)/(e*r_e)
+    of the first reduction r that is not constant (its degree e < p is a
+    unit); later rows are never built.  For A = alpha*x + beta, h(A)^[i] =
+    alpha^i * h^[i](A) and (t^p - t)(A) = alpha*(t^p - t), so if h(A) ==
+    nu*g, A maps the anchor of g to the anchor of h.  With no anchor,
+    h^[i](t) = h_i on GF(p) for all i.  Over QQ, and when p does not divide
+    d, the first row h^[d-1] = h_(d-1) + d*lc*t is already not constant.
     """
-    spec, d, p = h.spec, h.degree, h.spec.p
-    if not p or d % p:
-        return -h.coeff(d - 1) / (spec.from_int(d) * h.lc)
-    for row in reversed(_taylor(h)[:d]):
-        r = [0] * min(len(row._nums), p)
-        for k, v in enumerate(row._nums):
-            r[k if k < p else (k - 1) % (p - 1) + 1] += v
-        e = next((k for k in range(len(r) - 1, 0, -1) if r[k] % p), 0)
+    spec, p = h.spec, h.spec.p
+    for row in _hasse_rows(h):
+        if p:
+            r = [0] * min(len(row), p)
+            for k, v in enumerate(row):
+                r[k if k < p else (k - 1) % (p - 1) + 1] += v
+            row = [v % p for v in r]
+        e = next((k for k in range(len(row) - 1, 0, -1) if row[k]), 0)
         if e:
-            return spec.from_int(-r[e - 1] * pow(e * r[e], -1, p))
+            return -spec.from_int(row[e - 1]) / spec.from_int(e * row[e])
+
+
+def _hasse_rows(h: Poly):
+    """Yield the Hasse derivatives of h from i = d-1 down to 0, each built
+    only when it is read, as raw numerators over the denominator of h.
+
+    Row i is sum_j C(j, i) h_j t^(j-i) over the nonzero h_j, the x^i
+    coefficient of h(x + t); that of h(alpha*x + t) is alpha^i times it.
+    Over GF(p) each C(j, i) is taken mod p by Lucas' theorem from one table
+    of factorials below min(p, d + 1); over QQ it is exact.
+    """
+    nums, p = h._nums, h.spec.p
+    terms = [(j, c) for j, c in enumerate(nums) if c]
+    if p:
+        fact = list(accumulate(range(1, min(p, len(nums))), lambda f, k: f * k % p, initial=1))
+        inv = [pow(f, -1, p) for f in fact]
+
+        def binom(j, i):
+            # C(j, i) mod p, digit by digit in base p
+            out = 1
+            while i and out:
+                a, b = j % p, i % p
+                out = out * fact[a] * inv[b] * inv[a - b] % p if b <= a else 0
+                j, i = j // p, i // p
+            return out
+
+    else:
+        binom = comb
+    for i in range(len(nums) - 2, -1, -1):
+        # a row grows only up to its last nonzero entry, so a sparse h gives short rows
+        row = []
+        for j, c in terms:
+            v = c * binom(j, i) if j >= i else 0
+            if v:
+                row += [0] * (j - i - len(row))
+                row.append(v)
+        yield row
 
 
 def _unit_of_order(spec: FieldSpec, n: int, m: int) -> FieldElem:
@@ -315,6 +350,12 @@ def _unit_of_order(spec: FieldSpec, n: int, m: int) -> FieldElem:
         if _order(b, m) == m:
             return b
     raise SelfCheckError(f"{spec!r} has no element of order {m}")
+
+
+def _powers(unit: FieldElem, m: int, start=1):
+    """start * unit^j for j = 0..m-1 on raw values: residues, or Fractions over QQ."""
+    p, u = unit.spec.p, unit.val
+    return accumulate(range(m - 1), lambda a, _: a * u % p if p else a * u, initial=start)
 
 
 def affine_equivalences(h: Poly, g: Poly) -> list:
@@ -333,8 +374,10 @@ def _equivalences(h: Poly, g: Poly):
     H_i = ratio*alpha^(d-i)*K_i for every i < d: the alphas are the common
     roots of the binomials ratio*K_i*x^(d-i) - H_i (none if the zero
     patterns of H and K differ), at a cost polynomial in d and log p.  Each
-    candidate is verified by composition as it is reached, so a caller that
-    stops at the first triple composes only up to the least witness.
+    alpha is verified by one composition as it is reached, so a caller that
+    stops at the first triple composes only up to the least witness.  With
+    no anchors it serves every shift, once a composition past the first
+    witness certifies h(x + 1) == h.
     """
     spec, d = h.spec, h.degree
     if d != g.degree or d < 1:
@@ -343,7 +386,7 @@ def _equivalences(h: Poly, g: Poly):
     c_h, c_g = _anchor(h), _anchor(g)
     if (c_h is None) != (c_g is None):
         return
-    shifts = range(spec.p) if c_h is None else (0,)
+    shifts = range(1, spec.p) if c_h is None else ()
     c_h, c_g = c_h or spec.zero(), c_g or spec.zero()
     H, K = _moved(h, c_h), _moved(g, c_g)
     binomials = []
@@ -360,61 +403,18 @@ def _equivalences(h: Poly, g: Poly):
         alphas = [spec.from_int(a) for a in range(1, spec.p)]
     else:
         raise AhError("elimination degenerated to the one-parameter family")
+    unfixed = bool(shifts)  # h(x + 1) == h is not yet certified
     for alpha in alphas:
         nu = ratio * alpha**d
+        beta = c_h - alpha * c_g
+        if h.compose(_affine(spec, alpha, beta)) != g.scaled(nu):
+            continue
+        yield alpha, beta, nu
+        if unfixed and _moved(h, spec.one()) != h:
+            raise SelfCheckError("h has no anchor but x -> x + 1 moves it")
+        unfixed = False
         for shift in shifts:
-            beta = c_h - alpha * c_g + spec.from_int(shift)
-            if h.compose(_affine(spec, alpha, beta)) == g.scaled(nu):
-                yield alpha, beta, nu
-
-
-def _taylor(h: Poly) -> list[Poly]:
-    """The Hasse derivatives of h as polynomials in t.
-
-    Entry i is sum_j C(j, i) h_j t^(j-i), the x^i coefficient of h(x + t);
-    the x^i coefficient of h(alpha*x + t) is alpha^i times it.  Built on the
-    raw numerators, skipping the zero coefficients of h.  Over GF(p) each
-    C(j, i) is taken mod p by Lucas' theorem from one table of factorials
-    below min(p, d + 1); over QQ it stays exact, stepped along row j of
-    Pascal's triangle.
-    """
-    spec, nums = h.spec, h._nums
-    n, p = len(nums), spec.p
-    if p:
-        top = min(p - 1, n - 1)
-        fact = [1] * (top + 1)
-        for k in range(1, top + 1):
-            fact[k] = fact[k - 1] * k % p
-        inv = [pow(f, -1, p) for f in fact]
-
-        def column(j, c):
-            # c * C(j, i) mod p for i = 0..j, digit by digit in base p
-            for i in range(j + 1):
-                out, a, b = c, j, i
-                while b and out:
-                    a0, b0 = a % p, b % p
-                    out = out * fact[a0] * inv[b0] * inv[a0 - b0] % p if b0 <= a0 else 0
-                    a, b = a // p, b // p
-                yield out
-
-    else:
-
-        def column(j, c):
-            # c * C(j, i) for i = 0..j, exactly: c*C(j, i)*(j-i) is divisible by i+1
-            for i in range(j + 1):
-                yield c
-                c = c * (j - i) // (i + 1)
-
-    # rows grow only up to their last nonzero entry, so a sparse h gives short rows
-    rows = [[] for _ in range(n)]
-    for j, c in enumerate(nums):
-        if c:
-            for i, v in enumerate(column(j, c)):
-                if v:
-                    row = rows[i]
-                    row += [0] * (j - i - len(row))
-                    row.append(v)
-    return [_poly(spec, row, h._den) for row in rows]
+            yield alpha, beta + spec.from_int(shift), nu
 
 
 def _poly_roots(f: Poly) -> list[FieldElem]:
@@ -477,9 +477,8 @@ def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[FieldElem]:
     y = y * pow(zeta, -(log // g), p) % p
     if pow(y, m, p) != w:
         raise SelfCheckError(f"{y} is not a root of x^{m} - {w}")
-    unit = pow(zeta, s // g, p)  # g divides s, so this has order g
-    roots = accumulate(range(g - 1), lambda a, _: a * unit % p, initial=y)
-    return [spec.from_int(a) for a in sorted(roots)]
+    unit = spec.from_int(pow(zeta, s // g, p))  # g divides s, so this has order g
+    return [spec.from_int(a) for a in sorted(_powers(unit, g, y))]
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -552,11 +551,12 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     G = GF(p) (:func:`_base`), q = base^n.  For a finite P the image in F*
     is cyclic of order ell = m = |P|/|G|, so G and one pair generate P: the
     least pair whose alpha has order ell, or the least nonzero translation
-    when ell = 1.  Then t = base^ell and n = (d-1)*|G|^-1 mod ell.  For the
-    family over QQ (m = None) every alpha in QQ* is admissible, so only
-    scalars are invariant and n = d - 1.  The laws for t and q are checked
-    against the generators before returning, so a wrong case selection
-    cannot escape.
+    when ell = 1; those alphas are the unit^j with gcd(j, ell) = 1, so
+    O(ell) integer steps find it.  Then t = base^ell and n = (d-1)*|G|^-1
+    mod ell.  For the family over QQ (m = None) every alpha in QQ* is
+    admissible, so only scalars are invariant and n = d - 1.  The laws for
+    t and q are checked against the generators before returning, so a wrong
+    case selection cannot escape.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("classification needs deg h >= 1")
@@ -576,10 +576,8 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
         if (len(G) - 1) % ell:
             raise SelfCheckError("|G| - 1 must be divisible by ell")
         if ell > 1:
-            alphas = sorted(pset.alphas(), key=FieldElem.sort_key)
-            alpha = next((a for a in alphas if _order(a, ell) == ell), None)
-            if alpha is None:
-                raise SelfCheckError("no pair of P has an alpha of order |P|/|G|")
+            powers = enumerate(_powers(pset.unit, ell))
+            alpha = spec.elem(min(a for j, a in powers if gcd(j, ell) == 1))
             # beta runs over c*(1 - alpha) + G, which is all of GF(p) when |G| > 1
             generator = (alpha, spec.zero() if len(G) > 1 else pset.c - alpha * pset.c)
         elif len(G) > 1:

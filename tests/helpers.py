@@ -452,13 +452,21 @@ def closed_form_shapes(spec) -> list[Poly]:
 
 def taylor_oracle(h: Poly) -> list[Poly]:
     """The Hasse derivatives of h, entry i being sum_j C(j, i) h_j t^(j-i),
-    with each binomial an exact integer times a field element (the former
-    ``autgroup._taylor``)."""
+    with each binomial an exact integer times a field element (the oracle of
+    ``autgroup._hasse_rows``)."""
     c = h.coeffs
     return [
         Poly(h.spec, [comb(j, i) * c[j] for j in range(i, len(c))])
         for i in range(len(c))
     ]
+
+
+def centroid_oracle(h: Poly):
+    """-h_(d-1)/(d*lc(h)), the mean of the roots of h: its anchor over QQ
+    and over GF(p) when p does not divide d = deg h (the former shortcut of
+    ``autgroup._anchor``)."""
+    d = h.degree
+    return -h.coeff(d - 1) / (h.spec.from_int(d) * h.lc)
 
 
 def exhaustive_equivalences(h, g, spec):

@@ -26,10 +26,11 @@ from ahalg import (
     tau,
 )
 from ahalg.autgroup import (
+    _anchor,
     _assert_laws,
+    _hasse_rows,
     _order,
     _poly_roots,
-    _taylor,
     affine_equivalences,
     pair_is_valid,
 )
@@ -42,9 +43,11 @@ from ahalg.errors import (
     SelfCheckError,
     WrongHError,
 )
+from ahalg.poly import _poly
 
 from helpers import (
     all_polys,
+    centroid_oracle,
     classify_oracle,
     closed_form_shapes,
     exhaustive_equivalences,
@@ -804,7 +807,54 @@ def test_taylor_on_raw_residues_matches_the_oracle(spec):
         Poly.one(spec),
     ] + [rand_poly(rng, spec, 9, nonzero=True) for _ in range(4)]  # with fractions over QQ
     for h in shapes:
-        assert _taylor(h) == taylor_oracle(h), h
+        rows = [_poly(spec, row, h._den) for row in _hasse_rows(h)]
+        assert rows == taylor_oracle(h)[-2::-1], h
+
+
+@pytest.mark.parametrize("spec", [QQ] + [FieldSpec.gf(p) for p in PRIMES_BELOW_60], ids=str)
+def test_anchor_is_the_centroid_when_p_does_not_divide_d(spec):
+    rng = random.Random(94)
+    for _ in range(20):
+        h = rand_poly(rng, spec, 9, nonzero=True)
+        if h.degree >= 1 and (not spec.p or h.degree % spec.p):
+            assert _anchor(h) == centroid_oracle(h), h
+
+
+def _dense_of_degree_2p(spec):
+    """A seeded h of degree 2p with every coefficient nonzero."""
+    rng = random.Random(spec.p)
+    return Poly.from_ints(spec, [rng.randrange(1, spec.p) for _ in range(2 * spec.p + 1)])
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_60)
+def test_anchor_of_a_dense_h_reads_at_most_two_rows(monkeypatch, p):
+    # h^[2p-1] = h_(2p-1) + 2p*lc*t is constant, and h^[2p-2] has the term
+    # (2p-1)*h_(2p-1)*t, not 0 when h is dense
+    from ahalg import autgroup
+
+    h = _dense_of_degree_2p(FieldSpec.gf(p))
+    read = []
+
+    def counted(f):
+        for row in _hasse_rows(f):
+            read.append(row)
+            yield row
+
+    monkeypatch.setattr(autgroup, "_hasse_rows", counted)
+    assert _anchor(h) is not None
+    assert len(read) <= 2, (h, len(read))
+
+
+@pytest.mark.parametrize("p", [p for p in PRIMES_BELOW_60 if p < 30])
+def test_anchor_solver_on_dense_and_two_root_h_of_degree_2p(p):
+    spec = FieldSpec.gf(p)
+    x, one = Poly.x(spec), Poly.one(spec)
+    for h in ((x + one) ** (2 * p - 1) * (x + one + one), _dense_of_degree_2p(spec)):
+        ctx = AhContext(spec, h)
+        P, G = compute_P(ctx).pairs(), compute_G(ctx)
+        assert (P, G) == (exhaustive_pairs(ctx), exhaustive_translations(ctx)), h
+        # roots of multiplicities 2p-1 and 1 are each fixed; the dense h has no symmetry
+        assert (len(G), len(P)) == (1, 1), h
 
 
 def _p_divides_d_shapes(spec):
@@ -997,6 +1047,53 @@ def test_iso_verifies_only_up_to_the_least_witness(monkeypatch):
     assert len(calls) == 2
     monkeypatch.undo()
     assert len(affine_equivalences(h, g)) == 48
+
+
+def test_equivalences_without_anchors_compose_once_per_alpha(monkeypatch):
+    # x^31 - x + 1 over GF(31) has no anchor and alpha = 1 only: one composition
+    # verifies (1, 0, 1), and one certifies h(x + 1) == h for the other 30 shifts
+    from ahalg import autgroup
+
+    spec = FieldSpec.gf(31)
+    x = Poly.x(spec)
+    h = x**31 - x + Poly.one(spec)
+    calls = []
+    compose = Poly.compose
+    monkeypatch.setattr(Poly, "compose", lambda f, u: calls.append(1) or compose(f, u))
+    found = affine_equivalences(h, h)
+    assert len(calls) <= 2
+    monkeypatch.undo()
+    assert len(found) == 31
+    assert found == list(exhaustive_equivalences(h, h, spec))
+    # a wrong "no anchor" fails the certificate past the first witness
+    monkeypatch.setattr(autgroup, "_anchor", lambda f: None)
+    g = x**2 + Poly.one(spec)
+    assert next(autgroup._equivalences(g, g)) == (spec.one(), spec.zero(), spec.one())
+    with pytest.raises(SelfCheckError, match="no anchor"):
+        affine_equivalences(g, g)
+
+
+PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_200)
+def test_generator_is_the_least_primitive_root(p):
+    spec = FieldSpec.gf(p)
+    x = Poly.x(spec)
+
+    def order(a):
+        e, power = 1, a
+        while power != 1:
+            e, power = e + 1, power * a % p
+        return e
+
+    root = next(a for a in range(1, p) if order(a) == p - 1)
+    # every alpha in F* is admissible for both; F2* = {1} leaves (x - 3)^2 no generator
+    shapes = [x**p + x] + ([(x - Poly.constant(spec.from_int(3))) ** 2] if p > 2 else [])
+    for h in shapes:
+        structure = classify_aut_group(AhContext(spec, h))
+        assert structure.ell == p - 1, h
+        assert structure.generator[0] == spec.from_int(root), h
 
 
 PINNED = [
