@@ -34,8 +34,9 @@ from .poly import NEG_INF, Poly, _mul_add, format_poly, sum_of_raw_products
 class AhContext:
     """A fixed field and a fixed nonzero h; the home of its elements."""
 
-    # hy_rows: the rows of Y^i in the basis h^j y^j, grown by weyl._hy_rows; not in == or hash
-    __slots__ = ("spec", "h", "h_prime", "gen_symbol", "hy_rows")
+    # hy_rows: the rows of Y^i in the basis h^j y^j, grown by weyl._hy_rows, and
+    # h_factors: factor(h), None until normal._h_factors fills it; neither in == or hash
+    __slots__ = ("spec", "h", "h_prime", "gen_symbol", "hy_rows", "h_factors")
 
     def __init__(self, spec: FieldSpec, h: Poly, gen_symbol: str = "Y"):
         if h.spec != spec:
@@ -47,6 +48,7 @@ class AhContext:
         self.h_prime = h.derivative()
         self.gen_symbol = gen_symbol
         self.hy_rows = ()
+        self.h_factors = None
 
     @property
     def deg_h(self) -> int:

@@ -641,7 +641,7 @@ def _binomial_power(base: Poly, k: int) -> Poly:
         raise AhError(f"power of the base too large: {a * k + 1} coefficients, limit {MAX_DENSE_TERMS}")
     out, term = [0] * (a * k + 1), A**k
     out[a * k] = term
-    for j in range(1, k + 1):
+    for j in range(1, k + 1 if B else 1):
         step = (k - j + 1) * B
         term = term * step * pow(j * A, -1, p) % p if p else term * step // (j * A)
         out[a * (k - j) + e * j] += term

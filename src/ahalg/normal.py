@@ -7,8 +7,10 @@ acts as a shear on the generators, giving both inclusions).  The witness r
 is produced by one exact division and checked on every coefficient.
 
 Classification into prime factors of h times a central element, and the
-height-one prime reports, do consult a factorization of h; over Q an
-uncertified factorization degrades the answer instead of being trusted.
+height-one prime reports, do consult a factorization of h, made once per
+context on first use and kept on it (one passed in serves its call only);
+over Q an uncertified factorization degrades the answer instead of being
+trusted.
 """
 
 from __future__ import annotations
@@ -72,14 +74,14 @@ def classify_normal(
     In characteristic p the exponents are reduced into [0, p); the reduced
     power is absorbed into the central part.  Raises
     :class:`UnverifiableError` when the factorization of h over Q carries
-    unverified factors.
+    unverified factors.  A passed ``h_factored`` serves this call only.
     """
     cert = is_normal(v)
     if not cert.verdict:
         raise NotNormalError(cert.reason)
     ctx = v.ctx
     p = ctx.spec.characteristic
-    fac = h_factored if h_factored is not None else factor(ctx.h)
+    fac = h_factored if h_factored is not None else _h_factors(ctx)
     if not fac.fully_verified:
         raise UnverifiableError(
             "classification needs a certified factorization of h"
@@ -116,6 +118,15 @@ def classify_normal(
     if out.reassemble() != v:
         raise SelfCheckError("the classification does not reassemble the element")
     return out
+
+
+def _h_factors(ctx: AhContext, seed: int = 0) -> FactoredPoly:
+    """factor(ctx.h), kept on ctx from the first call on.  factor sorts its
+    terms, so the seed only picks the splitting path of that first call; no
+    lock, since filling the slot is idempotent (a race computes it twice)."""
+    if ctx.h_factors is None:
+        ctx.h_factors = factor(ctx.h, seed=seed)
+    return ctx.h_factors
 
 
 def _classification_reference(v: OreElement) -> Poly:
@@ -163,13 +174,14 @@ def height_one_prime_test(
     p, the central elements irreducible in the center that are not p-th
     powers of prime factors of h.  Central elements genuinely bivariate in
     the two central generators are reported ``Unknown`` (their
-    irreducibility is not decided here).
+    irreducibility is not decided here).  A passed ``h_factored`` serves
+    this call only; ``seed`` only picks the path of ctx's first factoring.
     """
     if v.is_zero():
         raise ZeroInputError("the zero ideal is not principal height one")
     ctx = v.ctx
     p = ctx.spec.characteristic
-    fac = h_factored if h_factored is not None else factor(ctx.h, seed=seed)
+    fac = h_factored if h_factored is not None else _h_factors(ctx, seed)
     if not fac.fully_verified:
         return PrimeGeneratorReport(
             PrimeKind.UNKNOWN, "factorization of h is not certified over QQ"

@@ -1136,7 +1136,8 @@ def test_invariant_powers_match_repeated_squaring(p):
     # t = base^ell and q = base^n come from the binomial theorem; Poly.__pow__
     # squares base instead
     spec = FieldSpec.gf(p) if p else QQ
-    for h in closed_form_shapes(spec):
+    # x^3 has c = 0, so base = x and every binomial term past the first is 0
+    for h in closed_form_shapes(spec) + [Poly.x(spec) ** 3]:
         s = classify_aut_group(AhContext(spec, h))
         base = Poly.from_ints(spec, (-s.P.c.val, 1))
         if len(s.G) > 1:

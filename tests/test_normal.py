@@ -4,14 +4,18 @@ import random
 
 import pytest
 
+import ahalg.normal
 from ahalg import (
     AhContext,
+    FactoredPoly,
+    FactorTerm,
     FieldSpec,
     Poly,
     center,
     classify_normal,
     div_left_exact,
     div_right_exact,
+    factor,
     height_one_prime_test,
     is_normal,
     is_simple,
@@ -214,11 +218,71 @@ def test_prime_test_unknown_when_unverified():
     report = height_one_prime_test(ctx.from_poly(quartic))
     assert report.kind == PrimeKind.UNKNOWN
     # a supplied certified factorization resolves it
-    from ahalg import FactoredPoly, FactorTerm
-
     fac = FactoredPoly(
         QQ.one(),
         (FactorTerm(Poly.x(QQ), 1, True), FactorTerm(quartic, 1, True)),
     )
     report = height_one_prime_test(ctx.from_poly(quartic), fac)
     assert report.kind == PrimeKind.FACTOR_OF_H
+
+
+# the GF(p) contexts above, and one whose factors are split by the seeded
+# equal-degree step: (x^2 + 2)(x^2 + 3)(x - 1)(x - 2) over GF(5)
+GFP_H = [
+    (F2, (0, 1)), (F2, (0, 0, 1)), (F3, (0, 1)), (F3, (0, 0, 1)), (F3, (0, 1, 1)),
+    (FieldSpec.gf(5), (1,)), (FieldSpec.gf(5), (0, 1)), (FieldSpec.gf(5), (0, 0, 1)),
+    (FieldSpec.gf(5), (2, 2, 1, 0, 2, 2, 1)),
+]
+
+
+def test_h_is_factored_once_per_context(monkeypatch):
+    calls = []
+    real = ahalg.normal.factor
+
+    def counting(f, seed=0):
+        calls.append(f)
+        return real(f, seed=seed)
+
+    monkeypatch.setattr(ahalg.normal, "factor", counting)
+    ctx = ctx_for(F3, 0, 1, 1)
+    v = ctx.from_poly(Poly.x(F3)) * center(ctx).y_generator
+    for seed in (0, 1):
+        assert classify_normal(v).factors == ((Poly.x(F3), 1),)
+        assert height_one_prime_test(v, seed=seed).kind == PrimeKind.NOT_PRIME_GENERATOR
+    assert calls == [ctx.h]
+    fresh = ctx_for(F3, 0, 1, 1)
+    assert fresh == ctx and fresh.h_factors is None
+    classify_normal(fresh.x())
+    height_one_prime_test(fresh.x())
+    assert calls == [ctx.h, ctx.h]
+
+
+def test_supplied_factorization_serves_its_call_only():
+    # h = x^5 + x + 1 = (x^2 + x + 1)(x^3 - x^2 + 1): the quintic has no
+    # rational root, so factor cannot certify it
+    u, w = Poly.from_ints(QQ, (1, 1, 1)), Poly.from_ints(QQ, (1, 0, -1, 1))
+    ctx = ctx_for(QQ, 1, 1, 0, 0, 0, 1)
+    assert u * w == ctx.h
+    fac = FactoredPoly(QQ.one(), (FactorTerm(u, 1, True), FactorTerm(w, 1, True)))
+    split = classify_normal(ctx.from_poly(u), h_factored=fac)
+    assert split.factors == ((u, 1),) and split.central_part == ctx.one()
+    assert ctx.h_factors is None
+    with pytest.raises(UnverifiableError):
+        classify_normal(ctx.from_poly(u))
+
+
+def test_kept_factorization_leaves_equality_and_hash_alone():
+    for spec, ints in GFP_H + [(QQ, (1, 1, 0, 0, 0, 1))]:
+        ctx = ctx_for(spec, *ints)
+        before = hash(ctx)
+        height_one_prime_test(ctx.x())
+        assert ctx.h_factors == factor(ctx.h)
+        assert ctx == AhContext(spec, ctx.h)
+        assert hash(ctx) == before == hash(AhContext(spec, ctx.h))
+
+
+@pytest.mark.parametrize("spec, ints", GFP_H, ids=[f"{s!r}-{i}" for s, i in GFP_H])
+def test_factor_does_not_depend_on_the_seed(spec, ints):
+    # the basis for keeping the first factorization whatever seed a later call passes
+    h = Poly.from_ints(spec, ints)
+    assert len({factor(h, seed=s) for s in range(5)}) == 1
