@@ -25,7 +25,7 @@ from ahalg.errors import (
     ZeroInputError,
 )
 from ahalg.fields import decimal_int
-from ahalg.parsing import _Parser
+from ahalg.parsing import MAX_NESTING, MAX_POWER_WORDS
 from ahalg.poly import distinct_root_count, gcd_monic, is_irreducible, pow_mod
 
 QQ_SPEC = None  # set lazily to avoid import order issues
@@ -245,6 +245,171 @@ def tokenize_oracle(src: str):
     return tokens
 
 
+class _OracleParser:
+    """The grammar of ``ahalg.parsing`` evaluated over injected values: each
+    atom is a field element, polynomial or algebra element, every operation
+    of the expression is one of theirs, and every size is ``size_oracle`` of
+    a canonical value.  ``powers`` maps a letter to the function
+    n -> letter^n that builds the monomial directly; any other base is raised
+    by square-and-multiply."""
+
+    def __init__(self, src, spec, atoms, lift_scalar, powers=None):
+        self.spec = spec
+        self.atoms = atoms
+        self.powers = powers or {}
+        self.lift_scalar = lift_scalar
+        self.tokens = tokenize_oracle(src)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def enter(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", pos)
+
+    def expect_op(self, op):
+        kind, value, pos = self.peek()
+        if kind != "op" or value != op:
+            raise ParseError(f"expected {op!r}", pos)
+        self.advance()
+
+    def parse(self):
+        value = self.expr()
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise ParseError("trailing input", pos)
+        return value
+
+    def expr(self):
+        value = self.term()
+        while True:
+            kind, op, _ = self.peek()
+            if kind == "op" and op in "+-":
+                self.advance()
+                rhs = self.term()
+                value = value + rhs if op == "+" else value - rhs
+            else:
+                return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            kind, op, pos = self.peek()
+            if kind == "op" and op == "*":
+                self.advance()
+                factor = self.factor()
+                p = self.spec.characteristic
+                (ya, wa, ba), (yb, wb, bb) = size_oracle(value, p), size_oracle(factor, p)
+                _refuse_if_large_oracle("product", ya + yb, wa + wb, ba + bb, p, pos)
+                value = value * factor
+            else:
+                return value
+
+    def factor(self):
+        kind, op, pos = self.peek()
+        if kind == "op" and op == "-":
+            self.advance()
+            self.enter(pos)
+            value = -self.factor()
+            self.depth -= 1
+            return value
+        power = self.powers.get(op)
+        value = self.atom()
+        kind, op, pos = self.peek()
+        if kind == "op" and op == "^":
+            self.advance()
+            kind, exp, pos = self.peek()
+            if kind == "op" and exp == "-":
+                raise ParseError("negative exponents are not allowed", pos)
+            if kind != "int":
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            self.advance()
+            if exp > 1:
+                p = self.spec.characteristic
+                ydeg, weight, bits = size_oracle(value, p)
+                _refuse_if_large_oracle("power", exp * ydeg, exp * weight, exp * bits, p, pos)
+            value = power(exp) if power else value**exp
+        return value
+
+    def atom(self):
+        kind, value, pos = self.advance()
+        if kind == "int":
+            return self.lift_scalar(self.scalar_tail(value, pos))
+        if kind == "name":
+            if value not in self.atoms:
+                raise ParseError(f"unknown name {value!r} here", pos)
+            return self.atoms[value]
+        if kind == "op" and value == "(":
+            self.enter(pos)
+            inner = self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return inner
+        raise ParseError("expected a value", pos)
+
+    def scalar_tail(self, num, pos):
+        kind, op, opos = self.peek()
+        if kind == "op" and op == "/":
+            if self.spec.is_prime_field:
+                raise ParseError("rational literals need the field QQ", opos)
+            self.advance()
+            kind, den, dpos = self.advance()
+            if kind != "int":
+                raise ParseError("denominator must be an integer", dpos)
+            if den == 0:
+                raise ParseError("zero denominator", dpos)
+            return self.spec.elem(Fraction(num, den))
+        return self.spec.from_int(num)
+
+
+def size_oracle(value, p: int) -> tuple[int, int, int]:
+    """The Y-degree, weight and coefficient bits of a field element,
+    polynomial or algebra element, read off its canonical coefficients: the
+    weight counts x as 1 and Y as deg h - 1, or is 0 if every coefficient is
+    constant; the bits are ``log2(height * terms)`` over QQ and 0 over GF(p)."""
+    if isinstance(value, Poly):
+        polys, ydeg, weight = (value,), 0, max(len(value._nums) - 1, 0)
+    elif isinstance(value, OreElement):
+        polys, step = value.coeffs, max(value.ctx.deg_h - 1, 0)
+        degs = [len(f._nums) - 1 for f in polys]
+        weight = 0
+        if max(degs, default=0) > 0:
+            weight = max(d + i * step for i, d in enumerate(degs) if d >= 0)
+        ydeg = max(len(polys) - 1, 0)
+    else:
+        polys, ydeg, weight = (Poly.constant(value),), 0, 0
+    if p:
+        return ydeg, weight, 0
+    height, terms = 1, 0
+    for f in polys:
+        nums = f._nums
+        if nums:
+            height = max(height, f._den, max(nums), -min(nums))
+            terms += len(nums) - nums.count(0)
+    return ydeg, weight, (height - 1).bit_length() + (terms - 1).bit_length()
+
+
+def words_oracle(ydeg: int, weight: int, bits: int, p: int) -> int:
+    """The 64-bit words of a result of that size: ``ydeg + 1`` Y-degrees
+    times ``weight + 1`` x-degrees times the words of a coefficient."""
+    bits = p.bit_length() if p else 1 + bits
+    return (ydeg + 1) * (weight + 1) * -(-bits // 64)
+
+
+def _refuse_if_large_oracle(what, ydeg, weight, bits, p, pos):
+    words = words_oracle(ydeg, weight, bits, p)
+    if words > MAX_POWER_WORDS:
+        raise ParseError(f"{what} too large: {words} words, limit {MAX_POWER_WORDS}", pos)
+
+
 def parse_element_oracle(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
     """``parse_element`` with every atom and scalar an element of the algebra,
     so each operation of the expression is one of the algebra's."""
@@ -255,7 +420,18 @@ def parse_element_oracle(src: str, ctx: AhContext, generator: str = "Y") -> OreE
             src.index(other),
         )
     atoms = {"x": ctx.x(), generator: ctx.gen()}
-    return _Parser(src, ctx.spec, atoms, ctx.from_scalar).parse()
+    return _OracleParser(src, ctx.spec, atoms, ctx.from_scalar).parse()
+
+
+def parse_poly_oracle(src: str, spec) -> Poly:
+    """``parse_poly`` on ``Poly`` arithmetic, with x^n built as a monomial."""
+    powers = {"x": lambda n: Poly.monomial(spec, 1, n)}
+    return _OracleParser(src, spec, {"x": Poly.x(spec)}, Poly.constant, powers).parse()
+
+
+def parse_scalar_oracle(src: str, spec):
+    """``parse_scalar`` on ``FieldElem`` arithmetic."""
+    return _OracleParser(src, spec, {}, lambda c: c).parse()
 
 
 def normal_oracle(v: OreElement) -> bool:

@@ -532,6 +532,29 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "x^2"
 
 
+@pytest.mark.parametrize("expr", ["x", "(x+1)^1000"])
+def test_closed_stdout_exits_1_without_a_traceback(expr):
+    # a pipe whose reader is gone: "x" fails at the flush on exit, the 16 kB
+    # of (x+1)^1000 inside print
+    import os
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ahalg.cli", "--field", "GF:1000003", "--h", "x^2", "eval", expr],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
+
+
 def test_failed_self_check_is_an_exit_1_error(capsys, monkeypatch):
     from ahalg import poly
 
