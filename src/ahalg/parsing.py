@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import gcd, lcm
 
 from .algebra import AhContext, OreElement
@@ -95,22 +95,27 @@ def _size(rows, den: int, p, step: int, exact: bool) -> tuple[int, int, int]:
     return ydeg, weight, (height - 1).bit_length() + (terms - 1).bit_length()
 
 
-def _refuse_if_large(what: str, terms, p, src=None, at=0, exact=False) -> None:
-    """Refuse a result of size ``sum k * _size(value)`` over ``terms``, tuples
-    ``(ky, kw, kb, rows, den, step)``, that takes over ``MAX_POWER_WORDS``
-    64-bit words: Y-degrees times x-degrees times the words of p, or over QQ
-    of ``1 + bits`` bits, the heights bounded first and taken exactly only if
-    the bound refuses.  The error is at token ``at`` of src, if given."""
-    ydeg = weight = bits = 0
-    for ky, kw, kb, rows, den, step in terms:
-        y, w, b = _size(rows, den, p, step, exact)
-        ydeg, weight, bits = ydeg + ky * y, weight + kw * w, bits + kb * b
-    words = (ydeg + 1) * (weight + 1) * -(-(p.bit_length() if p else 1 + bits) // 64)
-    if words > MAX_POWER_WORDS:
-        if not (p or exact):
-            return _refuse_if_large(what, terms, p, src, at, True)
-        pos = None if src is None else _positions(src)[at]
-        raise ParseError(f"{what} too large: {words} words, limit {MAX_POWER_WORDS}", pos)
+def _refuse_if_large(what: str, terms, p, src=None, at=0) -> bool:
+    """Refuse, at token ``at`` of src, a result of size ``sum k * _size(value)``
+    over ``(ky, kw, kb, rows, den, step)`` in terms, if its 64-bit words, Y-degrees
+    times x-degrees times the words of p or of ``1 + bits`` bits over QQ, are over
+    ``MAX_POWER_WORDS``; return whether the heights had to be taken exactly."""
+    for exact in (False, True):
+        ydeg = weight = bits = 0
+        for ky, kw, kb, rows, den, step in terms:
+            y, w, b = _size(rows, den, p, step, exact)
+            ydeg, weight, bits = ydeg + ky * y, weight + kw * w, bits + kb * b
+        words = (ydeg + 1) * (weight + 1) * -(-(p.bit_length() if p else 1 + bits) // 64)
+        if words <= MAX_POWER_WORDS:
+            return exact
+    pos = None if src is None else _positions(src)[at]
+    raise ParseError(f"{what} too large: {words} words, limit {MAX_POWER_WORDS}", pos)
+
+
+def _reduced(rows, den: int):
+    """``(rows, den)`` with the gcd of den and every numerator divided out."""
+    g = gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
+    return (rows, den) if g == 1 else ([[c // g for c in r] for r in rows], den // g)
 
 
 class _Parser:
@@ -120,8 +125,7 @@ class _Parser:
     def __init__(self, src: str, spec: FieldSpec, names=(), ctx: AhContext | None = None):
         self.src, self.p, self.names, self.ctx = src, spec.characteristic, names, ctx
         self.step = max(ctx.deg_h - 1, 0) if ctx else 0
-        self.tokens = _tokenize(src)
-        self.i = self.depth = 0
+        self.tokens, self.i, self.depth = _tokenize(src), 0, 0
         self.value = self.expr()
         if self.tokens[self.i]:
             raise self.error("trailing input")
@@ -137,8 +141,7 @@ class _Parser:
     def expr(self):
         value, tokens = self.term(), self.tokens
         while tokens[self.i] in ("+", "-"):
-            sign = 1 if tokens[self.i] == "+" else -1
-            self.i += 1
+            sign, self.i = (1 if tokens[self.i] == "+" else -1), self.i + 1
             (ra, da), (rb, db) = value, self.term()
             den = da if da == db else lcm(da, db)
             ka, kb = den // da, sign * (den // db)
@@ -152,14 +155,14 @@ class _Parser:
         while self.tokens[self.i] == "*":
             at, self.i = self.i, self.i + 1
             rhs, s = self.factor(), self.step
-            _refuse_if_large("product", ((1, 1, 1, *value, s), (1, 1, 1, *rhs, s)), self.p, self.src, at)
+            if _refuse_if_large("product", ((1, 1, 1, *value, s), (1, 1, 1, *rhs, s)), self.p, self.src, at):
+                value, rhs = _reduced(*value), _reduced(*rhs)  # compute on what was judged
             value = self.times(value, rhs)
         return value
 
     def factor(self):
         tokens, i = self.tokens, self.i
-        tok = tokens[i]
-        self.i = i + 1
+        tok, self.i = tokens[i], i + 1
         if tok == "-":
             # negation binds looser than '^': -x^4 means -(x^4)
             self.enter(i)
@@ -174,8 +177,7 @@ class _Parser:
                 self.i += 2
                 if not tokens[i + 2].isdecimal():
                     raise self.error("denominator must be an integer", i + 2)
-                den = decimal_int(tokens[i + 2])
-                if den == 0:
+                if (den := decimal_int(tokens[i + 2])) == 0:
                     raise self.error("zero denominator", i + 2)
             num = num % self.p if self.p else num
             value = ([[num]], den) if num else ([], 1)
@@ -201,7 +203,8 @@ class _Parser:
             _refuse_if_large("power", ((exp, exp, exp, *value, self.step),), self.p, self.src, at)
         if tok in self.names:  # x^n and Y^n are monomials
             return ([[0] * exp + [1]] if tok == "x" else [[]] * exp + [[1]]), 1
-        result = value
+        # powers of a reduced base stay reduced (Gauss's lemma; _raw reduces Ore products)
+        result = value = _reduced(*value)
         for bit in bin(exp)[3:]:  # square-and-multiply from the top bit
             result = self.times(result, result)
             if bit == "1":

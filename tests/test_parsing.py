@@ -1,8 +1,10 @@
 """Grammar, evaluation order, error reporting, and print round-trips."""
 
 import random
+import re
 import time
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -23,6 +25,7 @@ from ahalg.fields import decimal_int
 from ahalg.parsing import (
     MAX_NESTING,
     MAX_POWER_WORDS,
+    _Parser,
     _positions,
     _raw,
     _size,
@@ -359,6 +362,35 @@ def test_a_common_factor_in_the_rows_does_not_change_a_verdict():
     assert parse_poly(f"({k}/{k}*x + {k}/{k})^63", QQ) == parse_poly("(x+1)^63", QQ)
     with pytest.raises(ParseError, match="power too large: 12672 words"):
         parse_poly(f"({k}*x + {k})^63", QQ)
+
+
+def test_a_common_factor_is_divided_out_before_it_grows(monkeypatch, capsys):
+    # the checks judge k/k*x at the size of x, so the work must be that of x:
+    # no int that a product takes or builds outgrows the largest literal
+    times, cap = _Parser.times, 0
+
+    def bounded_times(self, a, b):
+        out = times(self, a, b)
+        for rows, den in (a, b, out):
+            assert max(map(abs, chain([den], *rows))).bit_length() <= cap, "a common factor grew"
+        return out
+
+    monkeypatch.setattr(_Parser, "times", bounded_times)
+    k, k64 = "7" * 10000, str(2**64)
+    cases = [
+        ("(2/2)^1000000000", "1"),
+        ("(1/2 + 1/2)^1000000000", "1"),
+        (f"({k}/{k}*x)^8191", "x^8191"),
+        (f"({k}/{k}*x + {k}/{k})^63", "(x + 1)^63"),
+        # the bound with no gcd refuses this product (12003 words), the exact size not
+        (f"({k64}/{k64}*x^2000)*({k64}/{k64}*x^2000)", "x^4000"),
+    ]
+    for expr, want in cases:
+        cap = max(decimal_int(t).bit_length() for t in re.findall(r"(?<![\d^])\d+", expr))
+        assert parse_poly(expr, QQ) == parse_poly_oracle(want, QQ), expr
+    cap = 2  # the cap of (2/2)
+    assert run(["--field", "QQ", "--h", "x", "eval", "(2/2)^1000000000"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_refuse_power_matches_the_size_oracle():
