@@ -6,19 +6,28 @@ coefficient list and :class:`AhContext` fixes the field and the commutation
 polynomial h.  Every product rests on the rule ``Y * c*Y^k = c*Y^(k+1) +
 delta(c)*Y^k``, where ``delta(c) = h * c'``: so ``a*b = sum_i f_i * (Y^i*b)``,
 each row ``Y^(i+1)*b`` one step from the row ``Y^i*b``, each left coefficient
-multiplied once.  Rows are raw ints (residues mod p, or numerators over one
-denominator with no gcd taken); each output coefficient is one
-``sum_of_raw_products``, normalized once.  A polynomial right factor g takes
-``Y^i*g = sum_m C(i, m) delta^m(g) Y^(i-m)`` from one table of delta powers,
-the binomials reduced so they vanish in characteristic p.
+multiplied once, and rows built only up to the last nonzero ``f_i``.
+
+Over GF(p), for factors of Y-degree at least 1, each row is one packed int
+(:mod:`ahalg.packed`, loaded at its first use): a row step costs a few
+passes over its digits and one int product by h, ``sum_i f_i * (Y^i*b)`` is
+one int product per nonzero ``f_i`` into one int, and that int is unpacked
+and reduced once.  Over QQ, with a polynomial factor, and for operands too
+sparse for the packed layout (such as ``Y^1024``), rows are lists of raw
+terms (numerators over one denominator with no gcd taken, or residues) and
+each output coefficient is one ``sum_of_raw_products``, normalized once.
+There a polynomial right factor g takes ``Y^i*g = sum_m C(i, m) delta^m(g)
+Y^(i-m)`` from one table of delta powers, only for the i a nonzero ``f_i``
+reads, and over GF(p) only for the m with ``C(i, m)`` nonzero mod p (Lucas'
+theorem), so ``Y^2401 * x`` over GF(7) reads two table entries.
 
 On the same rows this module provides the commutator (both products in one
 set of output coefficients), the involutive anti-automorphism fixing x and
-sending Y to -Y + h' (by Horner), and exact one-sided division by a fixed
-element, solved top-down (a complete decision procedure for one-sided
-multiple membership); and substitution of generator images (used for
-endomorphisms and basis changes), whose x-image is a polynomial, so each
-coefficient is one ``Poly.compose``.
+sending Y to -Y + h' (by Horner on a raw accumulator, normalized once), and
+exact one-sided division by a fixed element, solved top-down (a complete
+decision procedure for one-sided multiple membership); and substitution of
+generator images (used for endomorphisms and basis changes), whose x-image
+is a polynomial, so each coefficient is one ``Poly.compose``.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from math import comb, lcm
 
 from .errors import ContextMismatch, SelfCheckError, ZeroInputError
 from .fields import FieldElem, FieldSpec
-from .poly import NEG_INF, Poly, _mul_add, format_poly, sum_of_raw_products
+from .poly import NEG_INF, Poly, _mul_add, _poly, format_poly, sum_of_raw_products
 
 
 class AhContext:
@@ -251,28 +260,54 @@ def _delta(ctx: AhContext, c, acc: list, scale=1) -> list:
     return acc
 
 
-def _rows(ctx: AhContext, gs, n: int):
-    """Yield ``Y^i * sum_j gs[j] * Y^j`` for i < n as rows of terms
-    ``(k, c, nums, den)``, meaning ``c * nums/den * Y^k``, k rising: from the
-    delta table of a polynomial (i deltas, not i(i+1)/2), else by steps."""
+def _binomials(i: int, p: int, top=None) -> list:
+    """The pairs ``(m, C(i, m) mod p)``, m rising and at most top (default i),
+    with ``C(i, m)`` nonzero mod p: by Lucas' theorem, the m whose base-p
+    digits are at most those of i, the binomial the product of the digits'
+    binomials (each prime to p).  Each digit only raises m, so an m past top
+    is dropped as soon as it passes."""
+    top = i if top is None else top
+    pairs, unit = [(0, 1)] if top >= 0 else [], 1
+    while i:
+        i, d = divmod(i, p)
+        pairs = [(m + k * unit, c * comb(d, k) % p)
+                 for k in range(d + 1) for m, c in pairs if m + k * unit <= top]
+        unit *= p
+    return pairs
+
+
+def _table(ctx: AhContext, nums, den: int, top: int) -> list:
+    """``[(delta^m(g), its denominator)]`` for m <= top, g = nums/den, as raw
+    numerators, up to the first zero."""
+    table = [(nums, den)] if nums else []
+    while 0 < len(table) <= top and (nums := _delta(ctx, table[-1][0], [])):
+        table.append((nums, table[-1][1] * ctx.h._den))
+    return table
+
+
+def _support(fs) -> list:
+    return [i for i, f in enumerate(fs) if f]
+
+
+def _rows(ctx: AhContext, gs, need):
+    """Yield ``(i, Y^i * sum_k gs[k] * Y^k)`` for the rising i in need, each
+    row a list of terms ``(k, c, nums, den)``, meaning ``c * nums/den * Y^k``,
+    k rising: from the delta table of a polynomial (i deltas, not
+    i(i+1)/2), else by steps."""
     p, hd = ctx.spec.p, ctx.h._den
     if len(gs) == 1:
-        table = [(gs[0]._nums, gs[0]._den)] if gs[0] else []
-        while 0 < len(table) < n and (nums := _delta(ctx, table[-1][0], [])):
-            table.append((nums, table[-1][1] * hd))
-        for i in range(n):
-            row = []
-            for m in range(min(i, len(table) - 1), -1, -1):
-                # C(i, m) taken in Z and reduced, so it vanishes in char p
-                c = comb(i, m) % p if p else comb(i, m)
-                if c:
-                    row.append((i - m, c) + table[m])
-            yield row
+        table = _table(ctx, gs[0]._nums, gs[0]._den, need[-1]) if need else []
+        n = len(table)
+        for i in need:
+            if p:  # only the m digit-wise at most i, by Lucas' theorem
+                yield i, [(i - m, c) + table[m] for m, c in reversed(_binomials(i, p, n - 1))]
+            else:
+                yield i, [(i - m, comb(i, m)) + table[m] for m in range(min(i, n - 1), -1, -1)]
         return
-    row = [(k, 1, g._nums, g._den) for k, g in enumerate(gs) if g]
-    for i in range(n):
-        if i:
-            last, row = row, []
+    row, i = [(k, 1, g._nums, g._den) for k, g in enumerate(gs) if g], 0
+    for want in need:
+        while i < want:
+            i, last, row = i + 1, row, []
             den = 1 if p else lcm(*(t[3] for t in last)) * hd
             for k, _, nums, d in last:
                 # c*Y^k -> c*Y^(k+1) + delta(c)*Y^k; delta(c) joins the shifted c_(k-1)
@@ -281,23 +316,39 @@ def _rows(ctx: AhContext, gs, n: int):
                 if acc:
                     row.append((k, 1, acc, den))
                 row.append((k + 1, 1, [v * (den // d) for v in nums], den))
-        yield row
+        yield i, row
 
 
 def _terms(slots, fs, rows, shift=0, sign=1, low=None):
-    """Append the terms of ``sign * sum_i fs[i] * rows[i]`` to the slots,
-    moved up by shift; the rows from index low on lose their top entry."""
-    for i, (f, row) in enumerate(zip(fs, rows)):
-        if f:
-            a, fd = f._nums, f._den
-            for k, c, nums, den in row if low is None or i < low else row[:-1]:
-                slots[k + shift].append((sign * c, a, nums, fd * den))
+    """Append the terms of ``sign * sum_i fs[i] * row_i`` to the slots, moved
+    up by shift, for the ``(i, row_i)`` in rows; the rows from index low on
+    lose their top entry."""
+    for i, row in rows:
+        f = fs[i]
+        a, fd = f._nums, f._den
+        for k, c, nums, den in row if low is None or i < low else row[:-1]:
+            slots[k + shift].append((sign * c, a, nums, fd * den))
+
+
+def _packed(ctx: AhContext, degrees, op: str, *args):
+    """``op(*args)`` on the packed rows of :mod:`ahalg.packed` (loaded at its
+    first use) when the field is GF(p) and every factor's Y-degree in
+    degrees is at least 1, else NotImplemented: with a polynomial factor
+    there are no row steps to save.  op too returns NotImplemented, for the
+    sparse operands it leaves to the raw rows."""
+    if not ctx.spec.p or min(degrees) < 1:
+        return NotImplemented
+    from . import packed
+
+    return getattr(packed, op)(*args)
 
 
 def _mul(a: OreElement, b: OreElement) -> OreElement:
     ctx, fs = a.ctx, a.coeffs
+    if (ab := _packed(ctx, (len(fs) - 1, len(b.coeffs) - 1), "product", a, b)) is not NotImplemented:
+        return ab
     slots = [[] for _ in range(len(fs) + len(b.coeffs) - 1)]
-    _terms(slots, fs, _rows(ctx, b.coeffs, len(fs)))
+    _terms(slots, fs, _rows(ctx, b.coeffs, _support(fs)))
     return OreElement(ctx, [sum_of_raw_products(ctx.spec, s) for s in slots])
 
 
@@ -307,8 +358,8 @@ COMMUTATOR_SPACES = ("bracket_x", "bracket_yhat", "lie_ideal")
 
 def commutator(a, b) -> OreElement:
     """The ring commutator a*b - b*a; either side may be a polynomial or scalar.
-    Both products go into one set of output coefficients; against a
-    polynomial, the terms that cancel are not formed."""
+    Both products go into one set of output coefficients; on raw rows,
+    against a polynomial, the terms that cancel are not formed."""
     a = a if isinstance(a, OreElement) else _lift(b.ctx, a)
     b = NotImplemented if a is NotImplemented else a._mate(b)
     if b is NotImplemented:
@@ -316,15 +367,17 @@ def commutator(a, b) -> OreElement:
     ctx, fs, gs, sign = a.ctx, a.coeffs, b.coeffs, 1
     if len(fs) < 2 and len(gs) < 2:
         return ctx.zero()  # polynomials commute
+    if (c := _packed(ctx, (len(fs) - 1, len(gs) - 1), "product", a, b, True)) is not NotImplemented:
+        return c
     if len(fs) == 1:
         fs, gs, sign = gs, fs, -1  # [f, b] = -[b, f]
     slots = [[] for _ in range(len(fs) + len(gs) - 1)]
     if len(gs) == 1:
         # [a, g] = sum_i f_i * (Y^i*g - g*Y^i): the rows of g without their tops
-        _terms(slots, fs, _rows(ctx, gs, len(fs)), 0, sign, 0)
+        _terms(slots, fs, _rows(ctx, gs, _support(fs)), 0, sign, 0)
     else:
-        _terms(slots, fs, _rows(ctx, gs, len(fs)))
-        _terms(slots, gs, _rows(ctx, fs, len(gs)), 0, -1)
+        _terms(slots, fs, _rows(ctx, gs, _support(fs)))
+        _terms(slots, gs, _rows(ctx, fs, _support(gs)), 0, -1)
     return OreElement(ctx, [sum_of_raw_products(ctx.spec, s) for s in slots])
 
 
@@ -354,16 +407,31 @@ def antiautomorphism(a: OreElement) -> OreElement:
 
     It reverses products, so the image of ``sum f_i * Y^i`` is
     ``sum (h' - Y)^i * f_i``, evaluated by Horner: ``r <- (h' - Y)*r + f_i``
-    from the top coefficient down, where ``Y*r`` is one row step.
+    from the top coefficient down, where ``Y*r`` is one row step.  r stays
+    raw (a packed row over GF(p), numerators over one denominator on raw
+    rows) and is normalized once, at the end.
     """
-    ctx = a.ctx
-    flip = (ctx.h_prime, -Poly.one(ctx.spec))
-    r = ()
-    for f in reversed(a.coeffs):
-        slots = [[(1, f._nums, (1,), f._den)]] + [[] for _ in r]
-        _terms(slots, flip, _rows(ctx, r, 2))
-        r = [sum_of_raw_products(ctx.spec, s) for s in slots]
-    return ctx.element(r)
+    ctx, fs = a.ctx, a.coeffs
+    if not fs:
+        return a
+    if (image := _packed(ctx, (len(fs) - 1,), "antiautomorphism", a)) is not NotImplemented:
+        return image
+    h, hd = ctx.h._nums, ctx.h._den
+    hp = [i * h[i] for i in range(1, len(h))]  # h' over hd
+    rows, den = [list(fs[-1]._nums)], fs[-1]._den
+    for f in fs[-2::-1]:
+        # (h' - Y)*r = h'*r - (r one slot up) - h*r', over den*hd, then + f
+        new = lcm(den * hd, f._den)
+        s = new // (den * hd)
+        out = []
+        for k in range(len(rows) + 1):
+            acc = _mul_add([], -s * hd, rows[k - 1], (1,)) if k else []
+            if k < len(rows):
+                acc = _delta(ctx, rows[k], _mul_add(acc, s, hp, rows[k]), -s)
+            out.append(acc)
+        _mul_add(out[0], new // f._den, f._nums, (1,))
+        rows, den = out, new
+    return ctx.element([_poly(ctx.spec, r, den) for r in rows])
 
 
 def div_left_exact(w: OreElement, v: OreElement) -> OreElement | None:
@@ -390,24 +458,26 @@ def _div_one_sided(w, v, left):
     ctx = w.ctx
     if v.ctx != ctx:
         raise ContextMismatch("divisor from a different context")
-    spec = ctx.spec
-    kv, kw = len(v.coeffs) - 1, len(w.coeffs) - 1
+    spec, vs = ctx.spec, v.coeffs
+    kv, kw = len(vs) - 1, len(w.coeffs) - 1
+    if (q := _packed(ctx, (kv, kw - kv), "divide", w, v, left)) is not NotImplemented:
+        return q
     slots = [[(1, c._nums, (1,), c._den)] for c in w.coeffs]
     quot = [Poly.zero(spec)] * max(kw - kv + 1, 0)
     # q*v = sum_j q_j * (Y^j * v): the rows of v serve every q_j
-    rows = [] if left else list(_rows(ctx, v.coeffs, len(quot)))
+    rows = [] if left else list(_rows(ctx, vs, range(len(quot))))
     for j in range(kw - kv, -1, -1):
         s = j + kv
         r, slots[s] = sum_of_raw_products(spec, slots[s]), []
-        quot[j], rem = divmod(r, v.coeffs[-1])
+        quot[j], rem = divmod(r, vs[-1])
         if rem:
             return None
         # the top entry, lc(v) * q_j, is the one matched in slot s
         if left:
             # v * q_j Y^j = sum_i v_i * (Y^i * q_j) * Y^j
-            _terms(slots, v.coeffs, _rows(ctx, quot[j:j + 1], kv + 1), j, -1, kv)
+            _terms(slots, vs, _rows(ctx, quot[j:j + 1], _support(vs)), j, -1, kv)
         else:
-            _terms(slots, quot[j:j + 1], rows[j:j + 1], 0, -1, 0)
+            _terms(slots, quot, rows[j:j + 1], 0, -1, 0)
         if any(slots[s:]):
             raise SelfCheckError("one-sided division put a term above its solved slot")
     if any(sum_of_raw_products(spec, t) for t in slots[:kv]):

@@ -505,8 +505,10 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:  # stdout closed early (``ah ... | head``): exit 1, no traceback
+    except OSError as exc:  # stdout closed early (``ah ... | head``) or not writable: exit 1, no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
         code = 1
     sys.exit(code)
 

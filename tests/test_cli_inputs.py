@@ -1,5 +1,6 @@
 """The ah CLI on awkward input: --h-factored chunks, integers past the
-interpreter's int/str digit limit, and a grammar fuzz of ``cli.run``.
+interpreter's int/str digit limit, a grammar fuzz of ``cli.run``, and an
+output stream that cannot be written.
 
 Kept apart from test_cli.py, whose GOLDEN table the benchmark reads by
 parsing that whole file.
@@ -9,6 +10,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -260,3 +263,19 @@ def test_run_exits_cleanly_on_any_input(field, h, command, args, as_json):
         assert code == 0 or set(payload) == {"error"}
     elif code == 1:
         assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("field, expr", [("QQ", "x"), ("GF:1000003", "(x+1)^1000")])
+def test_an_unwritable_stdout_is_one_error_line_and_exit_1(field, expr):
+    # "x" fails at the flush on exit, the 16 kB of (x+1)^1000 inside print
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ahalg.cli", "--field", field, "--h", "x", "eval", expr],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == 1
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the output: ")
