@@ -46,16 +46,8 @@ from .errors import (
     WrongHError,
 )
 from .fields import FieldElem, FieldSpec
-from .poly import (
-    MAX_DENSE_TERMS,
-    Poly,
-    _equal_degree,
-    _poly,
-    gcd_monic,
-    pow_mod,
-    rational_roots,
-    squarefree_part,
-)
+from .poly import MAX_DENSE_TERMS, Poly, _add, _equal_degree, _gcd, _parts, _poly, _powmod, _tail
+from .poly import gcd_monic, rational_roots
 
 
 def _affine(spec: FieldSpec, alpha: FieldElem, beta: FieldElem) -> Poly:
@@ -251,10 +243,8 @@ def _presentation(ctx: AhContext) -> tuple[PSet, int]:
     spec, h, d = ctx.spec, ctx.h, ctx.deg_h
     zero, one = spec.zero(), spec.one()
     n = spec.p - 1 if spec.p else 2
-    G, lam = (zero,), None
-    rad = squarefree_part(h)
-    if rad.degree == 1:
-        lam = -rad.coeff(0)
+    G, (roots, lam) = (zero,), _radical(h)
+    if roots == 1:
         if h != Poly(spec, (-lam, 1)) ** d * h.lc:
             raise SelfCheckError("h with a linear radical is not a power of it")
         if not spec.p:
@@ -270,7 +260,15 @@ def _presentation(ctx: AhContext) -> tuple[PSet, int]:
         generators.append((one, one))
     if not all(pair_is_valid(ctx, a, b) for a, b in generators):
         raise SelfCheckError("P is not G times the powers of its generator")
-    return PSet(ctx, lam, c if m > 1 else zero, G, unit, m), rad.degree
+    return PSet(ctx, lam, c if m > 1 else zero, G, unit, m), roots
+
+
+def _radical(h: Poly) -> tuple[int, FieldElem | None]:
+    """The number of distinct roots of h, the degree of its radical, and the
+    root when there is one, read off the squarefree parts."""
+    parts = _parts(h)
+    n = sum(len(g) - 1 for g, _ in parts)
+    return n, h.spec.elem(Fraction(-parts[0][0][0], parts[0][0][1])) if n == 1 else None
 
 
 def _moved(f: Poly, c: FieldElem) -> Poly:
@@ -433,12 +431,11 @@ def _poly_roots(f: Poly) -> list[FieldElem]:
         k, u = terms
         zero = [spec.zero()] if k else []
         return zero + _binomial_roots(spec, u - k, -nums[k] * pow(nums[u], -1, p) % p)
-    x = Poly.x(spec)
-    linear = gcd_monic(f, pow_mod(x, p, f) - x)
-    if linear.degree < 1:
+    linear = _gcd(nums, _add(_powmod([0, 1], p, _tail(nums, p), p), [0, p - 1], p), p)
+    if len(linear) < 2:
         return []
-    roots = [-lin.coeff(0) for lin in _equal_degree(linear, 1, random.Random(0))]
-    return sorted(roots, key=lambda e: e.sort_key())
+    roots = sorted(-lin[0] % p for lin in _equal_degree(linear, 1, p, random.Random(0)))
+    return [spec.from_int(v) for v in roots]
 
 
 def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[FieldElem]:
@@ -709,13 +706,11 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
         return None
     if h.degree == 0:
         return (spec.one(), spec.zero(), h.lc / g.lc)
-    # the radicals are monic, so their degrees count the distinct roots
-    rad_h, rad_g = squarefree_part(h), squarefree_part(g)
-    if rad_h.degree != rad_g.degree:
+    (roots_h, lam_h), (roots_g, lam_g) = _radical(h), _radical(g)
+    if roots_h != roots_g:
         return None
-    if rad_h.degree == 1:
-        # with rad = x - lam, beta = lam_h - lam_g
-        alpha, beta, nu = spec.one(), rad_g.coeff(0) - rad_h.coeff(0), h.lc / g.lc
+    if roots_h == 1:
+        alpha, beta, nu = spec.one(), lam_h - lam_g, h.lc / g.lc
         if h.compose(_affine(spec, alpha, beta)) != g.scaled(nu):
             raise SelfCheckError("powers of linear factors are not equivalent")
         return (alpha, beta, nu)

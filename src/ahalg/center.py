@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .algebra import COMMUTATOR_SPACES, AhContext, OreElement, commutator
 from .errors import AhError, CharacteristicError, SelfCheckError
 from .fields import FieldElem
-from .poly import MAX_DENSE_TERMS, Poly, _mul_add, _poly
+from .poly import MAX_DENSE_TERMS, Poly, _add, _mulmod, _poly, _powmod, _red, _tail
 from .weyl import from_hy_coordinates, hy_coordinates
 
 
@@ -67,40 +67,18 @@ def center(ctx: AhContext) -> CenterDescription:
 
 def _correction(h: Poly, dh: Poly) -> list:
     """c_0..c_(d-1) of :func:`center` as residues, checked against
-    C == h'^(p-1) mod h, all on raw residue lists of length d = deg h."""
+    C == h'^(p-1) mod h, all on raw residue lists mod h (``poly._mulmod``)."""
     p, hs = h.spec.p, h._nums
-    d, inv = len(hs) - 1, pow(hs[-1], -1, p)
-    tail = [-c * inv for c in hs[:d]]  # x^d == sum_i tail[i] x^i mod h
-
-    def mul(a, b):
-        out = _mul_add([0] * (2 * d - 1), 1, a, b)
-        for i in range(len(out) - 1, d - 1, -1):
-            q = out[i] % p
-            if q:
-                for j, c in enumerate(tail, i - d):
-                    out[j] += q * c
-        return [v % p for v in out[:d]]
-
-    def power(a, e):  # a of length at most d, e >= 1
-        r = a
-        for bit in bin(e)[3:]:
-            r = mul(r, r)
-            if bit == "1":
-                r = mul(r, a)
-        return r
-
-    x = [0, 1] if d > 1 else tail
-    R, G, cs = power(x, p), [hs[d]] + [0] * (d - 1), []
+    d, inv, tail = len(hs) - 1, pow(hs[-1], -1, p), _tail(hs, p)
+    R, G, cs = _powmod([0, 1], p, tail, p), [hs[d]], []
     for k in range(d - 1, -1, -1):
-        cs.append(G[d - 1] * inv % p)
+        cs.append(G[d - 1] * inv % p if len(G) == d else 0)
         if k:
-            G = mul(R, G)
-            G[0] += hs[k]
-    C = cs[:1] + [0] * (d - 1)
+            G = _add(_mulmod(R, G, tail, p), [hs[k]], p)
+    C = _red(cs[:1], p)
     for c in cs[1:]:  # Horner in R, down to c_0
-        C = mul(C, R)
-        C[0] = (C[0] + c) % p
-    if C != power(list(dh._nums) + [0] * (d - len(dh._nums)), p - 1):
+        C = _add(_mulmod(C, R, tail, p), [c], p)
+    if C != _powmod(dh._nums, p - 1, tail, p):
         raise SelfCheckError("the correction is not h'^(p-1) modulo h")
     return cs[::-1]
 

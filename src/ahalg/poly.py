@@ -6,33 +6,31 @@ denominator.  Over GF(p) the numerators are residues in ``range(p)`` and the
 denominator is 1; over QQ the gcd of the denominator and all numerators is
 1.  So equality and hashing are structural, and the zero polynomial is
 ``((), 1)`` (its ``degree`` is ``-inf``).  Every operation runs on those ints
-and ends in one normalize step: reduce mod p, or divide out the gcd.  Beyond
-that step the fields differ only where a coefficient is inverted (division
-by an inverse mod p, pseudo-division over QQ; ``monic``) or evaluated.
+and ends in one normalize step: reduce mod p, or divide out the gcd.
 :class:`FieldElem` is the boundary type: the constructor accepts ints,
 Fractions and field elements, and ``coeffs``, ``coeff``, ``lc``,
 ``evaluate`` and ``rational_roots`` build field elements when they are read.
 
-On top of the ring operations the module provides the calculus and
-factorization support the rest of the library leans on: formal derivatives,
-monic gcd, composition, squarefree decomposition (one loop for both
-characteristics, with p-th-root descent when the derivative vanishes),
-distinct-root counting, full factorization over GF(p) (squarefree +
-distinct-degree + equal-degree splitting), the irreducibility test over
-GF(p) on the same distinct-degree split, and rational-root based factor
-extraction over Q.  Every product of two polynomials, alone or in a sum,
-runs the one schoolbook loop ``_mul_add`` on raw ints.
-
-Factorization over Q is not a complete irreducibility decision procedure:
-factors this module cannot certify carry ``verified=False`` and downstream
-consumers degrade honestly instead of guessing.
+Every algorithm runs on one raw kernel per field, int lists with no
+trailing zero (residues over GF(p), numerators over QQ, where p is None),
+and builds one ``Poly`` per result.  With n the degree, over GF(p) a
+division or a gcd costs O(n^2); ``_mulmod`` is one product reduced by the
+``_tail`` of the modulus, so ``pow_mod`` to the exponent e is O(n^2 log e);
+squarefree parts (with p-th-root descent) take O(n) gcds; distinct-degree
+splitting O(n) powers to p, equal-degree splitting O(log n) expected powers
+to (p^d - 1)/2 (the trace map over GF(2)); Horner composition with an inner
+polynomial of degree m is O(n^2 m).  Over QQ the gcd is a primitive
+remainder sequence, squarefree parts are exact divisions of primitive
+integer polynomials (Gauss's lemma), and composition is Horner scaled by
+the inner denominator.  Factors over Q that rational roots cannot certify
+carry ``verified=False``, and consumers degrade instead of guessing.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -127,6 +125,115 @@ def _scaled_horner(nums, n: int, m: int) -> int:
         acc = acc * n + c * mp
         mp *= m
     return acc
+
+
+# -- the raw kernel: int lists with no trailing zero; p is None over QQ ----------
+
+
+def _red(a, p):
+    """a reduced mod p (as it is over QQ) with its trailing zeros popped."""
+    a = [c % p for c in a] if p else a
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a, b, p):
+    return _red([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)], p)
+
+
+def _normal(a, p):
+    """The associate of a nonzero a: monic, or over QQ primitive with lc > 0."""
+    if p:
+        inv = pow(a[-1], -1, p)
+        return [c * inv % p for c in a]
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a]
+
+
+def _divmod_raw(a, b, p):
+    """``(q, r, s)`` for b != 0: ``s*a == q*b + r``, r unreduced of degree < deg b.
+    s = 1 over GF(p); over QQ a step scales by lc(b) only where lc(b) does not
+    divide, so an exact division by a primitive polynomial keeps s = 1 (Gauss)."""
+    rem, dn, s = list(a), len(b) - 1, 1
+    low, lc = b[:dn], b[dn]
+    quot = [0] * max(len(rem) - dn, 0)
+    inv = pow(lc, -1, p) if p else 0
+    for i in range(len(rem) - 1, dn - 1, -1):
+        if p:
+            c = rem[i] * inv % p
+        else:
+            if rem[i] % lc:
+                s, rem, quot = s * lc, [v * lc for v in rem], [v * lc for v in quot]
+            c = rem[i] // lc
+        if c:
+            quot[i - dn] = c
+            for j, v in enumerate(low, i - dn):
+                rem[j] -= c * v
+    return quot, rem[:dn], s
+
+
+def _gcd(a, b, p):
+    """The normal gcd of a and b, not both zero, by a normalized remainder sequence."""
+    while b:
+        r = _red(_divmod_raw(a, b, p)[1], p)
+        a, b = b, r and _normal(r, p)
+    return _normal(a, p)
+
+
+def _power(a, e, mul, r):
+    """``r * a^e`` by square-and-multiply with the product ``mul``."""
+    while e:
+        if e & 1:
+            r = mul(r, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return r
+
+
+def _tail(m, p):
+    """x^d == sum tail[i] x^i mod a nonzero m of degree d over GF(p)."""
+    inv = pow(m[-1], -1, p)
+    return [-c * inv % p for c in m[:-1]]
+
+
+def _mulmod(a, b, tail, p):
+    """a*b mod the modulus of ``tail`` over GF(p): one product, reduced from the top."""
+    d = len(tail)
+    out = _mul_add([], 1, a, b)
+    for i in range(len(out) - 1, d - 1, -1):
+        q = out[i] % p
+        if q:
+            for j, c in enumerate(tail, i - d):
+                out[j] += q * c
+    return _red(out[:d], p)
+
+
+def _powmod(a, e, tail, p):
+    return _power(a, e, lambda u, v: _mulmod(u, v, tail, p), [1])
+
+
+def _squarefree(f, p):
+    """``[(g, m), ...]``, the squarefree parts g (normal, degree >= 1) of a normal f.
+    The i-th inner pass splits off multiplicity i (times p^k after k descents);
+    what is left is a p-th power, whose root the loop descends to."""
+    out, n = [], 1
+    while len(f) > 1:
+        g = _gcd(f, _red([i * c for i, c in enumerate(f)][1:], p), p)
+        if len(g) == 1:  # f is squarefree
+            return out + [(f, n)]
+        w, i = _divmod_raw(f, g, p)[0], 1
+        while len(w) > 1:
+            y = _gcd(w, g, p)
+            z = _divmod_raw(w, y, p)[0]
+            if len(z) > 1:
+                out.append((z, i * n))
+            w, g, i = y, _divmod_raw(g, y, p)[0], i + 1
+        if len(g) <= 1:
+            break
+        f, n = g[::p], n * p
+    return out
 
 
 class Poly:
@@ -293,63 +400,33 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.spec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        p = self.spec.p
+        nums = _power(self._nums, n, lambda u, v: _red(_mul_add([], 1, u, v), p), [1])
+        return _poly(self.spec, nums, self._den**n)
 
-    def __divmod__(self, other):
+    def _divide(self, other, quot: bool, rem: bool):
+        # the quotient and the remainder of self by other, each as a Poly only if asked for
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.spec.p
-        rem = list(self._nums)
-        dn = len(other._nums) - 1
-        low, lc = other._nums[:dn], other._nums[dn]
-        quot = [0] * max(len(rem) - dn, 0)
-        if p:
-            inv_lc = pow(lc, -1, p)
-            for i in range(len(rem) - 1, dn - 1, -1):
-                q = rem[i] * inv_lc % p
-                if q:
-                    quot[i - dn] = q
-                    for j, b in enumerate(low, i - dn):
-                        rem[j] -= q * b
-            return _poly(self.spec, quot), _poly(self.spec, rem[:dn])
-        # pseudo-division: lc^e * self = quot * other + rem in integers,
-        # scaling by lc only at the e steps that eliminate a nonzero term
-        e = 0
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            if lc != 1:
-                e += 1
-                for j in range(i):
-                    rem[j] *= lc
-                for j in range(i - dn + 1, len(quot)):
-                    quot[j] *= lc
-            quot[i - dn] = c
-            for j, b in enumerate(low, i - dn):
-                rem[j] -= c * b
-        den = lc**e * self._den
-        return (
-            _poly(self.spec, [q * other._den for q in quot], den),
-            _poly(self.spec, rem[:dn], den),
-        )
+        q, r, s = _divmod_raw(self._nums, other._nums, self.spec.p)
+        den = s * self._den
+        if quot:
+            q = _poly(self.spec, [c * other._den for c in q] if other._den != 1 else q, den)
+        if rem:
+            r = _poly(self.spec, r, den)
+        return (q, r) if quot and rem else q if quot else r
+
+    def __divmod__(self, other):
+        return self._divide(other, True, True)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return self._divide(other, True, False)
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._divide(other, False, True)
 
     def divides(self, other: "Poly") -> bool:
         if self.is_zero():
@@ -381,11 +458,13 @@ class Poly:
     def compose(self, inner: "Poly") -> "Poly":
         """Return self(inner(x)), computed exactly by Horner."""
         inner = self._check(inner)
-        spec = self.spec
-        acc = _poly(spec, ())
-        for c in reversed(self._nums):
-            acc = acc * inner + _poly(spec, (c,))
-        return _poly(spec, acc._nums, acc._den * self._den)
+        p, d, acc, dk = self.spec.p, inner._den, [], 1
+        for c in reversed(self._nums):  # d^n * self(inner), n = deg self, in integers
+            acc = _mul_add([c * dk], 1, acc, inner._nums)
+            if p:
+                acc = [v % p for v in acc]
+            dk *= d
+        return _poly(self.spec, acc, self._den * d ** max(len(self._nums) - 1, 0))
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -458,21 +537,21 @@ def gcd_monic(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is rejected."""
     if a.is_zero() and b.is_zero():
         raise ZeroInputError("gcd of two zero polynomials")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    if a.spec != b.spec:
+        raise FieldMismatch("polynomials over different fields")
+    g = _gcd(a._nums, b._nums, a.spec.p)
+    return _poly(a.spec, g, g[-1])
 
 
 def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
-    """base**exp reduced modulo mod, by square-and-multiply."""
-    result = Poly.one(base.spec)
-    base = base % mod
-    while exp:
-        if exp & 1:
-            result = result * base % mod
-        base = base * base % mod
-        exp >>= 1
-    return result
+    """base**exp mod mod by square-and-multiply: :func:`_mulmod` over GF(p)."""
+    if mod.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    p = base.spec.p
+    if p:
+        tail = _tail(mod._nums, p)
+        return _poly(base.spec, _powmod(_mulmod(base._nums, [1], tail, p), exp, tail, p))
+    return _power(base % mod, exp, lambda u, v: u * v % mod, Poly.one(base.spec))
 
 
 # -- squarefree structure ----------------------------------------------
@@ -493,83 +572,54 @@ def pth_root(f: Poly) -> Poly:
     return _poly(f.spec, nums[::p])
 
 
+def _parts(f: Poly) -> list:
+    """The raw squarefree parts of a nonzero f (:func:`_squarefree`)."""
+    if f.is_zero():
+        raise ZeroInputError("the zero polynomial has no squarefree parts")
+    return _squarefree(_normal(f._nums, f.spec.p), f.spec.p)
+
+
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Write monic(f) as a product of pairwise-coprime squarefree parts.
 
     Returns ``[(g, m), ...]`` with each g monic squarefree and
-    ``prod g**m == monic(f)``, sorted by multiplicity.  The i-th pass of the
-    inner loop splits off the part of multiplicity i (times p^k after k
-    descents).  In characteristic p what is left has a vanishing derivative
-    and the loop descends to its p-th root (GF(p) is perfect); in
-    characteristic 0 the leftover is 1.
+    ``prod g**m == monic(f)``, sorted by multiplicity.
     """
-    if f.is_zero():
-        raise ZeroInputError("cannot decompose the zero polynomial")
-    f = f.monic()
-    p = f.spec.characteristic
-    out = []
-    n = 1
-    while f.degree > 0:
-        fp = f.derivative()
-        if fp.is_zero():
-            f = pth_root(f)
-            n *= p
-            continue
-        g = gcd_monic(f, fp)
-        w = f // g
-        i = 1
-        while w.degree > 0:
-            y = gcd_monic(w, g)
-            z = w // y
-            if z.degree > 0:
-                out.append((z, i * n))
-            w = y
-            g = g // y
-            i += 1
-        if g.degree <= 0:
-            break
-        f = pth_root(g)
-        n *= p
+    out = [(_poly(f.spec, g, g[-1]), m) for g, m in _parts(f)]
     return sorted(out, key=lambda t: (t[1], _poly_sort_key(t[0])))
 
 
 def squarefree_part(f: Poly) -> Poly:
     """The radical of f: the product of its distinct monic prime factors."""
-    parts = squarefree_decomposition(f)
-    out = Poly.one(f.spec)
-    for g, _ in parts:
-        out = out * g
-    return out
+    rad = [1]
+    for g, _ in _parts(f):
+        rad = _mul_add([], 1, rad, g)
+    return _poly(f.spec, rad, rad[-1])
 
 
 def distinct_root_count(f: Poly) -> int:
-    """Number of distinct roots of f in the algebraic closure.
-
-    Over a perfect field this is exactly the degree of the radical.
-    """
-    if f.is_zero():
-        raise ZeroInputError("the zero polynomial has no root count")
-    return squarefree_part(f).degree
+    """Number of distinct roots of f in the algebraic closure: over a perfect
+    field the degree of the radical, the sum of those of the squarefree parts."""
+    return sum(len(g) - 1 for g, _ in _parts(f))
 
 
 # -- factorization ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorTerm:
-    poly: Poly
-    multiplicity: int
-    verified: bool
+# immutable records on namedtuple: the dataclasses module would import inspect and ast
+class FactorTerm(namedtuple("FactorTerm", "poly multiplicity verified")):
+    __slots__ = ()
 
     def __iter__(self):
         # allows unpacking as (poly, multiplicity)
-        return iter((self.poly, self.multiplicity))
+        return iter(self[:2])
+
+    def __getnewargs__(self):
+        return self[:]
 
 
-@dataclass(frozen=True)
-class FactoredPoly:
-    unit: FieldElem
-    factors: tuple[FactorTerm, ...]
+class FactoredPoly(namedtuple("FactoredPoly", "unit factors")):
+    __slots__ = ()
 
     @property
     def fully_verified(self) -> bool:
@@ -597,16 +647,14 @@ def factor(f: Poly, seed: int = 0) -> FactoredPoly:
     """
     if f.is_zero():
         raise ZeroInputError("cannot factor the zero polynomial")
-    unit = f.lc
-    terms: list[FactorTerm] = []
-    for g, mult in squarefree_decomposition(f):
-        if f.spec.is_prime_field:
-            for q in _factor_squarefree_gfp(g, seed):
-                terms.append(FactorTerm(q, mult, True))
+    spec, p, unit, terms = f.spec, f.spec.p, f.lc, []
+    for g, mult in _parts(f):
+        if p:
+            rng = random.Random(seed)
+            for prod, d in _distinct_degree(g, p):
+                terms += (FactorTerm(_poly(spec, q), mult, True) for q in _equal_degree(prod, d, p, rng))
         else:
-            terms.extend(
-                FactorTerm(q, mult, ok) for q, ok in _split_rational(g)
-            )
+            terms.extend(FactorTerm(q, mult, ok) for q, ok in _split_rational(_poly(spec, g, g[-1])))
     terms.sort(key=lambda t: (_poly_sort_key(t.poly), t.multiplicity))
     return FactoredPoly(unit, tuple(terms))
 
@@ -672,82 +720,56 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _factor_squarefree_gfp(g: Poly, seed: int) -> list[Poly]:
-    rng = random.Random(seed)
-    out = []
-    for prod, d in _distinct_degree(g):
-        out.extend(_equal_degree(prod, d, rng))
-    return out
-
-
-def _distinct_degree(g: Poly) -> list[tuple[Poly, int]]:
-    # g monic squarefree; returns (product of degree-d primes, d) pairs
-    p = g.spec.characteristic
-    x = Poly.x(g.spec)
-    out = []
-    xp = x
-    d = 0
-    while g.degree >= 2 * (d + 1):
+def _distinct_degree(g, p):
+    # g monic squarefree, raw; returns (product of degree-d primes, d) pairs
+    out, xp, d, tail = [], [0, 1], 0, _tail(g, p)
+    while len(g) > 2 * d + 2:
         d += 1
-        xp = pow_mod(xp, p, g)
-        part = gcd_monic(g, xp - x)
-        if part.degree > 0:
+        xp = _powmod(xp, p, tail, p)
+        part = _gcd(g, _add(xp, [0, p - 1], p), p)
+        if len(part) > 1:
             out.append((part, d))
-            g = g // part
-            if g.degree > 0:
-                xp = xp % g
-    if g.degree > 0:
-        out.append((g, g.degree))
+            g = _divmod_raw(g, part, p)[0]
+            tail = _tail(g, p)
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
     return out
 
 
-def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
-    # f = product of distinct monic primes, all of degree d
-    if f.degree == d:
+def _equal_degree(f, d, p, rng):
+    # f monic, raw, a product of distinct primes all of degree d; the factors unsorted
+    if len(f) - 1 == d:
         return [f]
-    p = f.spec.characteristic
-    split = None
-    for r in _splitter_candidates(f, rng):
+    tail = _tail(f, p)
+    for r in _splitter_candidates(len(f) - 1, p, rng):
         if p == 2:
-            probe = _trace_map(r, d, f)
+            probe = _trace_map(r, d, tail)
         else:
-            probe = pow_mod(r, (p**d - 1) // 2, f) - Poly.one(f.spec)
-        if probe.is_zero():
-            continue
-        cand = gcd_monic(f, probe)
-        if 0 < cand.degree < f.degree:
-            split = cand
-            break
-    if split is None:
-        raise SelfCheckError("equal-degree splitting exhausted its candidates")
-    return sorted(
-        _equal_degree(split, d, rng) + _equal_degree(f // split, d, rng),
-        key=_poly_sort_key,
-    )
+            probe = _add(_powmod(r, (p**d - 1) // 2, tail, p), [p - 1], p)
+        cand = _gcd(f, probe, p) if probe else f
+        if 1 < len(cand) < len(f):
+            rest = _divmod_raw(f, cand, p)[0]
+            return _equal_degree(cand, d, p, rng) + _equal_degree(rest, d, p, rng)
+    raise SelfCheckError("equal-degree splitting exhausted its candidates")
 
 
-def _splitter_candidates(f: Poly, rng: random.Random):
-    # a bounded randomized phase, then a deterministic sweep of all small polys
-    p = f.spec.characteristic
-    n = f.degree
+def _splitter_candidates(n, p, rng):
+    # below degree n: a bounded randomized phase, then a deterministic sweep of all small
+    # polys as the base-p digits of k (no range(p) is materialized, so any p works)
     for _ in range(64):
-        coeffs = [rng.randrange(p) for _ in range(n)]
-        r = Poly.from_ints(f.spec, coeffs)
-        if r.degree >= 1:
+        r = _red([rng.randrange(p) for _ in range(n)], p)
+        if len(r) > 1:
             yield r
-    for deg in range(1, n):
-        for tail in itertools.product(range(p), repeat=deg):
-            for lead in range(1, p):
-                yield Poly.from_ints(f.spec, list(tail) + [lead])
+    for k in range(p, p**n):
+        yield _red([k // p**i % p for i in range(n)], p)
 
 
-def _trace_map(r: Poly, d: int, mod: Poly) -> Poly:
-    # r + r^2 + r^4 + ... + r^(2^(d-1)) mod `mod`, for GF(2) splitting
-    acc = r % mod
-    term = r % mod
+def _trace_map(r, d, tail):
+    # r + r^2 + r^4 + ... + r^(2^(d-1)) mod the modulus of tail, for GF(2) splitting
+    acc = term = _mulmod(r, [1], tail, 2)
     for _ in range(d - 1):
-        term = term * term % mod
-        acc = (acc + term) % mod
+        term = _mulmod(term, term, tail, 2)
+        acc = _add(acc, term, 2)
     return acc
 
 
@@ -759,5 +781,5 @@ def is_irreducible(f: Poly) -> bool:
         raise FieldMismatch("irreducibility test implemented over GF(p) only")
     if f.degree < 1:
         return False
-    f = f.monic()
-    return gcd_monic(f, f.derivative()).degree == 0 and _distinct_degree(f) == [(f, f.degree)]
+    g = _normal(f._nums, f.spec.p)
+    return _parts(f) == [(g, 1)] and _distinct_degree(g, f.spec.p) == [(g, len(g) - 1)]

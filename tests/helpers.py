@@ -1,5 +1,6 @@
 """Shared test helpers: random generators and independent oracles."""
 
+import itertools
 import re
 from fractions import Fraction
 from math import comb
@@ -26,7 +27,7 @@ from ahalg.errors import (
 )
 from ahalg.fields import decimal_int
 from ahalg.parsing import MAX_NESTING, MAX_POWER_WORDS
-from ahalg.poly import distinct_root_count, gcd_monic, is_irreducible, pow_mod
+from ahalg.poly import distinct_root_count, is_irreducible
 
 QQ_SPEC = None  # set lazily to avoid import order issues
 
@@ -669,6 +670,125 @@ def exhaustive_iso(h, g, spec):
 
 
 # -- the polynomial questions' former algorithms, now oracles -----------------
+#
+# Each works on Poly values, one Poly per step; test_poly.py compares the raw
+# kernel's entry points in poly.py with them.
+
+
+def gcd_monic_oracle(a: Poly, b: Poly) -> Poly:
+    """Euclid on Poly remainders, made monic at the end."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def power_oracle(f: Poly, n: int) -> Poly:
+    """f**n by square-and-multiply of Poly products."""
+    result, base = Poly.one(f.spec), f
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def pow_mod_oracle(base: Poly, exp: int, mod: Poly) -> Poly:
+    """base**exp mod mod by square-and-multiply of Poly products and remainders."""
+    result = Poly.one(base.spec)
+    base = base % mod
+    while exp:
+        if exp & 1:
+            result = result * base % mod
+        base = base * base % mod
+        exp >>= 1
+    return result
+
+
+def compose_oracle(f: Poly, inner: Poly) -> Poly:
+    """f(inner) by Horner on Poly values."""
+    acc = Poly.zero(f.spec)
+    for c in reversed(f.coeffs):
+        acc = acc * inner + Poly.constant(c)
+    return acc
+
+
+def pth_root_oracle(f: Poly) -> Poly:
+    p = f.spec.characteristic
+    return Poly(f.spec, f.coeffs[::p])
+
+
+def squarefree_decomposition_oracle(f: Poly):
+    """The one loop for both characteristics on Poly values: ``[(g, m), ...]``
+    sorted by m and then by the coefficients of g."""
+    f = f.monic()
+    p = f.spec.characteristic
+    out, n = [], 1
+    while f.degree > 0:
+        fp = f.derivative()
+        if fp.is_zero():
+            f, n = pth_root_oracle(f), n * p
+            continue
+        g = gcd_monic_oracle(f, fp)
+        w, i = f // g, 1
+        while w.degree > 0:
+            y = gcd_monic_oracle(w, g)
+            z = w // y
+            if z.degree > 0:
+                out.append((z, i * n))
+            w, g, i = y, g // y, i + 1
+        if g.degree <= 0:
+            break
+        f, n = pth_root_oracle(g), n * p
+    return sorted(out, key=lambda t: (t[1], t[0].degree, [c.sort_key() for c in t[0].coeffs]))
+
+
+def distinct_degree_oracle(g: Poly) -> list:
+    """(product of the degree-d primes, d) pairs of a monic squarefree g over GF(p)."""
+    p = g.spec.characteristic
+    x = Poly.x(g.spec)
+    out, xp, d = [], x, 0
+    while g.degree >= 2 * (d + 1):
+        d += 1
+        xp = pow_mod_oracle(xp, p, g)
+        part = gcd_monic_oracle(g, xp - x)
+        if part.degree > 0:
+            out.append((part, d))
+            g = g // part
+            if g.degree > 0:
+                xp = xp % g
+    if g.degree > 0:
+        out.append((g, g.degree))
+    return out
+
+
+def trace_map_oracle(r: Poly, d: int, mod: Poly) -> Poly:
+    """r + r^2 + r^4 + ... + r^(2^(d-1)) mod mod."""
+    acc = term = r % mod
+    for _ in range(d - 1):
+        term = term * term % mod
+        acc = (acc + term) % mod
+    return acc
+
+
+def equal_degree_oracle(f: Poly, d: int) -> set:
+    """The monic primes of degree d whose product is f, by Cantor-Zassenhaus
+    with the polynomials of degree below deg f as candidates, in order."""
+    if f.degree == d:
+        return {f}
+    p = f.spec.characteristic
+    for k in itertools.count(p):  # the base-p digits of k: every r of degree >= 1, in order
+        r = Poly.from_ints(f.spec, [k // p**i % p for i in range(k.bit_length())])
+        if r.degree >= f.degree:
+            raise AssertionError("no candidate splits f")
+        if p == 2:
+            probe = trace_map_oracle(r, d, f)
+        else:
+            probe = pow_mod_oracle(r, (p**d - 1) // 2, f) - Poly.one(f.spec)
+        cand = gcd_monic_oracle(f, probe) if not probe.is_zero() else f
+        if 0 < cand.degree < f.degree:
+            return equal_degree_oracle(cand, d) | equal_degree_oracle(f // cand, d)
 
 
 def squarefree_oracle(f: Poly):
@@ -678,12 +798,12 @@ def squarefree_oracle(f: Poly):
         return []
     out = []
     fp = f.derivative()
-    a = gcd_monic(f, fp)
+    a = gcd_monic_oracle(f, fp)
     b, c = f // a, fp // a
     i = 1
     while b.degree > 0:
         d = c - b.derivative()
-        g = gcd_monic(b, d)
+        g = gcd_monic_oracle(b, d)
         if g.degree > 0:
             out.append((g, i))
         b, c = b // g, d // g
@@ -701,8 +821,8 @@ def irreducible_oracle(f: Poly) -> bool:
     x = Poly.x(f.spec)
     frob = [x % f]  # x^(p^k) mod f, one Frobenius step at a time
     for _ in range(n):
-        frob.append(pow_mod(frob[-1], p, f))
+        frob.append(pow_mod_oracle(frob[-1], p, f))
     if frob[n] != frob[0]:
         return False
     primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
-    return all(gcd_monic(f, frob[n // q] - x).is_one() for q in primes)
+    return all(gcd_monic_oracle(f, frob[n // q] - x).is_one() for q in primes)

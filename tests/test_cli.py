@@ -558,7 +558,7 @@ def test_closed_stdout_exits_1_without_a_traceback(expr):
 def test_failed_self_check_is_an_exit_1_error(capsys, monkeypatch):
     from ahalg import poly
 
-    monkeypatch.setattr(poly, "_splitter_candidates", lambda f, rng: iter(()))
+    monkeypatch.setattr(poly, "_splitter_candidates", lambda n, p, rng: iter(()))
     code = run(["--field", "GF:5", "--h", "x", "factor", "x^2-1", "--json"])
     assert code == 1
     assert "exhausted" in json.loads(capsys.readouterr().out)["error"]

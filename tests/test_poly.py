@@ -22,7 +22,21 @@ from ahalg import poly as poly_module
 from ahalg.errors import FieldMismatch, SelfCheckError, ZeroInputError
 from ahalg.poly import is_irreducible, pow_mod, pth_root
 
-from helpers import irreducible_oracle, rand_poly, squarefree_oracle
+from ahalg.poly import FactorTerm
+from helpers import (
+    compose_oracle,
+    distinct_degree_oracle,
+    equal_degree_oracle,
+    gcd_monic_oracle,
+    irreducible_oracle,
+    pow_mod_oracle,
+    power_oracle,
+    pth_root_oracle,
+    rand_poly,
+    squarefree_decomposition_oracle,
+    squarefree_oracle,
+    trace_map_oracle,
+)
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -247,9 +261,20 @@ def test_distinct_root_count_pth_power():
     assert distinct_root_count(Poly.from_ints(F2loc, (0, 1, 1)) ** 2) == 2
 
 
+def test_equal_degree_sweep_lists_no_field():
+    # with every random candidate constant, the deterministic sweep splits (x+1)(x+2)
+    # over GF(2^61-1) without building a tuple of range(p)
+    class NoRandomness:
+        randrange = staticmethod(lambda p: 0)
+
+    spec = FieldSpec.gf(2**61 - 1)
+    split = poly_module._equal_degree([2, 3, 1], 1, spec.p, NoRandomness())
+    assert sorted(split) == [[1, 1], [2, 1]]
+
+
 def test_equal_degree_splitting_checks_itself(monkeypatch):
     # with no candidates left the splitter must raise, also under python -O
-    monkeypatch.setattr(poly_module, "_splitter_candidates", lambda f, rng: iter(()))
+    monkeypatch.setattr(poly_module, "_splitter_candidates", lambda n, p, rng: iter(()))
     with pytest.raises(SelfCheckError):
         factor(P(F5, -1, 0, 1))
 
@@ -483,3 +508,99 @@ def test_operand_types_outside_the_fast_paths():
     with pytest.raises(ValueError):
         FieldElem(FieldSpec.gf(7), Fraction(1, 2))
     assert FieldElem(QQ, 3).val == Fraction(3) and type(FieldElem(QQ, 3).val) is Fraction
+
+
+# -- the raw kernel's entry points against the Poly-level oracles ---------------
+
+PARITY_FIELDS = (F2, F3, F5, FieldSpec.gf(7), FieldSpec.gf(1000003), FieldSpec.gf(2**61 - 1), QQ)
+
+
+def parity_polys(spec) -> list:
+    """Zero, constants, non-monic polynomials, repeated factors and, for small
+    p, p-th powers (x^p, (x+1)^(2p)) that make squarefree decomposition descend."""
+    rng = random.Random((spec.p or 0) + 17)
+    x, one = Poly.x(spec), Poly.one(spec)
+    half = spec.elem(Fraction(1, 2)) if not spec.p else spec.from_int(spec.p - 1)
+    u = x.scaled(3) + one if spec.p != 3 else x + one.scaled(2)
+    v = Poly(spec, (half, 0, 1))
+    out = [Poly.zero(spec), one.scaled(3) if spec.p != 3 else one, x, u.scaled(half),
+           (u**2 * v**3).scaled(half), v**2 * x**3]
+    out += [rand_poly(rng, spec, 5, nonzero=True) for _ in range(4)]
+    if spec.p and spec.p <= 7:
+        p = spec.p
+        out += [x**p, (x + one) ** (2 * p), (v**p * (x + one)).scaled(half), u**p * v**(p + 1)]
+    return out
+
+
+@pytest.mark.parametrize("spec", PARITY_FIELDS, ids=repr)
+def test_gcd_and_compose_match_the_poly_oracles(spec):
+    polys = parity_polys(spec)
+    for f in polys:
+        for g in polys:
+            if f or g:
+                assert gcd_monic(f, g) == gcd_monic_oracle(f, g), (f, g)
+            assert f.compose(g) == compose_oracle(f, g), (f, g)
+            if g:
+                q, r = divmod(f, g)
+                assert (q, r) == (f // g, f % g) and q * g + r == f and r.degree < g.degree
+
+
+@pytest.mark.parametrize("spec", PARITY_FIELDS, ids=repr)
+def test_powers_match_the_poly_oracles(spec):
+    polys = parity_polys(spec)
+    large = 300 if not spec.p else spec.p**3 + 10**18 + 7
+    for f in polys:
+        for n in (0, 1, 2, 7):
+            assert f**n == power_oracle(f, n), (f, n)
+        for mod in polys:
+            if mod:
+                for e in (0, 1, 2, large):
+                    assert pow_mod(f, e, mod) == pow_mod_oracle(f, e, mod), (f, e, mod)
+    with pytest.raises(ZeroDivisionError):
+        pow_mod(Poly.x(spec), 3, Poly.zero(spec))
+
+
+@pytest.mark.parametrize("spec", PARITY_FIELDS, ids=repr)
+def test_squarefree_structure_matches_the_poly_oracles(spec):
+    for f in parity_polys(spec):
+        if not f:
+            with pytest.raises(ZeroInputError):
+                squarefree_decomposition(f)
+            continue
+        parts = squarefree_decomposition_oracle(f)
+        assert squarefree_decomposition(f) == parts, f
+        rad = Poly.one(spec)
+        for g, _ in parts:
+            rad = rad * g
+        assert squarefree_part(f) == rad and distinct_root_count(f) == max(rad.degree, 0)
+        if not spec.p:
+            assert parts == squarefree_oracle(f)
+        elif f.degree >= 1 and all(c == 0 for i, c in enumerate(f._nums) if i % spec.p):
+            assert pth_root(f) == pth_root_oracle(f)
+
+
+@pytest.mark.parametrize("spec", PARITY_FIELDS[:-1], ids=repr)
+def test_factoring_steps_match_the_poly_oracles(spec):
+    p = spec.p
+    for f in parity_polys(spec):
+        if f.degree < 1:
+            continue
+        assert is_irreducible(f) == irreducible_oracle(f), f
+        expected = []
+        for g, m in squarefree_decomposition_oracle(f):
+            steps = poly_module._distinct_degree(list(g._nums), p)
+            assert [(Poly.from_ints(spec, q), d) for q, d in steps] == distinct_degree_oracle(g)
+            for prod, d in steps:
+                split = poly_module._equal_degree(prod, d, p, random.Random(5))
+                primes = equal_degree_oracle(Poly.from_ints(spec, prod), d)
+                assert {Poly.from_ints(spec, q) for q in split} == primes
+                expected += [(q, m) for q in primes]
+        assert sorted(factor(f, seed=5).factors, key=repr) == sorted(
+            (FactorTerm(q, m, True) for q, m in expected), key=repr)
+        if p == 2:
+            mod = f.monic()
+            for r in parity_polys(spec)[1:]:
+                tail = poly_module._tail(list(mod._nums), 2)
+                for d in (1, 2, 3):
+                    got = poly_module._trace_map(list(r._nums), d, tail)
+                    assert Poly.from_ints(spec, got) == trace_map_oracle(r, d, mod)
