@@ -4,9 +4,11 @@ Every element has a unique normal form ``sum_i f_i(x) * Y^i`` with the
 polynomial coefficients kept on the left; :class:`OreElement` stores that
 coefficient list and :class:`AhContext` fixes the field and the commutation
 polynomial h.  Every product rests on the rule ``Y * c*Y^k = c*Y^(k+1) +
-delta(c)*Y^k``, where ``delta(c) = h * c'``: so ``a*b = sum_i f_i * (Y^i*b)``,
-each row ``Y^(i+1)*b`` one step from the row ``Y^i*b``, each left coefficient
-multiplied once, and rows built only up to the last nonzero ``f_i``.
+delta(c)*Y^k``, where ``delta(c) = h * c'`` (``_delta``, the one raw step that
+also serves ``AhContext.delta``/``delta_power`` and :mod:`ahalg.weyl`): so
+``a*b = sum_i f_i * (Y^i*b)``, each row ``Y^(i+1)*b`` one step from the row
+``Y^i*b``, each left coefficient multiplied once, and rows built only up to
+the last nonzero ``f_i``.
 
 Over GF(p), for factors of Y-degree at least 1, each row is one packed int
 (:mod:`ahalg.packed`, loaded at its first use): a row step costs a few
@@ -43,7 +45,7 @@ from .poly import NEG_INF, Poly, _mul_add, _poly, format_poly, sum_of_raw_produc
 class AhContext:
     """A fixed field and a fixed nonzero h; the home of its elements."""
 
-    # hy_rows: the rows of Y^i in the basis h^j y^j, grown by weyl._hy_rows, and
+    # hy_rows: the raw rows of Y^i in the basis h^j y^j, grown by weyl._hy_rows, and
     # h_factors: factor(h), None until normal._h_factors fills it; neither in == or hash
     __slots__ = ("spec", "h", "h_prime", "gen_symbol", "hy_rows", "h_factors")
 
@@ -106,14 +108,15 @@ class AhContext:
     # -- the derivation delta(f) = h f' ----------------------------------
 
     def delta(self, f: Poly) -> Poly:
-        return f.derivative() * self.h
+        return _poly(self.spec, _delta(self, f._nums, []), f._den * self.h._den)
 
     def delta_power(self, f: Poly, j: int) -> Poly:
         if j < 0:
             raise ValueError("delta power must be nonnegative")
-        for _ in range(j):
-            f = f.derivative() * self.h
-        return f
+        nums, den = f._nums, f._den
+        while j and nums:  # raw steps up to the first zero, one Poly at the end
+            nums, den, j = _delta(self, nums, []), den * self.h._den, j - 1
+        return _poly(self.spec, nums, den)
 
 
 class OreElement:
@@ -333,9 +336,10 @@ def _terms(slots, fs, rows, shift=0, sign=1, low=None):
 def _packed(ctx: AhContext, degrees, op: str, *args):
     """``op(*args)`` on the packed rows of :mod:`ahalg.packed` (loaded at its
     first use) when the field is GF(p) and every factor's Y-degree in
-    degrees is at least 1, else NotImplemented: with a polynomial factor
-    there are no row steps to save.  op too returns NotImplemented, for the
-    sparse operands it leaves to the raw rows."""
+    degrees is at least 1, else NotImplemented: so a product with a polynomial
+    factor loads no :mod:`ahalg.packed` (``tests/test_lazy_import.py``; which
+    path is faster there is unmeasured).  op too returns NotImplemented, for
+    the sparse operands it leaves to the raw rows."""
     if not ctx.spec.p or min(degrees) < 1:
         return NotImplemented
     from . import packed

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .algebra import COMMUTATOR_SPACES, AhContext, OreElement, commutator
 from .errors import AhError, CharacteristicError, SelfCheckError
 from .fields import FieldElem
-from .poly import MAX_DENSE_TERMS, Poly, _add, _mulmod, _poly, _powmod, _red, _tail
+from .poly import MAX_DENSE_TERMS, Poly, _add, _mulmod, _powmod, _red, _spread, _tail
 from .weyl import from_hy_coordinates, hy_coordinates
 
 
@@ -58,9 +58,7 @@ def center(ctx: AhContext) -> CenterDescription:
     if terms > MAX_DENSE_TERMS:
         raise AhError(f"center too large: {terms} coefficients, limit {MAX_DENSE_TERMS}")
     cs = _correction(h, ctx.h_prime) if d else []
-    nums, zero = [0] * (len(cs) * p), Poly.zero(spec)
-    nums[::p] = cs
-    correction = _poly(spec, nums)
+    correction, zero = _spread(spec, cs, p), Poly.zero(spec)
     y_gen = ctx.element((zero, -correction) + (zero,) * (p - 2) + (Poly.one(spec),))
     return CenterDescription(p, Poly.monomial(spec, 1, p), y_gen, correction)
 

@@ -21,7 +21,7 @@ from enum import Enum
 from .algebra import AhContext, OreElement, commutator
 from .center import central_decompose, is_central
 from .errors import NotNormalError, SelfCheckError, UnverifiableError, ZeroInputError
-from .poly import FactoredPoly, Poly, factor, is_irreducible
+from .poly import FactoredPoly, Poly, _spread, factor, is_irreducible
 from .weyl import hy_coordinates
 
 
@@ -228,7 +228,7 @@ def height_one_prime_test(
         )
     monic_v = v.coeffs[0].monic()
     for u in primes:
-        if monic_v == u**p:
+        if monic_v == _spread(ctx.spec, u._nums, p):  # u^p over GF(p)
             return PrimeGeneratorReport(
                 PrimeKind.NOT_PRIME_GENERATOR,
                 f"associate of {u}^{p}, which does not generate a prime",

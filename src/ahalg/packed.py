@@ -26,13 +26,13 @@ extension of F[x], a domain).
   ``weight(w) - weight(v)`` allows.
 * the anti-automorphism keeps its Horner accumulator as one packed row.
 
-:mod:`ahalg.algebra` calls these only for factors of Y-degree at least 1:
-with a polynomial factor there are no row steps to save, and its raw rows
-are faster.  Each returns NotImplemented, leaving the operation to the raw
-rows too, when the layout would hold over 8 digits per nonzero input digit
-(sparse elements such as ``Y^1024``, or a degree bound far above the
-actual degrees).  :mod:`ahalg.algebra` loads this module at its first
-call, so a caller that never gets here compiles neither it nor ``array``.
+:mod:`ahalg.algebra` calls these only for factors of Y-degree at least 1,
+so a product with a polynomial factor loads none of this (which path is
+faster there is unmeasured).  Each returns NotImplemented, leaving the
+operation to the raw rows too, when the layout would hold over 8 digits per
+nonzero input digit (sparse elements such as ``Y^1024``, or a degree bound
+far above the actual degrees).  :mod:`ahalg.algebra` loads this module at
+its first call, so a caller that never gets here compiles neither it nor ``array``.
 """
 
 from __future__ import annotations

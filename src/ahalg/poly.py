@@ -77,6 +77,13 @@ def _poly(spec: FieldSpec, nums, den: int = 1) -> "Poly":
     return f
 
 
+def _spread(spec: FieldSpec, nums, k: int) -> "Poly":
+    """``f(x^k)`` for the raw numerators nums of f; over GF(p), ``f(x^p) = f^p``."""
+    out = [0] * (k * len(nums))
+    out[::k] = nums
+    return _poly(spec, out)
+
+
 def _mul_add(out: list, c: int, a, b) -> list:
     """Add ``c * a * b`` to the int list ``out``, extended as needed, and
     return it: the one schoolbook loop of every product, on numerator lists."""
@@ -91,24 +98,10 @@ def _mul_add(out: list, c: int, a, b) -> list:
     return out
 
 
-def sum_of_products(spec: FieldSpec, terms, base: "Poly | None" = None) -> "Poly":
-    """``base + sum c * f * g`` over triples ``(int c, Poly f, Poly g)`` of one field.
-
-    The products accumulate as ints over the lcm of their denominators, on
-    top of the raw ints of base, and the sum is normalized once.
-    """
-    bnums, bden = (base._nums, base._den) if base is not None else ((), 1)
-    den = 1 if spec.p else lcm(bden, *(f._den * g._den for _, f, g in terms))
-    out = [c * (den // bden) for c in bnums]
-    for c, f, g in terms:
-        if f._nums and g._nums:
-            _mul_add(out, c if den == 1 else c * (den // (f._den * g._den)), f._nums, g._nums)
-    return _poly(spec, out, den)
-
-
 def sum_of_raw_products(spec: FieldSpec, terms) -> "Poly":
     """``sum c * a * b / d`` over raw terms ``(int c, nums a, nums b, int d)``,
-    d the product of the denominators of a and b, like ``sum_of_products``."""
+    d the product of the denominators of a and b: the products accumulate as
+    ints over the lcm of the d, and the sum is normalized once."""
     den = 1 if spec.p else lcm(*(t[3] for t in terms))
     out = []
     for c, a, b, d in terms:

@@ -8,8 +8,10 @@ moves elements across the embedding ``Y = y*h``, under which A_h is
 * ``hy_coordinates`` and its inverse ``from_hy_coordinates`` use the rows of
   Y^i in the basis ``h^j y^j``, which are unitriangular: O(n^2) products at
   Y-degree n, one normalize step per output coefficient, and no division.
-  The rows depend only on h, so they live on the context: built once on
-  first use, and grown from the last row when a higher Y-degree is asked for;
+  The rows depend only on h, so they live on the context, row i as
+  numerators over ``den(h)^i``: built once on first use, and grown from the
+  last row when a higher Y-degree is asked for; an entry is one ``_delta``
+  step of the entry above, ``(j+1) h'`` times that entry, and the shifted one;
 * ``to_weyl`` gives ``sum f_j h^j y^j``; ``from_weyl`` inverts it, which
   succeeds exactly when ``h^j`` divides the coefficient of ``y^j`` for all j;
 * ``yh_product`` builds the telescoping products that express ``y^i h^i``
@@ -26,7 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .algebra import AhContext, OreElement, div_right_exact
+from .algebra import AhContext, OreElement, _delta, div_right_exact
 from .errors import (
     ContextMismatch,
     NotDivisibleError,
@@ -35,7 +37,7 @@ from .errors import (
     ZeroInputError,
 )
 from .fields import FieldSpec
-from .poly import Poly, sum_of_products
+from .poly import Poly, _mul_add, sum_of_raw_products
 
 
 _GROW_LOCK = threading.Lock()
@@ -50,20 +52,20 @@ def is_weyl_context(ctx: AhContext) -> bool:
     return ctx.h.is_one()
 
 
-def _hy_rows(ctx: AhContext, n: int) -> list[list[Poly]]:
-    """``rows[i][j]`` is the coefficient of h^j y^j in Y^i (i <= n); ``rows[i][i] = 1``.
-    Kept on ctx, grown from its last row into a copy that replaces it whole."""
+def _hy_rows(ctx: AhContext, n: int) -> list[list[list[int]]]:
+    """``rows[i][j]`` is the coefficient of h^j y^j in Y^i (i <= n), raw numerators over
+    ``den(h)^i``.  Kept on ctx, grown from its last row into a copy that replaces it whole."""
     rows = ctx.hy_rows
     if len(rows) > n:
         return rows
-    spec, h, dh = ctx.spec, ctx.h, ctx.h_prime
-    zero = Poly.zero(spec)
-    rows = list(rows) or [[Poly.one(spec)]]
+    h, hd = ctx.h._nums, ctx.h._den
+    hp = [k * h[k] for k in range(1, len(h))]  # h' over hd
+    rows = list(rows) or [[[1]]]
     while len(rows) <= n:
         # (y h)(r h^j y^j) = r h^(j+1) y^(j+1) + (h r' + (j+1) h' r) h^j y^j
-        prev = rows[-1] + [zero]  # prev[-1] is zero: no shifted term at j = 0
+        prev = rows[-1] + [[]]  # prev[-1] is zero: no shifted term at j = 0
         rows.append([
-            sum_of_products(spec, [(1, h, r.derivative()), (j + 1, dh, r)], prev[j - 1])
+            _delta(ctx, r, _mul_add([v * hd for v in prev[j - 1]], j + 1, hp, r))
             for j, r in enumerate(prev)
         ])
     with _GROW_LOCK:  # a longer table installed meanwhile by another thread stays
@@ -74,19 +76,21 @@ def _hy_rows(ctx: AhContext, n: int) -> list[list[Poly]]:
 def hy_coordinates(a: OreElement) -> list[Poly]:
     """The coordinates f_j of a in ``sum_j F[x] h^j y^j``: ``f_j = sum_i a_i * rows[i][j]``."""
     spec, fs, n = a.ctx.spec, a.coeffs, len(a.coeffs)
-    rows = _hy_rows(a.ctx, n - 1)
-    return [sum_of_products(spec, [(1, fs[i], rows[i][j]) for i in range(j, n)]) for j in range(n)]
+    rows, hd = _hy_rows(a.ctx, n - 1), a.ctx.h._den
+    dens = [f._den * hd**i for i, f in enumerate(fs)]  # of a_i times row i
+    return [sum_of_raw_products(spec, [(1, fs[i]._nums, rows[i][j], dens[i]) for i in range(j, n)])
+            for j in range(n)]
 
 
 def from_hy_coordinates(fs, ctx: AhContext) -> OreElement:
     """The element with coordinates fs: the unitriangular system is solved
     top-down, ``a_j = f_j - sum_(i > j) a_i * rows[i][j]``, with no division."""
     n = len(fs)
-    rows = _hy_rows(ctx, n - 1)
+    rows, ds = _hy_rows(ctx, n - 1), [ctx.h._den**i for i in range(n)]
     out = [None] * n
     for j in range(n - 1, -1, -1):
-        terms = [(-1, out[i], rows[i][j]) for i in range(j + 1, n)]
-        out[j] = sum_of_products(ctx.spec, terms, fs[j])
+        terms = [(-1, out[i]._nums, rows[i][j], out[i]._den * ds[i]) for i in range(j + 1, n)]
+        out[j] = sum_of_raw_products(ctx.spec, terms + [(1, fs[j]._nums, (1,), fs[j]._den)])
     return ctx.element(out)
 
 

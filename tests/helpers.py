@@ -56,6 +56,13 @@ def rand_elem(rng, ctx, max_ydeg, max_deg, nonzero=False):
             return a
 
 
+def delta_power_oracle(ctx: AhContext, f: Poly, j: int) -> Poly:
+    """``delta^j(f)`` by j steps ``f <- f' * h`` on ``Poly``."""
+    for _ in range(j):
+        f = f.derivative() * ctx.h
+    return f
+
+
 def naive_mul(a: OreElement, b: OreElement) -> OreElement:
     """One-step-rewriting multiplication oracle: Y*f -> f*Y + delta(f)."""
     ctx = a.ctx
@@ -72,7 +79,7 @@ def naive_mul(a: OreElement, b: OreElement) -> OreElement:
                 nxt = {}
                 for k, poly in cur.items():
                     nxt[k + 1] = nxt.get(k + 1, zero) + poly
-                    d = ctx.delta(poly)
+                    d = delta_power_oracle(ctx, poly, 1)
                     if not d.is_zero():
                         nxt[k] = nxt.get(k, zero) + d
                 cur = nxt
@@ -596,7 +603,7 @@ def classify_oracle(ctx):
 def center_correction_oracle(ctx: AhContext) -> Poly:
     """delta^p(x)/h by p derivation steps and one exact division by h (the
     former ``center`` route)."""
-    correction, rem = divmod(ctx.delta_power(Poly.x(ctx.spec), ctx.spec.p), ctx.h)
+    correction, rem = divmod(delta_power_oracle(ctx, Poly.x(ctx.spec), ctx.spec.p), ctx.h)
     if not rem.is_zero():
         raise SelfCheckError("h must divide every delta power of x")
     return correction

@@ -21,6 +21,7 @@ from ahalg.errors import ContextMismatch, SelfCheckError, ZeroInputError
 
 from helpers import (
     antiautomorphism_oracle,
+    delta_power_oracle,
     div_one_sided_oracle,
     naive_mul,
     rand_elem,
@@ -49,6 +50,32 @@ def test_delta_powers():
     assert ctx.delta_power(x, 3) == Poly.from_ints(QQ, (0, 0, 0, 0, 6))
     assert ctx.delta(Poly.from_ints(QQ, (7,))).is_zero()
     assert ctx.delta_power(x, 0) == x
+
+
+def delta_cases():
+    """(h, f, the j to compare): over QQ a non-monic h with a fraction and a
+    constant h, over GF(2) and GF(7) the j crossing p, and f zero, constant and of a
+    degree the constant h runs past."""
+    half, third = QQ.elem(Fraction(1, 2)), QQ.elem(Fraction(1, 3))
+    f_qq = Poly(QQ, (Fraction(-5, 4), 0, 2, Fraction(1, 7)))
+    cases = [(Poly(QQ, (half, 0, third)), f_qq, (0, 1, 2, 5, 30)),
+             (Poly(QQ, (half,)), f_qq, range(6))]
+    for p, js in ((2, range(6)), (7, range(12)), (1000003, (0, 1, 2, 9))):
+        spec = FieldSpec.gf(p)
+        h, f = Poly.from_ints(spec, (3, 0, 1, 1)), Poly.from_ints(spec, (1, 2, 0, 5, 1))
+        cases += [(h, f, js), (h, Poly.x(spec), js), (Poly.from_ints(spec, (5,)), f, range(7)),
+                  (h, Poly.from_ints(spec, (3,)), (1, 3)), (h, Poly.zero(spec), (0, 2))]
+    return [pytest.param(h, f, js, id=f"{h.spec}: h={h}, f={f}") for h, f, js in cases]
+
+
+@pytest.mark.parametrize("h, f, js", delta_cases())
+def test_delta_matches_its_oracle(h, f, js):
+    ctx = AhContext(h.spec, h)
+    assert ctx.delta(f) == delta_power_oracle(ctx, f, 1)
+    for j in js:
+        assert ctx.delta_power(f, j) == delta_power_oracle(ctx, f, j)
+    with pytest.raises(ValueError):
+        ctx.delta_power(f, -1)
 
 
 def test_defining_relation():

@@ -22,6 +22,7 @@ from ahalg import (
     PrimeKind,
 )
 from ahalg.errors import NotNormalError, UnverifiableError, ZeroInputError
+from ahalg.poly import _spread
 
 from helpers import normal_oracle, rand_elem
 
@@ -184,6 +185,16 @@ def test_prime_test_central_cases():
     v = ctx.from_poly(Poly.from_ints(F3, (1, 1)) ** 3)
     report = height_one_prime_test(v)
     assert report.kind == PrimeKind.CENTRAL_IRREDUCIBLE
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_spread_at_stride_p_is_the_pth_power(p):
+    spec, rng = FieldSpec.gf(p), random.Random(p)
+    polys = [Poly.zero(spec), Poly.one(spec), Poly.x(spec)]
+    polys += [Poly.from_ints(spec, [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1])
+              for _ in range(20)]
+    for u in polys:
+        assert _spread(spec, u._nums, p) == u**p
 
 
 def test_prime_test_bivariate_unknown():
