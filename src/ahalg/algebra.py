@@ -34,6 +34,7 @@ is a polynomial, so each coefficient is one ``Poly.compose``.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import comb, lcm
 
@@ -41,13 +42,19 @@ from .errors import ContextMismatch, SelfCheckError, ZeroInputError
 from .fields import FieldElem, FieldSpec
 from .poly import NEG_INF, Poly, _mul_add, _poly, format_poly, sum_of_raw_products
 
+_FACTS_LOCK = threading.Lock()  # installs every field of AhContext.facts
+
 
 class AhContext:
-    """A fixed field and a fixed nonzero h; the home of its elements."""
+    """A fixed field and a fixed nonzero h; the home of its elements.
 
-    # hy_rows: the raw rows of Y^i in the basis h^j y^j, grown by weyl._hy_rows, and
-    # h_factors: factor(h), None until normal._h_factors fills it; neither in == or hash
-    __slots__ = ("spec", "h", "h_prime", "gen_symbol", "hy_rows", "h_factors")
+    ``facts``, None until its first fill, is the record of what h alone
+    determines: raw values (and the factorization of h) by field name, never
+    an object that holds the context, and outside == and hash.  The structure modules fill each field
+    once (:meth:`fact`) or grow it (:meth:`grown`), under one lock.
+    """
+
+    __slots__ = ("spec", "h", "h_prime", "gen_symbol", "facts")
 
     def __init__(self, spec: FieldSpec, h: Poly, gen_symbol: str = "Y"):
         if h.spec != spec:
@@ -58,8 +65,27 @@ class AhContext:
         self.h = h
         self.h_prime = h.derivative()
         self.gen_symbol = gen_symbol
-        self.hy_rows = ()
-        self.h_factors = None
+        self.facts = None
+
+    def fact(self, name: str, fill):
+        """Field ``name``: ``fill(self)`` at its first read, installed only while empty."""
+        if name not in (self.facts or ()):
+            value = fill(self)
+            with _FACTS_LOCK:
+                self.facts = self.facts or {}
+                self.facts.setdefault(name, value)
+        return self.facts[name]
+
+    def grown(self, name: str, size: int, grow):
+        """Field ``name`` with at least ``size`` entries: else ``grow(self, kept, size)``
+        makes a longer copy, installed unless a longer one came meanwhile."""
+        kept = (self.facts or {}).get(name, ())
+        if len(kept) < size:
+            kept = grow(self, kept, size)
+            with _FACTS_LOCK:
+                self.facts = self.facts or {}
+                self.facts[name] = max(self.facts.get(name, kept), kept, key=len)
+        return kept
 
     @property
     def deg_h(self) -> int:

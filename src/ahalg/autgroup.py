@@ -10,7 +10,9 @@ The admissible pairs form a subgroup P of the affine group of the line, so
 P either contains every translation or fixes one point c.
 :func:`compute_P` keeps P as a presentation (:class:`PSet`): c, the
 translations G ({0} or GF(p)) and an element of order m whose powers are the
-alphas.  P, G and isomorphism all solve h(alpha*x + beta) == nu*g(x) one
+alphas; it is kept, with the anchor and the radical of h, in the record
+of the context (``AhContext.facts``), so each is computed once per
+context.  P, G and isomorphism all solve h(alpha*x + beta) == nu*g(x) one
 way for every deg h: each solution maps the anchor of g to that of h
 (:func:`_anchor`), and around the anchors each coefficient identity is a
 binomial in alpha.  So over GF(p) every question costs time polynomial in
@@ -215,60 +217,72 @@ def compute_G(ctx: AhContext) -> tuple[FieldElem, ...]:
     """
     if ctx.deg_h < 1:
         raise ConstantHError("G needs deg h >= 1")
-    if _anchor(ctx.h) is not None:
+    if _kept_anchor(ctx) is not None:
         return (ctx.spec.zero(),)
     return tuple(ctx.spec.from_int(n) for n in range(ctx.spec.p))
 
 
+def _kept_anchor(ctx: AhContext):
+    """The anchor of h as a raw value, or None: the ``anchor`` field of ctx's record."""
+    return ctx.fact("anchor", lambda c: getattr(_anchor(c.h), "val", None))
+
+
 def compute_P(ctx: AhContext) -> PSet:
     """The pair set P, as its presentation (see :class:`PSet`); nothing is listed."""
-    return _presentation(ctx)[0]
+    if ctx.deg_h < 1:
+        raise ConstantHError("P needs deg h >= 1")
+    return _pset(ctx, ctx.fact("presentation", _presentation))
 
 
-def _presentation(ctx: AhContext) -> tuple[PSet, int]:
-    """P and the number of distinct roots of h, the degree of its radical.
+def _pset(ctx: AhContext, presentation: tuple) -> PSet:
+    spec, (lam, c, unit, m, _) = ctx.spec, presentation
+    lam, unit = (None if v is None else spec.elem(v) for v in (lam, unit))
+    return PSet(ctx, lam, spec.elem(c), compute_G(ctx), unit, m)
+
+
+def _presentation(ctx: AhContext, refuse_dense_t: bool = False) -> tuple:
+    """P as raw values (lam, c, unit, m, k: the degree of the radical of h),
+    the ``presentation`` field of ctx's record; G is read off the anchor.
 
     A single distinct root lam (in the field, since the radical is then
     linear) gives the family: every alpha in F*, m = None over QQ.  Else P
     contains G = GF(p) when h has no anchor (c = 0), or fixes the anchor c
     of h (:func:`_anchor`; lam for the family).  With H = h(x + c), the
     pairs fixing c are (alpha, c*(1-alpha)) for the m-th roots of unity,
-    m = gcd(n, d - i : H_i != 0, i < d), n = p - 1, or 2 over QQ.  The
-    generators are certified: the pair of an element of order exactly m,
-    and a nonzero translation when G = GF(p), satisfy the pair law.  Over
-    GF(p) the cost is polynomial in deg h and log p.
+    m = gcd(n, d - i : H_i != 0, i < d), n = p - 1, or 2 over QQ.  Then
+    ``refuse_dense_t`` refuses a dense t = base^m, and the generators are
+    certified: the pair of an element of order exactly m, and a nonzero
+    translation when G = GF(p), satisfy the pair law.  Over GF(p) the cost
+    is polynomial in deg h and log p.
     """
-    if ctx.deg_h < 1:
-        raise ConstantHError("P needs deg h >= 1")
     spec, h, d = ctx.spec, ctx.h, ctx.deg_h
-    zero, one = spec.zero(), spec.one()
     n = spec.p - 1 if spec.p else 2
-    G, (roots, lam) = (zero,), _radical(h)
-    if roots == 1:
-        if h != Poly(spec, (-lam, 1)) ** d * h.lc:
-            raise SelfCheckError("h with a linear radical is not a power of it")
-        if not spec.p:
-            return PSet(ctx, lam, lam, G, None, None), 1
-    c = _anchor(h)
-    if c is None:
-        G, c = tuple(spec.from_int(v) for v in range(spec.p)), zero
+    k, lam = ctx.fact("radical", lambda c: _radical(c.h))
+    c = _kept_anchor(ctx)
+    whole, c = c is None, spec.zero() if c is None else spec.elem(c)
     H = _moved(h, c)
     m = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
+    if refuse_dense_t:
+        _dense_terms(spec.p if whole else 1, m)  # base is x^p - x or x - c
+    if k == 1 and h != Poly(spec, (-spec.elem(lam), 1)) ** d * h.lc:
+        raise SelfCheckError("h with a linear radical is not a power of it")
+    if k == 1 and not spec.p:
+        return lam, lam, None, None, k
     unit = _unit_of_order(spec, n, m)
     generators = [(unit, c - unit * c)] if m > 1 else []
-    if len(G) > 1:
-        generators.append((one, one))
+    if whole:
+        generators.append((spec.one(), spec.one()))
     if not all(pair_is_valid(ctx, a, b) for a, b in generators):
         raise SelfCheckError("P is not G times the powers of its generator")
-    return PSet(ctx, lam, c if m > 1 else zero, G, unit, m), roots
+    return lam, c.val if m > 1 else 0, unit.val, m, k
 
 
-def _radical(h: Poly) -> tuple[int, FieldElem | None]:
+def _radical(h: Poly) -> tuple:
     """The number of distinct roots of h, the degree of its radical, and the
-    root when there is one, read off the squarefree parts."""
+    root as a raw value when there is one, read off the squarefree parts."""
     parts = _parts(h)
     n = sum(len(g) - 1 for g, _ in parts)
-    return n, h.spec.elem(Fraction(-parts[0][0][0], parts[0][0][1])) if n == 1 else None
+    return n, h.spec.elem(Fraction(-parts[0][0][0], parts[0][0][1])).val if n == 1 else None
 
 
 def _moved(f: Poly, c: FieldElem) -> Poly:
@@ -548,20 +562,25 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     G = GF(p) (:func:`_base`), q = base^n.  For a finite P the image in F*
     is cyclic of order ell = m = |P|/|G|, so G and one pair generate P: the
     least pair whose alpha has order ell, or the least nonzero translation
-    when ell = 1; those alphas are the unit^j with gcd(j, ell) = 1, so
-    O(ell) integer steps find it.  Then t = base^ell and n = (d-1)*|G|^-1
-    mod ell.  For the family over QQ (m = None) every alpha in QQ* is
-    admissible, so only scalars are invariant and n = d - 1.  The laws for
-    t and q are checked against the generators before returning, so a wrong
-    case selection cannot escape.
+    when ell = 1.  For the family ell = p - 1, and the least a = 2, 3, ...
+    with a^(ell/q) != 1 for each prime q of ell is found in a few steps;
+    else ell divides k or k - 1, and O(ell) integer steps scan the alphas
+    unit^j with gcd(j, ell) = 1.  Then t = base^ell, sized (and refused when
+    dense past the bound) before anything is certified, and n =
+    (d-1)*|G|^-1 mod ell.  For the family over QQ (m = None) every alpha in
+    QQ* is admissible, so only scalars are invariant and n = d - 1.  The
+    laws for t and q are checked against the generators before returning,
+    so a wrong case selection cannot escape.
     """
     if ctx.deg_h < 1:
         raise ConstantHError("classification needs deg h >= 1")
     spec, d = ctx.spec, ctx.deg_h
-    pset, k = _presentation(ctx)
+    presentation = ctx.fact("presentation", lambda c: _presentation(c, refuse_dense_t=True))
+    pset, k = _pset(ctx, presentation), presentation[-1]
     G = pset.G
     base = _base(spec, pset.c, G)
     ell, generator, t_kind, n_exp = pset.m, None, "constants", d - 1
+    t = None if ell is None else _binomial_power(base, ell)
     if ell is not None:
         ell, rem = divmod(len(pset), len(G))
         if rem:
@@ -573,8 +592,13 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
         if (len(G) - 1) % ell:
             raise SelfCheckError("|G| - 1 must be divisible by ell")
         if ell > 1:
-            powers = enumerate(_powers(pset.unit, ell))
-            alpha = spec.elem(min(a for j, a in powers if gcd(j, ell) == 1))
+            if pset.lam is not None:  # ell = p - 1: the least primitive root
+                qs = _prime_divisors(ell)
+                alpha = next(a for a in map(spec.from_int, range(2, spec.p))
+                             if (a**ell).is_one() and not any((a ** (ell // q)).is_one() for q in qs))
+            else:
+                powers = enumerate(_powers(pset.unit, ell))
+                alpha = spec.elem(min(a for j, a in powers if gcd(j, ell) == 1))
             # beta runs over c*(1 - alpha) + G, which is all of GF(p) when |G| > 1
             generator = (alpha, spec.zero() if len(G) > 1 else pset.c - alpha * pset.c)
         elif len(G) > 1:
@@ -584,8 +608,7 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     whole = t_kind == "whole_ring"  # P = {identity}: only the shears
     case = SEMIDIRECT_FSTAR if pset.lam is not None else SEMIDIRECT_FINITE
     structure = AutGroupStructure(
-        ctx, POLY_ONLY if whole else case, k, G, pset, pset.lam, generator, ell,
-        None if ell is None else _binomial_power(base, ell), t_kind,
+        ctx, POLY_ONLY if whole else case, k, G, pset, pset.lam, generator, ell, t, t_kind,
         _binomial_power(base, n_exp), "whole_ring" if whole else "module", None if whole else n_exp,
     )
     _assert_laws(structure)
@@ -628,15 +651,20 @@ def _base(spec: FieldSpec, c: FieldElem, G: tuple) -> Poly:
     return Poly(spec, (-c, 1)) if len(G) == 1 else Poly.monomial(spec, 1, spec.p) - Poly.x(spec)
 
 
+def _dense_terms(a: int, k: int) -> int:
+    """a*k + 1, the terms of a dense power base^k with deg base = a, refused past the bound."""
+    if a * k + 1 > MAX_DENSE_TERMS:
+        raise AhError(f"power of the base too large: {a * k + 1} coefficients, limit {MAX_DENSE_TERMS}")
+    return a * k + 1
+
+
 def _binomial_power(base: Poly, k: int) -> Poly:
     """base^k for base = (A*x^a + B*x^e)/D by the binomial theorem, each term
     stepped from the last: O(k) steps (k < p over GF(p)) plus the dense output."""
     p, nums, a = base.spec.p, base._nums, base.degree
     e, B = next(((i, v) for i, v in enumerate(nums[:a]) if v), (0, 0))
     A = nums[a]
-    if a * k + 1 > MAX_DENSE_TERMS:
-        raise AhError(f"power of the base too large: {a * k + 1} coefficients, limit {MAX_DENSE_TERMS}")
-    out, term = [0] * (a * k + 1), A**k
+    out, term = [0] * _dense_terms(a, k), A**k
     out[a * k] = term
     for j in range(1, k + 1 if B else 1):
         step = (k - j + 1) * B
@@ -710,7 +738,7 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
     if roots_h != roots_g:
         return None
     if roots_h == 1:
-        alpha, beta, nu = spec.one(), lam_h - lam_g, h.lc / g.lc
+        alpha, beta, nu = spec.one(), spec.elem(lam_h - lam_g), h.lc / g.lc
         if h.compose(_affine(spec, alpha, beta)) != g.scaled(nu):
             raise SelfCheckError("powers of linear factors are not equivalent")
         return (alpha, beta, nu)

@@ -5,7 +5,8 @@ is a polynomial algebra on two generators: x^p and the central element
 
     h^p y^p  =  Y^p - (delta^p(x)/h) * Y,
 
-whose ``correction`` polynomial delta^p(x)/h has a closed form (:func:`center`).
+whose ``correction`` polynomial delta^p(x)/h has a closed form (:func:`center`),
+computed once per context and kept in its record (``AhContext.facts``).
 The whole algebra is then a free module over the center with basis
 ``x^i h^j y^j`` (0 <= i, j < p); :func:`central_decompose` reads the
 coordinates of an element in ``h^j y^j`` (``weyl.hy_coordinates``), as do
@@ -57,16 +58,16 @@ def center(ctx: AhContext) -> CenterDescription:
     terms = max(d - 1, 1) * p + 1
     if terms > MAX_DENSE_TERMS:
         raise AhError(f"center too large: {terms} coefficients, limit {MAX_DENSE_TERMS}")
-    cs = _correction(h, ctx.h_prime) if d else []
+    cs = ctx.fact("correction", _correction) if d else []
     correction, zero = _spread(spec, cs, p), Poly.zero(spec)
     y_gen = ctx.element((zero, -correction) + (zero,) * (p - 2) + (Poly.one(spec),))
     return CenterDescription(p, Poly.monomial(spec, 1, p), y_gen, correction)
 
 
-def _correction(h: Poly, dh: Poly) -> list:
+def _correction(ctx: AhContext) -> list:
     """c_0..c_(d-1) of :func:`center` as residues, checked against
     C == h'^(p-1) mod h, all on raw residue lists mod h (``poly._mulmod``)."""
-    p, hs = h.spec.p, h._nums
+    p, hs, dh = ctx.spec.p, ctx.h._nums, ctx.h_prime
     d, inv, tail = len(hs) - 1, pow(hs[-1], -1, p), _tail(hs, p)
     R, G, cs = _powmod([0, 1], p, tail, p), [hs[d]], []
     for k in range(d - 1, -1, -1):

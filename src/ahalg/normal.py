@@ -81,7 +81,7 @@ def classify_normal(
         raise NotNormalError(cert.reason)
     ctx = v.ctx
     p = ctx.spec.characteristic
-    fac = h_factored if h_factored is not None else _h_factors(ctx)
+    fac = h_factored if h_factored is not None else ctx.fact("factors", lambda c: factor(c.h))
     if not fac.fully_verified:
         raise UnverifiableError(
             "classification needs a certified factorization of h"
@@ -118,15 +118,6 @@ def classify_normal(
     if out.reassemble() != v:
         raise SelfCheckError("the classification does not reassemble the element")
     return out
-
-
-def _h_factors(ctx: AhContext, seed: int = 0) -> FactoredPoly:
-    """factor(ctx.h), kept on ctx from the first call on.  factor sorts its
-    terms, so the seed only picks the splitting path of that first call; no
-    lock, since filling the slot is idempotent (a race computes it twice)."""
-    if ctx.h_factors is None:
-        ctx.h_factors = factor(ctx.h, seed=seed)
-    return ctx.h_factors
 
 
 def _classification_reference(v: OreElement) -> Poly:
@@ -181,7 +172,9 @@ def height_one_prime_test(
         raise ZeroInputError("the zero ideal is not principal height one")
     ctx = v.ctx
     p = ctx.spec.characteristic
-    fac = h_factored if h_factored is not None else _h_factors(ctx, seed)
+    # factor sorts its terms, so the seed only picks the path of the first fill
+    fac = h_factored if h_factored is not None else ctx.fact(
+        "factors", lambda c: factor(c.h, seed=seed))
     if not fac.fully_verified:
         return PrimeGeneratorReport(
             PrimeKind.UNKNOWN, "factorization of h is not certified over QQ"

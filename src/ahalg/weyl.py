@@ -25,7 +25,6 @@ moves elements across the embedding ``Y = y*h``, under which A_h is
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .algebra import AhContext, OreElement, _delta, div_right_exact
@@ -40,9 +39,6 @@ from .fields import FieldSpec
 from .poly import Poly, _mul_add, sum_of_raw_products
 
 
-_GROW_LOCK = threading.Lock()
-
-
 def weyl_context(spec: FieldSpec) -> AhContext:
     """The Weyl algebra over the given field: relation y*x - x*y = 1."""
     return AhContext(spec, Poly.one(spec), gen_symbol="y")
@@ -54,22 +50,21 @@ def is_weyl_context(ctx: AhContext) -> bool:
 
 def _hy_rows(ctx: AhContext, n: int) -> list[list[list[int]]]:
     """``rows[i][j]`` is the coefficient of h^j y^j in Y^i (i <= n), raw numerators over
-    ``den(h)^i``.  Kept on ctx, grown from its last row into a copy that replaces it whole."""
-    rows = ctx.hy_rows
-    if len(rows) > n:
-        return rows
+    ``den(h)^i``.  Kept on ctx as ``hy_rows``, grown from its last row into a copy."""
+    return ctx.grown("hy_rows", n + 1, _grow_hy_rows)
+
+
+def _grow_hy_rows(ctx: AhContext, rows, size: int) -> list[list[list[int]]]:
     h, hd = ctx.h._nums, ctx.h._den
     hp = [k * h[k] for k in range(1, len(h))]  # h' over hd
     rows = list(rows) or [[[1]]]
-    while len(rows) <= n:
+    while len(rows) < size:
         # (y h)(r h^j y^j) = r h^(j+1) y^(j+1) + (h r' + (j+1) h' r) h^j y^j
         prev = rows[-1] + [[]]  # prev[-1] is zero: no shifted term at j = 0
         rows.append([
             _delta(ctx, r, _mul_add([v * hd for v in prev[j - 1]], j + 1, hp, r))
             for j, r in enumerate(prev)
         ])
-    with _GROW_LOCK:  # a longer table installed meanwhile by another thread stays
-        ctx.hy_rows = max(ctx.hy_rows, rows, key=len)
     return rows
 
 

@@ -3,7 +3,7 @@
 import itertools
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from ahalg import (
     AhContext,
@@ -598,6 +598,22 @@ def classify_oracle(ctx):
         "dz_kind": "whole_ring" if whole else "module",
         "n_exponent": None if whole else n,
     }
+
+
+def generator_scan_oracle(unit, ell: int):
+    """The least unit^j with gcd(j, ell) = 1, by a scan of all ell powers of
+    the unit (the former route of ``classify_aut_group`` for the family)."""
+    p, a, least = unit.spec.p, 1, None
+    for j in range(ell):
+        if gcd(j, ell) == 1 and (least is None or a < least):
+            least = a
+        a = a * unit.val % p
+    return unit.spec.from_int(least)
+
+
+def kept(ctx: AhContext, name: str):
+    """The field ``name`` of ctx's record of facts about h, None while empty."""
+    return (ctx.facts or {}).get(name)
 
 
 def center_correction_oracle(ctx: AhContext) -> Poly:

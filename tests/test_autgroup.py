@@ -54,6 +54,7 @@ from helpers import (
     exhaustive_iso,
     exhaustive_pairs,
     exhaustive_translations,
+    generator_scan_oracle,
     laws_hold_on_all_pairs,
     rand_elem,
     rand_poly,
@@ -1094,6 +1095,15 @@ def test_generator_is_the_least_primitive_root(p):
         structure = classify_aut_group(AhContext(spec, h))
         assert structure.ell == p - 1, h
         assert structure.generator[0] == spec.from_int(root), h
+
+
+def test_generator_search_matches_the_power_scan_below_3000():
+    # the family's generator is searched for, where the scan walks all p - 1 powers of the unit
+    for p in (p for p in range(3, 3000) if all(p % q for q in range(2, int(p**0.5) + 1))):
+        spec = FieldSpec.gf(p)
+        ctx = AhContext(spec, Poly.from_ints(spec, (1, -2, 1)))  # (x - 1)^2
+        structure = classify_aut_group(ctx)
+        assert structure.generator[0] == generator_scan_oracle(compute_P(ctx).unit, p - 1), p
 
 
 PINNED = [

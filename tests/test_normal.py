@@ -1,6 +1,7 @@
 """Normal elements: decision, classification, simplicity, prime generators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,10 @@ from ahalg import (
     FieldSpec,
     Poly,
     center,
+    classify_aut_group,
     classify_normal,
+    compute_G,
+    compute_P,
     div_left_exact,
     div_right_exact,
     factor,
@@ -23,8 +27,9 @@ from ahalg import (
 )
 from ahalg.errors import NotNormalError, UnverifiableError, ZeroInputError
 from ahalg.poly import _spread
+from ahalg.weyl import hy_coordinates
 
-from helpers import normal_oracle, rand_elem
+from helpers import kept, normal_oracle, rand_elem
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -262,7 +267,7 @@ def test_h_is_factored_once_per_context(monkeypatch):
         assert height_one_prime_test(v, seed=seed).kind == PrimeKind.NOT_PRIME_GENERATOR
     assert calls == [ctx.h]
     fresh = ctx_for(F3, 0, 1, 1)
-    assert fresh == ctx and fresh.h_factors is None
+    assert fresh == ctx and kept(fresh, "factors") is None
     classify_normal(fresh.x())
     height_one_prime_test(fresh.x())
     assert calls == [ctx.h, ctx.h]
@@ -277,19 +282,39 @@ def test_supplied_factorization_serves_its_call_only():
     fac = FactoredPoly(QQ.one(), (FactorTerm(u, 1, True), FactorTerm(w, 1, True)))
     split = classify_normal(ctx.from_poly(u), h_factored=fac)
     assert split.factors == ((u, 1),) and split.central_part == ctx.one()
-    assert ctx.h_factors is None
+    assert kept(ctx, "factors") is None
     with pytest.raises(UnverifiableError):
         classify_normal(ctx.from_poly(u))
 
 
+def _raw(value) -> bool:
+    """Only ints, Fractions and None, in nested lists and tuples: nothing that holds a context."""
+    if isinstance(value, (list, tuple)):
+        return all(_raw(v) for v in value)
+    return value is None or isinstance(value, (int, Fraction))
+
+
 def test_kept_factorization_leaves_equality_and_hash_alone():
-    for spec, ints in GFP_H + [(QQ, (1, 1, 0, 0, 0, 1))]:
+    # every field of the record, each filled by one of its readers
+    for spec, ints in GFP_H + [(QQ, (1, 1, 0, 0, 0, 1)), (QQ, (0, 0, 3))]:
         ctx = ctx_for(spec, *ints)
         before = hash(ctx)
         height_one_prime_test(ctx.x())
-        assert ctx.h_factors == factor(ctx.h)
-        assert ctx == AhContext(spec, ctx.h)
-        assert hash(ctx) == before == hash(AhContext(spec, ctx.h))
+        center(ctx)
+        hy_coordinates(ctx.gen() ** 3)
+        fields = {"factors", "hy_rows"}
+        if ctx.deg_h:
+            classify_aut_group(ctx)
+            compute_G(ctx)
+            fields |= {"radical", "anchor", "presentation"} | ({"correction"} if spec.p else set())
+        assert set(ctx.facts) == fields
+        assert ctx.facts["factors"] == factor(ctx.h)
+        assert all(_raw(v) for name, v in ctx.facts.items() if name != "factors")
+        fresh = AhContext(spec, ctx.h)
+        assert ctx == fresh and fresh.facts is None
+        assert hash(ctx) == before == hash(fresh)
+        if ctx.deg_h:
+            assert compute_P(ctx) == compute_P(fresh) and center(ctx) == center(fresh)
 
 
 @pytest.mark.parametrize("spec, ints", GFP_H, ids=[f"{s!r}-{i}" for s, i in GFP_H])
