@@ -5,7 +5,9 @@ polynomial coefficients kept on the left; :class:`OreElement` stores that
 coefficient list and :class:`AhContext` fixes the field and the commutation
 polynomial h.  Every product rests on the rule ``Y * c*Y^k = c*Y^(k+1) +
 delta(c)*Y^k``, where ``delta(c) = h * c'`` (``_delta``, the one raw step that
-also serves ``AhContext.delta``/``delta_power`` and :mod:`ahalg.weyl`): so
+also serves ``AhContext.delta`` and :mod:`ahalg.weyl`; ``_deltas`` is the one
+lazy generator of its powers, behind ``AhContext.delta_power`` and the tables
+below): so
 ``a*b = sum_i f_i * (Y^i*b)``, each row ``Y^(i+1)*b`` one step from the row
 ``Y^i*b``, each left coefficient multiplied once, and rows built only up to
 the last nonzero ``f_i``.
@@ -29,18 +31,22 @@ sending Y to -Y + h' (by Horner on a raw accumulator, normalized once), and
 exact one-sided division by a fixed element, solved top-down (a complete
 decision procedure for one-sided multiple membership); and substitution of
 generator images (used for endomorphisms and basis changes), whose x-image
-is a polynomial, so each coefficient is one ``Poly.compose``.
+is a polynomial, so each coefficient is one ``Poly.compose``.  Powers of an
+element run the one top-bit power loop of :mod:`ahalg.poly` (``_power``).
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm
 
 from .errors import ContextMismatch, SelfCheckError, ZeroInputError
 from .fields import FieldElem, FieldSpec
-from .poly import NEG_INF, Poly, _mul_add, _poly, format_poly, sum_of_raw_products
+from .poly import NEG_INF, Poly, _join_terms, _mul_add, _poly, _power, _red, format_poly
+from .poly import sum_of_raw_products
 
 _FACTS_LOCK = threading.Lock()  # installs every field of AhContext.facts
 
@@ -139,10 +145,7 @@ class AhContext:
     def delta_power(self, f: Poly, j: int) -> Poly:
         if j < 0:
             raise ValueError("delta power must be nonnegative")
-        nums, den = f._nums, f._den
-        while j and nums:  # raw steps up to the first zero, one Poly at the end
-            nums, den, j = _delta(self, nums, []), den * self.h._den, j - 1
-        return _poly(self.spec, nums, den)
+        return _poly(self.spec, *next(islice(_deltas(self, f._nums, f._den), j, None), ((), 1)))
 
 
 class OreElement:
@@ -251,15 +254,7 @@ class OreElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers do not exist in the algebra")
-        # square-and-multiply: powers of one element commute
-        result, base = self.ctx.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, operator.mul, self.ctx.one())
 
     def __str__(self):
         return format_element(self)
@@ -281,12 +276,7 @@ def _lift(ctx: AhContext, value):
 def _delta(ctx: AhContext, c, acc: list, scale=1) -> list:
     """Add ``scale * h * c'`` to the list acc and return it: raw numerators,
     over hd times the denominator of c, reduced mod p."""
-    _mul_add(acc, scale, [i * c[i] for i in range(1, len(c))], ctx.h._nums)
-    if ctx.spec.p:
-        acc = [v % ctx.spec.p for v in acc]
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
+    return _red(_mul_add(acc, scale, [i * c[i] for i in range(1, len(c))], ctx.h._nums), ctx.spec.p)
 
 
 def _binomials(i: int, p: int, top=None) -> list:
@@ -305,13 +295,18 @@ def _binomials(i: int, p: int, top=None) -> list:
     return pairs
 
 
+def _deltas(ctx: AhContext, nums, den: int):
+    """Yield ``(delta^m(g), its denominator)`` for m = 0, 1, ..., g = nums/den,
+    as raw numerators, each step taken only when it is read, up to the first
+    zero (not yielded)."""
+    while nums:
+        yield nums, den
+        nums, den = _delta(ctx, nums, []), den * ctx.h._den
+
+
 def _table(ctx: AhContext, nums, den: int, top: int) -> list:
-    """``[(delta^m(g), its denominator)]`` for m <= top, g = nums/den, as raw
-    numerators, up to the first zero."""
-    table = [(nums, den)] if nums else []
-    while 0 < len(table) <= top and (nums := _delta(ctx, table[-1][0], [])):
-        table.append((nums, table[-1][1] * ctx.h._den))
-    return table
+    """``[(delta^m(g), its denominator)]`` for m <= top (:func:`_deltas`)."""
+    return list(islice(_deltas(ctx, nums, den), top + 1))
 
 
 def _support(fs) -> list:
@@ -517,22 +512,8 @@ def _div_one_sided(w, v, left):
 
 def format_element(a: OreElement) -> str:
     """Canonical text form, highest Y-power first: ``Y^2 + 2*x*Y + x^3``."""
-    if a.is_zero():
-        return "0"
-    sym = a.ctx.gen_symbol
-    parts = []
-    for i in range(len(a.coeffs) - 1, -1, -1):
-        f = a.coeffs[i]
-        if f.is_zero():
-            continue
-        body = _element_term(f, sym, i)
-        if not parts:
-            parts.append(body)
-        elif body.startswith("-"):
-            parts.append(" - " + body[1:])
-        else:
-            parts.append(" + " + body)
-    return "".join(parts)
+    fs, sym = a.coeffs, a.ctx.gen_symbol
+    return _join_terms(_element_term(fs[i], sym, i) for i in range(len(fs) - 1, -1, -1) if fs[i])
 
 
 def _element_term(f: Poly, sym: str, i: int) -> str:

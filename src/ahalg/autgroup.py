@@ -29,8 +29,7 @@ and restriction of automorphisms along an embedding.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -48,20 +47,22 @@ from .errors import (
     WrongHError,
 )
 from .fields import FieldElem, FieldSpec
-from .poly import MAX_DENSE_TERMS, Poly, _add, _equal_degree, _gcd, _parts, _poly, _powmod, _tail
-from .poly import gcd_monic, rational_roots
+from .poly import MAX_DENSE_TERMS, Poly, _parts, _poly, gcd_monic, rational_roots
 
 
 def _affine(spec: FieldSpec, alpha: FieldElem, beta: FieldElem) -> Poly:
     return Poly(spec, (beta, alpha))
 
 
+def _law_holds(f: Poly, alpha, beta, nu, g: Poly) -> bool:
+    """Whether f(alpha*x + beta) == nu * g(x), by one Horner composition: the
+    pair law is the case f = g, nu = alpha^(deg f)."""
+    return f.compose(_affine(f.spec, alpha, beta)) == g.scaled(nu)
+
+
 def pair_is_valid(ctx: AhContext, alpha: FieldElem, beta: FieldElem) -> bool:
     """Check the pair law h(alpha*x + beta) == alpha^deg(h) * h(x)."""
-    if alpha.is_zero():
-        return False
-    lhs = ctx.h.compose(_affine(ctx.spec, alpha, beta))
-    return lhs == ctx.h.scaled(alpha**ctx.deg_h)
+    return not alpha.is_zero() and _law_holds(ctx.h, alpha, beta, alpha**ctx.deg_h, ctx.h)
 
 
 class Automorphism:
@@ -155,8 +156,7 @@ def phi(ctx: AhContext, f: Poly) -> Automorphism:
 # -- the pair set -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PSet:
+class PSet(namedtuple("PSet", "ctx lam c G unit m")):
     """The admissible pairs, kept as the presentation that generates them.
 
     P = {(alpha, c*(1-alpha) + nu) : alpha^m = 1, nu in G}.  G is the group
@@ -166,14 +166,20 @@ class PSet:
     (x - lam)^d: then every alpha in F* is admissible, which over GF(p) is
     the cyclic case c = lam, m = p - 1, and over QQ the one infinite case,
     m = None (no unit), where P stays symbolic.
+
+    A tuple of its fields (ctx, lam, c, G, unit, m): iterating it yields
+    them, while ``len`` is |P| (and raises for the family over QQ).
     """
 
-    ctx: AhContext
-    lam: FieldElem | None
-    c: FieldElem
-    G: tuple[FieldElem, ...]
-    unit: FieldElem | None
-    m: int | None
+    __slots__ = ()
+
+    # _replace, copy and pickle must not read len(self), which is |P|
+    @classmethod
+    def _make(cls, fields):
+        return tuple.__new__(cls, fields)
+
+    def __getnewargs__(self):
+        return self[:]
 
     @property
     def shape(self) -> str:
@@ -419,10 +425,10 @@ def _equivalences(h: Poly, g: Poly):
     for alpha in alphas:
         nu = ratio * alpha**d
         beta = c_h - alpha * c_g
-        if h.compose(_affine(spec, alpha, beta)) != g.scaled(nu):
+        if not _law_holds(h, alpha, beta, nu, g):
             continue
         yield alpha, beta, nu
-        if unfixed and _moved(h, spec.one()) != h:
+        if unfixed and not _law_holds(h, spec.one(), spec.one(), spec.one(), h):
             raise SelfCheckError("h has no anchor but x -> x + 1 moves it")
         unfixed = False
         for shift in shifts:
@@ -430,26 +436,29 @@ def _equivalences(h: Poly, g: Poly):
 
 
 def _poly_roots(f: Poly) -> list[FieldElem]:
-    """The distinct roots of a nonzero f in its field, sorted.
+    """The distinct roots in its field of a nonzero f, sorted; over GF(p) f
+    must be a constant or a binomial.
 
     Over GF(p) a binomial lc*(x^u - w*x^k) has the root 0 when k > 0 and the
-    roots of x^(u-k) = w (:func:`_binomial_roots`); any other f the roots of
-    gcd(f, x^p - x), split by equal-degree factorization.
+    roots of x^(u-k) = w (:func:`_binomial_roots`).  The one caller passes the
+    gcd of binomials x^e - w, which is 1 or a binomial: with e = e'p^s (p
+    not dividing e'), the roots of x^e - w are one coset of the e'-th roots
+    of unity, each of multiplicity p^s, and two such cosets meet in nothing
+    or in one coset of the gcd(e'_1, e'_2)-th roots, at the smaller
+    multiplicity.  Any other f raises :class:`SelfCheckError`.
     """
     spec = f.spec
     if not spec.is_prime_field:
         return rational_roots(f)
     p, nums = spec.p, f._nums
     terms = [k for k, v in enumerate(nums) if v]
-    if len(terms) == 2:
-        k, u = terms
-        zero = [spec.zero()] if k else []
-        return zero + _binomial_roots(spec, u - k, -nums[k] * pow(nums[u], -1, p) % p)
-    linear = _gcd(nums, _add(_powmod([0, 1], p, _tail(nums, p), p), [0, p - 1], p), p)
-    if len(linear) < 2:
+    if terms == [0]:
         return []
-    roots = sorted(-lin[0] % p for lin in _equal_degree(linear, 1, p, random.Random(0)))
-    return [spec.from_int(v) for v in roots]
+    if len(terms) != 2:
+        raise SelfCheckError(f"{f} is neither a constant nor a binomial")
+    k, u = terms
+    zero = [spec.zero()] if k else []
+    return zero + _binomial_roots(spec, u - k, -nums[k] * pow(nums[u], -1, p) % p)
 
 
 def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[FieldElem]:
@@ -527,8 +536,8 @@ SEMIDIRECT_FSTAR = "semidirect_fstar"
 SEMIDIRECT_FINITE = "semidirect_finite"
 
 
-@dataclass(frozen=True)
-class AutGroupStructure:
+class AutGroupStructure(namedtuple(
+        "AutGroupStructure", "ctx case k G P lam generator ell t t_kind q dz_kind n_exponent")):
     """The computed shape of the automorphism group and its invariants.
 
     ``t`` generates the invariant polynomials (when ``t_kind`` is
@@ -539,19 +548,7 @@ class AutGroupStructure:
     "whole_ring".
     """
 
-    ctx: AhContext
-    case: str
-    k: int
-    G: tuple[FieldElem, ...]
-    P: PSet
-    lam: FieldElem | None
-    generator: tuple[FieldElem, FieldElem] | None
-    ell: int | None
-    t: Poly | None
-    t_kind: str
-    q: Poly
-    dz_kind: str
-    n_exponent: int | None
+    __slots__ = ()
 
 
 def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
@@ -582,9 +579,6 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     ell, generator, t_kind, n_exp = pset.m, None, "constants", d - 1
     t = None if ell is None else _binomial_power(base, ell)
     if ell is not None:
-        ell, rem = divmod(len(pset), len(G))
-        if rem:
-            raise SelfCheckError("|G| must divide |P|")
         # alpha != 1 permutes the k roots of h with at most one fixed point and
         # the nonzero translations in G without any, in orbits of size ell
         if k % ell and (k - 1) % ell:
@@ -739,7 +733,7 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
         return None
     if roots_h == 1:
         alpha, beta, nu = spec.one(), spec.elem(lam_h - lam_g), h.lc / g.lc
-        if h.compose(_affine(spec, alpha, beta)) != g.scaled(nu):
+        if not _law_holds(h, alpha, beta, nu, g):
             raise SelfCheckError("powers of linear factors are not equivalent")
         return (alpha, beta, nu)
     return next(_equivalences(h, g), None)
@@ -748,15 +742,10 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
 # -- injective, non-surjective endomorphisms ----------------------------------
 
 
-@dataclass(frozen=True)
-class Endomorphism:
+class Endomorphism(namedtuple("Endomorphism", "ctx x_image y_image surjective name")):
     """A generator-image endomorphism; ``surjective`` records the probe result."""
 
-    ctx: AhContext
-    x_image: Poly
-    y_image: OreElement
-    surjective: bool
-    name: str
+    __slots__ = ()
 
     def apply(self, a: OreElement) -> OreElement:
         if a.ctx != self.ctx:
@@ -837,7 +826,7 @@ def extend_automorphism(omega: Automorphism, f: Poly) -> Automorphism | None:
     if not rem.is_zero():
         raise NotDivisibleError(f"{f} does not divide {g}")
     alpha, beta = omega.alpha, omega.beta
-    if f.compose(omega.x_image) != f.scaled(alpha ** f.degree):
+    if not _law_holds(f, alpha, beta, alpha**f.degree, f):
         return None
     q = omega.f.scaled(alpha ** (1 - g.degree))
     s, rem = divmod(q, r)

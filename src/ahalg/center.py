@@ -21,7 +21,7 @@ is deliberately left unimplemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import COMMUTATOR_SPACES, AhContext, OreElement, commutator
 from .errors import AhError, CharacteristicError, SelfCheckError
@@ -30,12 +30,9 @@ from .poly import MAX_DENSE_TERMS, Poly, _add, _mulmod, _powmod, _red, _spread, 
 from .weyl import from_hy_coordinates, hy_coordinates
 
 
-@dataclass(frozen=True)
-class CenterDescription:
-    characteristic: int
-    x_generator: Poly | None
-    y_generator: OreElement | None
-    correction: Poly | None
+class CenterDescription(namedtuple(
+        "CenterDescription", "characteristic x_generator y_generator correction")):
+    __slots__ = ()
 
     @property
     def is_trivial(self) -> bool:
@@ -107,16 +104,14 @@ def centralizer_x_membership(a: OreElement) -> bool:
     return verdict
 
 
-@dataclass(frozen=True)
-class CentralDecomposition:
+class CentralDecomposition(namedtuple("CentralDecomposition", "ctx table")):
     """Coordinates of an element over the center in the basis x^i h^j y^j.
 
     ``table[(i, j)]`` maps central exponent pairs (a, b) to the coefficient
     of (x^p)^a (h^p y^p)^b multiplying the basis element x^i h^j y^j.
     """
 
-    ctx: AhContext
-    table: dict[tuple[int, int], dict[tuple[int, int], FieldElem]]
+    __slots__ = ()
 
     def reassemble(self) -> OreElement:
         ctx = self.ctx

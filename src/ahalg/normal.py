@@ -15,7 +15,7 @@ trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .algebra import AhContext, OreElement, commutator
@@ -25,11 +25,9 @@ from .poly import FactoredPoly, Poly, _spread, factor, is_irreducible
 from .weyl import hy_coordinates
 
 
-@dataclass(frozen=True)
-class NormalityCertificate:
-    verdict: bool
-    r: Poly | None = None
-    reason: str = ""
+class NormalityCertificate(namedtuple(
+        "NormalityCertificate", "verdict r reason", defaults=(None, ""))):
+    __slots__ = ()
 
 
 def is_normal(v: OreElement) -> NormalityCertificate:
@@ -54,10 +52,8 @@ def is_normal(v: OreElement) -> NormalityCertificate:
     return NormalityCertificate(True, r)
 
 
-@dataclass(frozen=True)
-class NormalClassification:
-    factors: tuple[tuple[Poly, int], ...]
-    central_part: OreElement
+class NormalClassification(namedtuple("NormalClassification", "factors central_part")):
+    __slots__ = ()
 
     def reassemble(self) -> OreElement:
         out = self.central_part
@@ -150,10 +146,8 @@ class PrimeKind(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class PrimeGeneratorReport:
-    kind: PrimeKind
-    detail: str
+class PrimeGeneratorReport(namedtuple("PrimeGeneratorReport", "kind detail")):
+    __slots__ = ()
 
 
 def height_one_prime_test(

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from .algebra import AhContext, OreElement
 from .errors import ParseError
 from .fields import FieldElem, FieldSpec, decimal_int
-from .poly import Poly, _mul_add, _poly
+from .poly import Poly, _mul_add, _poly, _power, _red
 
 # each level of nesting costs at most four Python frames of the descent, so 200
 # levels stay well inside the interpreter's default recursion limit of 1000
@@ -58,17 +58,9 @@ def _positions(src: str) -> list[int]:
 
 
 def _trim(rows, p) -> list:
-    """The rows reduced mod p, less the zeros ending a row and the empty rows at the end."""
-    out = []
-    for r in rows:
-        r = [c % p for c in r] if p else r
-        n = len(r)
-        while n and not r[n - 1]:
-            n -= 1
-        out.append(r if n == len(r) else r[:n])
-    while out and not out[-1]:
-        out.pop()
-    return out
+    """The fresh rows reduced mod p, less the zeros ending a row and the empty
+    rows at the end: an empty row is falsy, so ``_red`` with no p pops those."""
+    return _red([_red(r, p) for r in rows], None)
 
 
 def _raw(polys) -> tuple[list, int]:
@@ -204,12 +196,7 @@ class _Parser:
         if tok in self.names:  # x^n and Y^n are monomials
             return ([[0] * exp + [1]] if tok == "x" else [[]] * exp + [[1]]), 1
         # powers of a reduced base stay reduced (Gauss's lemma; _raw reduces Ore products)
-        result = value = _reduced(*value)
-        for bit in bin(exp)[3:]:  # square-and-multiply from the top bit
-            result = self.times(result, result)
-            if bit == "1":
-                result = self.times(result, value)
-        return result if exp else ([[1]], 1)
+        return _power(_reduced(*value), exp, self.times, ([[1]], 1))
 
     def times(self, a, b):
         (ra, da), (rb, db) = a, b

@@ -174,14 +174,19 @@ def _gcd(a, b, p):
     return _normal(a, p)
 
 
-def _power(a, e, mul, r):
-    """``r * a^e`` by square-and-multiply with the product ``mul``."""
-    while e:
-        if e & 1:
+def _power(a, e, mul, one):
+    """``a^e`` with the product ``mul`` and its unit ``one``, by the top-bit
+    binary method (Knuth, TAOCP vol. 2, 4.6.3): ``r = mul(one, a)``, then per
+    lower bit of e a square and, on a 1 bit, a product by a.  Starting from
+    ``mul(one, a)``, not a, every result is mul's output: reduced, and of
+    its type."""
+    if not e:
+        return one
+    r = mul(one, a)
+    for bit in bin(e)[3:]:
+        r = mul(r, r)
+        if bit == "1":
             r = mul(r, a)
-        e >>= 1
-        if e:
-            a = mul(a, a)
     return r
 
 
@@ -493,22 +498,22 @@ class Poly:
 
 def format_poly(f: Poly) -> str:
     """Canonical text form: terms in decreasing degree, e.g. ``x^2 - 2*x + 1``."""
-    if f.is_zero():
-        return "0"
     values = f._values()
+    return _join_terms(_term_str(values[i], i) for i in range(len(values) - 1, -1, -1) if values[i])
+
+
+def _join_terms(bodies) -> str:
+    """The term texts joined by " + ", or by " - " before one that starts with
+    "-" (its sign moved into the joiner); "0" when there are none."""
     parts = []
-    for i in range(len(values) - 1, -1, -1):
-        c = values[i]
-        if not c:
-            continue
-        body = _term_str(c, i)
+    for body in bodies:
         if not parts:
             parts.append(body)
         elif body.startswith("-"):
             parts.append(" - " + body[1:])
         else:
             parts.append(" + " + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
 def _term_str(c, i: int) -> str:
@@ -537,32 +542,16 @@ def gcd_monic(a: Poly, b: Poly) -> Poly:
 
 
 def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
-    """base**exp mod mod by square-and-multiply: :func:`_mulmod` over GF(p)."""
+    """base**exp mod mod by :func:`_power`: :func:`_mulmod` over GF(p)."""
     if mod.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     p = base.spec.p
     if p:
-        tail = _tail(mod._nums, p)
-        return _poly(base.spec, _powmod(_mulmod(base._nums, [1], tail, p), exp, tail, p))
-    return _power(base % mod, exp, lambda u, v: u * v % mod, Poly.one(base.spec))
+        return _poly(base.spec, _powmod(base._nums, exp, _tail(mod._nums, p), p))
+    return _power(base, exp, lambda u, v: u * v % mod, Poly.one(base.spec))
 
 
 # -- squarefree structure ----------------------------------------------
-
-
-def pth_root(f: Poly) -> Poly:
-    """The p-th root of f in GF(p)[x], assuming f lies in GF(p)[x^p].
-
-    Over the prime field a^p = a, so the root keeps the coefficients and
-    divides every exponent by p.
-    """
-    p = f.spec.characteristic
-    if p == 0:
-        raise ZeroInputError("p-th root only exists in characteristic p")
-    nums = f._nums
-    if any(c for i, c in enumerate(nums) if i % p):
-        raise ValueError("polynomial is not a p-th power")
-    return _poly(f.spec, nums[::p])
 
 
 def _parts(f: Poly) -> list:
@@ -599,7 +588,7 @@ def distinct_root_count(f: Poly) -> int:
 # -- factorization ------------------------------------------------------
 
 
-# immutable records on namedtuple: the dataclasses module would import inspect and ast
+# immutable records are namedtuple subclasses, which import nothing heavy (see the README)
 class FactorTerm(namedtuple("FactorTerm", "poly multiplicity verified")):
     __slots__ = ()
 

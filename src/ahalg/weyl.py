@@ -25,7 +25,7 @@ moves elements across the embedding ``Y = y*h``, under which A_h is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import AhContext, OreElement, _delta, div_right_exact
 from .errors import (
@@ -164,17 +164,14 @@ def embed(a: OreElement, f: Poly) -> OreElement:
     return from_hy_coordinates([c * vj for c, vj in zip(cs, _powers(v, len(cs)))], target)
 
 
-@dataclass(frozen=True)
-class OreWitness:
+class OreWitness(namedtuple("OreWitness", "a1 s1 side")):
     """A common-denominator witness against the powers of f.
 
     For ``side="right"`` the identity is ``a * s1 == f * a1``; for
     ``side="left"`` it is ``s1 * a == a1 * f``.
     """
 
-    a1: OreElement
-    s1: Poly
-    side: str
+    __slots__ = ()
 
 
 def ore_witness(a: OreElement, f: Poly, side: str = "right") -> OreWitness:

@@ -1,6 +1,7 @@
 """Shared test helpers: random generators and independent oracles."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
 from math import comb, gcd
@@ -27,6 +28,7 @@ from ahalg.errors import (
 )
 from ahalg.fields import decimal_int
 from ahalg.parsing import MAX_NESTING, MAX_POWER_WORDS
+from ahalg.poly import _add, _equal_degree, _gcd, _powmod, _tail
 from ahalg.poly import distinct_root_count, is_irreducible
 
 QQ_SPEC = None  # set lazily to avoid import order issues
@@ -735,6 +737,17 @@ def compose_oracle(f: Poly, inner: Poly) -> Poly:
     for c in reversed(f.coeffs):
         acc = acc * inner + Poly.constant(c)
     return acc
+
+
+def poly_roots_oracle(f: Poly) -> list:
+    """The distinct roots in GF(p) of a nonzero f, sorted: the linear factors
+    of gcd(f, x^p - x), split by equal degree."""
+    spec, p = f.spec, f.spec.p
+    linear = _gcd(f._nums, _add(_powmod([0, 1], p, _tail(f._nums, p), p), [0, p - 1], p), p)
+    if len(linear) < 2:
+        return []
+    roots = sorted(-lin[0] % p for lin in _equal_degree(linear, 1, p, random.Random(0)))
+    return [spec.from_int(v) for v in roots]
 
 
 def pth_root_oracle(f: Poly) -> Poly:

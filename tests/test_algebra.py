@@ -349,3 +349,45 @@ def test_commutator_is_ab_minus_ba():
         commutator(a, ctx_for(QQ, 0, 0, 1).gen())
     with pytest.raises(ContextMismatch):
         commutator(Poly.x(F5), a)
+
+
+@pytest.mark.parametrize("spec", (QQ, FieldSpec.gf(7)), ids=repr)
+def test_power_loop_is_repeated_product_on_elements(spec):
+    ctx = ctx_for(spec, 0, 1)  # h = x keeps the x-degrees at the Y-degrees
+    a = ctx.element((Poly.one(spec), Poly(spec, (0, Fraction(1, 2) if not spec.p else 3))))
+    expected = ctx.one()
+    for e in range(41):
+        assert a**e == expected, e
+        expected = expected * a
+
+
+def test_deltas_stop_at_the_first_zero_and_read_no_further(monkeypatch):
+    ctx = ctx_for(QQ, 5)  # h = 5: delta lowers the degree by one
+    f = Poly(QQ, (1, 2, Fraction(3, 4), 7))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    step = algebra._delta
+    monkeypatch.setattr(algebra, "_delta", counted)
+    assert len(algebra._table(ctx, f._nums, f._den, 1)) == 2 and len(calls) == 1
+    calls.clear()
+    deltas = list(algebra._deltas(ctx, f._nums, f._den))
+    assert [len(nums) for nums, _ in deltas] == [4, 3, 2, 1] and len(calls) == 4
+    calls.clear()
+    assert ctx.delta_power(f, 10**9).is_zero() and len(calls) == 4
+    calls.clear()
+    assert ctx.delta_power(f, 2) == delta_power_oracle(ctx, f, 2) and len(calls) == 2
+    assert list(algebra._deltas(ctx, (), 1)) == [] and ctx.delta_power(Poly.zero(QQ), 3).is_zero()
+
+
+def test_element_terms_join_on_every_sign_pattern():
+    ctx = ctx_for(QQ, 1)
+    x, one = Poly.x(QQ), Poly.one(QQ)
+    assert str(ctx.element((-one, x, -one))) == "-Y^2 + x*Y - 1"
+    assert str(ctx.element((one, -x, one))) == "Y^2 - x*Y + 1"
+    assert str(ctx.element((x - one, one - x * x))) == "(-x^2 + 1)*Y + x - 1"
+    assert str(ctx.element((-x, Poly(QQ, (0, -2))))) == "-2*x*Y - x"
+    assert str(ctx.zero()) == "0"

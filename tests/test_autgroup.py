@@ -1,9 +1,11 @@
 """Admissible pairs, group classification, invariants, and endomorphisms."""
 
+import copy
 import json
+import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -25,10 +27,12 @@ from ahalg import (
     restrict_automorphism,
     tau,
 )
+from ahalg import autgroup
 from ahalg.autgroup import (
     _anchor,
     _assert_laws,
     _hasse_rows,
+    _law_holds,
     _order,
     _poly_roots,
     affine_equivalences,
@@ -43,21 +47,24 @@ from ahalg.errors import (
     SelfCheckError,
     WrongHError,
 )
-from ahalg.poly import _poly
+from ahalg.poly import _poly, gcd_monic
 
 from helpers import (
     all_polys,
     centroid_oracle,
     classify_oracle,
     closed_form_shapes,
+    compose_oracle,
     exhaustive_equivalences,
     exhaustive_iso,
     exhaustive_pairs,
     exhaustive_translations,
     generator_scan_oracle,
     laws_hold_on_all_pairs,
+    poly_roots_oracle,
     rand_elem,
     rand_poly,
+    rand_scalar,
     taylor_oracle,
 )
 
@@ -360,10 +367,10 @@ def test_generator_law_check_agrees_with_all_pairs():
             structure = classify_aut_group(AhContext(spec, h))
             for s in (
                 structure,
-                replace(structure, t=structure.t * structure.t),
-                replace(structure, q=structure.q.scaled(spec.from_int(2))),
-                replace(structure, t=structure.t + x),
-                replace(structure, q=structure.q * x),
+                structure._replace(t=structure.t * structure.t),
+                structure._replace(q=structure.q.scaled(spec.from_int(2))),
+                structure._replace(t=structure.t + x),
+                structure._replace(q=structure.q * x),
             ):
                 try:
                     _assert_laws(s)
@@ -382,14 +389,14 @@ def test_law_check_needs_a_generator_of_the_family():
     alpha = spec.from_int(4)
     wrong = (alpha, (spec.one() - alpha) * structure.P.lam)
     with pytest.raises(SelfCheckError, match="powers of its generator"):
-        _assert_laws(replace(structure, generator=wrong))
+        _assert_laws(structure._replace(generator=wrong))
 
 
 def test_law_check_needs_G_to_be_a_subgroup():
     # h = x^3 - x over GF(3) has G = GF(3); two of its translations are no group
     structure = classify_aut_group(ctx_for(F3, 0, -1, 0, 1))
     with pytest.raises(SelfCheckError, match="additive subgroup"):
-        _assert_laws(replace(structure, G=structure.G[:2]))
+        _assert_laws(structure._replace(G=structure.G[:2]))
 
 
 def test_law_check_needs_the_generator_in_P():
@@ -399,7 +406,7 @@ def test_law_check_needs_the_generator_in_P():
     assert structure.generator == (spec.from_int(-1), spec.zero())
     outside = (spec.from_int(-1), spec.one())
     with pytest.raises(SelfCheckError, match="not in P"):
-        _assert_laws(replace(structure, generator=outside))
+        _assert_laws(structure._replace(generator=outside))
 
 
 def test_law_check_needs_a_generator_of_order_ell():
@@ -409,7 +416,7 @@ def test_law_check_needs_a_generator_of_order_ell():
     structure = classify_aut_group(ctx_for(spec, -1, 0, 0, 0, 1))
     assert structure.ell == 4
     with pytest.raises(SelfCheckError, match="powers of its generator"):
-        _assert_laws(replace(structure, generator=(spec.from_int(-1), spec.zero())))
+        _assert_laws(structure._replace(generator=(spec.from_int(-1), spec.zero())))
 
 
 def test_law_check_needs_ell_to_count_P():
@@ -418,8 +425,8 @@ def test_law_check_needs_ell_to_count_P():
     spec = FieldSpec.gf(13)
     structure = classify_aut_group(ctx_for(spec, -1, 0, 0, 0, 1))
     x = Poly.x(spec)
-    wrong = replace(
-        structure, ell=2, generator=(spec.from_int(-1), spec.zero()), t=x * x, q=x
+    wrong = structure._replace(
+        ell=2, generator=(spec.from_int(-1), spec.zero()), t=x * x, q=x
     )
     assert pair_is_valid(structure.ctx, spec.from_int(5), spec.zero())
     with pytest.raises(SelfCheckError, match="powers of its generator"):
@@ -744,7 +751,7 @@ def test_solvers_match_exhaustive_search(p):
         ctx = AhContext(spec, h)
         assert compute_P(ctx).pairs() == exhaustive_pairs(ctx), h
         assert compute_G(ctx) == exhaustive_translations(ctx), h
-        assert _poly_roots(h) == [e for e in spec.elements() if h.evaluate(e).is_zero()]
+        assert poly_roots_oracle(h) == [e for e in spec.elements() if h.evaluate(e).is_zero()]
         # an isomorphic g, and a perturbed one that usually is not
         moved = h.compose(Poly(spec, (spec.one(), minus_one))).scaled(minus_one)
         for g in (moved, h + Poly.x(spec), h + Poly.one(spec)):
@@ -776,7 +783,83 @@ def test_poly_roots_match_evaluation():
             for m in range(1, p + 2) for w in range(1, p) for k in (0, 2)
         ]
         for f in [rand_poly(rng, spec, 6, nonzero=True) for _ in range(20)] + binomials:
-            assert _poly_roots(f) == [e for e in spec.elements() if f.evaluate(e).is_zero()], f
+            roots = [e for e in spec.elements() if f.evaluate(e).is_zero()]
+            assert poly_roots_oracle(f) == roots, f
+            if f in binomials:
+                assert _poly_roots(f) == roots, f
+
+
+def _terms(f):
+    return sum(1 for c in f._nums if c)
+
+
+def test_equivalence_binomials_have_a_binomial_gcd(monkeypatch):
+    # the roots of x^e - w are one coset of the e'-th roots of unity (e = e'p^s, each root
+    # of multiplicity p^s), and two cosets meet in one coset or in nothing: so the gcd of
+    # binomials is 1 or a binomial, also at exponents divisible by p
+    seen, real = [], autgroup._poly_roots
+    monkeypatch.setattr(autgroup, "_poly_roots", lambda f: seen.append(f) or real(f))
+    rng = random.Random(27)
+    for p in (2, 3, 5, 7, 11, 13, 31):
+        spec = FieldSpec.gf(p)
+        for _ in range(20):
+            root = rng.randrange(1, p)
+            es = [rng.choice((p, 2 * p, 3 * p, rng.randint(1, 3 * p)))
+                  for _ in range(rng.randint(2, 4))]
+            ws = [pow(root, e, p) if rng.random() < 0.7 else rng.randrange(1, p) for e in es]
+            g = reduce(gcd_monic, [Poly.monomial(spec, 1, e) - Poly.from_ints(spec, (w,))
+                                   for e, w in zip(es, ws)])
+            assert _terms(g) <= 2, (p, es, ws, g)
+            # through _equivalences: a sparse h with terms at x^(d - p) and x^(d - 2p)
+            d = rng.randint(1, 3 * p)
+            nums = [0] * (d + 1)
+            for i in [d - p, d - 2 * p] + [rng.randrange(d + 1) for _ in range(2)]:
+                if i >= 0:
+                    nums[i] = rng.randrange(1, p)
+            nums[d] = rng.randrange(1, p)
+            h = Poly.from_ints(spec, nums)
+            moved = h.compose(Poly.from_ints(spec, (rng.randrange(p), rng.randrange(1, p))))
+            for other in (moved.scaled(spec.from_int(rng.randrange(1, p))), h + Poly.x(spec),
+                          Poly.from_ints(spec, [rng.randrange(p) for _ in range(d)] + [1])):
+                if other.degree != d:
+                    continue
+                found = affine_equivalences(h, other)
+                if p <= 7 and d <= 12:
+                    assert found == list(exhaustive_equivalences(h, other, spec)), (h, other)
+    assert seen and all(_terms(f) <= 2 for f in seen)
+    assert any(_terms(f) == 2 and f.degree % 2 == 0 for f in seen)
+
+
+def test_psets_copy_and_pickle_as_tuples():
+    # len(pset) is |P|, and it raises for the family over QQ
+    for spec, h in ((QQ, (1, -2, 1)), (FieldSpec.gf(7), (0, -1, 0, 1))):
+        pset = compute_P(ctx_for(spec, *h))
+        for twin in (pset._replace(), copy.copy(pset), pickle.loads(pickle.dumps(pset))):
+            assert twin == pset and hash(twin) == hash(pset) and type(twin) is type(pset)
+        assert pset._replace(m=5).m == 5 and pset._replace(m=5)[:5] == pset[:5]
+
+
+def test_poly_roots_takes_only_a_constant_or_a_binomial():
+    for f in (Poly.from_ints(F5, (1, 1, 1)), Poly.x(F5)):
+        with pytest.raises(SelfCheckError, match="nor a binomial"):
+            _poly_roots(f)
+    assert _poly_roots(Poly.one(F5)) == []
+
+
+def test_pair_law_check_matches_composition():
+    rng = random.Random(5)
+    for spec in (QQ, F3, FieldSpec.gf(7), FieldSpec.gf(1000003)):
+        for _ in range(30):
+            f = rand_poly(rng, spec, 5, nonzero=True)
+            alpha, beta = rand_scalar(rng, spec), rand_scalar(rng, spec)
+            alpha, nu = alpha if alpha else spec.one(), rand_scalar(rng, spec) or spec.from_int(2)
+            moved = compose_oracle(f, Poly(spec, (beta, alpha)))
+            for g in (moved.scaled(nu.inverse()), moved, f, rand_poly(rng, spec, 5)):
+                assert _law_holds(f, alpha, beta, nu, g) == (moved == g.scaled(nu)), (f, g)
+            assert _law_holds(f, alpha, beta, nu, moved.scaled(nu.inverse()))
+    h = Poly.from_ints(F5, (0, 1, 0, 1))  # x^3 + x: (alpha, 0) is a pair for alpha^2 = 1
+    assert [pair_is_valid(AhContext(F5, h), F5.from_int(a), F5.zero()) for a in range(5)] == [
+        False, True, False, False, True]
 
 
 def test_failed_law_check_is_a_self_check_error(monkeypatch):

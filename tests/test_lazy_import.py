@@ -89,3 +89,22 @@ print(hasattr(ahalg, 'weyl'), loaded())
         "module 'ahalg' has no attribute '_mul'",
         "True ['algebra', 'errors', 'fields', 'poly', 'weyl']",
     ]
+
+
+def test_the_structure_questions_load_no_dataclasses():
+    # the records are namedtuple subclasses: ``_replace``, tuple equality and unpacking
+    code = """
+import ahalg
+F = ahalg.FieldSpec.gf(7)
+ctx = ahalg.AhContext(F, ahalg.parse_poly('x^3 - x', F))
+structure = ahalg.classify_aut_group(ctx)
+ahalg.center(ctx)
+ahalg.is_normal(ahalg.parse_element('x^7', ctx))
+ahalg.to_weyl(ahalg.parse_element('x*Y + 1', ctx))
+pset = structure.P
+twin = pset._replace()
+print('dataclasses' in sys.modules, len(pset), twin == pset, hash(twin) == hash(pset))
+ctx_, lam, c, G, unit, m = pset
+print((ctx_, lam, c, G, unit, m) == pset, structure._replace(ell=3) != structure)
+"""
+    assert _fresh(code).splitlines() == ["False 2 True True", "True True"]

@@ -28,12 +28,13 @@ from ahalg.parsing import (
     _Parser,
     _positions,
     _raw,
+    _reduced,
     _size,
     _tokenize,
     _refuse_if_large,
     refuse_power,
 )
-from ahalg.poly import format_poly
+from ahalg.poly import _power, format_poly
 
 from helpers import (
     parse_element_oracle,
@@ -524,3 +525,19 @@ def test_one_pass_tokenizer_matches_the_oracle():
     for _ in range(20000):
         src = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
         assert _tokens_or_error(_one_pass_tokens, src) == _tokens_or_error(tokenize_oracle, src), repr(src)
+
+
+@pytest.mark.parametrize("spec", (QQ, FieldSpec.gf(7)), ids=repr)
+def test_power_loop_is_repeated_product_on_parser_values(spec):
+    # x*Y takes the Ore product, 2/3 the scalar one and x + 1 the convolution
+    ctx = ctx_for(spec, 0, 1)
+    src = "x*Y + 2/3" if not spec.p else "x*Y + 2"
+    for text in (src, "x + 1"):
+        parser = _Parser(text, spec, ("x", "Y"), ctx)
+        value, one = _reduced(*parser.value), ([[1]], 1)
+        expected = one
+        for e in range(41):
+            assert _reduced(*_power(value, e, parser.times, one)) == _reduced(*expected), e
+            expected = parser.times(expected, value)
+    a = parse_element(src, ctx)
+    assert parse_element(f"({src})^40", ctx) == a**40

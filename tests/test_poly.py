@@ -20,7 +20,7 @@ from ahalg import (
 )
 from ahalg import poly as poly_module
 from ahalg.errors import FieldMismatch, SelfCheckError, ZeroInputError
-from ahalg.poly import is_irreducible, pow_mod, pth_root
+from ahalg.poly import is_irreducible, pow_mod
 
 from ahalg.poly import FactorTerm
 from helpers import (
@@ -150,12 +150,6 @@ def test_irreducibility_matches_rabin_exhaustively(p, max_deg):
     counts = [sum(f.degree == d for f in irreducible) for d in range(1, max_deg + 1)]
     # Gauss: the number of monic irreducibles of degree d is (1/d) sum_(e | d) mu(e) p^(d/e)
     assert counts[:3] == [p, (p * p - p) // 2, (p**3 - p) // 3]
-
-
-def test_pth_root():
-    assert pth_root(P(F3, 1, 0, 0, 2)) == P(F3, 1, 2)
-    with pytest.raises(ValueError):
-        pth_root(P(F3, 0, 1))
 
 
 def test_factor_over_qq():
@@ -576,7 +570,8 @@ def test_squarefree_structure_matches_the_poly_oracles(spec):
         if not spec.p:
             assert parts == squarefree_oracle(f)
         elif f.degree >= 1 and all(c == 0 for i, c in enumerate(f._nums) if i % spec.p):
-            assert pth_root(f) == pth_root_oracle(f)
+            # the p-th root _squarefree descends to is f[::p]: spread back, it is f
+            assert poly_module._spread(spec, pth_root_oracle(f)._nums, spec.p) == f
 
 
 @pytest.mark.parametrize("spec", PARITY_FIELDS[:-1], ids=repr)
@@ -604,3 +599,49 @@ def test_factoring_steps_match_the_poly_oracles(spec):
                 for d in (1, 2, 3):
                     got = poly_module._trace_map(list(r._nums), d, tail)
                     assert Poly.from_ints(spec, got) == trace_map_oracle(r, d, mod)
+
+
+def _repeated(a, e, mul, one):
+    out = one
+    for _ in range(e):
+        out = mul(out, a)
+    return out
+
+
+def test_power_loop_is_repeated_product_on_ints_and_polys():
+    p = 1000003
+    mul = lambda u, v: u * v % p  # noqa: E731
+    for e in range(41):
+        got = poly_module._power(123457, e, mul, 1)
+        assert got == _repeated(123457, e, mul, 1) == pow(123457, e, p)
+    for spec in (QQ, F2, FieldSpec.gf(1000003)):
+        f = Poly(spec, (Fraction(-3, 2), 1, 0, 2) if not spec.p else (1, 1, 0, 1))
+        mul = lambda u, v: u * v  # noqa: E731
+        for e in range(41):
+            assert f**e == poly_module._power(f, e, mul, Poly.one(spec)) == _repeated(
+                f, e, mul, Poly.one(spec)), (spec, e)
+
+
+def test_powmod_reduces_its_base_at_the_first_step():
+    # mul(one, a), not a, starts the loop: e = 1 at a degree-1 modulus reduces
+    # the base, and the result is a list even for a tuple base
+    for p in (2, 7, 1000003):
+        tail = poly_module._tail([3, 1], p)  # x + 3
+        got = poly_module._powmod((5, 0, 1), 1, tail, p)  # x^2 + 5 == 14 mod x + 3
+        assert got == poly_module._red([14], p) and isinstance(got, list)
+        assert poly_module._powmod((5, 0, 1), 0, tail, p) == [1]
+        spec = FieldSpec.gf(p)
+        assert pow_mod(P(spec, 5, 0, 1), 1, P(spec, 3, 1)) == P(spec, 14)
+    assert pow_mod(P(QQ, 5, 0, 1), 1, P(QQ, 3, 1)) == P(QQ, 14)
+
+
+def test_terms_join_on_every_sign_pattern():
+    join = poly_module._join_terms
+    assert join([]) == "0"
+    assert join(["-x^2"]) == "-x^2"
+    assert join(["-x^2", "x", "-1"]) == "-x^2 + x - 1"
+    assert join(["x^2", "-3*x", "5"]) == "x^2 - 3*x + 5"
+    assert str(P(QQ, -1, 1, -1)) == "-x^2 + x - 1"
+    assert str(P(QQ, 1, -1, 0, 1)) == "x^3 - x + 1"
+    assert str(Poly(QQ, (Fraction(-1, 2), 0, -1))) == "-x^2 - 1/2"
+    assert str(P(F3, 2, 1, 1)) == "x^2 + x + 2"
