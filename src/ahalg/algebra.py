@@ -38,7 +38,6 @@ element run the one top-bit power loop of :mod:`ahalg.poly` (``_power``).
 from __future__ import annotations
 
 import operator
-import threading
 from fractions import Fraction
 from itertools import islice
 from math import comb, lcm
@@ -48,19 +47,16 @@ from .fields import FieldElem, FieldSpec
 from .poly import NEG_INF, Poly, _join_terms, _mul_add, _poly, _power, _red, format_poly
 from .poly import sum_of_raw_products
 
-_FACTS_LOCK = threading.Lock()  # installs every field of AhContext.facts
-
 
 class AhContext:
     """A fixed field and a fixed nonzero h; the home of its elements.
 
-    ``facts``, None until its first fill, is the record of what h alone
-    determines: raw values (and the factorization of h) by field name, never
-    an object that holds the context, and outside == and hash.  The structure modules fill each field
-    once (:meth:`fact`) or grow it (:meth:`grown`), under one lock.
+    What h alone determines is kept in the record of h (:mod:`ahalg.poly`),
+    not on the context: contexts over one h object share it, and building
+    one, as ``to_weyl`` and ``embed`` do on every call, costs nothing more.
     """
 
-    __slots__ = ("spec", "h", "h_prime", "gen_symbol", "facts")
+    __slots__ = ("spec", "h", "h_prime", "gen_symbol")
 
     def __init__(self, spec: FieldSpec, h: Poly, gen_symbol: str = "Y"):
         if h.spec != spec:
@@ -71,27 +67,6 @@ class AhContext:
         self.h = h
         self.h_prime = h.derivative()
         self.gen_symbol = gen_symbol
-        self.facts = None
-
-    def fact(self, name: str, fill):
-        """Field ``name``: ``fill(self)`` at its first read, installed only while empty."""
-        if name not in (self.facts or ()):
-            value = fill(self)
-            with _FACTS_LOCK:
-                self.facts = self.facts or {}
-                self.facts.setdefault(name, value)
-        return self.facts[name]
-
-    def grown(self, name: str, size: int, grow):
-        """Field ``name`` with at least ``size`` entries: else ``grow(self, kept, size)``
-        makes a longer copy, installed unless a longer one came meanwhile."""
-        kept = (self.facts or {}).get(name, ())
-        if len(kept) < size:
-            kept = grow(self, kept, size)
-            with _FACTS_LOCK:
-                self.facts = self.facts or {}
-                self.facts[name] = max(self.facts.get(name, kept), kept, key=len)
-        return kept
 
     @property
     def deg_h(self) -> int:
@@ -140,7 +115,7 @@ class AhContext:
     # -- the derivation delta(f) = h f' ----------------------------------
 
     def delta(self, f: Poly) -> Poly:
-        return _poly(self.spec, _delta(self, f._nums, []), f._den * self.h._den)
+        return _poly(self.spec, _delta(self.h, f._nums, []), f._den * self.h._den)
 
     def delta_power(self, f: Poly, j: int) -> Poly:
         if j < 0:
@@ -273,10 +248,10 @@ def _lift(ctx: AhContext, value):
     return NotImplemented
 
 
-def _delta(ctx: AhContext, c, acc: list, scale=1) -> list:
+def _delta(h: Poly, c, acc: list, scale=1) -> list:
     """Add ``scale * h * c'`` to the list acc and return it: raw numerators,
     over hd times the denominator of c, reduced mod p."""
-    return _red(_mul_add(acc, scale, [i * c[i] for i in range(1, len(c))], ctx.h._nums), ctx.spec.p)
+    return _red(_mul_add(acc, scale, [i * c[i] for i in range(1, len(c))], h._nums), h.spec.p)
 
 
 def _binomials(i: int, p: int, top=None) -> list:
@@ -301,7 +276,7 @@ def _deltas(ctx: AhContext, nums, den: int):
     zero (not yielded)."""
     while nums:
         yield nums, den
-        nums, den = _delta(ctx, nums, []), den * ctx.h._den
+        nums, den = _delta(ctx.h, nums, []), den * ctx.h._den
 
 
 def _table(ctx: AhContext, nums, den: int, top: int) -> list:
@@ -336,7 +311,7 @@ def _rows(ctx: AhContext, gs, need):
             for k, _, nums, d in last:
                 # c*Y^k -> c*Y^(k+1) + delta(c)*Y^k; delta(c) joins the shifted c_(k-1)
                 acc = row.pop()[2] if row and row[-1][0] == k else []
-                acc = _delta(ctx, nums, acc, den // (d * hd))
+                acc = _delta(ctx.h, nums, acc, den // (d * hd))
                 if acc:
                     row.append((k, 1, acc, den))
                 row.append((k + 1, 1, [v * (den // d) for v in nums], den))
@@ -452,7 +427,7 @@ def antiautomorphism(a: OreElement) -> OreElement:
         for k in range(len(rows) + 1):
             acc = _mul_add([], -s * hd, rows[k - 1], (1,)) if k else []
             if k < len(rows):
-                acc = _delta(ctx, rows[k], _mul_add(acc, s, hp, rows[k]), -s)
+                acc = _delta(ctx.h, rows[k], _mul_add(acc, s, hp, rows[k]), -s)
             out.append(acc)
         _mul_add(out[0], new // f._den, f._nums, (1,))
         rows, den = out, new

@@ -10,13 +10,15 @@ The admissible pairs form a subgroup P of the affine group of the line, so
 P either contains every translation or fixes one point c.
 :func:`compute_P` keeps P as a presentation (:class:`PSet`): c, the
 translations G ({0} or GF(p)) and an element of order m whose powers are the
-alphas; it is kept, with the anchor and the radical of h, in the record
-of the context (``AhContext.facts``), so each is computed once per
-context.  P, G and isomorphism all solve h(alpha*x + beta) == nu*g(x) one
+alphas.  P, G and isomorphism all solve h(alpha*x + beta) == nu*g(x) one
 way for every deg h: each solution maps the anchor of g to that of h
 (:func:`_anchor`), and around the anchors each coefficient identity is a
 binomial in alpha.  So over GF(p) every question costs time polynomial in
-deg h and log p, apart from listing an output of size p.
+deg h and log p, apart from listing an output of size p.  The
+``radical`` and ``anchor`` of each polynomial asked about, and the
+``presentation`` of P, are kept in the record of the polynomial
+(:mod:`ahalg.poly`), so compute_G, compute_P, classify_aut_group and
+iso_test on one h compute them once; nothing else is kept.
 
 On top of the pair computations the module classifies the group (polynomial
 shears only / semidirect with the scalar group / semidirect with a finite
@@ -41,13 +43,14 @@ from .errors import (
     CharacteristicError,
     ConstantHError,
     ContextMismatch,
+    InfiniteFieldError,
     InvalidPairError,
     NotDivisibleError,
     SelfCheckError,
     WrongHError,
 )
 from .fields import FieldElem, FieldSpec
-from .poly import MAX_DENSE_TERMS, Poly, _parts, _poly, gcd_monic, rational_roots
+from .poly import MAX_DENSE_TERMS, Poly, _kept, _parts, _poly, gcd_monic, rational_roots
 
 
 def _affine(spec: FieldSpec, alpha: FieldElem, beta: FieldElem) -> Poly:
@@ -168,7 +171,8 @@ class PSet(namedtuple("PSet", "ctx lam c G unit m")):
     m = None (no unit), where P stays symbolic.
 
     A tuple of its fields (ctx, lam, c, G, unit, m): iterating it yields
-    them, while ``len`` is |P| (and raises for the family over QQ).
+    them, while ``len`` is |P|; for the family over QQ it raises
+    :class:`InfiniteFieldError`, a ``TypeError``, so ``tuple()`` still works.
     """
 
     __slots__ = ()
@@ -204,7 +208,7 @@ class PSet(namedtuple("PSet", "ctx lam c G unit m")):
 
     def __len__(self) -> int:
         if self.m is None:
-            raise AhError("the family over QQ is infinite")
+            raise InfiniteFieldError("the family over QQ is infinite")
         return len(self.G) * self.m
 
     def contains(self, alpha, beta) -> bool:
@@ -223,21 +227,16 @@ def compute_G(ctx: AhContext) -> tuple[FieldElem, ...]:
     """
     if ctx.deg_h < 1:
         raise ConstantHError("G needs deg h >= 1")
-    if _kept_anchor(ctx) is not None:
+    if _kept(ctx.h, "anchor", _anchor) is not None:
         return (ctx.spec.zero(),)
     return tuple(ctx.spec.from_int(n) for n in range(ctx.spec.p))
-
-
-def _kept_anchor(ctx: AhContext):
-    """The anchor of h as a raw value, or None: the ``anchor`` field of ctx's record."""
-    return ctx.fact("anchor", lambda c: getattr(_anchor(c.h), "val", None))
 
 
 def compute_P(ctx: AhContext) -> PSet:
     """The pair set P, as its presentation (see :class:`PSet`); nothing is listed."""
     if ctx.deg_h < 1:
         raise ConstantHError("P needs deg h >= 1")
-    return _pset(ctx, ctx.fact("presentation", _presentation))
+    return _pset(ctx, _kept(ctx.h, "presentation", _presentation))
 
 
 def _pset(ctx: AhContext, presentation: tuple) -> PSet:
@@ -246,9 +245,9 @@ def _pset(ctx: AhContext, presentation: tuple) -> PSet:
     return PSet(ctx, lam, spec.elem(c), compute_G(ctx), unit, m)
 
 
-def _presentation(ctx: AhContext, refuse_dense_t: bool = False) -> tuple:
+def _presentation(h: Poly, refuse_dense_t: bool = False) -> tuple:
     """P as raw values (lam, c, unit, m, k: the degree of the radical of h),
-    the ``presentation`` field of ctx's record; G is read off the anchor.
+    the ``presentation`` field of the record of h; G is read off the anchor.
 
     A single distinct root lam (in the field, since the radical is then
     linear) gives the family: every alpha in F*, m = None over QQ.  Else P
@@ -261,11 +260,11 @@ def _presentation(ctx: AhContext, refuse_dense_t: bool = False) -> tuple:
     translation when G = GF(p), satisfy the pair law.  Over GF(p) the cost
     is polynomial in deg h and log p.
     """
-    spec, h, d = ctx.spec, ctx.h, ctx.deg_h
+    spec, d = h.spec, h.degree
     n = spec.p - 1 if spec.p else 2
-    k, lam = ctx.fact("radical", lambda c: _radical(c.h))
-    c = _kept_anchor(ctx)
-    whole, c = c is None, spec.zero() if c is None else spec.elem(c)
+    k, lam = _kept(h, "radical", _radical)
+    c = _kept(h, "anchor", _anchor)
+    whole, c = c is None, c or spec.zero()
     H = _moved(h, c)
     m = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
     if refuse_dense_t:
@@ -278,7 +277,7 @@ def _presentation(ctx: AhContext, refuse_dense_t: bool = False) -> tuple:
     generators = [(unit, c - unit * c)] if m > 1 else []
     if whole:
         generators.append((spec.one(), spec.one()))
-    if not all(pair_is_valid(ctx, a, b) for a, b in generators):
+    if not all(_law_holds(h, a, b, a**d, h) for a, b in generators):
         raise SelfCheckError("P is not G times the powers of its generator")
     return lam, c.val if m > 1 else 0, unit.val, m, k
 
@@ -401,7 +400,7 @@ def _equivalences(h: Poly, g: Poly):
     if d != g.degree or d < 1:
         raise AhError("affine elimination needs equal degrees >= 1")
     ratio = h.lc / g.lc
-    c_h, c_g = _anchor(h), _anchor(g)
+    c_h, c_g = _kept(h, "anchor", _anchor), _kept(g, "anchor", _anchor)
     if (c_h is None) != (c_g is None):
         return
     shifts = range(1, spec.p) if c_h is None else ()
@@ -572,7 +571,7 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     if ctx.deg_h < 1:
         raise ConstantHError("classification needs deg h >= 1")
     spec, d = ctx.spec, ctx.deg_h
-    presentation = ctx.fact("presentation", lambda c: _presentation(c, refuse_dense_t=True))
+    presentation = _kept(ctx.h, "presentation", lambda h: _presentation(h, refuse_dense_t=True))
     pset, k = _pset(ctx, presentation), presentation[-1]
     G = pset.G
     base = _base(spec, pset.c, G)
@@ -718,7 +717,8 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
     :func:`_equivalences`, which verifies candidates only up to it, or, when
     h and g have one distinct root each, (1, lam_h - lam_g), the least of
     the (alpha, lam_h - alpha*lam_g).  Over GF(p) the cost is polynomial in
-    deg h and log p for every deg h.
+    deg h and log p for every deg h.  The radical and anchor of h and of g
+    are kept in their records; the witness is composed on every call.
     """
     if h.spec != spec or g.spec != spec:
         raise ContextMismatch("polynomials over the wrong field")
@@ -728,7 +728,7 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
         return None
     if h.degree == 0:
         return (spec.one(), spec.zero(), h.lc / g.lc)
-    (roots_h, lam_h), (roots_g, lam_g) = _radical(h), _radical(g)
+    (roots_h, lam_h), (roots_g, lam_g) = _kept(h, "radical", _radical), _kept(g, "radical", _radical)
     if roots_h != roots_g:
         return None
     if roots_h == 1:

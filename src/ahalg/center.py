@@ -6,7 +6,7 @@ is a polynomial algebra on two generators: x^p and the central element
     h^p y^p  =  Y^p - (delta^p(x)/h) * Y,
 
 whose ``correction`` polynomial delta^p(x)/h has a closed form (:func:`center`),
-computed once per context and kept in its record (``AhContext.facts``).
+computed once per h and kept in the record of h (``correction``).
 The whole algebra is then a free module over the center with basis
 ``x^i h^j y^j`` (0 <= i, j < p); :func:`central_decompose` reads the
 coordinates of an element in ``h^j y^j`` (``weyl.hy_coordinates``), as do
@@ -26,7 +26,7 @@ from collections import namedtuple
 from .algebra import COMMUTATOR_SPACES, AhContext, OreElement, commutator
 from .errors import AhError, CharacteristicError, SelfCheckError
 from .fields import FieldElem
-from .poly import MAX_DENSE_TERMS, Poly, _add, _mulmod, _powmod, _red, _spread, _tail
+from .poly import MAX_DENSE_TERMS, Poly, _add, _kept, _mulmod, _powmod, _red, _spread, _tail
 from .weyl import from_hy_coordinates, hy_coordinates
 
 
@@ -55,16 +55,16 @@ def center(ctx: AhContext) -> CenterDescription:
     terms = max(d - 1, 1) * p + 1
     if terms > MAX_DENSE_TERMS:
         raise AhError(f"center too large: {terms} coefficients, limit {MAX_DENSE_TERMS}")
-    cs = ctx.fact("correction", _correction) if d else []
+    cs = _kept(h, "correction", _correction) if d else []
     correction, zero = _spread(spec, cs, p), Poly.zero(spec)
     y_gen = ctx.element((zero, -correction) + (zero,) * (p - 2) + (Poly.one(spec),))
     return CenterDescription(p, Poly.monomial(spec, 1, p), y_gen, correction)
 
 
-def _correction(ctx: AhContext) -> list:
+def _correction(h: Poly) -> list:
     """c_0..c_(d-1) of :func:`center` as residues, checked against
     C == h'^(p-1) mod h, all on raw residue lists mod h (``poly._mulmod``)."""
-    p, hs, dh = ctx.spec.p, ctx.h._nums, ctx.h_prime
+    p, hs, dh = h.spec.p, h._nums, h.derivative()
     d, inv, tail = len(hs) - 1, pow(hs[-1], -1, p), _tail(hs, p)
     R, G, cs = _powmod([0, 1], p, tail, p), [hs[d]], []
     for k in range(d - 1, -1, -1):

@@ -15,8 +15,8 @@ class FieldMismatch(AhError):
     """Operands belong to different fields."""
 
 
-class InfiniteFieldError(AhError):
-    """An enumeration was requested over the rationals."""
+class InfiniteFieldError(AhError, TypeError):
+    """An enumeration was requested over the rationals (a TypeError: no length hint)."""
 
 
 class ZeroInputError(AhError):

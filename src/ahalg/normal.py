@@ -7,9 +7,9 @@ acts as a shear on the generators, giving both inclusions).  The witness r
 is produced by one exact division and checked on every coefficient.
 
 Classification into prime factors of h times a central element, and the
-height-one prime reports, do consult a factorization of h, made once per
-context on first use and kept on it (one passed in serves its call only);
-over Q an uncertified factorization degrades the answer instead of being
+height-one prime reports, do consult a factorization of h, made on first
+use and kept in the record of h (one passed in serves its call only); over
+Q an uncertified factorization degrades the answer instead of being
 trusted.
 """
 
@@ -21,7 +21,7 @@ from enum import Enum
 from .algebra import AhContext, OreElement, commutator
 from .center import central_decompose, is_central
 from .errors import NotNormalError, SelfCheckError, UnverifiableError, ZeroInputError
-from .poly import FactoredPoly, Poly, _spread, factor, is_irreducible
+from .poly import FactoredPoly, Poly, _kept, _spread, factor, is_irreducible
 from .weyl import hy_coordinates
 
 
@@ -77,7 +77,7 @@ def classify_normal(
         raise NotNormalError(cert.reason)
     ctx = v.ctx
     p = ctx.spec.characteristic
-    fac = h_factored if h_factored is not None else ctx.fact("factors", lambda c: factor(c.h))
+    fac = h_factored if h_factored is not None else _kept(ctx.h, "factors", factor)
     if not fac.fully_verified:
         raise UnverifiableError(
             "classification needs a certified factorization of h"
@@ -160,15 +160,15 @@ def height_one_prime_test(
     powers of prime factors of h.  Central elements genuinely bivariate in
     the two central generators are reported ``Unknown`` (their
     irreducibility is not decided here).  A passed ``h_factored`` serves
-    this call only; ``seed`` only picks the path of ctx's first factoring.
+    this call only; ``seed`` only picks the path of h's first factoring.
     """
     if v.is_zero():
         raise ZeroInputError("the zero ideal is not principal height one")
     ctx = v.ctx
     p = ctx.spec.characteristic
     # factor sorts its terms, so the seed only picks the path of the first fill
-    fac = h_factored if h_factored is not None else ctx.fact(
-        "factors", lambda c: factor(c.h, seed=seed))
+    fac = h_factored if h_factored is not None else _kept(
+        ctx.h, "factors", lambda h: factor(h, seed=seed))
     if not fac.fully_verified:
         return PrimeGeneratorReport(
             PrimeKind.UNKNOWN, "factorization of h is not certified over QQ"

@@ -24,12 +24,16 @@ remainder sequence, squarefree parts are exact divisions of primitive
 integer polynomials (Gauss's lemma), and composition is Horner scaled by
 the inner denominator.  Factors over Q that rational roots cannot certify
 carry ``verified=False``, and consumers degrade instead of guessing.
+
+A ``Poly`` keeps a record of what the structure modules learn about it
+(:func:`_kept`), outside ``==``, ``hash``, ``repr`` and pickle.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import threading
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
@@ -42,6 +46,8 @@ NEG_INF = float("-inf")
 # Dense closed-form outputs (the center over GF(p), powers of x^p - x) are
 # refused past this many coefficients; x^3+2x+5 over GF(1000003) needs 2*10^6
 MAX_DENSE_TERMS = 2**22
+
+_RECORD_LOCK = threading.Lock()  # installs every field of a polynomial's record
 
 
 def _canonical(spec: FieldSpec, nums, den: int) -> tuple[tuple[int, ...], int]:
@@ -75,6 +81,31 @@ def _poly(spec: FieldSpec, nums, den: int = 1) -> "Poly":
     f.spec = spec
     f._nums, f._den = _canonical(spec, nums, den)
     return f
+
+
+def _kept(f: "Poly", name: str, fill):
+    """Field ``name`` of the record of f: ``fill(f)`` at its first read,
+    installed only while empty, so every reader sees one value."""
+    record = getattr(f, "_record", None)
+    if record is None or name not in record:
+        value = fill(f)
+        with _RECORD_LOCK:
+            record = f._record = getattr(f, "_record", None) or {}
+            record.setdefault(name, value)
+    return record[name]
+
+
+def _grown(f: "Poly", name: str, size: int, grow):
+    """Field ``name`` of the record of f with at least ``size`` entries: else
+    ``grow(f, kept, size)`` makes a longer copy, installed unless a longer
+    one came meanwhile."""
+    kept = (getattr(f, "_record", None) or {}).get(name, ())
+    if len(kept) < size:
+        kept = grow(f, kept, size)
+        with _RECORD_LOCK:
+            record = f._record = getattr(f, "_record", None) or {}
+            record[name] = max(record.get(name, kept), kept, key=len)
+    return kept
 
 
 def _spread(spec: FieldSpec, nums, k: int) -> "Poly":
@@ -237,7 +268,7 @@ def _squarefree(f, p):
 class Poly:
     """A dense univariate polynomial with exact field coefficients."""
 
-    __slots__ = ("spec", "_nums", "_den")
+    __slots__ = ("spec", "_nums", "_den", "_record")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
         vals = [c if type(c) is int else spec.elem(c).val for c in coeffs]
@@ -332,6 +363,10 @@ class Poly:
 
     def __hash__(self):
         return hash((self.spec, self._nums, self._den))
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the canonical ints, without the record
+        return _poly, (self.spec, self._nums, self._den)
 
     def _check(self, other) -> "Poly":
         if not isinstance(other, Poly):

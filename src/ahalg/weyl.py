@@ -8,7 +8,7 @@ moves elements across the embedding ``Y = y*h``, under which A_h is
 * ``hy_coordinates`` and its inverse ``from_hy_coordinates`` use the rows of
   Y^i in the basis ``h^j y^j``, which are unitriangular: O(n^2) products at
   Y-degree n, one normalize step per output coefficient, and no division.
-  The rows depend only on h, so they live on the context, row i as
+  The rows depend only on h, so they live in the record of h, row i as
   numerators over ``den(h)^i``: built once on first use, and grown from the
   last row when a higher Y-degree is asked for; an entry is one ``_delta``
   step of the entry above, ``(j+1) h'`` times that entry, and the shifted one;
@@ -17,7 +17,7 @@ moves elements across the embedding ``Y = y*h``, under which A_h is
 * ``yh_product`` builds the telescoping products that express ``y^i h^i``
   and ``h^i y^i`` in terms of the subalgebra generator;
 * ``embed`` maps A_g into A_f along g = f*v by multiplying the coordinates by
-  ``v^j``, with no Weyl round trip and no division by ``f^j``;
+  ``v^j``, with no Weyl round trip and no division by ``f^j`` (f keeps its rows);
 * ``ore_witness`` produces common-denominator witnesses for the powers of a
   fixed polynomial, and ``localized_equal`` compares right fractions over
   the powers of h without building a localization type.
@@ -36,7 +36,7 @@ from .errors import (
     ZeroInputError,
 )
 from .fields import FieldSpec
-from .poly import Poly, _mul_add, sum_of_raw_products
+from .poly import Poly, _grown, _mul_add, sum_of_raw_products
 
 
 def weyl_context(spec: FieldSpec) -> AhContext:
@@ -50,19 +50,19 @@ def is_weyl_context(ctx: AhContext) -> bool:
 
 def _hy_rows(ctx: AhContext, n: int) -> list[list[list[int]]]:
     """``rows[i][j]`` is the coefficient of h^j y^j in Y^i (i <= n), raw numerators over
-    ``den(h)^i``.  Kept on ctx as ``hy_rows``, grown from its last row into a copy."""
-    return ctx.grown("hy_rows", n + 1, _grow_hy_rows)
+    ``den(h)^i``.  Kept on h as ``hy_rows``, grown from its last row into a copy."""
+    return _grown(ctx.h, "hy_rows", n + 1, _grow_hy_rows)
 
 
-def _grow_hy_rows(ctx: AhContext, rows, size: int) -> list[list[list[int]]]:
-    h, hd = ctx.h._nums, ctx.h._den
-    hp = [k * h[k] for k in range(1, len(h))]  # h' over hd
+def _grow_hy_rows(h: Poly, rows, size: int) -> list[list[list[int]]]:
+    hs, hd = h._nums, h._den
+    hp = [k * hs[k] for k in range(1, len(hs))]  # h' over hd
     rows = list(rows) or [[[1]]]
     while len(rows) < size:
         # (y h)(r h^j y^j) = r h^(j+1) y^(j+1) + (h r' + (j+1) h' r) h^j y^j
         prev = rows[-1] + [[]]  # prev[-1] is zero: no shifted term at j = 0
         rows.append([
-            _delta(ctx, r, _mul_add([v * hd for v in prev[j - 1]], j + 1, hp, r))
+            _delta(h, r, _mul_add([v * hd for v in prev[j - 1]], j + 1, hp, r))
             for j, r in enumerate(prev)
         ])
     return rows

@@ -613,9 +613,9 @@ def generator_scan_oracle(unit, ell: int):
     return unit.spec.from_int(least)
 
 
-def kept(ctx: AhContext, name: str):
-    """The field ``name`` of ctx's record of facts about h, None while empty."""
-    return (ctx.facts or {}).get(name)
+def kept(f: Poly, name: str):
+    """The field ``name`` of the record of the polynomial f, None while empty."""
+    return (getattr(f, "_record", None) or {}).get(name)
 
 
 def center_correction_oracle(ctx: AhContext) -> Poly:

@@ -43,6 +43,7 @@ from ahalg.errors import (
     AhError,
     CharacteristicError,
     ConstantHError,
+    InfiniteFieldError,
     InvalidPairError,
     SelfCheckError,
     WrongHError,
@@ -837,6 +838,19 @@ def test_psets_copy_and_pickle_as_tuples():
         for twin in (pset._replace(), copy.copy(pset), pickle.loads(pickle.dumps(pset))):
             assert twin == pset and hash(twin) == hash(pset) and type(twin) is type(pset)
         assert pset._replace(m=5).m == 5 and pset._replace(m=5)[:5] == pset[:5]
+
+
+def test_the_family_over_qq_unpacks_though_its_len_raises():
+    # len raises InfiniteFieldError, a TypeError too, which tuple() and list()
+    # take from a length hint as "no hint"
+    pset = compute_P(ctx_for(QQ, 1, -2, 1))  # (x - 1)^2
+    assert pset.m is None
+    for unpack in (tuple, list):
+        assert tuple(unpack(pset)) == (pset.ctx, pset.lam, pset.c, pset.G, pset.unit, pset.m)
+    with pytest.raises(InfiniteFieldError, match="infinite"):
+        len(pset)
+    with pytest.raises(AhError):
+        len(pset)
 
 
 def test_poly_roots_takes_only_a_constant_or_a_binomial():

@@ -26,6 +26,7 @@ from ahalg import (
     PrimeKind,
 )
 from ahalg.errors import NotNormalError, UnverifiableError, ZeroInputError
+from ahalg.fields import FieldElem
 from ahalg.poly import _spread
 from ahalg.weyl import hy_coordinates
 
@@ -267,7 +268,7 @@ def test_h_is_factored_once_per_context(monkeypatch):
         assert height_one_prime_test(v, seed=seed).kind == PrimeKind.NOT_PRIME_GENERATOR
     assert calls == [ctx.h]
     fresh = ctx_for(F3, 0, 1, 1)
-    assert fresh == ctx and kept(fresh, "factors") is None
+    assert fresh == ctx and kept(fresh.h, "factors") is None
     classify_normal(fresh.x())
     height_one_prime_test(fresh.x())
     assert calls == [ctx.h, ctx.h]
@@ -282,23 +283,24 @@ def test_supplied_factorization_serves_its_call_only():
     fac = FactoredPoly(QQ.one(), (FactorTerm(u, 1, True), FactorTerm(w, 1, True)))
     split = classify_normal(ctx.from_poly(u), h_factored=fac)
     assert split.factors == ((u, 1),) and split.central_part == ctx.one()
-    assert kept(ctx, "factors") is None
+    assert kept(ctx.h, "factors") is None
     with pytest.raises(UnverifiableError):
         classify_normal(ctx.from_poly(u))
 
 
 def _raw(value) -> bool:
-    """Only ints, Fractions and None, in nested lists and tuples: nothing that holds a context."""
+    """Only ints, Fractions, None and field elements, in nested lists and
+    tuples: nothing that holds a context."""
     if isinstance(value, (list, tuple)):
         return all(_raw(v) for v in value)
-    return value is None or isinstance(value, (int, Fraction))
+    return value is None or isinstance(value, (int, Fraction, FieldElem))
 
 
 def test_kept_factorization_leaves_equality_and_hash_alone():
     # every field of the record, each filled by one of its readers
-    for spec, ints in GFP_H + [(QQ, (1, 1, 0, 0, 0, 1)), (QQ, (0, 0, 3))]:
+    for spec, ints in GFP_H + [(QQ, (1, 1, 0, 0, 0, 1)), (QQ, (0, 0, 3)), (QQ, (2, 3, 1))]:
         ctx = ctx_for(spec, *ints)
-        before = hash(ctx)
+        before = hash(ctx), hash(ctx.h)
         height_one_prime_test(ctx.x())
         center(ctx)
         hy_coordinates(ctx.gen() ** 3)
@@ -307,12 +309,14 @@ def test_kept_factorization_leaves_equality_and_hash_alone():
             classify_aut_group(ctx)
             compute_G(ctx)
             fields |= {"radical", "anchor", "presentation"} | ({"correction"} if spec.p else set())
-        assert set(ctx.facts) == fields
-        assert ctx.facts["factors"] == factor(ctx.h)
-        assert all(_raw(v) for name, v in ctx.facts.items() if name != "factors")
-        fresh = AhContext(spec, ctx.h)
-        assert ctx == fresh and fresh.facts is None
-        assert hash(ctx) == before == hash(fresh)
+        record = ctx.h._record
+        assert set(record) == fields
+        assert record["factors"] == factor(ctx.h)
+        assert all(_raw(v) for name, v in record.items() if name != "factors")
+        fresh = ctx_for(spec, *ints)
+        assert ctx == fresh and ctx.h == fresh.h and kept(fresh.h, "factors") is None
+        assert (hash(ctx), hash(ctx.h)) == before == (hash(fresh), hash(fresh.h))
+        assert repr(ctx.h) == repr(fresh.h)
         if ctx.deg_h:
             assert compute_P(ctx) == compute_P(fresh) and center(ctx) == center(fresh)
 

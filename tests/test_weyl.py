@@ -314,25 +314,27 @@ def as_polys(ctx, rows):
 def test_hy_rows_grow_on_demand(ctx):
     longest = 0
     for n in (2, 7, 3, 0):
-        before = kept(ctx, "hy_rows") or ()
+        before = kept(ctx.h, "hy_rows") or ()
         size = len(before)
         rows = _hy_rows(ctx, n)
         assert as_polys(ctx, rows[: n + 1]) == hy_rows_oracle(ctx, n)
         longest = max(longest, n + 1)
-        assert len(kept(ctx, "hy_rows")) == longest
+        assert len(kept(ctx.h, "hy_rows")) == longest
         # grown from the last row, never rebuilt, and the old table left whole
-        assert all(new is old for new, old in zip(kept(ctx, "hy_rows"), before))
+        assert all(new is old for new, old in zip(kept(ctx.h, "hy_rows"), before))
         assert len(before) == size
 
 
 @pytest.mark.parametrize("ctx", table_contexts(), ids=lambda c: str(c.spec))
 def test_warm_context_compares_and_hashes_as_fresh(ctx):
-    fresh = AhContext(ctx.spec, ctx.h)
+    # an equal but distinct h keeps its own rows; a context over the same h shares them
+    fresh, shared = AhContext(ctx.spec, _poly(ctx.spec, ctx.h._nums, ctx.h._den)), AhContext(ctx.spec, ctx.h)
     key = hash(ctx)
     rng = random.Random(f"warm:{ctx.spec}")
     a = rand_elem(rng, ctx, 6, 2)
     fs = hy_coordinates(a)
-    assert kept(ctx, "hy_rows") and not kept(fresh, "hy_rows")
+    assert kept(ctx.h, "hy_rows") and not kept(fresh.h, "hy_rows")
+    assert kept(shared.h, "hy_rows") is kept(ctx.h, "hy_rows")
     assert ctx == fresh and hash(ctx) == key == hash(fresh)
     assert a == fresh.element(a.coeffs) and hash(a) == hash(fresh.element(a.coeffs))
     assert from_hy_coordinates(fs, fresh) == from_hy_coordinates(fs, ctx) == a
@@ -361,7 +363,7 @@ def test_threads_warm_one_context(ctx):
     want = hy_rows_oracle(ctx, max(sizes))
     for n, rows in results.items():
         assert as_polys(ctx, rows[: n + 1]) == want[: n + 1]
-    assert as_polys(ctx, kept(ctx, "hy_rows")) == want
+    assert as_polys(ctx, kept(ctx.h, "hy_rows")) == want
 
 
 def _embed_outcome(embedding, a, f):
