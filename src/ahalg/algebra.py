@@ -82,6 +82,9 @@ class AhContext:
     def __hash__(self):
         return hash((self.spec, self.h))
 
+    def __reduce__(self):
+        return AhContext, (self.spec, self.h, self.gen_symbol)
+
     def __repr__(self):
         return f"A_h({self.spec!r}, h={self.h})"
 

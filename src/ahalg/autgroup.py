@@ -201,10 +201,13 @@ class PSet(namedtuple("PSet", "ctx lam c G unit m")):
         return [self.ctx.spec.elem(a) for a in _powers(self.unit, self.m)]
 
     def pairs(self) -> tuple[tuple[FieldElem, FieldElem], ...]:
-        """The |G|*m pairs, sorted."""
-        c = self.c
-        out = ((a, c - a * c + nu) for a in self.alphas() for nu in self.G)
-        return tuple(sorted(out, key=lambda ab: (ab[0].sort_key(), ab[1].sort_key())))
+        """The |G|*m pairs, sorted: the m alphas are sorted once, and their betas
+        c*(1 - alpha) + G are G itself, in order, when |G| = p, else c - alpha*c."""
+        c, G = self.c, self.G
+        alphas = sorted(self.alphas(), key=FieldElem.sort_key)
+        if len(G) > 1:
+            return tuple((a, nu) for a in alphas for nu in G)
+        return tuple((a, c - a * c) for a in alphas)
 
     def __len__(self) -> int:
         if self.m is None:
@@ -326,24 +329,18 @@ def _hasse_rows(h: Poly):
 
     Row i is sum_j C(j, i) h_j t^(j-i) over the nonzero h_j, the x^i
     coefficient of h(x + t); that of h(alpha*x + t) is alpha^i times it.
-    Over GF(p) each C(j, i) is taken mod p by Lucas' theorem from one table
-    of factorials below min(p, d + 1); over QQ it is exact.
+    Over GF(p) each C(j, i) is taken mod p by Lucas' theorem, digit by digit
+    with ``math.comb`` as in ``algebra._binomials``; over QQ it is exact.
     """
     nums, p = h._nums, h.spec.p
     terms = [(j, c) for j, c in enumerate(nums) if c]
     if p:
-        fact = list(accumulate(range(1, min(p, len(nums))), lambda f, k: f * k % p, initial=1))
-        inv = [pow(f, -1, p) for f in fact]
-
         def binom(j, i):
-            # C(j, i) mod p, digit by digit in base p
             out = 1
             while i and out:
-                a, b = j % p, i % p
-                out = out * fact[a] * inv[b] * inv[a - b] % p if b <= a else 0
+                out = out * comb(j % p, i % p) % p
                 j, i = j // p, i // p
             return out
-
     else:
         binom = comb
     for i in range(len(nums) - 2, -1, -1):
@@ -361,7 +358,8 @@ def _unit_of_order(spec: FieldSpec, n: int, m: int) -> FieldElem:
     """An element of order m, certified by :func:`_order`, among the n roots
     of unity of F (m divides n).  Over GF(p), a^(n/m) has order m for a
     share phi(m)/m of the a in F*, so the search over a = 1, 2, ... stops
-    after a few steps; over QQ, a = -1 serves."""
+    after a few steps (for m = n, at the least primitive root: the family's
+    generator in :func:`classify_aut_group`); over QQ, a = -1 serves."""
     for a in range(1, spec.p) if spec.p else (-1,):
         b = spec.from_int(a) ** (n // m)
         if _order(b, m) == m:
@@ -558,8 +556,8 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     G = GF(p) (:func:`_base`), q = base^n.  For a finite P the image in F*
     is cyclic of order ell = m = |P|/|G|, so G and one pair generate P: the
     least pair whose alpha has order ell, or the least nonzero translation
-    when ell = 1.  For the family ell = p - 1, and the least a = 2, 3, ...
-    with a^(ell/q) != 1 for each prime q of ell is found in a few steps;
+    when ell = 1.  For the family ell = p - 1, and the alpha is the unit of
+    the presentation, the least primitive root (:func:`_unit_of_order`);
     else ell divides k or k - 1, and O(ell) integer steps scan the alphas
     unit^j with gcd(j, ell) = 1.  Then t = base^ell, sized (and refused when
     dense past the bound) before anything is certified, and n =
@@ -585,13 +583,9 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
         if (len(G) - 1) % ell:
             raise SelfCheckError("|G| - 1 must be divisible by ell")
         if ell > 1:
-            if pset.lam is not None:  # ell = p - 1: the least primitive root
-                qs = _prime_divisors(ell)
-                alpha = next(a for a in map(spec.from_int, range(2, spec.p))
-                             if (a**ell).is_one() and not any((a ** (ell // q)).is_one() for q in qs))
-            else:
-                powers = enumerate(_powers(pset.unit, ell))
-                alpha = spec.elem(min(a for j, a in powers if gcd(j, ell) == 1))
+            # for the family (ell = p - 1) the unit is the least primitive root
+            alpha = pset.unit if pset.lam is not None else spec.elem(min(
+                a for j, a in enumerate(_powers(pset.unit, ell)) if gcd(j, ell) == 1))
             # beta runs over c*(1 - alpha) + G, which is all of GF(p) when |G| > 1
             generator = (alpha, spec.zero() if len(G) > 1 else pset.c - alpha * pset.c)
         elif len(G) > 1:

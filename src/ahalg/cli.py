@@ -209,8 +209,8 @@ def _pairs(pset):
     if pset.lam is not None and not pset.ctx.spec.is_prime_field:
         data = {"shape": "one_parameter_family", "lambda": str(pset.lam)}
         return data, f"family (alpha, (1 - alpha)*{pset.lam}) for alpha in QQ*"
-    pairs = pset.pairs()
-    data = {"shape": pset.shape, "pairs": [[str(a), str(b)] for a, b in pairs]}
+    pairs = [[str(a), str(b)] for a, b in pset.pairs()]
+    data = {"shape": pset.shape, "pairs": pairs}
     if pset.lam is not None:
         data["lambda"] = str(pset.lam)
     return data, _set_text(f"({a}, {b})" for a, b in pairs)

@@ -148,6 +148,9 @@ class FieldSpec:
     def __hash__(self):
         return hash((self.kind, self.p))
 
+    def __reduce__(self):
+        return FieldSpec, (self.kind, self.p)
+
     def __repr__(self):
         return "QQ" if self.kind == RATIONALS else f"GF({self.p})"
 
@@ -261,6 +264,9 @@ class FieldElem:
 
     def __hash__(self):
         return hash((self.spec, self.val))
+
+    def __reduce__(self):
+        return FieldElem, (self.spec, self.val)
 
     def __bool__(self):
         return bool(self.val)

@@ -19,9 +19,9 @@ from collections import namedtuple
 from enum import Enum
 
 from .algebra import AhContext, OreElement, commutator
-from .center import central_decompose, is_central
+from .center import is_central
 from .errors import NotNormalError, SelfCheckError, UnverifiableError, ZeroInputError
-from .poly import FactoredPoly, Poly, _kept, _spread, factor, is_irreducible
+from .poly import FactoredPoly, Poly, _kept, _poly, _spread, factor, is_irreducible
 from .weyl import hy_coordinates
 
 
@@ -227,28 +227,18 @@ def height_one_prime_test(
 
 
 def _central_coordinates(v: OreElement):
-    """Univariate images of a central element in the generators X = x^p, T = h^p y^p.
+    """Univariate images of a central element in the generators X = x^p, T = h^p y^p,
+    read off its coordinates f_j in ``h^j y^j``: v = sum_b f_(bp)(X) T^b.
 
     Returns (poly in X, None) or (None, poly in T) when v is univariate in
     one generator, and (None, None) when genuinely bivariate.
     """
-    ctx = v.ctx
-    spec = ctx.spec
-    dec = central_decompose(v)
-    cell = dec.table.get((0, 0), {})
-    others = {k: c for k, c in dec.table.items() if k != (0, 0) and c}
-    if others:
+    spec, p = v.ctx.spec, v.ctx.spec.p
+    fs = [f._nums for f in hy_coordinates(v)]
+    if any(c and (j % p or k % p) for j, f in enumerate(fs) for k, c in enumerate(f)):
         raise SelfCheckError("central element must decompose on the identity basis element")
-    xs = {a for (a, b) in cell if b == 0}
-    ys = {b for (a, b) in cell if a == 0}
-    if all(b == 0 for (_, b) in cell):
-        coeffs = [spec.zero()] * (max(xs, default=0) + 1)
-        for (a, _), c in cell.items():
-            coeffs[a] = c
-        return Poly(spec, coeffs), None
-    if all(a == 0 for (a, _) in cell):
-        coeffs = [spec.zero()] * (max(ys, default=0) + 1)
-        for (_, b), c in cell.items():
-            coeffs[b] = c
-        return None, Poly(spec, coeffs)
+    if len(fs) == 1:
+        return _poly(spec, fs[0][::p]), None
+    if all(len(f) <= 1 for f in fs[::p]):
+        return None, _poly(spec, [f[0] if f else 0 for f in fs[::p]])
     return None, None

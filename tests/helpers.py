@@ -4,7 +4,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from ahalg import (
     AhContext,
@@ -12,6 +12,7 @@ from ahalg import (
     Poly,
     antiautomorphism,
     apply_poly_map,
+    central_decompose,
     commutator,
     div_left_exact,
     div_right_exact,
@@ -194,6 +195,31 @@ def central_decompose_oracle(a: OreElement) -> dict:
             if not c.is_zero():
                 table.setdefault((e % p, b % p), {})[(e // p, b // p)] = c
     return table
+
+
+def central_coordinates_oracle(v: OreElement):
+    """``normal._central_coordinates`` through the table of ``central_decompose``
+    (its former route): the identity cell read back as a polynomial in x^p or
+    in h^p y^p, or (None, None) when it holds both."""
+    spec = v.ctx.spec
+    dec = central_decompose(v)
+    cell = dec.table.get((0, 0), {})
+    others = {k: c for k, c in dec.table.items() if k != (0, 0) and c}
+    if others:
+        raise SelfCheckError("central element must decompose on the identity basis element")
+    xs = {a for (a, b) in cell if b == 0}
+    ys = {b for (a, b) in cell if a == 0}
+    if all(b == 0 for (_, b) in cell):
+        coeffs = [spec.zero()] * (max(xs, default=0) + 1)
+        for (a, _), c in cell.items():
+            coeffs[a] = c
+        return Poly(spec, coeffs), None
+    if all(a == 0 for (a, _) in cell):
+        coeffs = [spec.zero()] * (max(ys, default=0) + 1)
+        for (_, b), c in cell.items():
+            coeffs[b] = c
+        return None, Poly(spec, coeffs)
+    return None, None
 
 
 def bracket_x_oracle(a: OreElement) -> bool:
@@ -602,15 +628,17 @@ def classify_oracle(ctx):
     }
 
 
-def generator_scan_oracle(unit, ell: int):
-    """The least unit^j with gcd(j, ell) = 1, by a scan of all ell powers of
-    the unit (the former route of ``classify_aut_group`` for the family)."""
-    p, a, least = unit.spec.p, 1, None
-    for j in range(ell):
-        if gcd(j, ell) == 1 and (least is None or a < least):
-            least = a
-        a = a * unit.val % p
-    return unit.spec.from_int(least)
+def least_primitive_root_oracle(p: int) -> int:
+    """The least a in 1..p-1 of multiplicative order p - 1 mod p, each order
+    found by stepping through the powers of a until one is 1."""
+
+    def order(a):
+        e, power = 1, a
+        while power != 1:
+            e, power = e + 1, power * a % p
+        return e
+
+    return next(a for a in range(1, p) if order(a) == p - 1)
 
 
 def kept(f: Poly, name: str):

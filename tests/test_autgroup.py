@@ -60,7 +60,7 @@ from helpers import (
     exhaustive_iso,
     exhaustive_pairs,
     exhaustive_translations,
-    generator_scan_oracle,
+    least_primitive_root_oracle,
     laws_hold_on_all_pairs,
     poly_roots_oracle,
     rand_elem,
@@ -1179,13 +1179,7 @@ def test_generator_is_the_least_primitive_root(p):
     spec = FieldSpec.gf(p)
     x = Poly.x(spec)
 
-    def order(a):
-        e, power = 1, a
-        while power != 1:
-            e, power = e + 1, power * a % p
-        return e
-
-    root = next(a for a in range(1, p) if order(a) == p - 1)
+    root = least_primitive_root_oracle(p)
     # every alpha in F* is admissible for both; F2* = {1} leaves (x - 3)^2 no generator
     shapes = [x**p + x] + ([(x - Poly.constant(spec.from_int(3))) ** 2] if p > 2 else [])
     for h in shapes:
@@ -1194,13 +1188,13 @@ def test_generator_is_the_least_primitive_root(p):
         assert structure.generator[0] == spec.from_int(root), h
 
 
-def test_generator_search_matches_the_power_scan_below_3000():
-    # the family's generator is searched for, where the scan walks all p - 1 powers of the unit
+def test_generator_of_the_family_is_the_least_primitive_root_below_3000():
+    # the family's generator is the presentation's unit; the oracle finds orders by brute force
     for p in (p for p in range(3, 3000) if all(p % q for q in range(2, int(p**0.5) + 1))):
         spec = FieldSpec.gf(p)
         ctx = AhContext(spec, Poly.from_ints(spec, (1, -2, 1)))  # (x - 1)^2
         structure = classify_aut_group(ctx)
-        assert structure.generator[0] == generator_scan_oracle(compute_P(ctx).unit, p - 1), p
+        assert structure.generator[0] == spec.from_int(least_primitive_root_oracle(p)), p
 
 
 PINNED = [

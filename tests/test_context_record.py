@@ -203,13 +203,30 @@ def test_pickle_and_copy_drop_the_record():
     assert hash(h) == key and repr(h) == text and h == Poly.from_ints(spec, (2, 2, 1, 0, 2, 2, 1))
     assert set(h._record) == {"factors", "radical", "anchor", "presentation", "correction", "hy_rows"}
     twins = [copy.copy(h), copy.deepcopy(h)]
-    # protocols 0 and 1 cannot pickle the slots of FieldSpec
-    twins += [pickle.loads(pickle.dumps(h, protocol)) for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    twins += [pickle.loads(pickle.dumps(h, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     twins.append(pickle.loads(pickle.dumps(ctx)).h)
     for twin in twins:
         assert type(twin) is Poly and twin is not h and twin == h and hash(twin) == key
         assert getattr(twin, "_record", None) is None and repr(twin) == text
         assert center(AhContext(spec, twin)) == center(ctx)
+
+
+def test_every_type_pickles_at_every_protocol():
+    # slotted classes rebuild from their canonical values, so protocols 0 and 1 work too
+    cases = [(FieldSpec.gf(5), (0, 4, 0, 0, 0, 1)), (FieldSpec.gf(7), (1, -2, 1)),
+             (FieldSpec.rationals(), (0, 0, 1)), (FieldSpec.rationals(), (0, -1, 0, 1))]
+    for spec, ints in cases:
+        h = Poly.from_ints(spec, ints)
+        ctx = AhContext(spec, h, gen_symbol="Z")
+        structure = classify_aut_group(ctx)
+        values = [spec, spec.from_int(3) / 2, h, ctx, compute_P(ctx), structure]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            for value in values:
+                twin = pickle.loads(pickle.dumps(value, protocol))
+                assert type(twin) is type(value) and twin == value and twin is not value, (value, protocol)
+            twin = pickle.loads(pickle.dumps(ctx, protocol))
+            assert twin.gen_symbol == "Z" and twin.h_prime == ctx.h_prime
+            assert getattr(twin.h, "_record", None) is None
 
 
 def test_threads_fill_one_value_per_field(monkeypatch):

@@ -25,12 +25,13 @@ from ahalg import (
     is_simple,
     PrimeKind,
 )
-from ahalg.errors import NotNormalError, UnverifiableError, ZeroInputError
+from ahalg.errors import NotNormalError, SelfCheckError, UnverifiableError, ZeroInputError
 from ahalg.fields import FieldElem
+from ahalg.normal import _central_coordinates
 from ahalg.poly import _spread
 from ahalg.weyl import hy_coordinates
 
-from helpers import kept, normal_oracle, rand_elem
+from helpers import central_coordinates_oracle, kept, normal_oracle, rand_elem
 
 QQ = FieldSpec.rationals()
 F2 = FieldSpec.gf(2)
@@ -209,6 +210,38 @@ def test_prime_test_bivariate_unknown():
     v = desc.y_generator + ctx.from_poly(desc.x_generator)  # X + T: bivariate
     report = height_one_prime_test(v)
     assert report.kind == PrimeKind.UNKNOWN
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_central_coordinates_match_the_decomposition_route(p):
+    spec, rng = FieldSpec.gf(p), random.Random(p)
+
+    def poly_in(ctx, gen, n):  # a random polynomial of degree n in gen
+        out, power = ctx.zero(), ctx.one()
+        for c in [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]:
+            out, power = out + ctx.from_scalar(c) * power, power * gen
+        return out
+
+    for ints in ((0, 1), (1, 0, 1), (2, 1, 0, 1)):
+        ctx = ctx_for(spec, *ints)
+        desc = center(ctx)
+        X, T = ctx.from_poly(desc.x_generator), desc.y_generator
+        cases = [
+            (ctx.from_scalar(rng.randrange(1, p)), "X"),
+            (poly_in(ctx, X, 1), "X"), (poly_in(ctx, X, 3), "X"),
+            (poly_in(ctx, T, 1), "T"), (poly_in(ctx, T, 2), "T"),
+            (X * T + ctx.one(), "both"), (poly_in(ctx, X, 2) * poly_in(ctx, T, 2), "both"),
+        ]
+        for v, kind in cases:
+            coordinates = _central_coordinates(v)
+            assert coordinates == central_coordinates_oracle(v)
+            assert [c is not None for c in coordinates] == {"X": [True, False], "T": [False, True],
+                                                             "both": [False, False]}[kind]
+        # not in the center: an entry off the identity cell of the decomposition
+        for v in (ctx.x(), ctx.gen(), X * ctx.gen() + T):
+            for route in (_central_coordinates, central_coordinates_oracle):
+                with pytest.raises(SelfCheckError, match="identity basis element"):
+                    route(v)
 
 
 def test_prime_test_non_normal_noncentral():
