@@ -173,6 +173,9 @@ class OreElement:
     def __hash__(self):
         return hash((self.ctx, self.coeffs))
 
+    def __reduce__(self):  # pickle and copy rebuild from the canonical values, at every protocol
+        return OreElement, (self.ctx, self.coeffs)
+
     def _mate(self, other) -> "OreElement":
         # OreElement is tested first: Fraction is an ABC, so isinstance against it is slow
         if not isinstance(other, OreElement):

@@ -125,22 +125,18 @@ class Automorphism:
 
     @property
     def is_identity(self) -> bool:
-        return (
-            self.alpha.is_one() and self.beta.is_zero() and self.f.is_zero()
-        )
+        return self.alpha.is_one() and self.beta.is_zero() and self.f.is_zero()
+
+    def __reduce__(self):  # pickle, copy, == and hash all read these canonical values
+        return Automorphism, (self.ctx, self.alpha, self.beta, self.f)
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
             return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.alpha == other.alpha
-            and self.beta == other.beta
-            and self.f == other.f
-        )
+        return self.__reduce__() == other.__reduce__()
 
     def __hash__(self):
-        return hash((self.ctx, self.alpha, self.beta, self.f))
+        return hash(self.__reduce__())
 
     def __repr__(self):
         return f"Automorphism(alpha={self.alpha}, beta={self.beta}, f={self.f})"

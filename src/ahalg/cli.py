@@ -32,7 +32,7 @@ import ahalg
 
 from .algebra import COMMUTATOR_SPACES, AhContext, antiautomorphism, commutator, format_element
 from .errors import AhError
-from .fields import FieldSpec, decimal_int
+from .fields import FieldSpec, decimal_int, value_str
 from .parsing import parse_element, parse_poly, parse_scalar, refuse_power
 from .poly import FactoredPoly, FactorTerm, Poly, factor, format_poly
 
@@ -209,7 +209,8 @@ def _pairs(pset):
     if pset.lam is not None and not pset.ctx.spec.is_prime_field:
         data = {"shape": "one_parameter_family", "lambda": str(pset.lam)}
         return data, f"family (alpha, (1 - alpha)*{pset.lam}) for alpha in QQ*"
-    pairs = [[str(a), str(b)] for a, b in pset.pairs()]
+    name = functools.cache(value_str)  # each distinct value is formatted once: P has at most p + m
+    pairs = [[name(a.val), name(b.val)] for a, b in pset.pairs()]
     data = {"shape": pset.shape, "pairs": pairs}
     if pset.lam is not None:
         data["lambda"] = str(pset.lam)

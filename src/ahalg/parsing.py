@@ -1,6 +1,5 @@
-"""Expression parsing for scalars, polynomials, and algebra elements.
-
-Grammar (shared with the command line):
+"""Expression parsing for scalars, polynomials, and algebra elements, in the grammar that the
+command line shares:
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
@@ -8,37 +7,26 @@ Grammar (shared with the command line):
     atom   := scalar | 'x' | 'Y' | 'y' | '(' expr ')'
     scalar := int ('/' int)?          -- the '/denominator' form only over QQ
 
-One recursive descent evaluates every expression on its raw normal form
-``sum_i f_i(x) Y^i``: row i holds the integer numerators of f_i over one
-positive denominator (residues over 1 in GF(p)), no row ends in a zero and
-the last row is not empty.  Sums add rows.  A product whose left factor has
-no generator, or whose right factor has no x, is a convolution of rows on
-``poly._mul_add`` (so is every ``c*x^i*Y^j``); only a generator meeting an x
-on its right takes the Ore product, so ``*`` is order-sensitive.  The
-generator letter is 'Y' (subalgebra) or 'y' (Weyl algebra), never both.  At
-most ``MAX_NESTING`` parentheses and unary minus signs may be open at once,
-and a power or product predicted, from the rows of its operands, to take
-more than ``MAX_POWER_WORDS`` words is refused before it is computed.
+One recursive descent evaluates every expression in one pass on its raw normal form
+``sum_i f_i(x) Y^i`` (README, "The expression parser"); ``*`` is order-sensitive, and the
+generators 'Y' (subalgebra) and 'y' (Weyl algebra) never mix.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain
 from math import gcd, lcm
 
 from .algebra import AhContext, OreElement
 from .errors import ParseError
 from .fields import FieldElem, FieldSpec, decimal_int
-from .poly import Poly, _mul_add, _poly, _power, _red
+from .poly import Poly, _poly, _power, _red
 
-# each level of nesting costs at most four Python frames of the descent, so 200
-# levels stay well inside the interpreter's default recursion limit of 1000
+# open '(' and unary '-' at once: three Python frames each, well inside the recursion limit of 1000
 MAX_NESTING = 200
-# a power is refused when its result is predicted to take more than this many
-# 64-bit words (terms times words per coefficient): 2^13 words are 64 KiB, and
-# ``(x+1)^8191`` over GF(1000003), the densest result allowed, takes about 4 s
+# a power or product predicted to take more 64-bit words (terms times words per coefficient) is refused
 MAX_POWER_WORDS = 2**13
 
 _TOKEN = re.compile(r"\d+|[A-Za-z]|[-+*/^()]")
@@ -57,26 +45,37 @@ def _positions(src: str) -> list[int]:
     return [m.start() for m in _TOKEN.finditer(src)] + [len(src)]
 
 
-def _trim(rows, p) -> list:
-    """The fresh rows reduced mod p, less the zeros ending a row and the empty
-    rows at the end: an empty row is falsy, so ``_red`` with no p pops those."""
-    return _red([_red(r, p) for r in rows], None)
-
-
 def _raw(polys) -> tuple[list, int]:
     """The rows and denominator of ``sum polys[i] * Y^i``."""
     den = lcm(*(f._den for f in polys))
     return [[c * (den // f._den) for c in f._nums] for f in polys], den
 
 
-def _size(rows, den: int, p, step: int, exact: bool) -> tuple[int, int, int]:
-    """The Y-degree, weight and coefficient bits of ``rows / den``, which add
-    up under products: x weighs 1 and Y ``step`` (deg h - 1, what delta adds),
-    and the weight is 0 if no coefficient has an x; the bits, 0 over GF(p), are
-    those of ``height * terms``, each row divided by its gcd with den if exact."""
-    ydeg, weight = (len(rows) - 1, len(rows[0]) - 1 if rows[0] else 0) if rows else (0, 0)
-    if ydeg and max(map(len, rows)) > 1:
-        weight = max(len(r) - 1 + i * step for i, r in enumerate(rows) if r)
+def _dense(rows, den: int, size=None) -> tuple[list, int]:
+    """``(rows, den)`` of a parser value, a monomial ``(c, i, j)`` spread out to its rows."""
+    return ([[]] * rows[2] + [[0] * rows[1] + [rows[0]]] if type(rows) is tuple else rows), den
+
+
+def _add(acc: dict, a: list, rows: list) -> dict:
+    """acc, holding row j at key j, plus a times the rows in F[x, Y], in place."""
+    for c, i, j in ((c, i, j) for j, f in enumerate(a) for i, c in enumerate(f) if c):
+        for t, r in enumerate(rows, j):
+            if (n := i + len(r)) > len(row := acc.setdefault(t, [])):
+                row.extend([0] * (n - len(row)))
+            row[i:n] = [u + c * v for u, v in zip(row[i:n], r)]
+    return acc
+
+
+def _rows(acc: dict, p) -> list:
+    """The rows of acc mod p, with no zero ending a row and no empty last row."""
+    return _red([_red(acc.get(j, []), p) for j in range(max(acc, default=-1) + 1)], None)
+
+
+def _size(rows, den: int, p, step: int, exact: bool = False) -> tuple[int, int, int]:
+    """Y-degree, weight (x weighs 1, Y ``step`` = deg h - 1; 0 if no coefficient has an x) and bits
+    (of height * terms, 0 over GF(p); exact: each row over its gcd) of ``rows / den``: they add up."""
+    ydeg, has_x = max(len(rows) - 1, 0), max(map(len, rows), default=0) > 1
+    weight = max(len(r) - 1 + i * step for i, r in enumerate(rows) if r) if has_x else 0
     if p:
         return ydeg, weight, 0
     height, terms = 1, 0
@@ -87,101 +86,102 @@ def _size(rows, den: int, p, step: int, exact: bool) -> tuple[int, int, int]:
     return ydeg, weight, (height - 1).bit_length() + (terms - 1).bit_length()
 
 
+def _words(ydeg: int, weight: int, bits: int, p) -> int:
+    """64-bit words of a result of that size: Y-degrees times x-degrees times words of p or 1 + bits."""
+    return (ydeg + 1) * (weight + 1) * -(-(p.bit_length() if p else 1 + bits) // 64)
+
+
 def _refuse_if_large(what: str, terms, p, src=None, at=0) -> bool:
-    """Refuse, at token ``at`` of src, a result of size ``sum k * _size(value)``
-    over ``(ky, kw, kb, rows, den, step)`` in terms, if its 64-bit words, Y-degrees
-    times x-degrees times the words of p or of ``1 + bits`` bits over QQ, are over
-    ``MAX_POWER_WORDS``; return whether the heights had to be taken exactly."""
+    """Refuse, at token ``at`` of src, a result of size ``sum k * _size(value)`` over the ``(ky, kw, kb,
+    rows, den, step)`` in terms, if its ``_words`` pass the limit; say if heights had to be exact."""
     for exact in (False, True):
         ydeg = weight = bits = 0
         for ky, kw, kb, rows, den, step in terms:
             y, w, b = _size(rows, den, p, step, exact)
             ydeg, weight, bits = ydeg + ky * y, weight + kw * w, bits + kb * b
-        words = (ydeg + 1) * (weight + 1) * -(-(p.bit_length() if p else 1 + bits) // 64)
-        if words <= MAX_POWER_WORDS:
+        if (words := _words(ydeg, weight, bits, p)) <= MAX_POWER_WORDS:
             return exact
-    pos = None if src is None else _positions(src)[at]
-    raise ParseError(f"{what} too large: {words} words, limit {MAX_POWER_WORDS}", pos)
+    raise ParseError(f"{what} too large: {words} words, limit {MAX_POWER_WORDS}", src and _positions(src)[at])
 
 
-def _reduced(rows, den: int):
-    """``(rows, den)`` with the gcd of den and every numerator divided out."""
-    g = gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
-    return (rows, den) if g == 1 else ([[c // g for c in r] for r in rows], den // g)
+def _reduced(rows, den: int, *size):
+    """``(rows, den, *size)`` with the gcd of den and every numerator divided out."""
+    g = gcd(den, *chain.from_iterable(rows)) if den > 1 and type(rows) is list else 1
+    return (rows, den, *size) if g == 1 else ([[c // g for c in r] for r in rows], den // g, *size)
 
 
 class _Parser:
-    """Recursive-descent evaluation of src to ``value = (rows, den)``, with the
-    letters ``names`` ('x', then the generator) as atoms."""
+    """Recursive descent of src to ``value = (rows, den)``, with the letters ``names`` ('x', then the
+    generator) as atoms.  Until then a value is ``(rows, den, size)``: a monomial ``c*x^i*Y^j`` has rows
+    ``(c, i, j)``, in lowest terms, and its exact size; any other has size None, read off its rows."""
 
     def __init__(self, src: str, spec: FieldSpec, names=(), ctx: AhContext | None = None):
         self.src, self.p, self.names, self.ctx = src, spec.characteristic, names, ctx
-        self.step = max(ctx.deg_h - 1, 0) if ctx else 0
-        self.tokens, self.i, self.depth = _tokenize(src), 0, 0
-        self.value = self.expr()
+        self.tokens, self.i, self.step = _tokenize(src), 0, max(ctx.deg_h - 1, 0) if ctx else 0
+        self.value = _dense(*self.expr())
         if self.tokens[self.i]:
             raise self.error("trailing input")
 
     def error(self, message: str, i: int | None = None) -> ParseError:  # at the next token
         return ParseError(message, _positions(self.src)[self.i if i is None else i])
 
-    def enter(self, i: int) -> None:  # one more '(' or unary '-' open, at token i
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.error("expression nested too deeply", i)
-
-    def expr(self):
-        value, tokens = self.term(), self.tokens
+    def expr(self, depth=0):  # depth: how many '(' and unary '-' are open
+        terms, tokens = [(1, self.term(depth))], self.tokens
         while tokens[self.i] in ("+", "-"):
-            sign, self.i = (1 if tokens[self.i] == "+" else -1), self.i + 1
-            (ra, da), (rb, db) = value, self.term()
-            den = da if da == db else lcm(da, db)
-            ka, kb = den // da, sign * (den // db)
-            rows = [[ka * u + kb * v for u, v in zip_longest(f, g, fillvalue=0)]
-                    for f, g in zip_longest(ra, rb, fillvalue=())]
-            value = _trim(rows, self.p), den
-        return value
+            self.i += 1
+            terms.append((1 if tokens[self.i - 1] == "+" else -1, self.term(depth)))
+        if len(terms) == 1:
+            return terms[0][1]
+        acc, den = {}, lcm(*[d for _, (_, d, _) in terms])  # the rows of the sum, over one denominator
+        for sign, (rows, d, _) in terms:
+            k = sign * (den // d)
+            if type(rows) is list:
+                _add(acc, [[k]], rows)
+            elif (i := rows[1]) >= len(row := acc.setdefault(rows[2], [])):  # one entry: O(1), whatever i is
+                row.extend([0] * (i - len(row)) + [k * rows[0]])
+            else:
+                row[i] += k * rows[0]
+        return _rows(acc, self.p), den, None
 
-    def term(self):
-        value = self.factor()
+    def term(self, depth):
+        value, p, s = self.factor(depth), self.p, self.step
         while self.tokens[self.i] == "*":
             at, self.i = self.i, self.i + 1
-            rhs, s = self.factor(), self.step
-            if _refuse_if_large("product", ((1, 1, 1, *value, s), (1, 1, 1, *rhs, s)), self.p, self.src, at):
+            rhs = self.factor(depth)
+            (ya, wa, ba), (yb, wb, bb) = value[2] or _size(*value[:2], p, s), rhs[2] or _size(*rhs[:2], p, s)
+            if _words(ya + yb, wa + wb, ba + bb, p) > MAX_POWER_WORDS and _refuse_if_large(
+                    "product", ((1, 1, 1, *_dense(*value), s), (1, 1, 1, *_dense(*rhs), s)), p, self.src, at):
                 value, rhs = _reduced(*value), _reduced(*rhs)  # compute on what was judged
             value = self.times(value, rhs)
         return value
 
-    def factor(self):
-        tokens, i = self.tokens, self.i
+    def factor(self, depth):
+        tokens, i, p = self.tokens, self.i, self.p
         tok, self.i = tokens[i], i + 1
-        if tok == "-":
-            # negation binds looser than '^': -x^4 means -(x^4)
-            self.enter(i)
-            rows, den = self.factor()
-            self.depth -= 1
-            return _trim([[-c for c in r] for r in rows], self.p), den
+        if depth == MAX_NESTING and tok in ("-", "("):
+            raise self.error("expression nested too deeply", i)
+        if tok == "-":  # negation binds looser than '^': -x^4 means -(x^4)
+            return self.times(((-1, 0, 0), 1, (0, 0, 0)), self.factor(depth + 1))
         if tok.isdecimal():
             num, den = decimal_int(tok), 1
             if tokens[self.i] == "/":
-                if self.p:
+                if p:
                     raise self.error("rational literals need the field QQ")
                 self.i += 2
                 if not tokens[i + 2].isdecimal():
                     raise self.error("denominator must be an integer", i + 2)
                 if (den := decimal_int(tokens[i + 2])) == 0:
                     raise self.error("zero denominator", i + 2)
-            num = num % self.p if self.p else num
-            value = ([[num]], den) if num else ([], 1)
+            g, num = gcd(num, den), num % p if p else num
+            size = (0, 0, 0 if p else (max(num, den) // g - 1).bit_length())
+            value = ((num // g, 0, 0), den // g, size) if num else ([], 1, None)
         elif tok in self.names:
-            value = ([[0, 1]] if tok == "x" else [[], [1]]), 1
+            value = ((1, 1, 0), 1, (0, 1, 0)) if tok == "x" else ((1, 0, 1), 1, (1, 0, 0))
         elif tok == "(":
-            self.enter(i)
-            value = self.expr()
+            value = self.expr(depth + 1)
             if tokens[self.i] != ")":
                 raise self.error("expected ')'")
             self.i += 1
-            self.depth -= 1
         else:
             raise self.error(f"unknown name {tok!r} here" if tok.isalpha() else "expected a value", i)
         if tokens[self.i] != "^":
@@ -191,37 +191,38 @@ class _Parser:
             raise self.error("negative exponents are not allowed" if tokens[at] == "-"
                              else "exponent must be a nonnegative integer", at)
         self.i, exp = at + 1, decimal_int(tokens[at])
-        if exp > 1:  # value^0 and value^1 are no larger than value
-            _refuse_if_large("power", ((exp, exp, exp, *value, self.step),), self.p, self.src, at)
+        y, w, b = value[2] or _size(*value[:2], p, self.step)
+        if exp > 1 and _words(exp * y, exp * w, exp * b, p) > MAX_POWER_WORDS:  # value^0, value^1 pass
+            _refuse_if_large("power", ((exp, exp, exp, *_dense(*value), self.step),), p, self.src, at)
         if tok in self.names:  # x^n and Y^n are monomials
-            return ([[0] * exp + [1]] if tok == "x" else [[]] * exp + [[1]]), 1
+            return ((1, exp, 0), 1, (0, exp, 0)) if tok == "x" else ((1, 0, exp), 1, (exp, 0, 0))
         # powers of a reduced base stay reduced (Gauss's lemma; _raw reduces Ore products)
-        return _power(_reduced(*value), exp, self.times, ([[1]], 1))
+        return _power(_reduced(*value), exp, self.times, ((1, 0, 0), 1, (0, 0, 0)))
 
     def times(self, a, b):
-        (ra, da), (rb, db) = a, b
-        if len(ra) == 1 and len(ra[0]) == 1:
-            ra, rb = rb, ra  # a scalar commutes with everything
-        if len(rb) == 1 and len(rb[0]) == 1:  # a nonzero scalar, and p is prime
-            c, p = rb[0][0], self.p
-            return [[c * v % p for v in r] if p else [c * v for v in r] for r in ra], da * db
-        if len(ra) > 1 and any(len(g) > 1 for g in rb):
-            # a generator meets an x on its right: the Ore product
-            fs, gs = ([_poly(self.ctx.spec, r, d) for r in rows] for rows, d in (a, b))
-            return _raw((OreElement(self.ctx, fs) * OreElement(self.ctx, gs)).coeffs)
-        # a in F[x] or b in F[Y]: f_i Y^i * g_j Y^j = f_i g_j Y^(i+j)
-        rows = [[] for _ in range(len(ra) + len(rb) - 1)]
-        for i, f in enumerate(ra):
-            for j, g in enumerate(rb, i):
-                if f and g:
-                    _mul_add(rows[j], 1, f, g)
-        return _trim(rows, self.p), da * db
+        (ra, da, _), (rb, db, _) = a, b
+        if (ra[2] if type(ra) is tuple else len(ra) > 1) and (  # a generator meets an x on its right:
+                rb[1] if type(rb) is tuple else any(len(g) > 1 for g in rb)):  # the Ore product
+            fs, gs = ([_poly(self.ctx.spec, r, d) for r in _dense(*v)[0]] for v, d in ((a, da), (b, db)))
+            return (*_raw((OreElement(self.ctx, fs) * OreElement(self.ctx, gs)).coeffs), None)
+        # else a product in F[x, Y], which commutes: the larger factor shifted by each term of the other
+        if type(rb) is tuple or type(ra) is list and sum(map(len, ra)) > sum(map(len, rb)):
+            ra, rb = rb, ra
+        if type(ra) is tuple and type(rb) is list:  # each row scaled and shifted: no zero is made
+            (c, i, j), p = ra, self.p
+            rows = [[0] * i + ([c * v % p for v in r] if p else [c * v for v in r]) if r else [] for r in rb]
+            return ([[]] * j + rows if rows else []), da * db, None
+        if type(rb) is list:
+            return _rows(_add({}, ra, rb), self.p), da * db, None
+        (c, i, j), p = (ra[0] * rb[0], ra[1] + rb[1], ra[2] + rb[2]), self.p
+        c, den = (c % p, 1) if p else (c // (g := gcd(c, da * db)), da * db // g)
+        size = (j, i + j * self.step if i else 0, 0 if p else (max(abs(c), den) - 1).bit_length())
+        return (c, i, j), den, size
 
 
 def refuse_power(what: str, n: int, p, powered, fixed=(), steps=MAX_POWER_WORDS, substitute=False):
-    """Refuse an integer argument n past ``steps``, or whose result is over the
-    words limit as the exponent of the values ``powered`` (with ``substitute``,
-    as x -> x^n in them) next to ``fixed``; the caller checks n < 0 itself."""
+    """Refuse an integer argument n past ``steps``, or whose result is over the words limit as the
+    exponent of the values ``powered`` (with ``substitute``, as x -> x^n) next to ``fixed``; n >= 0."""
     n, terms = max(n, 0), []
     for values, scales in ((powered, (1 if substitute else n, n, n)), (fixed, (1, 1, 1))):
         for v in values:
@@ -249,8 +250,7 @@ def parse_element(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
     letter is a parse error, so the two generators never mix."""
     if generator not in ("Y", "y"):
         raise ValueError("generator letter must be 'Y' or 'y'")
-    other = "y" if generator == "Y" else "Y"
-    if other in src:
+    if (other := "y" if generator == "Y" else "Y") in src:
         message = f"generator {other!r} cannot appear in a {generator!r} expression"
         raise ParseError(message, src.index(other))
     rows, den = _Parser(src, ctx.spec, ("x", generator), ctx).value

@@ -23,6 +23,7 @@ import ahalg.normal as normal
 import ahalg.weyl as weyl
 from ahalg import (
     AhContext,
+    Automorphism,
     FieldSpec,
     Poly,
     center,
@@ -219,7 +220,9 @@ def test_every_type_pickles_at_every_protocol():
         h = Poly.from_ints(spec, ints)
         ctx = AhContext(spec, h, gen_symbol="Z")
         structure = classify_aut_group(ctx)
-        values = [spec, spec.from_int(3) / 2, h, ctx, compute_P(ctx), structure]
+        shear = Automorphism(ctx, 1, 0, h)
+        values = [spec, spec.from_int(3) / 2, h, ctx, compute_P(ctx), structure,
+                  ctx.gen(), ctx.x() * ctx.gen() + 2, shear, shear.compose(shear)]
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             for value in values:
                 twin = pickle.loads(pickle.dumps(value, protocol))

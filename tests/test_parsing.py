@@ -29,6 +29,7 @@ from ahalg.parsing import (
     _positions,
     _raw,
     _reduced,
+    _dense,
     _size,
     _tokenize,
     _refuse_if_large,
@@ -372,7 +373,7 @@ def test_a_common_factor_is_divided_out_before_it_grows(monkeypatch, capsys):
 
     def bounded_times(self, a, b):
         out = times(self, a, b)
-        for rows, den in (a, b, out):
+        for rows, den in (_dense(*v) for v in (a, b, out)):  # a value (rows, den, size), rows spread out
             assert max(map(abs, chain([den], *rows))).bit_length() <= cap, "a common factor grew"
         return out
 
@@ -534,10 +535,77 @@ def test_power_loop_is_repeated_product_on_parser_values(spec):
     src = "x*Y + 2/3" if not spec.p else "x*Y + 2"
     for text in (src, "x + 1"):
         parser = _Parser(text, spec, ("x", "Y"), ctx)
-        value, one = _reduced(*parser.value), ([[1]], 1)
+        value, one = _reduced(*parser.value, None), ([[1]], 1, None)  # values carry a size, or None
         expected = one
         for e in range(41):
             assert _reduced(*_power(value, e, parser.times, one)) == _reduced(*expected), e
             expected = parser.times(expected, value)
     a = parse_element(src, ctx)
     assert parse_element(f"({src})^40", ctx) == a**40
+
+
+def _diff_monomial(rng, gen, rational):
+    """One monomial c*x^i*Y^j spelled one of several ways: a QQ fraction with a
+    common factor, a unary-minus chain, x^0, a high power, Y*x as well as x*Y."""
+    c = rng.randint(0, 9)
+    if rational and rng.random() < 0.4:
+        k = rng.choice((2, 6, 2**32, 3**41))
+        coeff = f"{c * k}/{rng.randint(1, 7) * k}"
+    else:
+        coeff = str(c)
+    xs = rng.choice(("", "x", f"x^{rng.randint(0, 60)}", f"x^{rng.choice((999, 4000))}"))
+    ys = rng.choice(("", gen, f"{gen}^{rng.randint(0, 4)}")) if gen else ""
+    letters = [f for f in (xs, ys) if f]
+    if rng.random() < 0.5:
+        letters.reverse()
+    factors = [coeff, *letters] if rng.random() < 0.7 else [*letters, coeff]
+    return "-" * rng.choice((0, 0, 0, 1, 2, 3)) + "*".join(factors)
+
+
+def _diff_sum(rng, gen, rational, n, depth=0):
+    """A sum of n monomials and parenthesized sums, some powered or multiplied."""
+    out = ""
+    for k in range(n):
+        if depth < 2 and rng.random() < 0.08:
+            term = "(" + _diff_sum(rng, gen, rational, rng.randint(1, 6), depth + 1) + ")"
+            if rng.random() < 0.4:
+                term += f"^{rng.randint(0, 3)}"
+            if rng.random() < 0.5:
+                term = rng.choice((term + "*", "-" * rng.randint(0, 2))) + _diff_monomial(rng, gen, rational)
+        else:
+            term = _diff_monomial(rng, gen, rational)
+        out += (rng.choice((" + ", " - ", "+", "-")) if k else "") + term
+    return out
+
+
+def _diff_boundaries(gen):
+    """Zero operands at products and powers just under, at and over the words limit,
+    next to coefficients of 62 to 65 bits, where the one bit of a zero crosses a word."""
+    half, top = MAX_POWER_WORDS // 2, MAX_POWER_WORDS - 1
+    out = ["(2*x)^703", "(2*x)^704", "(6/4*x)^511", "(6/4*x)^512"]  # 7744, 8460, 8192 and 8721 words over QQ
+    for zero in ("0", "(x - x)", "(3*x^7 - 3*x^7)"):
+        out += [f"{zero}*x^{top - 1}", f"{zero}*x^{top}", f"x^{top}*{zero}", f"x^{half}*{zero}*x^{half - 1}",
+                f"x^{half}*x^{half}*{zero}", f"{zero}^{64 * MAX_POWER_WORDS - 1}", f"{zero}^{64 * MAX_POWER_WORDS}"]
+        for c in (2**62, 2**63, 2**63 + 1, 2**64 + 1):
+            out += [f"{c}*x^{half - 1}*{zero}", f"{c}*x^{half}*{zero}", f"({c}*x^{half - 1} + {zero})*{zero}"]
+    if gen:  # x*Y weighs 1 + deg h - 1: 2 when h = x^2, so x*Y*x^4093 takes 2 * 4096 words
+        out += [f"{gen}^{half - 1}*(x - x)*x", f"(x*{gen} - {gen}*x)*x^{half}", f"{gen}*x^{half - 1}*(x-x)",
+                f"(x*{gen})^64", f"x*{gen}*x^{half - 3}", f"x*{gen}*x^{half - 2}"]
+    return out
+
+
+@pytest.mark.parametrize("spec", (QQ, FieldSpec.gf(2), FieldSpec.gf(1000003)), ids=repr)
+def test_parser_matches_the_oracles_on_a_seeded_differential_corpus(spec):
+    # sums of up to a few hundred monomials and the words-limit boundaries, on the
+    # three parsers: the same value, or the same ParseError message and position
+    rng = random.Random(f"differential:{spec!r}")
+    rational = not spec.is_prime_field
+    srcs = [_diff_sum(rng, None, rational, n) for n in (1, 2, 5, 40, 300)] + _diff_boundaries(None)
+    for src in srcs:
+        assert _plain_outcome(parse_poly, src, spec) == _plain_outcome(parse_poly_oracle, src, spec), src
+        scalar = re.sub(r"x(\^\d+)?", "2", src)  # the same shapes with no letter
+        assert _plain_outcome(parse_scalar, scalar, spec) == _plain_outcome(parse_scalar_oracle, scalar, spec), scalar
+    for ctx, gen in _contexts(spec):
+        srcs = [_diff_sum(rng, gen, rational, n) for n in (1, 3, 20, 100)] + _diff_boundaries(gen)
+        for src in srcs:
+            assert _outcome(parse_element, src, ctx, gen) == _outcome(parse_element_oracle, src, ctx, gen), src
