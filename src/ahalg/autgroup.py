@@ -49,7 +49,7 @@ from .errors import (
     SelfCheckError,
     WrongHError,
 )
-from .fields import FieldElem, FieldSpec
+from .fields import FieldElem, FieldSpec, _factor
 from .poly import MAX_DENSE_TERMS, Poly, _kept, _parts, _poly, gcd_monic, rational_roots
 
 
@@ -495,17 +495,7 @@ def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[FieldElem]:
 
 
 def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return [q for q, _ in _factor(n)]
 
 
 def _order(a: FieldElem, n: int) -> int:

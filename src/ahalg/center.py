@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import COMMUTATOR_SPACES, AhContext, OreElement, commutator
+from .algebra import COMMUTATOR_SPACES, AhContext, OreElement, _element, commutator
 from .errors import AhError, CharacteristicError, SelfCheckError
 from .fields import FieldElem
 from .poly import MAX_DENSE_TERMS, Poly, _add, _kept, _mulmod, _powmod, _red, _spread, _tail
@@ -57,7 +57,7 @@ def center(ctx: AhContext) -> CenterDescription:
         raise AhError(f"center too large: {terms} coefficients, limit {MAX_DENSE_TERMS}")
     cs = _kept(h, "correction", _correction) if d else []
     correction, zero = _spread(spec, cs, p), Poly.zero(spec)
-    y_gen = ctx.element((zero, -correction) + (zero,) * (p - 2) + (Poly.one(spec),))
+    y_gen = _element(ctx, (zero, -correction) + (zero,) * (p - 2) + (Poly.one(spec),))
     return CenterDescription(p, Poly.monomial(spec, 1, p), y_gen, correction)
 
 
@@ -224,11 +224,8 @@ def bracket_yhat_preimage(a: OreElement) -> OreElement:
         q, rem = divmod(f, ctx.h)
         if not rem.is_zero():
             raise SelfCheckError("h must divide every coefficient")
-        anti = [spec.zero()] + [
-            c / spec.from_int(j + 1) for j, c in enumerate(q.coeffs)
-        ]
-        coeffs.append(Poly(spec, anti))
-    b = ctx.element(coeffs)
+        coeffs.append(Poly(spec, [0] + [c / (j + 1) for j, c in enumerate(q.coeffs)]))
+    b = _element(ctx, coeffs)
     if commutator(ctx.gen(), b) != a:
         raise SelfCheckError("[Y, b] differs from the element")
     return b

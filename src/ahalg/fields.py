@@ -57,6 +57,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The pairs ``(q, e)``, q prime and rising, with q^e exactly dividing
+    n >= 1: trial division by 2 and the odd d up to the root of what is left."""
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 2 if d > 2 else 1
+    return out + [(n, 1)] * (n > 1)
+
+
 def value_str(v) -> str:
     """``str`` of an int or a Fraction, also past the interpreter's limit on
     int-to-str conversion (process-wide state, which is left as it is)."""

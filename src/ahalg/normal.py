@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .algebra import AhContext, OreElement, commutator
+from .algebra import AhContext, OreElement, _element, commutator
 from .center import is_central
 from .errors import NotNormalError, SelfCheckError, UnverifiableError, ZeroInputError
 from .poly import FactoredPoly, Poly, _kept, _poly, _spread, factor, is_irreducible
@@ -107,7 +107,7 @@ def classify_normal(
         if not rem.is_zero():
             raise NotNormalError("extracted prime part does not divide the element")
         central_coeffs.append(q)
-    z = ctx.element(central_coeffs)
+    z = _element(ctx, central_coeffs)
     if not is_central(z):
         raise NotNormalError("residual part is not central")
     out = NormalClassification(tuple(factors), z)

@@ -19,10 +19,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .algebra import AhContext, OreElement
+from .algebra import AhContext, OreElement, _element
 from .errors import ParseError
 from .fields import FieldElem, FieldSpec, decimal_int
-from .poly import Poly, _poly, _power, _red
+from .poly import Poly, _mul_add, _poly, _power, _red
 
 # open '(' and unary '-' at once: three Python frames each, well inside the recursion limit of 1000
 MAX_NESTING = 200
@@ -54,16 +54,6 @@ def _raw(polys) -> tuple[list, int]:
 def _dense(rows, den: int, size=None) -> tuple[list, int]:
     """``(rows, den)`` of a parser value, a monomial ``(c, i, j)`` spread out to its rows."""
     return ([[]] * rows[2] + [[0] * rows[1] + [rows[0]]] if type(rows) is tuple else rows), den
-
-
-def _add(acc: dict, a: list, rows: list) -> dict:
-    """acc, holding row j at key j, plus a times the rows in F[x, Y], in place."""
-    for c, i, j in ((c, i, j) for j, f in enumerate(a) for i, c in enumerate(f) if c):
-        for t, r in enumerate(rows, j):
-            if (n := i + len(r)) > len(row := acc.setdefault(t, [])):
-                row.extend([0] * (n - len(row)))
-            row[i:n] = [u + c * v for u, v in zip(row[i:n], r)]
-    return acc
 
 
 def _rows(acc: dict, p) -> list:
@@ -136,7 +126,8 @@ class _Parser:
         for sign, (rows, d, _) in terms:
             k = sign * (den // d)
             if type(rows) is list:
-                _add(acc, [[k]], rows)
+                for j, r in enumerate(rows):
+                    _mul_add(acc.setdefault(j, []), k, r, (1,))
             elif (i := rows[1]) >= len(row := acc.setdefault(rows[2], [])):  # one entry: O(1), whatever i is
                 row.extend([0] * (i - len(row)) + [k * rows[0]])
             else:
@@ -204,7 +195,7 @@ class _Parser:
         if (ra[2] if type(ra) is tuple else len(ra) > 1) and (  # a generator meets an x on its right:
                 rb[1] if type(rb) is tuple else any(len(g) > 1 for g in rb)):  # the Ore product
             fs, gs = ([_poly(self.ctx.spec, r, d) for r in _dense(*v)[0]] for v, d in ((a, da), (b, db)))
-            return (*_raw((OreElement(self.ctx, fs) * OreElement(self.ctx, gs)).coeffs), None)
+            return (*_raw((_element(self.ctx, fs) * _element(self.ctx, gs)).coeffs), None)
         # else a product in F[x, Y], which commutes: the larger factor shifted by each term of the other
         if type(rb) is tuple or type(ra) is list and sum(map(len, ra)) > sum(map(len, rb)):
             ra, rb = rb, ra
@@ -212,8 +203,12 @@ class _Parser:
             (c, i, j), p = ra, self.p
             rows = [[0] * i + ([c * v % p for v in r] if p else [c * v for v in r]) if r else [] for r in rb]
             return ([[]] * j + rows if rows else []), da * db, None
-        if type(rb) is list:
-            return _rows(_add({}, ra, rb), self.p), da * db, None
+        if type(rb) is list:  # in F[x, Y]: one schoolbook product per pair of rows
+            acc = {}
+            for j, f in enumerate(ra):
+                for t, g in enumerate(rb, j):
+                    _mul_add(acc.setdefault(t, []), 1, f, g)
+            return _rows(acc, self.p), da * db, None
         (c, i, j), p = (ra[0] * rb[0], ra[1] + rb[1], ra[2] + rb[2]), self.p
         c, den = (c % p, 1) if p else (c // (g := gcd(c, da * db)), da * db // g)
         size = (j, i + j * self.step if i else 0, 0 if p else (max(abs(c), den) - 1).bit_length())
@@ -254,4 +249,4 @@ def parse_element(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
         message = f"generator {other!r} cannot appear in a {generator!r} expression"
         raise ParseError(message, src.index(other))
     rows, den = _Parser(src, ctx.spec, ("x", generator), ctx).value
-    return OreElement(ctx, [_poly(ctx.spec, r, den) for r in rows])
+    return _element(ctx, [_poly(ctx.spec, r, den) for r in rows])

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldMismatch, SelfCheckError, ZeroInputError
-from .fields import FieldElem, FieldSpec, value_str
+from .fields import FieldElem, FieldSpec, _factor, value_str
 
 NEG_INF = float("-inf")
 
@@ -117,13 +117,17 @@ def _spread(spec: FieldSpec, nums, k: int) -> "Poly":
 
 def _mul_add(out: list, c: int, a, b) -> list:
     """Add ``c * a * b`` to the int list ``out``, extended as needed, and
-    return it: the one schoolbook loop of every product, on numerator lists."""
+    return it: the one schoolbook loop of every product, on numerator lists.
+    Past 160 terms of b a row adds as one slice, which measured faster there."""
     if len(a) > len(b):
         a, b = b, a
-    out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+    n = len(b)
+    out.extend([0] * (len(a) + n - 1 - len(out)))
     for i, x in enumerate(a):
-        if x:
-            x *= c
+        x *= c
+        if x and n > 160:
+            out[i:i + n] = [u + x * y for u, y in zip(out[i:i + n], b)]
+        elif x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
@@ -726,14 +730,10 @@ def rational_roots(f: Poly) -> list[FieldElem]:
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """The divisors of n >= 1, rising, from its factorization."""
+    out = [1]
+    for q, e in _factor(n):
+        out = [d * q**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 

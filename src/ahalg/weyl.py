@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import AhContext, OreElement, _delta, div_right_exact
+from .algebra import AhContext, OreElement, _delta, _element, div_right_exact
 from .errors import (
     ContextMismatch,
     NotDivisibleError,
@@ -86,7 +86,7 @@ def from_hy_coordinates(fs, ctx: AhContext) -> OreElement:
     for j in range(n - 1, -1, -1):
         terms = [(-1, out[i]._nums, rows[i][j], out[i]._den * ds[i]) for i in range(j + 1, n)]
         out[j] = sum_of_raw_products(ctx.spec, terms + [(1, fs[j]._nums, (1,), fs[j]._den)])
-    return ctx.element(out)
+    return _element(ctx, out)
 
 
 def _powers(f: Poly, n: int) -> list[Poly]:
@@ -101,7 +101,7 @@ def to_weyl(a: OreElement) -> OreElement:
     """Expand a through Y = y*h: the coefficient of y^j is ``f_j * h^j``."""
     fs = hy_coordinates(a)
     hs = _powers(a.ctx.h, len(fs))
-    return weyl_context(a.ctx.spec).element([f * hj for f, hj in zip(fs, hs)])
+    return _element(weyl_context(a.ctx.spec), [f * hj for f, hj in zip(fs, hs)])
 
 
 def from_weyl(w: OreElement, ctx: AhContext) -> OreElement:
@@ -197,11 +197,11 @@ def ore_witness(a: OreElement, f: Poly, side: str = "right") -> OreWitness:
             if not rem.is_zero():
                 raise SelfCheckError("Ore divisibility must hold coefficientwise")
             quot.append(q)
-        a1 = ctx.element(quot)
+        a1 = _element(ctx, quot)
         if prod != f * a1:
             raise SelfCheckError("right Ore witness fails a * s1 = f * a1")
         return OreWitness(a1, s1, "right")
-    prod = ctx.element([s1 * c for c in a.coeffs])
+    prod = _element(ctx, [s1 * c for c in a.coeffs])
     a1 = div_right_exact(prod, ctx.from_poly(f))
     if a1 is None or prod != a1 * f:
         raise SelfCheckError("left Ore witness fails s1 * a = a1 * f")

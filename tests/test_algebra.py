@@ -17,7 +17,7 @@ from ahalg import (
     div_right_exact,
 )
 from ahalg import algebra
-from ahalg.errors import ContextMismatch, SelfCheckError, ZeroInputError
+from ahalg.errors import ContextMismatch, FieldMismatch, SelfCheckError, ZeroInputError
 
 from helpers import (
     antiautomorphism_oracle,
@@ -391,3 +391,58 @@ def test_element_terms_join_on_every_sign_pattern():
     assert str(ctx.element((x - one, one - x * x))) == "(-x^2 + 1)*Y + x - 1"
     assert str(ctx.element((-x, Poly(QQ, (0, -2))))) == "-2*x*Y - x"
     assert str(ctx.zero()) == "0"
+    # over GF(p) a coefficient -1 is the residue p - 1: a Y-power prints a minus sign only for it
+    ctx, x5 = ctx_for(F5, 0, 1), Poly.x(F5)
+    assert str(ctx.element((0, 4))) == "-Y"
+    assert str(ctx.element((4, 4))) == "-Y + 4"
+    assert str(ctx.element((1, 4, 4))) == "-Y^2 - Y + 1"
+    assert str(ctx.element((0, 0, x5.scaled(4)))) == "4*x*Y^2"
+
+
+ENTRY_POINTS = {
+    "element": lambda ctx, v: ctx.element((0, v)),
+    "OreElement": lambda ctx, v: algebra.OreElement(ctx, (v, 1)),
+    "from_poly": lambda ctx, v: ctx.from_poly(v),
+    "monomial": lambda ctx, v: ctx.monomial(v, 2),
+    "add": lambda ctx, v: ctx.gen() + v,
+    "radd": lambda ctx, v: v + ctx.gen(),
+    "sub": lambda ctx, v: ctx.gen() - v,
+    "rsub": lambda ctx, v: v - ctx.gen(),
+    "mul": lambda ctx, v: ctx.gen() * v,
+    "rmul": lambda ctx, v: v * ctx.gen(),
+    "eq": lambda ctx, v: ctx.gen() == v,
+    "commutator": lambda ctx, v: commutator(ctx.gen(), v),
+    "rcommutator": lambda ctx, v: commutator(v, ctx.gen()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("spec", (QQ, F5), ids=str)
+def test_entry_points_refuse_values_over_another_field(spec, name):
+    ctx, other = ctx_for(spec, 0, 1), FieldSpec.gf(7)
+    with pytest.raises(ContextMismatch):
+        ENTRY_POINTS[name](ctx, Poly.x(other))
+    with pytest.raises(FieldMismatch):
+        ENTRY_POINTS[name](ctx, other.from_int(3))
+    foreign = ctx_for(other, 0, 1).gen()
+    if name == "eq":  # an element of another context is unequal; the operations refuse it
+        assert ENTRY_POINTS[name](ctx, foreign) is False
+    elif name not in ("element", "OreElement", "from_poly", "monomial"):
+        with pytest.raises(ContextMismatch):
+            ENTRY_POINTS[name](ctx, foreign)
+    with pytest.raises(FieldMismatch):
+        ctx.from_scalar(other.from_int(3))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("spec", (QQ, F5), ids=str)
+def test_entry_points_coerce_ints_fractions_and_field_elements(spec, name):
+    ctx = ctx_for(spec, 0, 1)
+    values = [3, Fraction(12, 4), spec.from_int(3), Poly.constant(spec.from_int(3))]
+    if not spec.p:
+        values = [Fraction(3, 7), spec.elem(Fraction(3, 7)), Poly.constant(spec.elem(Fraction(3, 7)))]
+    results = [ENTRY_POINTS[name](ctx, v) for v in values]
+    assert all(r == results[-1] for r in results)
+    assert all(type(r) is type(results[-1]) for r in results)
+    scalars = [ctx.from_scalar(v) for v in values[:-1]]
+    assert all(s == ctx.from_poly(values[-1]) and s.coeffs == (values[-1],) for s in scalars)

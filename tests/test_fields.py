@@ -126,3 +126,24 @@ def test_inverse_and_pow():
     assert F5.from_int(2) ** -1 == F5.from_int(3)
     assert QQ.elem(Fraction(2, 3)) ** -2 == Fraction(9, 4)
     assert F7.from_int(3) ** 6 == 1
+
+
+def test_one_trial_division_serves_divisors_and_prime_divisors():
+    from ahalg.autgroup import _prime_divisors
+    from ahalg.fields import _factor
+    from ahalg.poly import _divisors
+
+    limit = 10**5
+    divisors = [[] for _ in range(limit)]  # brute force: a sieve of divisors
+    for d in range(1, limit):
+        for m in range(d, limit, d):
+            divisors[m].append(d)
+    for n in range(1, limit):
+        assert _divisors(n) == divisors[n]
+        assert _prime_divisors(n) == [d for d in divisors[n] if len(divisors[d]) == 2]
+    primes = [q for q in range(2**20 - 200, 2**20 + 200) if _is_prime(q)]
+    for p, q in ((primes[0], primes[-1]), (primes[1], primes[2]), (primes[3], primes[3])):
+        expected = [(p, 1), (q, 1)] if p != q else [(p, 2)]
+        assert _factor(p * q) == expected
+        assert _prime_divisors(p * q) == [e[0] for e in expected]
+        assert _divisors(p * q) == sorted({1, p, q, p * q})
