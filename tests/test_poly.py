@@ -645,3 +645,17 @@ def test_terms_join_on_every_sign_pattern():
     assert str(P(QQ, 1, -1, 0, 1)) == "x^3 - x + 1"
     assert str(Poly(QQ, (Fraction(-1, 2), 0, -1))) == "-x^2 - 1/2"
     assert str(P(F3, 2, 1, 1)) == "x^2 + x + 2"
+
+
+@pytest.mark.parametrize("n", (1, 159, 160, 161, 240))
+def test_schoolbook_loop_agrees_across_its_long_row_crossover(n):
+    rng = random.Random(n)
+    for c, zeros in ((1, 0.0), (-3, 0.5)):
+        a = [rng.randrange(-99, 100) if rng.random() >= zeros else 0 for _ in range(7)]
+        b = [rng.randrange(-99, 100) for _ in range(n)]
+        out = [rng.randrange(-9, 10) for _ in range(rng.randrange(n + 9))]
+        expected = out + [0] * (n + 6 - len(out))
+        for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+            expected[i + j] += c * x * y
+        assert poly_module._mul_add(list(out), c, a, b) == expected
+        assert poly_module._mul_add(list(out), c, b, a) == expected
