@@ -141,10 +141,8 @@ class OreElement:
             elif c.spec is not ctx.spec and c.spec != ctx.spec:
                 raise ContextMismatch("coefficient over the wrong field")
             cs.append(c)
-        while cs and not cs[-1]._nums:
-            cs.pop()
-        self.ctx = ctx
-        self.coeffs = tuple(cs)
+        a = _element(ctx, cs)
+        self.ctx, self.coeffs = a.ctx, a.coeffs
 
     # -- structure --------------------------------------------------------
 

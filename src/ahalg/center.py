@@ -224,7 +224,10 @@ def bracket_yhat_preimage(a: OreElement) -> OreElement:
         q, rem = divmod(f, ctx.h)
         if not rem.is_zero():
             raise SelfCheckError("h must divide every coefficient")
-        coeffs.append(Poly(spec, [0] + [c / (j + 1) for j, c in enumerate(q.coeffs)]))
+        anti = [spec.zero()] + [
+            c / spec.from_int(j + 1) for j, c in enumerate(q.coeffs)
+        ]
+        coeffs.append(Poly(spec, anti))
     b = _element(ctx, coeffs)
     if commutator(ctx.gen(), b) != a:
         raise SelfCheckError("[Y, b] differs from the element")

@@ -117,17 +117,13 @@ def _spread(spec: FieldSpec, nums, k: int) -> "Poly":
 
 def _mul_add(out: list, c: int, a, b) -> list:
     """Add ``c * a * b`` to the int list ``out``, extended as needed, and
-    return it: the one schoolbook loop of every product, on numerator lists.
-    Past 160 terms of b a row adds as one slice, which measured faster there."""
+    return it: the one schoolbook loop of every product, on numerator lists."""
     if len(a) > len(b):
         a, b = b, a
-    n = len(b)
-    out.extend([0] * (len(a) + n - 1 - len(out)))
+    out.extend([0] * (len(a) + len(b) - 1 - len(out)))
     for i, x in enumerate(a):
-        x *= c
-        if x and n > 160:
-            out[i:i + n] = [u + x * y for u, y in zip(out[i:i + n], b)]
-        elif x:
+        if x:
+            x *= c
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out

@@ -647,8 +647,8 @@ def test_terms_join_on_every_sign_pattern():
     assert str(P(F3, 2, 1, 1)) == "x^2 + x + 2"
 
 
-@pytest.mark.parametrize("n", (1, 159, 160, 161, 240))
-def test_schoolbook_loop_agrees_across_its_long_row_crossover(n):
+@pytest.mark.parametrize("n", (1, 7, 240))
+def test_schoolbook_loop_matches_a_plain_convolution(n):
     rng = random.Random(n)
     for c, zeros in ((1, 0.0), (-3, 0.5)):
         a = [rng.randrange(-99, 100) if rng.random() >= zeros else 0 for _ in range(7)]
