@@ -8,10 +8,11 @@ is deterministic given the same arguments and --seed.
 
 ``COMMANDS`` is the only place a subcommand is defined: it maps each name to
 its positional arguments, its help text and a handler that returns the JSON
-data and the pretty text.  ``build_parser`` walks the table to declare the
-subcommands, and ``run`` looks the handler up and prints one of the two
-renderings.  Commands with the same output shape share one renderer.  One
-parser, built at the first ``run``, serves every later ``run`` of the process.
+data and the pretty text; ``FLAGS`` declares the global flags.  ``run`` reads
+a well-formed argv off the two tables and leaves any other argv, help
+included, to the parser ``build_parser`` declares from them, so every usage,
+help and error text is argparse's own; only then is argparse imported and the
+parser built, once per process.  Commands with one output shape share a renderer.
 
 Importing this module loads what every command needs (``errors``,
 ``fields``, ``poly``, ``algebra``, ``parsing``).  The structure operations
@@ -22,11 +23,11 @@ mul`` never loads them.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import ahalg
 
@@ -42,57 +43,77 @@ def _field_syntax(text: str) -> str:
     digits = text[3:]
     if text == "QQ" or (text[:3] == "GF:" and digits.isascii() and digits.isdigit()):
         return text
+    import argparse
+
     raise argparse.ArgumentTypeError(f"unknown field {text!r} (use QQ or GF:p)")
 
 
-def _add_global_flags(parser, suppress: bool) -> None:
-    # `suppress` keeps subcommand parsers from clobbering values that were
-    # already parsed before the subcommand name
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument(
-        "--field", type=_field_syntax, default=default("QQ"), help="QQ or GF:p (p prime)"
-    )
-    parser.add_argument(
-        "--h", dest="h", default=default(None), help="the commutation polynomial h(x)"
-    )
-    parser.add_argument(
-        "--h-factored",
-        dest="h_factored",
-        default=default(None),
-        help="comma list of factor^mult entries (with an optional unit) for h",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=default(False),
-        help="machine-readable output",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=default(0),
-        help="seed for randomized factoring",
-    )
+# Every global flag, in `ah --help` order: flag -> (dest, default, argparse keywords).
+FLAGS = {
+    "--field": ("field", "QQ", {"type": _field_syntax, "help": "QQ or GF:p (p prime)"}),
+    "--h": ("h", None, {"help": "the commutation polynomial h(x)"}),
+    "--h-factored": ("h_factored", None, {
+        "help": "comma list of factor^mult entries (with an optional unit) for h"}),
+    "--json": ("json", False, {"action": "store_true", "help": "machine-readable output"}),
+    "--seed": ("seed", 0, {"type": int, "help": "seed for randomized factoring"}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _positionals(command: str) -> list:
+    """(name, argparse keywords) for each positional argument of a command."""
+    return [(arg, {}) if isinstance(arg, str) else arg for arg in COMMANDS[command][0]]
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ah",
         description="Exact computations in the algebras with relation Y*x - x*Y = h(x).",
     )
-    _add_global_flags(parser, suppress=False)
+    # the subcommands' copies default to SUPPRESS: a value given before the name stays
     common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
+    for flag, (dest, default, kwargs) in FLAGS.items():
+        parser.add_argument(flag, dest=dest, default=default, **kwargs)
+        common.add_argument(flag, dest=dest, default=argparse.SUPPRESS, **kwargs)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, (positional, help_text, _) in COMMANDS.items():
+    for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[common])
-        for arg in positional:
-            arg, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        for arg, kwargs in _positionals(name):
             p.add_argument(arg, **kwargs)
     return parser
+
+
+def _well_formed(argv):
+    """The namespace argparse returns for ``argv``, read off FLAGS and COMMANDS, or
+    None unless argv is exact flags with their values, a command name and its
+    positionals, none starting with '-' and each taken by argparse's converter."""
+    ns = {dest: default for dest, default, _ in FLAGS.values()}
+    given, words = [], []
+    tokens = iter(argv)
+    for token in tokens:
+        if token not in FLAGS:
+            words.append(token)
+            continue
+        dest, _, kwargs = FLAGS[token]
+        if "action" in kwargs:  # --json takes no value
+            ns[dest] = True
+        else:
+            given.append(((dest, kwargs), next(tokens, "-")))  # a missing value reads as "-"
+    ns["command"], *values = words or [None]
+    positional = _positionals(ns["command"]) if ns["command"] in COMMANDS else None
+    if positional is None or len(values) != len(positional):
+        return None
+    # each value is converted, so a refused one fails even if a later repeat wins
+    for (dest, kwargs), text in given + list(zip(positional, values)):
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # argparse reports the refusal
+            return None
+        if text.startswith("-") or value not in kwargs.get("choices", (value,)):
+            return None
+        ns[dest] = value
+    return SimpleNamespace(**ns)
 
 
 def _parse_field(text: str) -> FieldSpec:
@@ -490,7 +511,8 @@ _parser = functools.cache(build_parser)
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _well_formed(argv) or _parser().parse_args(argv)
     try:
         return _run(args)
     except (AhError, NotImplementedError, ZeroDivisionError, ValueError) as exc:

@@ -48,6 +48,18 @@ print(loaded())
     ]
 
 
+def test_a_well_formed_command_line_neither_imports_nor_builds_argparse():
+    code = """
+from ahalg import cli
+cli.run(['--field', 'GF:7', '--h', 'x^2+1', 'mul', 'Y', 'x'])
+print('argparse' in sys.modules, cli._parser.cache_info().currsize)
+cli.run(['--fi', 'GF:7', '--h', 'x^2+1', 'mul', 'Y', 'x'])
+print('argparse' in sys.modules, cli._parser.cache_info().currsize)
+"""
+    # an abbreviated flag is left to argparse
+    assert _fresh(code).splitlines() == ["x*Y + x^2 + 1", "False 0", "x*Y + x^2 + 1", "True 1"]
+
+
 def test_the_center_function_survives_the_center_submodule():
     code = """
 import ahalg
