@@ -50,17 +50,18 @@ from .errors import (
     WrongHError,
 )
 from .fields import FieldElem, FieldSpec, _factor
-from .poly import MAX_DENSE_TERMS, Poly, _kept, _parts, _poly, gcd_monic, rational_roots
+from .poly import MAX_DENSE_TERMS, Poly, _kept, _parts, _poly, _rational_roots, gcd_monic
 
 
-def _affine(spec: FieldSpec, alpha: FieldElem, beta: FieldElem) -> Poly:
-    return Poly(spec, (beta, alpha))
+def _mod(v, p):
+    """The int or Fraction v as a raw value: reduced mod p, or as it is over QQ (p None)."""
+    return v % p if p else v
 
 
 def _law_holds(f: Poly, alpha, beta, nu, g: Poly) -> bool:
-    """Whether f(alpha*x + beta) == nu * g(x), by one Horner composition: the
-    pair law is the case f = g, nu = alpha^(deg f)."""
-    return f.compose(_affine(f.spec, alpha, beta)) == g.scaled(nu)
+    """Whether f(alpha*x + beta) == nu * g(x), for field elements or raw values, by one
+    Horner composition: the pair law is the case f = g, nu = alpha^(deg f)."""
+    return f.compose(Poly(f.spec, (beta, alpha))) == g.scaled(nu)
 
 
 def pair_is_valid(ctx: AhContext, alpha: FieldElem, beta: FieldElem) -> bool:
@@ -91,7 +92,7 @@ class Automorphism:
 
     @property
     def x_image(self) -> Poly:
-        return _affine(self.ctx.spec, self.alpha, self.beta)
+        return Poly(self.ctx.spec, (self.beta, self.alpha))
 
     @property
     def y_image(self) -> OreElement:
@@ -119,7 +120,7 @@ class Automorphism:
         ctx = self.ctx
         d = ctx.deg_h
         inv_a = self.alpha.inverse()
-        inv_affine = _affine(ctx.spec, inv_a, -self.beta * inv_a)
+        inv_affine = Poly(ctx.spec, (-self.beta * inv_a, inv_a))
         f = self.f.compose(inv_affine).scaled(-(inv_a ** (d - 1)))
         return Automorphism(ctx, inv_a, -self.beta * inv_a, f)
 
@@ -194,7 +195,8 @@ class PSet(namedtuple("PSet", "ctx lam c G unit m")):
         """The m-th roots of unity, as the powers 1, unit, ..., unit^(m-1)."""
         if self.m is None:
             raise AhError("the family over QQ cannot be materialized")
-        return [self.ctx.spec.elem(a) for a in _powers(self.unit, self.m)]
+        spec = self.ctx.spec
+        return [FieldElem(spec, a) for a in _powers(self.unit.val, self.m, spec.p)]
 
     def pairs(self) -> tuple[tuple[FieldElem, FieldElem], ...]:
         """The |G|*m pairs, sorted: the m alphas are sorted once, and their betas
@@ -259,26 +261,26 @@ def _presentation(h: Poly, refuse_dense_t: bool = False) -> tuple:
     translation when G = GF(p), satisfy the pair law.  Over GF(p) the cost
     is polynomial in deg h and log p.
     """
-    spec, d = h.spec, h.degree
-    n = spec.p - 1 if spec.p else 2
+    spec, d, p = h.spec, h.degree, h.spec.p
+    n = p - 1 if p else 2
     k, lam = _kept(h, "radical", _radical)
     c = _kept(h, "anchor", _anchor)
-    whole, c = c is None, c or spec.zero()
+    whole, c = c is None, c or 0
     H = _moved(h, c)
     m = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
     if refuse_dense_t:
-        _dense_terms(spec.p if whole else 1, m)  # base is x^p - x or x - c
-    if k == 1 and h != Poly(spec, (-spec.elem(lam), 1)) ** d * h.lc:
+        _dense_terms(p if whole else 1, m)  # base is x^p - x or x - c
+    if k == 1 and h.monic() != Poly(spec, (-lam, 1)) ** d:
         raise SelfCheckError("h with a linear radical is not a power of it")
-    if k == 1 and not spec.p:
+    if k == 1 and not p:
         return lam, lam, None, None, k
     unit = _unit_of_order(spec, n, m)
-    generators = [(unit, c - unit * c)] if m > 1 else []
+    generators = [(unit, _mod(c - unit * c, p))] if m > 1 else []
     if whole:
-        generators.append((spec.one(), spec.one()))
-    if not all(_law_holds(h, a, b, a**d, h) for a, b in generators):
+        generators.append((1, 1))
+    if not all(_law_holds(h, a, b, pow(a, d, p), h) for a, b in generators):
         raise SelfCheckError("P is not G times the powers of its generator")
-    return lam, c.val if m > 1 else 0, unit.val, m, k
+    return lam, c if m > 1 else 0, unit, m, k
 
 
 def _radical(h: Poly) -> tuple:
@@ -286,16 +288,22 @@ def _radical(h: Poly) -> tuple:
     root as a raw value when there is one, read off the squarefree parts."""
     parts = _parts(h)
     n = sum(len(g) - 1 for g, _ in parts)
-    return n, h.spec.elem(Fraction(-parts[0][0][0], parts[0][0][1])).val if n == 1 else None
+    return n, _quotient(-parts[0][0][0], parts[0][0][1], h.spec.p) if n == 1 else None
 
 
-def _moved(f: Poly, c: FieldElem) -> Poly:
-    """f(x + c)."""
-    return f if c.is_zero() else f.compose(Poly(f.spec, (c, 1)))
+def _quotient(a, b, p):
+    """a/b for raw values a and b != 0: a residue over GF(p), a Fraction over QQ."""
+    return a * pow(b, -1, p) % p if p else Fraction(a, b)
 
 
-def _anchor(h: Poly) -> FieldElem | None:
-    """The anchor of h, or None when h(x + t) == h(x) for every t in GF(p).
+def _moved(f: Poly, c) -> Poly:
+    """f(x + c), c a raw value."""
+    return f.compose(Poly(f.spec, (c, 1))) if c else f
+
+
+def _anchor(h: Poly):
+    """The anchor of h as a raw value, or None when h(x + t) == h(x) for
+    every t in GF(p).
 
     The Hasse derivatives h^[i] (:func:`_hasse_rows`) are read from i = d-1
     down, each reduced mod t^p - t over GF(p) (an exponent e >= p folds to
@@ -307,7 +315,7 @@ def _anchor(h: Poly) -> FieldElem | None:
     h^[i](t) = h_i on GF(p) for all i.  Over QQ, and when p does not divide
     d, the first row h^[d-1] = h_(d-1) + d*lc*t is already not constant.
     """
-    spec, p = h.spec, h.spec.p
+    p = h.spec.p
     for row in _hasse_rows(h):
         if p:
             r = [0] * min(len(row), p)
@@ -316,7 +324,7 @@ def _anchor(h: Poly) -> FieldElem | None:
             row = [v % p for v in r]
         e = next((k for k in range(len(row) - 1, 0, -1) if row[k]), 0)
         if e:
-            return -spec.from_int(row[e - 1]) / spec.from_int(e * row[e])
+            return _quotient(-row[e - 1], e * row[e], p)
 
 
 def _hasse_rows(h: Poly):
@@ -350,32 +358,32 @@ def _hasse_rows(h: Poly):
         yield row
 
 
-def _unit_of_order(spec: FieldSpec, n: int, m: int) -> FieldElem:
-    """An element of order m, certified by :func:`_order`, among the n roots
-    of unity of F (m divides n).  Over GF(p), a^(n/m) has order m for a
-    share phi(m)/m of the a in F*, so the search over a = 1, 2, ... stops
+def _unit_of_order(spec: FieldSpec, n: int, m: int):
+    """A raw element of order m, certified by :func:`_order`, among the n
+    roots of unity of F (m divides n).  Over GF(p), a^(n/m) has order m for
+    a share phi(m)/m of the a in F*, so the search over a = 1, 2, ... stops
     after a few steps (for m = n, at the least primitive root: the family's
     generator in :func:`classify_aut_group`); over QQ, a = -1 serves."""
-    for a in range(1, spec.p) if spec.p else (-1,):
-        b = spec.from_int(a) ** (n // m)
-        if _order(b, m) == m:
+    for a in range(1, spec.p) if spec.p else (Fraction(-1),):
+        b = pow(a, n // m, spec.p)
+        if _order(b, m, spec.p) == m:
             return b
     raise SelfCheckError(f"{spec!r} has no element of order {m}")
 
 
-def _powers(unit: FieldElem, m: int, start=1):
+def _powers(unit, m: int, p, start=1):
     """start * unit^j for j = 0..m-1 on raw values: residues, or Fractions over QQ."""
-    p, u = unit.spec.p, unit.val
-    return accumulate(range(m - 1), lambda a, _: a * u % p if p else a * u, initial=start)
+    return accumulate(range(m - 1), lambda a, _: _mod(a * unit, p), initial=start)
 
 
 def affine_equivalences(h: Poly, g: Poly) -> list:
     """Every (alpha, beta, nu) with h(alpha*x + beta) == nu * g(x), sorted by (alpha, beta)."""
-    return list(_equivalences(h, g))
+    return [tuple(FieldElem(h.spec, v) for v in triple) for triple in _equivalences(h, g)]
 
 
 def _equivalences(h: Poly, g: Poly):
-    """Yield the solutions of h(alpha*x + beta) == nu * g(x) in (alpha, beta) order.
+    """Yield the solutions of h(alpha*x + beta) == nu * g(x) in (alpha, beta)
+    order, as raw values.
 
     Requires deg h == deg g == d >= 1.  Each solution maps the anchor c_g of
     g to the anchor c_h of h (:func:`_anchor`), so there is none unless both
@@ -390,47 +398,46 @@ def _equivalences(h: Poly, g: Poly):
     no anchors it serves every shift, once a composition past the first
     witness certifies h(x + 1) == h.
     """
-    spec, d = h.spec, h.degree
+    spec, d, p = h.spec, h.degree, h.spec.p
     if d != g.degree or d < 1:
         raise AhError("affine elimination needs equal degrees >= 1")
-    ratio = h.lc / g.lc
+    ratio = (h.lc / g.lc).val
     c_h, c_g = _kept(h, "anchor", _anchor), _kept(g, "anchor", _anchor)
     if (c_h is None) != (c_g is None):
         return
-    shifts = range(1, spec.p) if c_h is None else ()
-    c_h, c_g = c_h or spec.zero(), c_g or spec.zero()
-    H, K = _moved(h, c_h), _moved(g, c_g)
+    shifts = range(1, p) if c_h is None else ()
+    c_h, c_g = c_h or 0, c_g or 0
+    H, K = _moved(h, c_h)._values(), _moved(g, c_g)._values()
     binomials = []
     for i in range(d):
-        H_i, K_i = H.coeff(i), K.coeff(i)
-        if H_i.is_zero() != K_i.is_zero():
+        if bool(H[i]) != bool(K[i]):
             return
-        if H_i:
-            binomials.append(Poly.monomial(spec, ratio * K_i, d - i) - Poly.constant(H_i))
+        if H[i]:
+            binomials.append(Poly(spec, [-H[i]] + [0] * (d - i - 1) + [ratio * K[i]]))
     if binomials:
         alphas = _poly_roots(reduce(gcd_monic, binomials))
-    elif spec.is_prime_field:
+    elif p:
         # H and K are monomials, so h and g are powers of linear factors
-        alphas = [spec.from_int(a) for a in range(1, spec.p)]
+        alphas = range(1, p)
     else:
         raise AhError("elimination degenerated to the one-parameter family")
     unfixed = bool(shifts)  # h(x + 1) == h is not yet certified
     for alpha in alphas:
-        nu = ratio * alpha**d
-        beta = c_h - alpha * c_g
+        nu = _mod(ratio * pow(alpha, d, p), p)
+        beta = _mod(c_h - alpha * c_g, p)
         if not _law_holds(h, alpha, beta, nu, g):
             continue
         yield alpha, beta, nu
-        if unfixed and not _law_holds(h, spec.one(), spec.one(), spec.one(), h):
+        if unfixed and not _law_holds(h, 1, 1, 1, h):
             raise SelfCheckError("h has no anchor but x -> x + 1 moves it")
         unfixed = False
-        for shift in shifts:
-            yield alpha, beta + spec.from_int(shift), nu
+        for shift in shifts:  # without anchors beta is 0
+            yield alpha, shift, nu
 
 
-def _poly_roots(f: Poly) -> list[FieldElem]:
-    """The distinct roots in its field of a nonzero f, sorted; over GF(p) f
-    must be a constant or a binomial.
+def _poly_roots(f: Poly) -> list:
+    """The distinct roots in its field of a nonzero f, as sorted raw values;
+    over GF(p) f must be a constant or a binomial.
 
     Over GF(p) a binomial lc*(x^u - w*x^k) has the root 0 when k > 0 and the
     roots of x^(u-k) = w (:func:`_binomial_roots`).  The one caller passes the
@@ -440,22 +447,21 @@ def _poly_roots(f: Poly) -> list[FieldElem]:
     or in one coset of the gcd(e'_1, e'_2)-th roots, at the smaller
     multiplicity.  Any other f raises :class:`SelfCheckError`.
     """
-    spec = f.spec
-    if not spec.is_prime_field:
-        return rational_roots(f)
-    p, nums = spec.p, f._nums
+    p, nums = f.spec.p, f._nums
+    if not p:
+        return _rational_roots(f)
     terms = [k for k, v in enumerate(nums) if v]
     if terms == [0]:
         return []
     if len(terms) != 2:
         raise SelfCheckError(f"{f} is neither a constant nor a binomial")
     k, u = terms
-    zero = [spec.zero()] if k else []
-    return zero + _binomial_roots(spec, u - k, -nums[k] * pow(nums[u], -1, p) % p)
+    zero = [0] if k else []
+    return zero + _binomial_roots(f.spec, u - k, -nums[k] * pow(nums[u], -1, p) % p)
 
 
-def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[FieldElem]:
-    """The roots of x^m = w in GF(p), w a nonzero residue, sorted.
+def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[int]:
+    """The roots of x^m = w in GF(p), w a nonzero residue, as sorted residues.
 
     With n = p - 1 and g = gcd(m, n), alpha^m = w exactly when alpha^g = v,
     v = w^(1/(m/g) mod n/g), if w^(n/g) = 1 (else there is no root).  One
@@ -475,7 +481,7 @@ def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[FieldElem]:
     while gcd(t, g) > 1:
         t //= gcd(t, g)
     s = n // t
-    y, zeta = pow(v, pow(g, -1, t), p), _unit_of_order(spec, n, s).val
+    y, zeta = pow(v, pow(g, -1, t), p), _unit_of_order(spec, n, s)
     e = pow(y, g, p) * pow(v, -1, p) % p
     # primes not dividing n/g first: their digits are 0, since e is a g-th
     # power, so a digit search runs only over primes r with r^2 | n
@@ -490,24 +496,25 @@ def _binomial_roots(spec: FieldSpec, m: int, w: int) -> list[FieldElem]:
     y = y * pow(zeta, -(log // g), p) % p
     if pow(y, m, p) != w:
         raise SelfCheckError(f"{y} is not a root of x^{m} - {w}")
-    unit = spec.from_int(pow(zeta, s // g, p))  # g divides s, so this has order g
-    return [spec.from_int(a) for a in sorted(_powers(unit, g, y))]
+    # zeta^(s/g) has order g, since g divides s
+    return sorted(_powers(pow(zeta, s // g, p), g, p, y))
 
 
 def _prime_divisors(n: int) -> list[int]:
     return [q for q, _ in _factor(n)]
 
 
-def _order(a: FieldElem, n: int) -> int:
-    """The multiplicative order of a, which must divide n.
+def _order(a, n: int, p) -> int:
+    """The multiplicative order of the raw value a over GF(p), or QQ for p None;
+    it must divide n.
 
     Divides out each prime q of n while a^(n/q) is still 1, so the cost is
     the trial division of n plus O(log n) powers per prime.
     """
-    if not (a**n).is_one():
+    if pow(a, n, p) != 1:
         raise SelfCheckError(f"the order of {a} does not divide {n}")
     for q in _prime_divisors(n):
-        while n % q == 0 and (a ** (n // q)).is_one():
+        while n % q == 0 and pow(a, n // q, p) == 1:
             n //= q
     return n
 
@@ -571,7 +578,7 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
         if ell > 1:
             # for the family (ell = p - 1) the unit is the least primitive root
             alpha = pset.unit if pset.lam is not None else spec.elem(min(
-                a for j, a in enumerate(_powers(pset.unit, ell)) if gcd(j, ell) == 1))
+                a for j, a in enumerate(_powers(pset.unit.val, ell, spec.p)) if gcd(j, ell) == 1))
             # beta runs over c*(1 - alpha) + G, which is all of GF(p) when |G| > 1
             generator = (alpha, spec.zero() if len(G) > 1 else pset.c - alpha * pset.c)
         elif len(G) > 1:
@@ -610,7 +617,7 @@ def _law_sample(structure: AutGroupStructure):
         raise SelfCheckError("G is not an additive subgroup of the field")
     alpha = generator[0] if generator is not None else spec.one()
     counted = len(G) * ell == len(pset) and (alpha**ell).is_one()
-    if not counted or _order(alpha, ell) != ell:
+    if not counted or _order(alpha.val, ell, spec.p) != ell:
         raise SelfCheckError("P is not G times the powers of its generator")
     translation = next(((spec.one(), nu) for nu in G if not nu.is_zero()), None)
     sample = [ab for ab in (translation, generator) if ab is not None]
@@ -716,7 +723,7 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
         if not _law_holds(h, alpha, beta, nu, g):
             raise SelfCheckError("powers of linear factors are not equivalent")
         return (alpha, beta, nu)
-    return next(_equivalences(h, g), None)
+    return next((tuple(FieldElem(spec, v) for v in t) for t in _equivalences(h, g)), None)
 
 
 # -- injective, non-surjective endomorphisms ----------------------------------
@@ -835,12 +842,8 @@ def restrict_automorphism(psi: Automorphism, g: Poly) -> Automorphism | None:
     if not rem.is_zero():
         raise NotDivisibleError(f"{f} does not divide {g}")
     alpha, beta = psi.alpha, psi.beta
-    moved = g.compose(psi.x_image)
-    quot, rem = divmod(moved, g)
-    if not rem.is_zero() or quot.degree != 0:
+    if not _law_holds(g, alpha, beta, alpha**g.degree, g):
         return None
-    if quot.coeff(0) != alpha**g.degree:
-        raise SelfCheckError("scaling factor must be alpha^deg(g)")
     target = AhContext(ctx_f.spec, g, gen_symbol=ctx_f.gen_symbol)
     shear = (r * psi.f).scaled(alpha ** (g.degree - f.degree))
     return Automorphism(target, alpha, beta, shear)

@@ -275,7 +275,7 @@ def _delta(env, args):
 def _yh_product(env, args):
     ctx, i = env.ctx, args.power
     # the factor Y + i*h' has the largest shift of either side
-    factor = ctx.gen() + ctx.from_poly(ctx.h_prime.scaled(ctx.spec.from_int(i)))
+    factor = ctx.gen() + ctx.from_poly(ctx.h_prime.scaled(i))
     refuse_power("yh-product power", i, ctx.spec.p, (factor,), steps=MAX_YH_STEPS)
     return _element(ahalg.yh_product(ctx, i, args.side))
 

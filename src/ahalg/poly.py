@@ -271,7 +271,8 @@ class Poly:
     __slots__ = ("spec", "_nums", "_den", "_record")
 
     def __init__(self, spec: FieldSpec, coeffs=()):
-        vals = [c if type(c) is int else spec.elem(c).val for c in coeffs]
+        vals = [c if type(c) is int or type(c) is Fraction and not spec.p else spec.elem(c).val
+                for c in coeffs]
         den = 1
         if not spec.p:
             den = lcm(*(v.denominator for v in vals))
@@ -511,7 +512,7 @@ class Poly:
         return _poly(self.spec, nums, nums[-1])
 
     def scaled(self, c) -> "Poly":
-        if type(c) is not int:
+        if type(c) is not int and (self.spec.p or type(c) is not Fraction):
             c = self.spec.elem(c).val
         n, d = c.numerator, c.denominator
         return _poly(self.spec, [a * n for a in self._nums], self._den * d)
@@ -679,7 +680,7 @@ def factor(f: Poly, seed: int = 0) -> FactoredPoly:
 def _split_rational(g: Poly) -> list[tuple[Poly, bool]]:
     # g monic squarefree over Q
     out = []
-    for root in rational_roots(g):
+    for root in _rational_roots(g):
         lin = Poly(g.spec, (-root, 1))
         out.append((lin, True))
         g = g // lin
@@ -694,10 +695,14 @@ def rational_roots(f: Poly) -> list[FieldElem]:
 
     Each candidate is verified by evaluation, so the returned list is exact.
     """
+    return [FieldElem(f.spec, r) for r in _rational_roots(f)]
+
+
+def _rational_roots(f: Poly) -> list[Fraction]:
+    """:func:`rational_roots` as sorted Fractions."""
     if f.is_zero():
         raise ZeroInputError("the zero polynomial has every root")
-    spec = f.spec
-    if spec.is_prime_field:
+    if f.spec.is_prime_field:
         raise FieldMismatch("rational_roots is defined over QQ only")
     roots = []
     # strip x^k so the constant term becomes nonzero; the denominator and
@@ -707,7 +712,7 @@ def rational_roots(f: Poly) -> list[FieldElem]:
     while not nums[k]:
         k += 1
     if k:
-        roots.append(spec.zero())
+        roots.append(Fraction(0))
     content = gcd(*nums)
     ints = [n // content for n in nums[k:]]
     if len(ints) < 2:
@@ -720,9 +725,8 @@ def rational_roots(f: Poly) -> list[FieldElem]:
                     continue
                 seen.add(cand)
                 if not _scaled_horner(ints, cand.numerator, cand.denominator):
-                    roots.append(spec.elem(cand))
-    roots.sort(key=lambda e: e.sort_key())
-    return roots
+                    roots.append(cand)
+    return sorted(roots)
 
 
 def _divisors(n: int) -> list[int]:

@@ -137,7 +137,7 @@ def yh_product(ctx: AhContext, i: int, side: str = "right") -> OreElement:
     # multiplied in from the left, each factor costs one row step of the result
     for j in reversed(range(i)):
         shift = j if side == "right" else -(i - j)
-        factor = yhat + ctx.from_poly(ctx.h_prime.scaled(ctx.spec.from_int(shift)))
+        factor = yhat + ctx.from_poly(ctx.h_prime.scaled(shift))
         result = factor * result
     return result
 

@@ -48,6 +48,7 @@ from ahalg.errors import (
     SelfCheckError,
     WrongHError,
 )
+from ahalg.fields import FieldElem
 from ahalg.poly import _poly, gcd_monic
 
 from helpers import (
@@ -60,6 +61,7 @@ from helpers import (
     exhaustive_iso,
     exhaustive_pairs,
     exhaustive_translations,
+    kept,
     least_primitive_root_oracle,
     laws_hold_on_all_pairs,
     poly_roots_oracle,
@@ -650,12 +652,12 @@ def test_restriction_acts_like_the_original():
 
 
 def test_multiplicative_order():
-    assert _order(QQ.one(), 2) == 1
-    assert _order(QQ.from_int(-1), 2) == 2
-    assert _order(F5.from_int(2), 4) == 4
-    assert _order(F5.from_int(4), 4) == 2
+    assert _order(Fraction(1), 2, None) == 1
+    assert _order(Fraction(-1), 2, None) == 2
+    assert _order(2, 4, 5) == 4
+    assert _order(4, 4, 5) == 2
     with pytest.raises(SelfCheckError, match="does not divide"):
-        _order(F5.from_int(2), 2)
+        _order(2, 2, 5)
 
 
 def test_same_alpha_pairs_differ_by_G():
@@ -760,7 +762,7 @@ def test_solvers_match_exhaustive_search(p):
     for a in spec.elements():
         if not a.is_zero():
             order = next(e for e in range(1, p) if (a**e).is_one())
-            assert _order(a, p - 1) == order
+            assert _order(a.val, p - 1, p) == order
 
 
 @pytest.mark.parametrize("p", [2, 5, 7, 13])
@@ -1253,3 +1255,82 @@ def test_invariant_power_past_the_dense_bound_is_refused():
     h = Poly.monomial(spec, 1, 2053) - Poly.x(spec)
     with pytest.raises(AhError, match="power of the base too large: 4212757 coefficients"):
         classify_aut_group(AhContext(spec, h))
+
+
+def test_restriction_exists_exactly_when_g_is_moved_to_a_scalar_multiple():
+    # restrict_automorphism reads the pair law of g; the division of g(alpha*x + beta)
+    # by g gives a constant exactly then, and that constant is alpha^deg g
+    F5, verdicts = FieldSpec.gf(5), set()
+    for f_ints, betas in (((1,), range(5)), ((0, 1), (0,))):  # h = 1: every pair; h = x: beta = 0
+        ctx_f = ctx_for(F5, *f_ints)
+        gs = [g * ctx_f.h for g in all_polys(F5, 2) if g.degree >= 1 - ctx_f.h.degree]
+        for alpha in range(1, 5):
+            for beta in betas:
+                psi = Automorphism(ctx_f, alpha, beta, Poly.x(F5))
+                for g in gs:
+                    quot, rem = divmod(g.compose(psi.x_image), g)
+                    moved_to_multiple = rem.is_zero() and quot.degree == 0
+                    if moved_to_multiple:
+                        assert quot.coeff(0) == F5.from_int(alpha) ** g.degree
+                    assert (restrict_automorphism(psi, g) is not None) == moved_to_multiple, (psi, g)
+                    verdicts.add(moved_to_multiple)
+    assert verdicts == {True, False}
+
+
+def test_iso_test_of_two_constants_is_the_ratio():
+    for spec, h, g, nu in ((QQ, 3, 5, Fraction(3, 5)), (FieldSpec.gf(7), 3, 5, 2)):
+        witness = iso_test(Poly.from_ints(spec, (h,)), Poly.from_ints(spec, (g,)), spec)
+        assert witness == (spec.one(), spec.zero(), spec.elem(nu))
+        assert all(type(v) is FieldElem for v in witness)
+
+
+@pytest.mark.parametrize("spec, ints, anchor", [
+    (QQ, (0, -1, 0, 1), Fraction(0)),  # x^3 - x
+    (QQ, (1, 3, 2), Fraction(-3, 4)),  # 2x^2 + 3x + 1: the centroid
+    (FieldSpec.gf(7), (5, 3, 0, 1), 0),  # x^3 + 3x + 5
+    (FieldSpec.gf(7), (4, 2, 3), 2),  # 3x^2 + 2x + 4: -2/(2*3) = -1/3 = -5 = 2
+    (FieldSpec.gf(7), (0, -1, 0, 0, 0, 0, 0, 1), None),  # x^7 - x: no anchor
+    (FieldSpec.gf(7), (1, 0, 0, 0, 0, 0, 0, 1), 6),  # x^7 + 1 = (x + 1)^7
+])
+def test_the_record_keeps_raw_scalars(spec, ints, anchor):
+    # the anchor kept on a Poly is None, a residue in range(p) or a Fraction; the
+    # presentation of P holds raw values too, and compute_P wraps them once
+    h = Poly.from_ints(spec, ints)
+    pset = compute_P(AhContext(spec, h))
+    kept_anchor = kept(h, "anchor")
+    assert kept_anchor == anchor and type(kept_anchor) is type(anchor)
+    raw = (int,) if spec.p else (int, Fraction)
+    lam, c, unit, m, k = kept(h, "presentation")
+    for value in (lam, c, unit):
+        assert value is None or type(value) in raw and (not spec.p or 0 <= value < spec.p)
+    assert (pset.c, pset.unit, pset.m) == (spec.elem(c), unit if unit is None else spec.elem(unit), m)
+
+
+@pytest.mark.parametrize("spec, ints", [
+    (FieldSpec.gf(7), (0, -1, 0, 1)),  # x^3 - x: G = {0}, m = 2
+    (FieldSpec.gf(7), (4, -4, 1)),  # (x - 2)^2: the family
+    (FieldSpec.gf(7), (0, -1, 0, 0, 0, 0, 0, 1)),  # x^7 - x: G = GF(7)
+    (FieldSpec.gf(13), (1, 0, 0, 1)),  # x^3 + 1: m = 3
+    (QQ, (-1, 0, 1)),  # x^2 - 1
+    (QQ, (1, -2, 1)),  # (x - 1)^2: the family over QQ
+])
+def test_scalars_leave_the_library_as_field_elements(spec, ints):
+    ctx = ctx_for(spec, *ints)
+    h = ctx.h
+
+    def elems(values):
+        return all(type(v) is FieldElem and v.spec == spec for v in values)
+
+    pset = compute_P(ctx)
+    assert elems(v for v in (pset.lam, pset.c, pset.unit) if v is not None)
+    assert elems(compute_G(ctx)) and elems(pset.G)
+    if pset.m is not None:
+        assert elems(pset.alphas()) and all(elems(pair) for pair in pset.pairs())
+    structure = classify_aut_group(ctx)
+    assert structure.generator is None or elems(structure.generator)
+    g = h.compose(Poly.from_ints(spec, (3, 2))).scaled(spec.from_int(5))
+    witness = iso_test(h, g, spec)
+    assert witness is not None and elems(witness)
+    if structure.k > 1:
+        found = affine_equivalences(h, g)
+        assert found and all(elems(triple) for triple in found) and found[0] == witness

@@ -307,3 +307,24 @@ def test_correction_off_h_prime_is_a_self_check_error(monkeypatch, p):
             patched.setattr(Poly, "derivative", lambda f: Poly.zero(spec))
             with pytest.raises(SelfCheckError, match="modulo h"):
                 center(ctx)
+
+
+def test_bracket_yhat_over_gf_p_reads_each_quotient_by_h():
+    # h = x^2 + 1 over GF(5): h does not divide the coefficient x; h*x = h*(3x^2)' is in
+    # [Y, A], and h*x^4 is not, since x^4 = x^(p-1) is no derivative
+    F5 = FieldSpec.gf(5)
+    ctx = ctx_for(F5, 1, 0, 1)
+    x, h = Poly.x(F5), ctx.h
+    assert not in_commutator_space(ctx.monomial(x, 1), "bracket_yhat")
+    assert not in_commutator_space(ctx.monomial(h, 1) + ctx.from_poly(x), "bracket_yhat")
+    assert in_commutator_space(ctx.monomial(h * x, 2), "bracket_yhat")
+    assert not in_commutator_space(ctx.from_poly(h * Poly.monomial(F5, 1, 4)), "bracket_yhat")
+
+
+def test_bracket_yhat_preimage_refuses_a_non_member():
+    ctx = ctx_for(QQ, 0, -1, 0, 1)  # x^3 - x
+    for a in (ctx.x(), ctx.from_poly(ctx.h) + ctx.monomial(Poly.x(QQ), 2)):
+        with pytest.raises(ValueError, match=r"element is not in \[Y, A\]"):
+            bracket_yhat_preimage(a)
+    a = ctx.from_poly(ctx.h) * (ctx.gen() + ctx.x())
+    assert commutator(ctx.gen(), bracket_yhat_preimage(a)) == a

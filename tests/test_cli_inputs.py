@@ -279,3 +279,18 @@ def test_an_unwritable_stdout_is_one_error_line_and_exit_1(field, expr):
     lines = proc.stderr.decode().splitlines()
     assert proc.returncode == 1
     assert len(lines) == 1 and lines[0].startswith("error: cannot write the output: ")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # x -> -x scales x^3 - x but not its divisor x - 1, so it does not extend
+    (["--field", "QQ", "--h", "x^3-x", "aut-extend", "x-1", "-1", "0", "0"], 0, "does not extend\n", ""),
+    (["--field", "QQ", "--h", "x^3-x", "aut-extend", "x-1", "-1", "0", "0", "--json"], 0,
+     '{"extends": false}\n', ""),
+    (["--field", "QQ", "--h", "x^2-1", "--h-factored", "(2*x-2)^1,(x+1)^1", "prime-test", "x"], 1, "",
+     "error: supplied factor '(2*x-2)^1' is not monic\n"),
+    # P = {1}: m = gcd(2, 3 - 1, 3 - 0) = 1 and G = {0}, so every shear is central
+    (["--field", "QQ", "--h", "x^3+x+1", "aut-center"], 0, "central shears: every polynomial\n", ""),
+    (["--field", "GF:7", "--h", "x^3+x+1", "aut-center"], 0, "central shears: every polynomial\n", ""),
+])
+def test_structure_answers_on_rare_branches(argv, code, out, err):
+    assert _invoke(argv) == (code, out, err)

@@ -359,3 +359,14 @@ def test_factor_does_not_depend_on_the_seed(spec, ints):
     # the basis for keeping the first factorization whatever seed a later call passes
     h = Poly.from_ints(spec, ints)
     assert len({factor(h, seed=s) for s in range(5)}) == 1
+
+
+def test_prime_test_reducible_central_elements():
+    # a central element in x^p alone, or in h^p y^p alone, that factors there
+    ctx = ctx_for(F3, 0, 1)  # h = x
+    desc = center(ctx)
+    X, T = ctx.from_poly(desc.x_generator), desc.y_generator
+    for v, generator in ((X * X - ctx.one(), "x^p"), (T * T - ctx.one(), "h^p y^p"),
+                         (X * (X + ctx.one()), "x^p"), (T * T, "h^p y^p")):
+        report = height_one_prime_test(v)
+        assert report == (PrimeKind.NOT_PRIME_GENERATOR, f"reducible (or constant) as a polynomial in {generator}")

@@ -8,6 +8,7 @@ from itertools import chain
 
 import pytest
 
+import ahalg.parsing as parsing
 from ahalg import (
     AhContext,
     FieldSpec,
@@ -609,3 +610,16 @@ def test_parser_matches_the_oracles_on_a_seeded_differential_corpus(spec):
         srcs = [_diff_sum(rng, gen, rational, n) for n in (1, 3, 20, 100)] + _diff_boundaries(gen)
         for src in srcs:
             assert _outcome(parse_element, src, ctx, gen) == _outcome(parse_element_oracle, src, ctx, gen), src
+
+
+def test_a_product_accepted_only_at_exact_heights_is_computed(monkeypatch):
+    # 1/K + (K-1)/K is the row K over K: with no gcd its height takes 71 bits, so its
+    # product with x^5000 needs 2 words per coefficient (10002 words, over the limit);
+    # at the exact height 1 it needs 1 (5001 words), and the product is computed
+    K = 2**70
+    verdicts, real = [], parsing._refuse_if_large
+    monkeypatch.setattr(parsing, "_refuse_if_large", lambda *a: verdicts.append(real(*a)) or verdicts[-1])
+    assert parse_poly(f"(1/{K} + {K - 1}/{K})*x^5000", QQ) == parse_poly_oracle("x^5000", QQ)
+    assert verdicts == [True]
+    with pytest.raises(ParseError, match="product too large: 10002 words"):
+        parse_poly(f"(1/{K} + {K - 2}/{K})*x^5000", QQ)
