@@ -495,18 +495,13 @@ def _div_one_sided(w, v, left):
 def format_element(a: OreElement) -> str:
     """Canonical text form, highest Y-power first: ``Y^2 + 2*x*Y + x^3``."""
     fs, sym = a.coeffs, a.ctx.gen_symbol
-    return _join_terms(_element_term(fs[i], sym, i) for i in range(len(fs) - 1, -1, -1) if fs[i])
+    return _join_terms(_element_term(fs[i], sym, i) for i in range(len(fs) - 1, -1, -1) if fs[i]._nums)
 
 
 def _element_term(f: Poly, sym: str, i: int) -> str:
-    if i == 0:
-        return format_poly(f)
-    y = sym if i == 1 else f"{sym}^{i}"
-    if f.is_one():
-        return y
+    body, y = format_poly(f), sym if i == 1 else f"{sym}^{i}"
+    if i == 0 or body == "1":  # the constant term, or Y^i alone
+        return y if i else body
     if f._nums == ((f.spec.p or 0) - 1,) and f._den == 1:  # f is -1: p - 1 over GF(p)
         return f"-{y}"
-    body = format_poly(f)
-    if len(f._nums) - f._nums.count(0) > 1:
-        return f"({body})*{y}"
-    return f"{body}*{y}"
+    return f"({body})*{y}" if len(f._nums) - f._nums.count(0) > 1 else f"{body}*{y}"

@@ -57,9 +57,10 @@ def center(ctx: AhContext) -> CenterDescription:
     if terms > MAX_DENSE_TERMS:
         raise AhError(f"center too large: {terms} coefficients, limit {MAX_DENSE_TERMS}")
     cs = _kept(h, "correction", _correction) if d else []
-    correction, zero = _spread(spec, cs, p), Poly.zero(spec)
-    y_gen = _element(ctx, (zero, -correction) + (zero,) * (p - 2) + (Poly.one(spec),))
-    return CenterDescription(p, Poly.monomial(spec, 1, p), y_gen, correction)
+    # the dense C, -C and x^p are spread out from residues, with no reduction
+    correction, minus, zero = _spread(spec, cs, p), _spread(spec, [-c % p for c in cs], p), Poly.zero(spec)
+    y_gen = _element(ctx, (zero, minus) + (zero,) * (p - 2) + (Poly.one(spec),))
+    return CenterDescription(p, _spread(spec, (0, 1), p), y_gen, correction)
 
 
 def _correction(h: Poly) -> list:

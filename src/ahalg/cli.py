@@ -58,10 +58,7 @@ FLAGS = {
     "--seed": ("seed", 0, {"type": int, "help": "seed for randomized factoring"}),
 }
 
-
-def _positionals(command: str) -> list:
-    """(name, argparse keywords) for each positional argument of a command."""
-    return [(arg, {}) if isinstance(arg, str) else arg for arg in COMMANDS[command][0]]
+_DEFAULTS = {dest: default for dest, default, _ in FLAGS.values()}  # the namespace of no flag
 
 
 def build_parser():
@@ -79,7 +76,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[common])
-        for arg, kwargs in _positionals(name):
+        for arg, kwargs in _POSITIONALS[name]:
             p.add_argument(arg, **kwargs)
     return parser
 
@@ -88,9 +85,7 @@ def _well_formed(argv):
     """The namespace argparse returns for ``argv``, read off FLAGS and COMMANDS, or
     None unless argv is exact flags with their values, a command name and its
     positionals, none starting with '-' and each taken by argparse's converter."""
-    ns = {dest: default for dest, default, _ in FLAGS.values()}
-    given, words = [], []
-    tokens = iter(argv)
+    ns, given, words, tokens = dict(_DEFAULTS), [], [], iter(argv)
     for token in tokens:
         if token not in FLAGS:
             words.append(token)
@@ -101,7 +96,7 @@ def _well_formed(argv):
         else:
             given.append(((dest, kwargs), next(tokens, "-")))  # a missing value reads as "-"
     ns["command"], *values = words or [None]
-    positional = _positionals(ns["command"]) if ns["command"] in COMMANDS else None
+    positional = _POSITIONALS.get(ns["command"])
     if positional is None or len(values) != len(positional):
         return None
     # each value is converted, so a refused one fails even if a later repeat wins
@@ -302,10 +297,7 @@ def _factor(env, args):
         {"poly": format_poly(t.poly), "multiplicity": t.multiplicity, "verified": t.verified}
         for t in fac.factors
     ]}
-    pretty = " * ".join(
-        [str(fac.unit)] + [f"({format_poly(t.poly)})^{t.multiplicity}" for t in fac.factors]
-    )
-    return data, pretty
+    return data, " * ".join([data["unit"]] + [f"({t['poly']})^{t['multiplicity']}" for t in data["factors"]])
 
 
 def _embed(env, args):
@@ -359,10 +351,7 @@ def _classify_normal(env, args):
         "factors": [[format_poly(u), beta] for u, beta in split.factors],
         "central": format_element(split.central_part),
     }
-    pretty = (
-        " * ".join(f"({format_poly(u)})^{b}" for u, b in split.factors) or "1"
-    ) + f" * [{data['central']}]"
-    return data, pretty
+    return data, (" * ".join(f"({u})^{b}" for u, b in data["factors"]) or "1") + f" * [{data['central']}]"
 
 
 def _prime_test(env, args):
@@ -499,6 +488,9 @@ COMMANDS = {
             env.automorphism(a.alpha, a.beta, a.f), parse_poly(a.multiple, env.spec))),
     ),
 }
+
+# (name, argparse keywords) for each positional argument of each command
+_POSITIONALS = {name: [(a, {}) if isinstance(a, str) else a for a in c[0]] for name, c in COMMANDS.items()}
 
 
 def _run(args) -> int:

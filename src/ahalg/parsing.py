@@ -22,7 +22,7 @@ from math import gcd, lcm
 from .algebra import AhContext, OreElement, _element
 from .errors import ParseError
 from .fields import FieldElem, FieldSpec, decimal_int
-from .poly import Poly, _mul_add, _poly, _power, _red
+from .poly import Poly, _mul_add, _poly, _power, _red, _trimmed
 
 # open '(' and unary '-' at once: three Python frames each, well inside the recursion limit of 1000
 MAX_NESTING = 200
@@ -56,24 +56,30 @@ def _dense(rows, den: int, size=None) -> tuple[list, int]:
     return ([[]] * rows[2] + [[0] * rows[1] + [rows[0]]] if type(rows) is tuple else rows), den
 
 
-def _rows(acc: dict, p) -> list:
+def _polys(spec: FieldSpec, rows, den: int) -> list:
+    """The polynomials ``row / den`` of a parser value: its rows are reduced mod p and trimmed, so
+    they are canonical unless den > 1 (over QQ, where ``_poly`` divides out each row's gcd)."""
+    return [(_poly if den > 1 else _trimmed)(spec, r, den) for r in rows]
+
+
+def _rows(acc: list, p) -> list:
     """The rows of acc mod p, with no zero ending a row and no empty last row."""
-    return _red([_red(acc.get(j, []), p) for j in range(max(acc, default=-1) + 1)], None)
+    return _red([_red(r, p) for r in acc], None)
 
 
 def _size(rows, den: int, p, step: int, exact: bool = False) -> tuple[int, int, int]:
     """Y-degree, weight (x weighs 1, Y ``step`` = deg h - 1; 0 if no coefficient has an x) and bits
     (of height * terms, 0 over GF(p); exact: each row over its gcd) of ``rows / den``: they add up."""
-    ydeg, has_x = max(len(rows) - 1, 0), max(map(len, rows), default=0) > 1
-    weight = max(len(r) - 1 + i * step for i, r in enumerate(rows) if r) if has_x else 0
-    if p:
-        return ydeg, weight, 0
-    height, terms = 1, 0
-    for r in filter(None, rows):
-        g = gcd(den, *r) if exact else 1
-        height = max(height, den // g, max(r) // g, -min(r) // g)
-        terms += len(r) - r.count(0)
-    return ydeg, weight, (height - 1).bit_length() + (terms - 1).bit_length()
+    weight, has_x, height, terms = 0, False, 1, 0
+    for i, r in enumerate(rows):
+        if r:
+            has_x, weight = has_x or len(r) > 1, max(weight, len(r) - 1 + i * step)
+            if not p:
+                g = gcd(den, *r) if exact else 1
+                height = max(height, den // g, max(r) // g, -min(r) // g)
+                terms += len(r) - r.count(0)
+    bits = 0 if p else (height - 1).bit_length() + (terms - 1).bit_length()
+    return max(len(rows) - 1, 0), weight if has_x else 0, bits
 
 
 def _words(ydeg: int, weight: int, bits: int, p) -> int:
@@ -122,28 +128,31 @@ class _Parser:
             terms.append((1 if tokens[self.i - 1] == "+" else -1, self.term(depth)))
         if len(terms) == 1:
             return terms[0][1]
-        acc, den = {}, lcm(*[d for _, (_, d, _) in terms])  # the rows of the sum, over one denominator
+        acc, den = [], 1 if self.p else lcm(*[d for _, (_, d, _) in terms])  # the sum's rows, over one den
         for sign, (rows, d, _) in terms:
             k = sign * (den // d)
             if type(rows) is list:
-                for j, r in enumerate(rows):
-                    _mul_add(acc.setdefault(j, []), k, r, (1,))
-            elif (i := rows[1]) >= len(row := acc.setdefault(rows[2], [])):  # one entry: O(1), whatever i is
-                row.extend([0] * (i - len(row)) + [k * rows[0]])
+                while len(acc) < len(rows):
+                    acc.append([])
+                for row, r in zip(acc, rows):
+                    row.extend([0] * (len(r) - len(row)))
+                    for t, c in enumerate(r):
+                        row[t] += k * c
+                continue
+            c, i, j = rows
+            while len(acc) <= j:
+                acc.append([])
+            if i >= len(row := acc[j]):  # one entry: O(1), whatever i is
+                row.extend([0] * (i - len(row)) + [k * c])
             else:
-                row[i] += k * rows[0]
+                row[i] += k * c
         return _rows(acc, self.p), den, None
 
     def term(self, depth):
-        value, p, s = self.factor(depth), self.p, self.step
+        value = self.factor(depth)
         while self.tokens[self.i] == "*":
             at, self.i = self.i, self.i + 1
-            rhs = self.factor(depth)
-            (ya, wa, ba), (yb, wb, bb) = value[2] or _size(*value[:2], p, s), rhs[2] or _size(*rhs[:2], p, s)
-            if _words(ya + yb, wa + wb, ba + bb, p) > MAX_POWER_WORDS and _refuse_if_large(
-                    "product", ((1, 1, 1, *_dense(*value), s), (1, 1, 1, *_dense(*rhs), s)), p, self.src, at):
-                value, rhs = _reduced(*value), _reduced(*rhs)  # compute on what was judged
-            value = self.times(value, rhs)
+            value = self.product(value, self.factor(depth), at)
         return value
 
     def factor(self, depth):
@@ -152,7 +161,7 @@ class _Parser:
         if depth == MAX_NESTING and tok in ("-", "("):
             raise self.error("expression nested too deeply", i)
         if tok == "-":  # negation binds looser than '^': -x^4 means -(x^4)
-            return self.times(((-1, 0, 0), 1, (0, 0, 0)), self.factor(depth + 1))
+            return self.product(((-1, 0, 0), 1, (0, 0, 0)), self.factor(depth + 1))
         if tok.isdecimal():
             num, den = decimal_int(tok), 1
             if tokens[self.i] == "/":
@@ -163,9 +172,11 @@ class _Parser:
                     raise self.error("denominator must be an integer", i + 2)
                 if (den := decimal_int(tokens[i + 2])) == 0:
                     raise self.error("zero denominator", i + 2)
-            g, num = gcd(num, den), num % p if p else num
-            size = (0, 0, 0 if p else (max(num, den) // g - 1).bit_length())
-            value = ((num // g, 0, 0), den // g, size) if num else ([], 1, None)
+                num, den = num // (g := gcd(num, den)), den // g
+            elif p:
+                num %= p
+            size = (0, 0, 0 if p else (max(num, den) - 1).bit_length())
+            value = ((num, 0, 0), den, size) if num else ([], 1, None)
         elif tok in self.names:
             value = ((1, 1, 0), 1, (0, 1, 0)) if tok == "x" else ((1, 0, 1), 1, (1, 0, 0))
         elif tok == "(":
@@ -188,31 +199,44 @@ class _Parser:
         if tok in self.names:  # x^n and Y^n are monomials
             return ((1, exp, 0), 1, (0, exp, 0)) if tok == "x" else ((1, 0, exp), 1, (exp, 0, 0))
         # powers of a reduced base stay reduced (Gauss's lemma; _raw reduces Ore products)
-        return _power(_reduced(*value), exp, self.times, ((1, 0, 0), 1, (0, 0, 0)))
+        return _power(_reduced(*value), exp, self.product, ((1, 0, 0), 1, (0, 0, 0)))
 
-    def times(self, a, b):
+    def product(self, a, b, at=None):
+        """``a*b``; at the '*' of token ``at``, refused first if its predicted size is over the limit.
+        Two monomials that commute multiply here, to a monomial in lowest terms and of exact size."""
+        (ra, da, sa), (rb, db, sb), p, s = a, b, self.p, self.step
+        if at is not None:
+            (ya, wa, ba), (yb, wb, bb) = sa or _size(ra, da, p, s), sb or _size(rb, db, p, s)
+            if _words(ya + yb, wa + wb, ba + bb, p) > MAX_POWER_WORDS and _refuse_if_large("product", (
+                    (1, 1, 1, *_dense(ra, da), s), (1, 1, 1, *_dense(rb, db), s)), p, self.src, at):
+                a, b = _reduced(*a), _reduced(*b)  # compute on what was judged; a monomial is reduced
+        if type(ra) is not tuple or type(rb) is not tuple or ra[2] and rb[1]:
+            return self.times(a, b)
+        c, i, j, den = ra[0] * rb[0], ra[1] + rb[1], ra[2] + rb[2], da * db
+        if p:
+            c %= p
+        elif den > 1 and (g := gcd(c, den)) > 1:
+            c, den = c // g, den // g
+        return (c, i, j), den, (j, i + j * s if i else 0, 0 if p else (max(abs(c), den) - 1).bit_length())
+
+    def times(self, a, b):  # a*b, unless both are monomials that commute
         (ra, da, _), (rb, db, _) = a, b
         if (ra[2] if type(ra) is tuple else len(ra) > 1) and (  # a generator meets an x on its right:
                 rb[1] if type(rb) is tuple else any(len(g) > 1 for g in rb)):  # the Ore product
-            fs, gs = ([_poly(self.ctx.spec, r, d) for r in _dense(*v)[0]] for v, d in ((a, da), (b, db)))
+            fs, gs = (_polys(self.ctx.spec, _dense(*v)[0], d) for v, d in ((a, da), (b, db)))
             return (*_raw((_element(self.ctx, fs) * _element(self.ctx, gs)).coeffs), None)
         # else a product in F[x, Y], which commutes: the larger factor shifted by each term of the other
         if type(rb) is tuple or type(ra) is list and sum(map(len, ra)) > sum(map(len, rb)):
             ra, rb = rb, ra
-        if type(ra) is tuple and type(rb) is list:  # each row scaled and shifted: no zero is made
+        if type(ra) is tuple:  # each row scaled and shifted: no zero is made
             (c, i, j), p = ra, self.p
             rows = [[0] * i + ([c * v % p for v in r] if p else [c * v for v in r]) if r else [] for r in rb]
             return ([[]] * j + rows if rows else []), da * db, None
-        if type(rb) is list:  # in F[x, Y]: one schoolbook product per pair of rows
-            acc = {}
-            for j, f in enumerate(ra):
-                for t, g in enumerate(rb, j):
-                    _mul_add(acc.setdefault(t, []), 1, f, g)
-            return _rows(acc, self.p), da * db, None
-        (c, i, j), p = (ra[0] * rb[0], ra[1] + rb[1], ra[2] + rb[2]), self.p
-        c, den = (c % p, 1) if p else (c // (g := gcd(c, da * db)), da * db // g)
-        size = (j, i + j * self.step if i else 0, 0 if p else (max(abs(c), den) - 1).bit_length())
-        return (c, i, j), den, size
+        acc = [[] for _ in range(len(ra) + len(rb) - 1)]  # in F[x, Y]: a schoolbook product per pair of rows
+        for j, f in enumerate(ra):
+            for t, g in enumerate(rb, j):
+                _mul_add(acc[t], 1, f, g)
+        return _rows(acc, self.p), da * db, None
 
 
 def refuse_power(what: str, n: int, p, powered, fixed=(), steps=MAX_POWER_WORDS, substitute=False):
@@ -237,7 +261,7 @@ def parse_scalar(src: str, spec: FieldSpec) -> FieldElem:
 def parse_poly(src: str, spec: FieldSpec) -> Poly:
     """A polynomial in x over the given field."""
     rows, den = _Parser(src, spec, ("x",)).value
-    return _poly(spec, rows[0] if rows else (), den)
+    return _polys(spec, rows or [()], den)[0]
 
 
 def parse_element(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
@@ -249,4 +273,4 @@ def parse_element(src: str, ctx: AhContext, generator: str = "Y") -> OreElement:
         message = f"generator {other!r} cannot appear in a {generator!r} expression"
         raise ParseError(message, src.index(other))
     rows, den = _Parser(src, ctx.spec, ("x", generator), ctx).value
-    return _element(ctx, [_poly(ctx.spec, r, den) for r in rows])
+    return _element(ctx, _polys(ctx.spec, rows, den))

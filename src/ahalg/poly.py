@@ -6,7 +6,9 @@ denominator.  Over GF(p) the numerators are residues in ``range(p)`` and the
 denominator is 1; over QQ the gcd of the denominator and all numerators is
 1.  So equality and hashing are structural, and the zero polynomial is
 ``((), 1)`` (its ``degree`` is ``-inf``).  Every operation runs on those ints
-and ends in one normalize step: reduce mod p, or divide out the gcd.
+and ends in one normalize step (``_poly``): reduce mod p, or divide out the
+gcd; ints that are canonical already only lose their trailing zeros
+(``_trimmed``).  Printing reads them as they are, with no Fraction.
 :class:`FieldElem` is the boundary type: the constructor accepts ints,
 Fractions and field elements, and ``coeffs``, ``coeff``, ``lc``,
 ``evaluate`` and ``rational_roots`` build field elements when they are read.
@@ -50,36 +52,27 @@ MAX_DENSE_TERMS = 2**22
 _RECORD_LOCK = threading.Lock()  # installs every field of a polynomial's record
 
 
-def _canonical(spec: FieldSpec, nums, den: int) -> tuple[tuple[int, ...], int]:
-    """The canonical form of ``sum nums[i] * x^i / den`` (den nonzero).
-
-    GF(p) reduces every numerator mod p (its denominator is always 1); QQ
-    makes the denominator positive and divides out the gcd of it and all
-    numerators.
-    """
-    p = spec.p
-    if p:
+def _poly(spec: FieldSpec, nums, den: int = 1) -> "Poly":
+    """The polynomial ``sum nums[i] * x^i / den`` (den nonzero) of raw ints: GF(p) reduces
+    every numerator mod p (den is always 1); QQ makes den positive and divides out the gcd."""
+    if p := spec.p:
         nums = [c % p for c in nums]
+    elif den != 1:
+        if den < 0:
+            den, nums = -den, [-c for c in nums]
+        if (g := gcd(den, *nums)) != 1:
+            den, nums = den // g, [c // g for c in nums]
+    return _trimmed(spec, nums, den)
+
+
+def _trimmed(spec: FieldSpec, nums, den: int = 1) -> "Poly":
+    """The polynomial of numerators canonical but for trailing zeros (residues in ``range(p)``,
+    or over QQ in lowest terms over den > 0): the zeros are dropped, and nothing is reduced."""
+    nums, f = tuple(nums), object.__new__(Poly)
     n = len(nums)
     while n and not nums[n - 1]:
         n -= 1
-    nums = tuple(nums[:n])
-    if not nums:
-        return nums, 1
-    if den != 1:
-        if den < 0:
-            den, nums = -den, tuple(-c for c in nums)
-        g = gcd(den, *nums)
-        if g != 1:
-            den, nums = den // g, tuple(c // g for c in nums)
-    return nums, den
-
-
-def _poly(spec: FieldSpec, nums, den: int = 1) -> "Poly":
-    """The polynomial ``sum nums[i] * x^i / den``, built from raw ints."""
-    f = object.__new__(Poly)
-    f.spec = spec
-    f._nums, f._den = _canonical(spec, nums, den)
+    f.spec, f._nums, f._den = spec, nums[:n], den if n else 1
     return f
 
 
@@ -109,10 +102,12 @@ def _grown(f: "Poly", name: str, size: int, grow):
 
 
 def _spread(spec: FieldSpec, nums, k: int) -> "Poly":
-    """``f(x^k)`` for the raw numerators nums of f; over GF(p), ``f(x^p) = f^p``."""
-    out = [0] * (k * len(nums))
+    """``f(x^k)`` for the canonical numerators nums of an f with denominator 1;
+    over GF(p), ``f(x^p) = f^p``.  Nothing is reduced, and no zero is made past the top."""
+    nums = _red(list(nums), None)
+    out = [0] * (k * len(nums) - k + 1)
     out[::k] = nums
-    return _poly(spec, out)
+    return _trimmed(spec, out)
 
 
 def _mul_add(out: list, c: int, a, b) -> list:
@@ -277,8 +272,8 @@ class Poly:
         if not spec.p:
             den = lcm(*(v.denominator for v in vals))
             vals = [v.numerator * (den // v.denominator) for v in vals]
-        self.spec = spec
-        self._nums, self._den = _canonical(spec, vals, den)
+        f = _poly(spec, vals, den)
+        self.spec, self._nums, self._den = spec, f._nums, f._den
 
     # -- constructors -------------------------------------------------
 
@@ -533,35 +528,27 @@ class Poly:
 
 
 def format_poly(f: Poly) -> str:
-    """Canonical text form: terms in decreasing degree, e.g. ``x^2 - 2*x + 1``."""
-    values = f._values()
-    return _join_terms(_term_str(values[i], i) for i in range(len(values) - 1, -1, -1) if values[i])
+    """Canonical text form: terms in decreasing degree, e.g. ``x^2 - 2*x + 1``,
+    each coefficient printed from the canonical ints: a residue, or over QQ
+    ``c/den`` in lowest terms after one gcd."""
+    nums, bodies = f._nums, []
+    for i in reversed([*itertools.compress(range(len(nums)), nums)]):  # the nonzero terms, top first
+        c, den = nums[i], f._den
+        if den > 1 and (g := gcd(c, den)) > 1:
+            c, den = c // g, den // g
+        text = value_str(c) if den == 1 else f"{value_str(c)}/{value_str(den)}"
+        if i:  # "-1" only over QQ: residues are >= 0
+            v = "x" if i == 1 else f"x^{i}"
+            text = v if text == "1" else "-" + v if text == "-1" else f"{text}*{v}"
+        bodies.append(text)
+    return _join_terms(bodies)
 
 
 def _join_terms(bodies) -> str:
     """The term texts joined by " + ", or by " - " before one that starts with
-    "-" (its sign moved into the joiner); "0" when there are none."""
-    parts = []
-    for body in bodies:
-        if not parts:
-            parts.append(body)
-        elif body.startswith("-"):
-            parts.append(" - " + body[1:])
-        else:
-            parts.append(" + " + body)
-    return "".join(parts) or "0"
-
-
-def _term_str(c, i: int) -> str:
-    # c is a residue in range(p) or a Fraction, so c == -1 only over QQ
-    if i == 0:
-        return value_str(c)
-    v = "x" if i == 1 else f"x^{i}"
-    if c == 1:
-        return v
-    if c == -1:
-        return f"-{v}"
-    return f"{value_str(c)}*{v}"
+    "-" (its sign moved into the joiner); "0" when there are none.  No body
+    holds " + -": a joined polynomial inside one has moved its signs already."""
+    return " + ".join(bodies).replace(" + -", " - ") or "0"
 
 
 # -- gcd and modular arithmetic ----------------------------------------

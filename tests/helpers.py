@@ -27,7 +27,7 @@ from ahalg.errors import (
     SelfCheckError,
     ZeroInputError,
 )
-from ahalg.fields import decimal_int
+from ahalg.fields import decimal_int, value_str
 from ahalg.parsing import MAX_NESTING, MAX_POWER_WORDS
 from ahalg.poly import _add, _equal_degree, _gcd, _powmod, _tail
 from ahalg.poly import distinct_root_count, is_irreducible
@@ -404,6 +404,62 @@ class _OracleParser:
                 raise ParseError("zero denominator", dpos)
             return self.spec.elem(Fraction(num, den))
         return self.spec.from_int(num)
+
+
+def format_poly_oracle(f: Poly) -> str:
+    """``format_poly`` as it was first written: one ``Fraction`` per
+    coefficient, each term its own text, the terms joined sign by sign."""
+    values = [Fraction(c, f._den) for c in f._nums]
+    return _join_terms_oracle(
+        _term_str_oracle(values[i], i) for i in range(len(values) - 1, -1, -1) if values[i]
+    )
+
+
+def format_element_oracle(a: OreElement) -> str:
+    """``format_element`` on ``format_poly_oracle``, highest Y-power first."""
+    fs, sym = a.coeffs, a.ctx.gen_symbol
+    bodies = []
+    for i in range(len(fs) - 1, -1, -1):
+        f = fs[i]
+        if f.is_zero():
+            continue
+        if i == 0:
+            bodies.append(format_poly_oracle(f))
+            continue
+        y = sym if i == 1 else f"{sym}^{i}"
+        if f.is_one():
+            bodies.append(y)
+        elif f == Poly.constant(f.spec.elem(-1)):  # p - 1 over GF(p) prints as -Y too
+            bodies.append(f"-{y}")
+        elif sum(1 for c in f._nums if c) > 1:
+            bodies.append(f"({format_poly_oracle(f)})*{y}")
+        else:
+            bodies.append(f"{format_poly_oracle(f)}*{y}")
+    return _join_terms_oracle(bodies)
+
+
+def _join_terms_oracle(bodies) -> str:
+    parts = []
+    for body in bodies:
+        if not parts:
+            parts.append(body)
+        elif body.startswith("-"):
+            parts.append(" - " + body[1:])
+        else:
+            parts.append(" + " + body)
+    return "".join(parts) or "0"
+
+
+def _term_str_oracle(c: Fraction, i: int) -> str:
+    # over GF(p) c is a residue in range(p), so c == -1 only over QQ
+    if i == 0:
+        return value_str(c)
+    v = "x" if i == 1 else f"x^{i}"
+    if c == 1:
+        return v
+    if c == -1:
+        return f"-{v}"
+    return f"{value_str(c)}*{v}"
 
 
 def size_oracle(value, p: int) -> tuple[int, int, int]:

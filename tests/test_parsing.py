@@ -39,6 +39,8 @@ from ahalg.parsing import (
 from ahalg.poly import _power, format_poly
 
 from helpers import (
+    format_element_oracle,
+    format_poly_oracle,
     parse_element_oracle,
     parse_poly_oracle,
     parse_scalar_oracle,
@@ -142,6 +144,31 @@ def test_print_parse_roundtrip_polys():
         for _ in range(25):
             f = rand_poly(rng, spec, 6)
             assert parse_poly(format_poly(f), spec) == f
+
+
+def _printer_cases():
+    """(polynomial, element) pairs for the printers: over QQ signs, units, fractions and a
+    numerator past the int-to-str limit; over GF(p) the residue p - 1, at p = 2, 7, 2^61 - 1."""
+    rng, big = random.Random(82), 10**4400 + 7
+    for spec in (QQ, FieldSpec.gf(2), FieldSpec.gf(7), FieldSpec.gf(2**61 - 1)):
+        ctx, m = ctx_for(spec, 0, 0, 1), spec.p or 0  # m - 1 is -1 over QQ and p - 1 over GF(p)
+        fixed = [[m - 1], [1], [0, m - 1], [0, 1], [m - 1, m - 1, 0, 1], [5, 0, m - 1], []]
+        if not spec.p:
+            fixed += [[Fraction(-3, 4), Fraction(5, 2), -7], [Fraction(big, 3), -big, Fraction(-1, big)], [big]]
+        polys = [Poly(spec, c) for c in fixed] + [rand_poly(rng, spec, 6) for _ in range(40)]
+        for k, f in enumerate(polys):
+            yield f, ctx.element([f, polys[k - 1], polys[k - 2], Poly.zero(spec), polys[k - 3]])
+            yield f, ctx.element([polys[k - 1]] * (k % 3) + [f])
+
+
+def test_printers_match_the_fraction_printer():
+    for f, a in _printer_cases():
+        assert format_poly(f) == format_poly_oracle(f), f._nums
+        assert format_element(a) == format_element_oracle(a), [g._nums for g in a.coeffs]
+    assert format_poly(Poly(QQ, [Fraction(-3, 4), 0, -1])) == "-x^2 - 3/4"
+    f7 = FieldSpec.gf(7)
+    a = ctx_for(f7, 0, 1).element([Poly(f7, c) for c in ([6], [6], [0, 6])])
+    assert format_element(a) == "6*x*Y^2 - Y + 6"
 
 
 def _rand_expr(rng, letters, rational, depth=0, big=False):
@@ -480,6 +507,51 @@ def test_products_just_under_the_limit_parse():
     assert parse_element(f"(Y^3 - Y^3 + 1)*x^{MAX_POWER_WORDS - 1}", ctx) == ctx.from_poly(
         Poly.monomial(QQ, 1, MAX_POWER_WORDS - 1)
     )
+
+
+P2 = 2**64 + 13  # a prime of 65 bits: each coefficient mod P2 takes two 64-bit words
+K = 2**64  # K/3 takes 1 + 64 bits: two words, as over GF(P2)
+
+
+@pytest.mark.parametrize(
+    "p, src, refusal",
+    [
+        # x^n, Y^n and c*x^i*x^j (c*Y^i*Y^j) at two words a coefficient: 4096 coefficients fill the limit
+        (P2, "x^4095", None),
+        (P2, "x^4096", ("power too large: 8194 words", 2)),
+        (P2, "Y^4095", None),
+        (P2, "Y^4096", ("power too large: 8194 words", 2)),
+        (P2, "5*x^2000*x^2095", None),
+        (P2, "5*x^2000*x^2096", ("product too large: 8194 words", 8)),
+        (P2, "5*Y^2000*Y^2096", ("product too large: 8194 words", 8)),
+        (0, f"{K}/3*x^2000*x^2095", None),
+        (0, f"{K}/3*x^2000*x^2096", ("product too large: 8194 words", 29)),
+        (0, f"{K}/3*Y^2000*Y^2095", None),
+        (0, f"{K}/3*Y^2000*Y^2096", ("product too large: 8194 words", 29)),
+        # 3/4 takes 1 + 2 bits, one word: 8192 coefficients fill the limit
+        (0, "3/4*x^4000*x^4191", None),
+        (0, "3/4*x^4000*x^4192", ("product too large: 8193 words", 10)),
+        (0, "-3/4*Y^4000*Y^4192", ("product too large: 8193 words", 11)),
+        # (2/3*x)^n has n + 1 coefficients of 1 + 2n bits: 512 of 16 words at n = 511, 513 of 17 at 512
+        (0, "(2/3*x)^511", None),
+        (0, "(2/3*x)^512", ("power too large: 8721 words", 8)),
+        (0, "(2/3*Y)^512", ("power too large: 8721 words", 8)),
+    ],
+    ids=repr,
+)
+def test_monomial_size_checks_at_the_limit(p, src, refusal):
+    # the verdict, message and position of the refusal, or the value the oracles give
+    spec = FieldSpec.gf(p) if p else QQ
+    ctx = ctx_for(spec, 0, 0, 1)  # h = x^2: Y weighs 1, but Y^n alone has no x and weight 0
+    got = _outcome(parse_element, src, ctx, "Y")
+    if refusal:
+        assert got == (f"{refusal[0]}, limit {MAX_POWER_WORDS} (at position {refusal[1]})", refusal[1])
+    else:
+        assert got == parse_element_oracle(src, ctx)
+    assert got == _outcome(parse_element_oracle, src, ctx, "Y")
+    if "Y" not in src:
+        assert _plain_outcome(parse_poly, src, spec) == _plain_outcome(parse_poly_oracle, src, spec) == (
+            got if refusal else got.coeffs[0])
 
 
 @pytest.mark.parametrize("expr", ["x^10000000", "(x+1)^300000"])
