@@ -25,14 +25,15 @@ Y^(i-m)`` from one table of delta powers, only for the i a nonzero ``f_i``
 reads, and over GF(p) only for the m with ``C(i, m)`` nonzero mod p (Lucas'
 theorem), so ``Y^2401 * x`` over GF(7) reads two table entries.
 
-On the same rows this module provides the commutator (both products in one
-set of output coefficients), the involutive anti-automorphism fixing x and
-sending Y to -Y + h' (by Horner on a raw accumulator, normalized once), and
-exact one-sided division by a fixed element, solved top-down (a complete
-decision procedure for one-sided multiple membership); and substitution of
-generator images (used for endomorphisms and basis changes), whose x-image
-is a polynomial, so each coefficient is one ``Poly.compose``.  Powers of an
-element run the one top-bit power loop of :mod:`ahalg.poly` (``_power``).
+On the same rows this module provides the commutator (the product's minus
+mode: both products in one set of output coefficients), the involutive
+anti-automorphism fixing x and sending Y to -Y + h' (by Horner on a raw
+accumulator, normalized once), and exact one-sided division by a fixed
+element, solved top-down (a complete decision procedure for one-sided
+multiple membership); and substitution of generator images (used for
+endomorphisms and basis changes), whose x-image is a polynomial, so each
+coefficient is one ``Poly.compose``.  Powers of an element run the one
+top-bit power loop of :mod:`ahalg.poly` (``_power``).
 """
 
 from __future__ import annotations
@@ -163,10 +164,8 @@ class OreElement:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if not isinstance(other, OreElement):
-            if not isinstance(other, (int, Fraction, FieldElem, Poly)):
-                return NotImplemented
-            other = _lift(self.ctx, other)
+        if not isinstance(other, OreElement) and (other := _lift(self.ctx, other)) is NotImplemented:
+            return NotImplemented
         return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -175,20 +174,10 @@ class OreElement:
     def __reduce__(self):  # pickle and copy rebuild from the canonical values, at every protocol
         return OreElement, (self.ctx, self.coeffs)
 
-    def _mate(self, other) -> "OreElement":
-        # OreElement is tested first: Fraction is an ABC, so isinstance against it is slow
-        if not isinstance(other, OreElement):
-            if not isinstance(other, (int, Fraction, FieldElem, Poly)):
-                return NotImplemented
-            return _lift(self.ctx, other)
-        if other.ctx is not self.ctx and other.ctx != self.ctx:
-            raise ContextMismatch(f"{self.ctx!r} vs {other.ctx!r}")
-        return other
-
     # -- module operations --------------------------------------------------
 
     def _plus(self, other, op):
-        other = self._mate(other)
+        other = _lift(self.ctx, other)
         if other is NotImplemented:
             return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
@@ -211,17 +200,12 @@ class OreElement:
     # -- multiplication -------------------------------------------------------
 
     def __mul__(self, other):
-        other = self._mate(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _mul(self, other)
+        other = _lift(self.ctx, other)
+        return NotImplemented if other is NotImplemented else _mul(self, other)
 
-    def __rmul__(self, other):
-        # only scalars/polynomials reach here; lift and multiply on the left
-        lifted = _lift(self.ctx, other)
-        if lifted is NotImplemented:
-            return NotImplemented
-        return _mul(lifted, self)
+    def __rmul__(self, other):  # only scalars and polynomials reach here
+        other = _lift(self.ctx, other)
+        return NotImplemented if other is NotImplemented else _mul(other, self)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -247,7 +231,13 @@ def _element(ctx: AhContext, coeffs) -> OreElement:
 
 
 def _lift(ctx: AhContext, value):
+    """value as an element of ctx, the one way in for outside values: an element
+    of ctx as it is (of another context, ContextMismatch), an int, Fraction,
+    FieldElem or Poly as a checked polynomial, anything else NotImplemented."""
+    # OreElement is tested first: Fraction is an ABC, so isinstance against it is slow
     if isinstance(value, OreElement):
+        if value.ctx is not ctx and value.ctx != ctx:
+            raise ContextMismatch(f"{ctx!r} vs {value.ctx!r}")
         return value
     if isinstance(value, (Poly, int, Fraction, FieldElem)):
         return OreElement(ctx, (value,))
@@ -258,6 +248,12 @@ def _delta(h: Poly, c, acc: list, scale=1) -> list:
     """Add ``scale * h * c'`` to the list acc and return it: raw numerators,
     over hd times the denominator of c, reduced mod p."""
     return _red(_mul_add(acc, scale, [i * c[i] for i in range(1, len(c))], h._nums), h.spec.p)
+
+
+def _excess(ctx: AhContext) -> int:
+    """``e = max(deg h - 1, 0)``, the weight of Y when x weighs 1: delta raises the
+    degree of a nonconstant polynomial by at most e, and weights add in a product."""
+    return max(len(ctx.h._nums) - 2, 0)
 
 
 def _binomials(i: int, p: int, top=None) -> list:
@@ -350,12 +346,20 @@ def _packed(ctx: AhContext, degrees, op: str, *args):
     return getattr(packed, op)(*args)
 
 
-def _mul(a: OreElement, b: OreElement) -> OreElement:
-    ctx, fs = a.ctx, a.coeffs
-    if (ab := _packed(ctx, (len(fs) - 1, len(b.coeffs) - 1), "product", a, b)) is not NotImplemented:
+def _mul(a: OreElement, b: OreElement, minus=False) -> OreElement:
+    """a*b, or with minus the commutator a*b - b*a, both products summed into
+    one set of output coefficients; against a polynomial (not both) the
+    terms that cancel are not formed."""
+    ctx, fs, gs, sign = a.ctx, a.coeffs, b.coeffs, 1
+    if (ab := _packed(ctx, (len(fs) - 1, len(gs) - 1), "product", a, b, minus)) is not NotImplemented:
         return ab
-    slots = [[] for _ in range(len(fs) + len(b.coeffs) - 1)]
-    _terms(slots, fs, _rows(ctx, b.coeffs, _support(fs)))
+    if minus and len(fs) == 1:
+        fs, gs, sign = gs, fs, -1  # [f, b] = -[b, f]
+    slots = [[] for _ in range(len(fs) + len(gs) - 1)]
+    # [a, g] = sum_i f_i * (Y^i*g - g*Y^i): the rows of g without their tops
+    _terms(slots, fs, _rows(ctx, gs, _support(fs)), 0, sign, 0 if minus and len(gs) == 1 else None)
+    if minus and len(gs) > 1:
+        _terms(slots, gs, _rows(ctx, fs, _support(gs)), 0, -1)
     return _element(ctx, [sum_of_raw_products(ctx.spec, s) for s in slots])
 
 
@@ -364,28 +368,15 @@ COMMUTATOR_SPACES = ("bracket_x", "bracket_yhat", "lie_ideal")
 
 
 def commutator(a, b) -> OreElement:
-    """The ring commutator a*b - b*a; either side may be a polynomial or scalar.
-    Both products go into one set of output coefficients; on raw rows,
-    against a polynomial, the terms that cancel are not formed."""
-    a = a if isinstance(a, OreElement) else _lift(b.ctx, a)
-    b = NotImplemented if a is NotImplemented else a._mate(b)
-    if b is NotImplemented:
+    """The ring commutator a*b - b*a; either side may be a polynomial or scalar:
+    the product's minus mode."""
+    home = a if isinstance(a, OreElement) else b
+    if not isinstance(home, OreElement) or (a := _lift(home.ctx, a)) is NotImplemented or (
+            b := _lift(home.ctx, b)) is NotImplemented:
         raise TypeError("the commutator needs elements, polynomials or scalars")
-    ctx, fs, gs, sign = a.ctx, a.coeffs, b.coeffs, 1
-    if len(fs) < 2 and len(gs) < 2:
-        return ctx.zero()  # polynomials commute
-    if (c := _packed(ctx, (len(fs) - 1, len(gs) - 1), "product", a, b, True)) is not NotImplemented:
-        return c
-    if len(fs) == 1:
-        fs, gs, sign = gs, fs, -1  # [f, b] = -[b, f]
-    slots = [[] for _ in range(len(fs) + len(gs) - 1)]
-    if len(gs) == 1:
-        # [a, g] = sum_i f_i * (Y^i*g - g*Y^i): the rows of g without their tops
-        _terms(slots, fs, _rows(ctx, gs, _support(fs)), 0, sign, 0)
-    else:
-        _terms(slots, fs, _rows(ctx, gs, _support(fs)))
-        _terms(slots, gs, _rows(ctx, fs, _support(gs)), 0, -1)
-    return _element(ctx, [sum_of_raw_products(ctx.spec, s) for s in slots])
+    if len(a.coeffs) < 2 and len(b.coeffs) < 2:
+        return a.ctx.zero()  # polynomials commute
+    return _mul(a, b, True)
 
 
 def apply_poly_map(a: OreElement, x_image: Poly, y_image: OreElement) -> OreElement:
@@ -405,7 +396,7 @@ def apply_poly_map(a: OreElement, x_image: Poly, y_image: OreElement) -> OreElem
         if i:
             q_power = q_power * y_image
         if f:
-            result = result + target.from_poly(f.compose(x_image)) * q_power
+            result = result + _element(target, (f.compose(x_image),)) * q_power
     return result
 
 

@@ -37,7 +37,7 @@ from functools import reduce
 from itertools import accumulate
 from math import comb, gcd
 
-from .algebra import AhContext, OreElement, apply_poly_map, commutator
+from .algebra import AhContext, OreElement, _element, apply_poly_map, commutator
 from .errors import (
     AhError,
     CharacteristicError,
@@ -50,7 +50,7 @@ from .errors import (
     WrongHError,
 )
 from .fields import FieldElem, FieldSpec, _factor
-from .poly import MAX_DENSE_TERMS, Poly, _kept, _parts, _poly, _rational_roots, gcd_monic
+from .poly import Poly, _dense_terms, _kept, _parts, _poly, _rational_roots, gcd_monic
 
 
 def _mod(v, p):
@@ -98,7 +98,7 @@ class Automorphism:
     def y_image(self) -> OreElement:
         ctx = self.ctx
         scale = self.alpha ** (ctx.deg_h - 1)
-        return ctx.monomial(Poly.constant(scale), 1) + ctx.from_poly(self.f)
+        return _element(ctx, (self.f, Poly.constant(scale)))
 
     def apply(self, a: OreElement) -> OreElement:
         if a.ctx != self.ctx:
@@ -269,7 +269,7 @@ def _presentation(h: Poly, refuse_dense_t: bool = False) -> tuple:
     H = _moved(h, c)
     m = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
     if refuse_dense_t:
-        _dense_terms(p if whole else 1, m)  # base is x^p - x or x - c
+        _dense_terms("power of the base", (p if whole else 1) * m + 1)  # base is x^p - x or x - c
     if k == 1 and h.monic() != Poly(spec, (-lam, 1)) ** d:
         raise SelfCheckError("h with a linear radical is not a power of it")
     if k == 1 and not p:
@@ -631,20 +631,13 @@ def _base(spec: FieldSpec, c: FieldElem, G: tuple) -> Poly:
     return Poly(spec, (-c, 1)) if len(G) == 1 else Poly.monomial(spec, 1, spec.p) - Poly.x(spec)
 
 
-def _dense_terms(a: int, k: int) -> int:
-    """a*k + 1, the terms of a dense power base^k with deg base = a, refused past the bound."""
-    if a * k + 1 > MAX_DENSE_TERMS:
-        raise AhError(f"power of the base too large: {a * k + 1} coefficients, limit {MAX_DENSE_TERMS}")
-    return a * k + 1
-
-
 def _binomial_power(base: Poly, k: int) -> Poly:
     """base^k for base = (A*x^a + B*x^e)/D by the binomial theorem, each term
     stepped from the last: O(k) steps (k < p over GF(p)) plus the dense output."""
     p, nums, a = base.spec.p, base._nums, base.degree
     e, B = next(((i, v) for i, v in enumerate(nums[:a]) if v), (0, 0))
     A = nums[a]
-    out, term = [0] * _dense_terms(a, k), A**k
+    out, term = [0] * _dense_terms("power of the base", a * k + 1), A**k
     out[a * k] = term
     for j in range(1, k + 1 if B else 1):
         step = (k - j + 1) * B
@@ -757,9 +750,7 @@ def eta_endo(ctx: AhContext, k: int) -> Endomorphism:
         raise CharacteristicError("p divides k, so 1/k does not exist")
     scale = spec.from_int(k).inverse()
     x_image = Poly.monomial(spec, spec.one(), k)
-    y_image = ctx.monomial(
-        Poly.monomial(spec, scale, (k - 1) * (n - 1)), 1
-    )
+    y_image = _element(ctx, (Poly.zero(spec), Poly.monomial(spec, scale, (k - 1) * (n - 1))))
     endo = Endomorphism(ctx, x_image, y_image, k == 1, f"eta_{k}")
     _assert_endo_relation(endo)
     return endo
@@ -787,9 +778,8 @@ def kappa_endo(ctx: AhContext, c: OreElement) -> Endomorphism:
 
 def _assert_endo_relation(endo: Endomorphism) -> None:
     ctx = endo.ctx
-    x_img = ctx.from_poly(endo.x_image)
-    lhs = commutator(endo.y_image, x_img)
-    rhs = ctx.from_poly(ctx.h.compose(endo.x_image))
+    lhs = commutator(endo.y_image, _element(ctx, (endo.x_image,)))
+    rhs = _element(ctx, (ctx.h.compose(endo.x_image),))
     if lhs != rhs:
         raise SelfCheckError("generator images violate the defining relation")
 

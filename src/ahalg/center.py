@@ -25,9 +25,9 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import COMMUTATOR_SPACES, AhContext, OreElement, _element, commutator
-from .errors import AhError, CharacteristicError, SelfCheckError
+from .errors import CharacteristicError, SelfCheckError
 from .fields import FieldElem
-from .poly import MAX_DENSE_TERMS, Poly, _add, _kept, _mulmod, _powmod, _red, _spread, _tail
+from .poly import Poly, _add, _dense_terms, _kept, _mulmod, _powmod, _red, _spread, _tail
 from .weyl import from_hy_coordinates, hy_coordinates
 
 
@@ -53,9 +53,7 @@ def center(ctx: AhContext) -> CenterDescription:
     p = spec.characteristic
     if p == 0:
         return CenterDescription(0, None, None, None)
-    terms = max(d - 1, 1) * p + 1
-    if terms > MAX_DENSE_TERMS:
-        raise AhError(f"center too large: {terms} coefficients, limit {MAX_DENSE_TERMS}")
+    _dense_terms("center", max(d - 1, 1) * p + 1)
     cs = _kept(h, "correction", _correction) if d else []
     # the dense C, -C and x^p are spread out from residues, with no reduction
     correction, minus, zero = _spread(spec, cs, p), _spread(spec, [-c % p for c in cs], p), Poly.zero(spec)

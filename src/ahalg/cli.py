@@ -31,7 +31,7 @@ from types import SimpleNamespace
 
 import ahalg
 
-from .algebra import COMMUTATOR_SPACES, AhContext, antiautomorphism, commutator, format_element
+from .algebra import COMMUTATOR_SPACES, AhContext, _element, antiautomorphism, commutator, format_element
 from .errors import AhError
 from .fields import FieldSpec, decimal_int, value_str
 from .parsing import parse_element, parse_poly, parse_scalar, refuse_power
@@ -193,7 +193,7 @@ def _result(text: str):
     return {"result": text}, text
 
 
-def _element(a):
+def _printed(a):
     return _result(format_element(a))
 
 
@@ -270,9 +270,9 @@ def _delta(env, args):
 def _yh_product(env, args):
     ctx, i = env.ctx, args.power
     # the factor Y + i*h' has the largest shift of either side
-    factor = ctx.gen() + ctx.from_poly(ctx.h_prime.scaled(i))
+    factor = _element(ctx, (ctx.h_prime.scaled(i), Poly.one(ctx.spec)))
     refuse_power("yh-product power", i, ctx.spec.p, (factor,), steps=MAX_YH_STEPS)
-    return _element(ahalg.yh_product(ctx, i, args.side))
+    return _printed(ahalg.yh_product(ctx, i, args.side))
 
 
 def _localized_equal(env, args):
@@ -418,21 +418,21 @@ _AUT = ("alpha", "beta", "f")
 # A handler maps (environment, parsed arguments) to (JSON data, pretty text).
 COMMANDS = {
     "eval": (("expr",), "normal form of an expression in x and Y",
-             lambda env, a: _element(env.element(a.expr))),
+             lambda env, a: _printed(env.element(a.expr))),
     "mul": (("left", "right"), "product of two elements",
-            lambda env, a: _element(env.element(a.left) * env.element(a.right))),
+            lambda env, a: _printed(env.element(a.left) * env.element(a.right))),
     "add": (("left", "right"), "sum of two elements",
-            lambda env, a: _element(env.element(a.left) + env.element(a.right))),
+            lambda env, a: _printed(env.element(a.left) + env.element(a.right))),
     "comm": (("left", "right"), "commutator of two elements",
-             lambda env, a: _element(commutator(env.element(a.left), env.element(a.right)))),
+             lambda env, a: _printed(commutator(env.element(a.left), env.element(a.right)))),
     "anti": (("expr",), "the anti-automorphism x->x, Y->-Y+h'",
-             lambda env, a: _element(antiautomorphism(env.element(a.expr)))),
+             lambda env, a: _printed(antiautomorphism(env.element(a.expr)))),
     "delta": (("poly", ("power", _INT)), "iterated derivation h*f' of a polynomial", _delta),
     "factor": (("poly",), "factor a polynomial over the field", _factor),
     "to-weyl": (("expr",), "expand through Y = y*h into the Weyl algebra",
-                lambda env, a: _element(ahalg.to_weyl(env.element(a.expr)))),
+                lambda env, a: _printed(ahalg.to_weyl(env.element(a.expr)))),
     "from-weyl": (("expr",), "pull a Weyl element back into the subalgebra",
-                  lambda env, a: _element(ahalg.from_weyl(env.weyl_element(a.expr), env.ctx))),
+                  lambda env, a: _printed(ahalg.from_weyl(env.weyl_element(a.expr), env.ctx))),
     "embed": (("divisor", "expr"), "embed into the algebra of a divisor of h", _embed),
     "ore-witness": (("expr", "poly", ("side", _SIDE)), "common-denominator witness", _ore_witness),
     "localized-equal": (("expr", ("m", _INT), "weyl_expr", ("n", _INT)),
@@ -458,7 +458,7 @@ COMMANDS = {
     "aut-g": ((), "the translations fixing h", _aut_g),
     "aut-classify": ((), "automorphism-group structure report", _aut_classify),
     "aut-apply": ((*_AUT, "expr"), "apply an automorphism",
-                  lambda env, a: _element(env.automorphism(a.alpha, a.beta, a.f).apply(
+                  lambda env, a: _printed(env.automorphism(a.alpha, a.beta, a.f).apply(
                       env.element(a.expr)))),
     "aut-compose": (
         ("alpha1", "beta1", "f1", "alpha2", "beta2", "f2"),

@@ -10,10 +10,10 @@ spills into the next: a product of two rows is one int product and a sum
 one int sum, and a result is unpacked and reduced mod p once.
 
 The degree bounds come from weights: x^j Y^k weighs ``j + k*e`` with
-``e = max(deg h - 1, 0)``, delta raises the degree of a nonconstant
-polynomial by at most e (and kills a constant), and the weight of a product
-is the sum of its factors' weights (the associated graded ring is an Ore
-extension of F[x], a domain).
+``e = max(deg h - 1, 0)`` (``algebra._excess``), delta raises the degree of
+a nonconstant polynomial by at most e (and kills a constant), and the weight
+of a product is the sum of its factors' weights (the associated graded ring
+is an Ore extension of F[x], a domain).
 
 * ``a*b = sum_i f_i * (Y^i*b)``: one row step ``Y*r = (r one slot up) +
   h*r'`` per i, with r' the digits ``j*r_j`` moved one digit down, and one
@@ -41,7 +41,7 @@ import sys
 from array import array
 from operator import mul
 
-from .algebra import OreElement, _binomials, _element, _support, _table
+from .algebra import OreElement, _binomials, _element, _excess, _support, _table
 from .errors import SelfCheckError
 from .poly import _poly
 
@@ -78,10 +78,6 @@ def _unpack(n: int, count: int, width: int) -> list:
             words.byteswap()
         return words.tolist()
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-
-
-def _excess(ctx) -> int:
-    return max(len(ctx.h._nums) - 2, 0)
 
 
 def _weight(cs, e: int) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
-from .algebra import AhContext, OreElement, _element
+from .algebra import AhContext, OreElement, _element, _excess
 from .errors import ParseError
 from .fields import FieldElem, FieldSpec, decimal_int
 from .poly import Poly, _mul_add, _poly, _power, _red, _trimmed
@@ -68,7 +68,7 @@ def _rows(acc: list, p) -> list:
 
 
 def _size(rows, den: int, p, step: int, exact: bool = False) -> tuple[int, int, int]:
-    """Y-degree, weight (x weighs 1, Y ``step`` = deg h - 1; 0 if no coefficient has an x) and bits
+    """Y-degree, weight (x weighs 1, Y weighs ``step``; 0 if no coefficient has an x) and bits
     (of height * terms, 0 over GF(p); exact: each row over its gcd) of ``rows / den``: they add up."""
     weight, has_x, height, terms = 0, False, 1, 0
     for i, r in enumerate(rows):
@@ -113,7 +113,7 @@ class _Parser:
 
     def __init__(self, src: str, spec: FieldSpec, names=(), ctx: AhContext | None = None):
         self.src, self.p, self.names, self.ctx = src, spec.characteristic, names, ctx
-        self.tokens, self.i, self.step = _tokenize(src), 0, max(ctx.deg_h - 1, 0) if ctx else 0
+        self.tokens, self.i, self.step = _tokenize(src), 0, _excess(ctx) if ctx else 0
         self.value = _dense(*self.expr())
         if self.tokens[self.i]:
             raise self.error("trailing input")
@@ -245,7 +245,7 @@ def refuse_power(what: str, n: int, p, powered, fixed=(), steps=MAX_POWER_WORDS,
     n, terms = max(n, 0), []
     for values, scales in ((powered, (1 if substitute else n, n, n)), (fixed, (1, 1, 1))):
         for v in values:
-            polys, step = (v.coeffs, max(v.ctx.deg_h - 1, 0)) if isinstance(v, OreElement) else ((v,), 0)
+            polys, step = (v.coeffs, _excess(v.ctx)) if isinstance(v, OreElement) else ((v,), 0)
             terms.append((*scales, *_raw(polys), step))
     _refuse_if_large(what, terms, p)
     if n > steps:

@@ -40,7 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import FieldMismatch, SelfCheckError, ZeroInputError
+from .errors import AhError, FieldMismatch, SelfCheckError, ZeroInputError
 from .fields import FieldElem, FieldSpec, _factor, value_str
 
 NEG_INF = float("-inf")
@@ -48,6 +48,14 @@ NEG_INF = float("-inf")
 # Dense closed-form outputs (the center over GF(p), powers of x^p - x) are
 # refused past this many coefficients; x^3+2x+5 over GF(1000003) needs 2*10^6
 MAX_DENSE_TERMS = 2**22
+
+
+def _dense_terms(what: str, terms: int) -> int:
+    """terms, the coefficients of a dense output, refused as ``what`` too large past the bound."""
+    if terms > MAX_DENSE_TERMS:
+        raise AhError(f"{what} too large: {terms} coefficients, limit {MAX_DENSE_TERMS}")
+    return terms
+
 
 _RECORD_LOCK = threading.Lock()  # installs every field of a polynomial's record
 

@@ -132,13 +132,11 @@ def yh_product(ctx: AhContext, i: int, side: str = "right") -> OreElement:
         raise ValueError("power must be nonnegative")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    result = ctx.one()
-    yhat = ctx.gen()
+    result, one = ctx.one(), Poly.one(ctx.spec)
     # multiplied in from the left, each factor costs one row step of the result
     for j in reversed(range(i)):
         shift = j if side == "right" else -(i - j)
-        factor = yhat + ctx.from_poly(ctx.h_prime.scaled(shift))
-        result = factor * result
+        result = _element(ctx, (ctx.h_prime.scaled(shift), one)) * result
     return result
 
 

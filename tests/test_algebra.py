@@ -344,11 +344,29 @@ def test_commutator_is_ab_minus_ba():
                 assert commutator(f, b) == f * b - b * f
                 assert commutator(a, f) == a * f - f * a
                 assert commutator(5, a).is_zero() and commutator(a, -2).is_zero()
+    # every row path against the one-step oracle: the packed rows over GF(p) (both factors of
+    # Y-degree at least 1), the raw rows over QQ, the raw rows over GF(p) for operands too sparse
+    # to pack, and a polynomial on either side, where the terms that cancel are not formed
+    rng = random.Random(51)
+    for spec in (QQ, FieldSpec.gf(7), FieldSpec.gf(1000003)):
+        ctx = ctx_for(spec, 1, 0, 1)
+        dense = [rand_elem(rng, ctx, 3, 3) + ctx.gen() ** 3 for _ in range(2)]
+        f = rand_poly(rng, spec, 3, nonzero=True)
+        sparse = (ctx.gen() ** 40, ctx.x() + ctx.gen())  # 42 slots of stride 42 for 4 digits
+        for a, b, packs in ((*dense, bool(spec.p)), (*sparse, False), (dense[0], f, False), (f, dense[1], False)):
+            a_el, b_el = (ctx.element((v,)) if isinstance(v, Poly) else v for v in (a, b))
+            pair = (a_el.ydeg, b_el.ydeg), "product", a_el, b_el, True
+            assert (algebra._packed(ctx, *pair) is not NotImplemented) == packs
+            expected = naive_mul(a_el, b_el) - naive_mul(b_el, a_el)
+            assert commutator(a, b) == expected == a * b - b * a
     a = ctx_for(QQ, 0, 1).gen()
     with pytest.raises(ContextMismatch):
         commutator(a, ctx_for(QQ, 0, 0, 1).gen())
     with pytest.raises(ContextMismatch):
         commutator(Poly.x(F5), a)
+    for left, right in ((1, 2), (Poly.x(QQ), 3), (Fraction(1, 2), Poly.x(F5)), ("x", a), (a, None)):
+        with pytest.raises(TypeError, match="the commutator needs elements, polynomials or scalars"):
+            commutator(left, right)
 
 
 @pytest.mark.parametrize("spec", (QQ, FieldSpec.gf(7)), ids=repr)
