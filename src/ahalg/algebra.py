@@ -30,10 +30,11 @@ mode: both products in one set of output coefficients), the involutive
 anti-automorphism fixing x and sending Y to -Y + h' (by Horner on a raw
 accumulator, normalized once), and exact one-sided division by a fixed
 element, solved top-down (a complete decision procedure for one-sided
-multiple membership); and substitution of generator images (used for
-endomorphisms and basis changes), whose x-image is a polynomial, so each
-coefficient is one ``Poly.compose``.  Powers of an element run the one
-top-bit power loop of :mod:`ahalg.poly` (``_power``).
+multiple membership); and substitution of generator images (how
+automorphisms and endomorphisms are applied), whose x-image is a
+polynomial, so each coefficient is one ``Poly.compose``, by Horner in the
+Y-image.  Powers of an element run the one top-bit power loop of
+:mod:`ahalg.poly` (``_power``).
 """
 
 from __future__ import annotations
@@ -384,19 +385,18 @@ def apply_poly_map(a: OreElement, x_image: Poly, y_image: OreElement) -> OreElem
 
     ``x_image`` is a polynomial P over the field of a and of the target,
     which ``y_image`` fixes; anything else raises :class:`ContextMismatch`.
-    Each coefficient is ``f_i.compose(P)``, multiplied on the left of the
-    powers of the Y-image.
+    By Horner, with Q the Y-image: ``r <- r*Q + f_i(P)`` from the top
+    coefficient down, one Ore product per coefficient below the top.
     """
     target = y_image.ctx
     if not isinstance(x_image, Poly) or not x_image.spec == target.spec == a.ctx.spec:
         raise ContextMismatch("the x-image must be a polynomial over the target's field")
     result = target.zero()
-    q_power = target.one()
-    for i, f in enumerate(a.coeffs):
-        if i:
-            q_power = q_power * y_image
+    for f in reversed(a.coeffs):
+        if result:
+            result = result * y_image
         if f:
-            result = result + _element(target, (f.compose(x_image),)) * q_power
+            result = result + _element(target, (f.compose(x_image),))
     return result
 
 

@@ -69,12 +69,12 @@ def pair_is_valid(ctx: AhContext, alpha: FieldElem, beta: FieldElem) -> bool:
     return not alpha.is_zero() and _law_holds(ctx.h, alpha, beta, alpha**ctx.deg_h, ctx.h)
 
 
-class Automorphism:
+class Automorphism(namedtuple("Automorphism", "ctx alpha beta f")):
     """An automorphism x -> alpha*x + beta, Y -> alpha^(deg h - 1)*Y + f."""
 
-    __slots__ = ("ctx", "alpha", "beta", "f")
+    __slots__ = ()
 
-    def __init__(self, ctx: AhContext, alpha, beta, f: Poly | None = None):
+    def __new__(cls, ctx: AhContext, alpha, beta, f: Poly | None = None):
         alpha = ctx.spec.elem(alpha)
         beta = ctx.spec.elem(beta)
         if f is None:
@@ -85,10 +85,11 @@ class Automorphism:
             raise InvalidPairError(
                 f"({alpha}, {beta}) violates h(a*x+b) = a^deg(h) * h"
             )
-        self.ctx = ctx
-        self.alpha = alpha
-        self.beta = beta
-        self.f = f
+        return tuple.__new__(cls, (ctx, alpha, beta, f))
+
+    @classmethod
+    def _make(cls, fields):  # _replace, too, checks the pair law
+        return cls(*fields)
 
     @property
     def x_image(self) -> Poly:
@@ -100,7 +101,7 @@ class Automorphism:
         scale = self.alpha ** (ctx.deg_h - 1)
         return _element(ctx, (self.f, Poly.constant(scale)))
 
-    def apply(self, a: OreElement) -> OreElement:
+    def apply(self, a: OreElement) -> OreElement:  # Endomorphism's too
         if a.ctx != self.ctx:
             raise ContextMismatch("element from a different context")
         return apply_poly_map(a, self.x_image, self.y_image)
@@ -127,17 +128,6 @@ class Automorphism:
     @property
     def is_identity(self) -> bool:
         return self.alpha.is_one() and self.beta.is_zero() and self.f.is_zero()
-
-    def __reduce__(self):  # pickle, copy, == and hash all read these canonical values
-        return Automorphism, (self.ctx, self.alpha, self.beta, self.f)
-
-    def __eq__(self, other):
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__())
 
     def __repr__(self):
         return f"Automorphism(alpha={self.alpha}, beta={self.beta}, f={self.f})"
@@ -727,10 +717,7 @@ class Endomorphism(namedtuple("Endomorphism", "ctx x_image y_image surjective na
 
     __slots__ = ()
 
-    def apply(self, a: OreElement) -> OreElement:
-        if a.ctx != self.ctx:
-            raise ContextMismatch("element from a different context")
-        return apply_poly_map(a, self.x_image, self.y_image)
+    apply = Automorphism.apply
 
 
 def eta_endo(ctx: AhContext, k: int) -> Endomorphism:

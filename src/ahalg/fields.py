@@ -16,6 +16,7 @@ its coefficients are read.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import FieldMismatch, InfiniteFieldError
@@ -95,12 +96,12 @@ def decimal_int(digits: str) -> int:
         return decimal_int(digits[:-k]) * 10**k + decimal_int(digits[-k:])
 
 
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "kind p")):
     """An exact field: the rationals, or GF(p) for a prime p."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ()
 
-    def __init__(self, kind: str, p: int | None = None):
+    def __new__(cls, kind: str, p: int | None = None):
         if kind == PRIME_FIELD:
             if p is None or not _is_prime(p):
                 raise ValueError(f"modulus {p!r} is not prime")
@@ -108,8 +109,11 @@ class FieldSpec:
             p = None
         else:
             raise ValueError(f"unknown field kind {kind!r}")
-        self.kind = kind
-        self.p = p
+        return tuple.__new__(cls, (kind, p))
+
+    @classmethod
+    def _make(cls, fields):  # _replace, too, checks the field
+        return cls(*fields)
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -151,19 +155,6 @@ class FieldSpec:
             raise InfiniteFieldError("cannot enumerate the rationals")
         for r in range(self.p):
             yield FieldElem(self, r)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.p))
-
-    def __reduce__(self):
-        return FieldSpec, (self.kind, self.p)
 
     def __repr__(self):
         return "QQ" if self.kind == RATIONALS else f"GF({self.p})"

@@ -424,12 +424,9 @@ class Poly:
         return _poly(self.spec, [-c for c in self._nums], self._den)
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction, FieldElem)):
-                return NotImplemented
-            return self.scaled(self.spec.elem(other))
-        if other.spec is not self.spec and other.spec != self.spec:
-            raise FieldMismatch("polynomials over different fields")
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         return _poly(self.spec, _mul_add([], 1, self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
@@ -622,13 +619,6 @@ def distinct_root_count(f: Poly) -> int:
 # immutable records are namedtuple subclasses, which import nothing heavy (see the README)
 class FactorTerm(namedtuple("FactorTerm", "poly multiplicity verified")):
     __slots__ = ()
-
-    def __iter__(self):
-        # allows unpacking as (poly, multiplicity)
-        return iter(self[:2])
-
-    def __getnewargs__(self):
-        return self[:]
 
 
 class FactoredPoly(namedtuple("FactoredPoly", "unit factors")):

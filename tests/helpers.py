@@ -11,7 +11,6 @@ from ahalg import (
     OreElement,
     Poly,
     antiautomorphism,
-    apply_poly_map,
     central_decompose,
     commutator,
     div_left_exact,
@@ -137,10 +136,24 @@ def antiautomorphism_oracle(a: OreElement) -> OreElement:
     return result
 
 
+def apply_poly_map_oracle(a: OreElement, x_image: Poly, y_image: OreElement) -> OreElement:
+    """Generator substitution as a power sum: ``sum f_i(P) * Q^i``, one product
+    per power of the Y-image Q and one per nonzero coefficient."""
+    target = y_image.ctx
+    result = target.zero()
+    q_power = target.one()
+    for i, f in enumerate(a.coeffs):
+        if i:
+            q_power = q_power * y_image
+        if f:
+            result = result + target.from_poly(f.compose(x_image)) * q_power
+    return result
+
+
 def to_weyl_oracle(a: OreElement) -> OreElement:
-    """Weyl expansion oracle: substitute x -> x, Y -> y*h by apply_poly_map."""
+    """Weyl expansion oracle: substitute x -> x, Y -> y*h as a power sum."""
     wctx = weyl_context(a.ctx.spec)
-    return apply_poly_map(a, Poly.x(a.ctx.spec), wctx.gen() * a.ctx.h)
+    return apply_poly_map_oracle(a, Poly.x(a.ctx.spec), wctx.gen() * a.ctx.h)
 
 
 def from_weyl_oracle(w: OreElement, ctx: AhContext) -> OreElement:

@@ -21,6 +21,7 @@ from ahalg.errors import ContextMismatch, FieldMismatch, SelfCheckError, ZeroInp
 
 from helpers import (
     antiautomorphism_oracle,
+    apply_poly_map_oracle,
     delta_power_oracle,
     div_one_sided_oracle,
     naive_mul,
@@ -222,6 +223,51 @@ def test_apply_poly_map():
     got = apply_poly_map(y * x, Poly.x(QQ), shear)
     assert got == x * y + ctx.from_poly(Poly.from_ints(QQ, (0, 0, 3)))
     assert got == shear * x
+
+
+@pytest.mark.parametrize("spec", (QQ, FieldSpec.gf(7), FieldSpec.gf(1000003)), ids=repr)
+def test_apply_poly_map_matches_the_power_sum(spec):
+    # automorphisms, both endomorphism families and the Weyl substitution,
+    # on elements of each Y-degree from 0 to 8
+    from ahalg import autgroup, weyl_context
+
+    rng = random.Random(37)
+    maps = []
+    for h in ((0, 0, 1), (0, 0, 0, 1), (-1, 0, 1)):  # each admits the pairs (1, 0) and (-1, 0)
+        ctx = ctx_for(spec, *h)
+        for alpha in (1, -1):
+            aut = autgroup.Automorphism(ctx, alpha, 0, rand_poly(rng, spec, 3))
+            maps.append((ctx, aut.x_image, aut.y_image))
+        maps.append((ctx, Poly.x(spec), weyl_context(spec).gen() * ctx.h))
+    for k in (2, 3):
+        endo = autgroup.eta_endo(ctx_for(spec, 0, 0, 1), k)
+        maps.append((endo.ctx, endo.x_image, endo.y_image))
+    if spec.p:
+        ctx = ctx_for(spec, 0, 1)  # h = x: Y^p - Y centralizes x
+        c = ctx.from_poly(rand_poly(rng, spec, 2, nonzero=True))
+        if spec.p < 100:
+            c = c + ctx.gen() ** spec.p - ctx.gen()
+        endo = autgroup.kappa_endo(ctx, c)
+        maps.append((ctx, endo.x_image, endo.y_image))
+    for ctx, x_image, y_image in maps:
+        for ydeg in range(9):
+            a = ctx.element([rand_poly(rng, spec, 2) for _ in range(ydeg)] + [rand_poly(rng, spec, 2, True)])
+            assert apply_poly_map(a, x_image, y_image) == apply_poly_map_oracle(a, x_image, y_image)
+
+
+def test_apply_poly_map_makes_one_product_per_coefficient(monkeypatch):
+    # Horner: k coefficients cost k - 1 Ore products, where the power sum took 2k - 1
+    calls = []
+    mul = algebra._mul
+    monkeypatch.setattr(algebra, "_mul", lambda *args: calls.append(1) or mul(*args))
+    for spec in (QQ, FieldSpec.gf(7)):
+        ctx = ctx_for(spec, 0, 0, 1)
+        shear = ctx.gen() + ctx.from_poly(Poly.from_ints(spec, (1, 2)))
+        for k in range(1, 9):
+            a = ctx.element([Poly.from_ints(spec, (i + 1, 1)) for i in range(k)])
+            calls.clear()
+            apply_poly_map(a, Poly.x(spec), shear)
+            assert len(calls) <= k
 
 
 def test_apply_poly_map_takes_a_polynomial_over_the_target_field():

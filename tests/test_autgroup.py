@@ -43,6 +43,7 @@ from ahalg.errors import (
     AhError,
     CharacteristicError,
     ConstantHError,
+    ContextMismatch,
     InfiniteFieldError,
     InvalidPairError,
     SelfCheckError,
@@ -251,6 +252,34 @@ def test_tau_inverse_formula():
     t = tau(ctx, alpha, beta)
     expected = tau(ctx, alpha.inverse(), -beta * alpha.inverse())
     assert t.inverse() == expected
+
+
+def test_automorphisms_are_checked_records():
+    ctx = ctx_for(QQ, 0, -1, 1)  # x^2 - x: P = {(1, 0), (-1, 1)}
+    omega = Automorphism(ctx, -1, 1, Poly.from_ints(QQ, (1, 2)))
+    for twin in (omega._replace(), copy.copy(omega), copy.deepcopy(omega),
+                 *(pickle.loads(pickle.dumps(omega, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert twin == omega and hash(twin) == hash(omega) and type(twin) is Automorphism
+    assert Automorphism(ctx, QQ.from_int(-1), Fraction(1), omega.f) == omega
+    assert hash(Automorphism(ctx, QQ.from_int(-1), Fraction(1), omega.f)) == hash(omega)
+    ctx_, alpha, beta, f = omega
+    assert (ctx_, alpha, beta, f) == (ctx, QQ.from_int(-1), QQ.one(), omega.f)
+    assert omega._replace(f=Poly.zero(QQ)) == tau(ctx, -1, 1)
+    assert repr(omega) == "Automorphism(alpha=-1, beta=1, f=2*x + 1)"
+    with pytest.raises(InvalidPairError):
+        omega._replace(beta=QQ.zero())
+    with pytest.raises(ContextMismatch):
+        omega._replace(f=Poly.x(F5))
+
+
+def test_automorphisms_and_endomorphisms_share_one_apply():
+    assert vars(Automorphism)["apply"] is vars(autgroup.Endomorphism)["apply"]
+    ctx = ctx_for(QQ, 0, 0, 1)
+    eta = eta_endo(ctx, 1)  # the identity, as an endomorphism
+    a = ctx.element([Poly.from_ints(QQ, (1, 2)), Poly.x(QQ)])
+    assert eta.apply(a) == tau(ctx, 1, 0).apply(a) == a
+    with pytest.raises(ContextMismatch):
+        eta.apply(ctx_for(QQ, 0, 1).gen())
 
 
 # -- classification and invariants ----------------------------------------------

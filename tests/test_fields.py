@@ -1,5 +1,7 @@
 """Field arithmetic: canonical forms, axioms, and the integer embedding."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 
@@ -13,6 +15,22 @@ from ahalg.fields import _is_prime
 QQ = FieldSpec.rationals()
 F5 = FieldSpec.gf(5)
 F7 = FieldSpec.gf(7)
+
+
+def test_field_specs_are_checked_records():
+    for spec in (QQ, F7, FieldSpec.gf(1000003)):
+        for twin in (spec._replace(), copy.copy(spec), copy.deepcopy(spec),
+                     *(pickle.loads(pickle.dumps(spec, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert twin == spec and hash(twin) == hash(spec) and type(twin) is FieldSpec
+        kind, p = spec
+        assert FieldSpec(kind, p) == spec and spec._asdict() == {"kind": kind, "p": p}
+    assert FieldSpec("QQ", 5) == QQ and QQ.p is None
+    assert hash(FieldSpec.gf(7)) == hash(F7) and F7 != F5 and F7 != QQ
+    with pytest.raises(ValueError, match="modulus 8 is not prime"):
+        F7._replace(p=8)
+    with pytest.raises(ValueError, match="unknown field kind 'RR'"):
+        QQ._replace(kind="RR")
+    assert F7._replace(p=11) == FieldSpec.gf(11)
 
 
 def test_rational_add_canonical():

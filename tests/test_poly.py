@@ -1,7 +1,10 @@
 """Polynomial ring, calculus, squarefree structure, and factorization."""
 
+import copy
 import itertools
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -199,6 +202,28 @@ def test_factor_roundtrip_and_irreducibility():
 def test_factor_deterministic_under_seed():
     f = P(F5, 2, 0, 1, 3, 0, 1, 1)
     assert factor(f, seed=9) == factor(f, seed=9)
+
+
+def test_factor_terms_are_three_field_records():
+    term = factor(P(F5, 1, 0, 1)).factors[0]  # x^2 + 1 = (x + 2)(x + 3)
+    poly, multiplicity, verified = term
+    assert (poly, multiplicity, verified) == (P(F5, 2, 1), 1, True)
+    assert term._asdict() == {"poly": poly, "multiplicity": 1, "verified": True}
+    assert term._replace(verified=False) == (poly, 1, False)
+    for twin in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert twin == term and type(twin) is FactorTerm
+
+
+def test_scalar_products_refuse_as_sums_do():
+    f = P(F5, 1, 1)
+    for other, error, text in ((FieldSpec.gf(7).from_int(2), FieldMismatch, "2 in GF(7) is not in GF(5)"),
+                               (Fraction(1, 2), ValueError, "non-integer value in a prime field"),
+                               (P(FieldSpec.gf(7), 0, 1), FieldMismatch, "polynomials over different fields")):
+        for product in (lambda: f * other, lambda: other * f, lambda: f + other):
+            with pytest.raises(error, match=re.escape(text)):
+                product()
+    assert f * 7 == 7 * f == f * F5.from_int(2) == P(F5, 2, 2)
+    assert P(QQ, 1, 2) * Fraction(3, 4) == P(QQ, Fraction(3, 4), Fraction(3, 2))
 
 
 def test_rational_roots():
