@@ -15,8 +15,9 @@ from ahalg import (
     commutator,
     div_left_exact,
     div_right_exact,
+    weyl_context,
 )
-from ahalg import algebra
+from ahalg import algebra, autgroup
 from ahalg.errors import ContextMismatch, FieldMismatch, SelfCheckError, ZeroInputError
 
 from helpers import (
@@ -229,8 +230,6 @@ def test_apply_poly_map():
 def test_apply_poly_map_matches_the_power_sum(spec):
     # automorphisms, both endomorphism families and the Weyl substitution,
     # on elements of each Y-degree from 0 to 8
-    from ahalg import autgroup, weyl_context
-
     rng = random.Random(37)
     maps = []
     for h in ((0, 0, 1), (0, 0, 0, 1), (-1, 0, 1)):  # each admits the pairs (1, 0) and (-1, 0)
