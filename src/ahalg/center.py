@@ -140,12 +140,10 @@ def central_decompose(a: OreElement) -> CentralDecomposition:
     table: dict[tuple[int, int], dict[tuple[int, int], FieldElem]] = {}
     for ypow, f in enumerate(hy_coordinates(a)):
         b_low, b_high = ypow % p, ypow // p
-        for xexp, c in enumerate(f.coeffs):
-            if c.is_zero():
-                continue
-            i, a_high = xexp % p, xexp // p
-            # (xexp, ypow) fixes both the cell and the key: no entry repeats
-            table.setdefault((i, b_low), {})[(a_high, b_high)] = c
+        for xexp, c in enumerate(f._nums):  # residues: a field element only for each nonzero one
+            if c:
+                # (xexp, ypow) fixes both the cell and the key: no entry repeats
+                table.setdefault((xexp % p, b_low), {})[(xexp // p, b_high)] = FieldElem(ctx.spec, c)
     return CentralDecomposition(ctx, table)
 
 

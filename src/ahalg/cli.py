@@ -35,7 +35,7 @@ from .algebra import COMMUTATOR_SPACES, AhContext, _element, antiautomorphism, c
 from .errors import AhError
 from .fields import FieldSpec, decimal_int, value_str
 from .parsing import parse_element, parse_poly, parse_scalar, refuse_power
-from .poly import FactoredPoly, FactorTerm, Poly, factor, format_poly
+from .poly import FactoredPoly, FactorTerm, Poly, factor, format_poly, is_irreducible
 
 
 def _field_syntax(text: str) -> str:
@@ -121,7 +121,7 @@ def _parse_field(text: str) -> FieldSpec:
 def _parse_h_factored(text: str, spec, h: Poly) -> FactoredPoly:
     """Parse 'factor^mult,factor^mult[,unit]' with positive multiplicities and
     distinct factors; the product must reproduce h."""
-    terms = []
+    terms, chunks = [], {}  # chunks: the text of each factor
     unit = spec.one()
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -139,13 +139,18 @@ def _parse_h_factored(text: str, spec, h: Poly) -> FactoredPoly:
             continue
         if not poly.is_monic():
             raise AhError(f"supplied factor {chunk!r} is not monic")
-        if any(t.poly == poly for t in terms):
+        if poly in chunks:
             raise AhError(f"supplied factor {chunk!r} is repeated")
+        chunks[poly] = chunk
         terms.append(FactorTerm(poly, mult, True))
     fac = FactoredPoly(unit, tuple(terms))
     # the degree count comes first: it bounds the cost of expand
     if sum(t.poly.degree * t.multiplicity for t in terms) != h.degree or fac.expand() != h:
         raise AhError("--h-factored does not multiply out to h")
+    # over GF(p) irreducibility is decidable, and after the product check it costs no more than factor(h)
+    for poly, chunk in chunks.items():
+        if spec.is_prime_field and not is_irreducible(poly):
+            raise AhError(f"supplied factor {chunk!r} is reducible over {spec!r}")
     return fac
 
 

@@ -9,9 +9,12 @@ denominator); GF(p) values are reduced residues in ``range(p)``.  There is
 no floating point anywhere.
 
 ``FieldElem`` is the boundary type of the library: what callers pass in and
-read out one scalar at a time.  Polynomials do not hold field elements;
-:class:`~ahalg.poly.Poly` keeps canonical ints and builds elements only when
-its coefficients are read.
+read out one scalar at a time.  Its six binary operators share one body
+(``_binary``): ``FieldSpec.elem`` is the one lift of an outside scalar, and
+``_inverse``, ``pow(v, -1, p)`` behind the refusal of zero, is the one
+inverse, of residues and Fractions alike (p is None over QQ).  Polynomials
+do not hold field elements; :class:`~ahalg.poly.Poly` keeps canonical ints
+and builds elements only when its coefficients are read.
 """
 
 from __future__ import annotations
@@ -160,6 +163,27 @@ class FieldSpec(namedtuple("FieldSpec", "kind p")):
         return "QQ" if self.kind == RATIONALS else f"GF({self.p})"
 
 
+def _inverse(v, p):
+    """1/v of a raw value: a residue mod p, or a Fraction when p is None."""
+    if not v:
+        raise ZeroDivisionError("inverse of zero")
+    return pow(v, -1, p)
+
+
+def _binary(fn):
+    """A binary operator of FieldElem: the other operand lifts by ``_coerce`` (a
+    non-scalar gives NotImplemented), and ``fn(a, b, p)`` of the two raw values is
+    wrapped in the field, as ``fractions.Fraction._operator_fallbacks`` builds its own."""
+
+    def op(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return FieldElem(self.spec, fn(self.val, other.val, self.spec.p))
+
+    return op
+
+
 class FieldElem:
     """One scalar in a fixed :class:`FieldSpec`, kept in canonical form."""
 
@@ -184,71 +208,28 @@ class FieldElem:
                 value = value.numerator
             self.val = value % spec.p
 
-    def _coerce(self, other) -> "FieldElem":
-        if isinstance(other, FieldElem):
-            if other.spec != self.spec:
-                raise FieldMismatch(f"{self.spec!r} vs {other.spec!r}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FieldElem(self.spec, other)
+    def _coerce(self, other):
+        # a scalar lifts by FieldSpec.elem, the one rule; anything else is NotImplemented
+        if isinstance(other, (FieldElem, int, Fraction)):
+            return self.spec.elem(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.val + other.val)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.val - other.val)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, other.val - self.val)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.val * other.val)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+    __add__ = __radd__ = _binary(lambda a, b, p: a + b)
+    __sub__ = _binary(lambda a, b, p: a - b)
+    __rsub__ = _binary(lambda a, b, p: b - a)
+    __mul__ = __rmul__ = _binary(lambda a, b, p: a * b)
+    __truediv__ = _binary(lambda a, b, p: a * _inverse(b, p))
+    __rtruediv__ = _binary(lambda a, b, p: b * _inverse(a, p))
 
     def __neg__(self):
         return FieldElem(self.spec, -self.val)
 
     def __pow__(self, n: int):
-        if n >= 0:
-            if self.spec.is_prime_field:
-                return FieldElem(self.spec, pow(self.val, n, self.spec.p))
-            return FieldElem(self.spec, self.val**n)
-        return self.inverse() ** (-n)
+        v, p = self.val, self.spec.p
+        return FieldElem(self.spec, pow(v if n >= 0 else _inverse(v, p), abs(n), p))
 
     def inverse(self) -> "FieldElem":
-        if not self.val:
-            raise ZeroDivisionError("inverse of zero")
-        if self.spec.is_prime_field:
-            return FieldElem(self.spec, pow(self.val, -1, self.spec.p))
-        return FieldElem(self.spec, 1 / self.val)
+        return FieldElem(self.spec, _inverse(self.val, self.spec.p))
 
     def is_zero(self) -> bool:
         return not self.val

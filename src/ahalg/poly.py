@@ -383,8 +383,11 @@ class Poly:
 
     # -- ring operations ----------------------------------------------
 
-    def _plus(self, other: "Poly", sign: int) -> "Poly":
-        # self + sign * other, over the product of the two denominators
+    def _plus(self, other, s: int, t: int):
+        # s * self + t * other for signs s and t, over the product of the two denominators
+        other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         a, b = self._nums, other._nums
         den = da = self._den
         db = other._den
@@ -392,7 +395,9 @@ class Poly:
             a = [c * db for c in a]
             b = [c * da for c in b]
             den = da * db
-        if sign < 0:
+        if s < 0:
+            a = [-c for c in a]
+        if t < 0:
             b = [-c for c in b]
         if len(a) < len(b):
             a, b = b, a
@@ -401,24 +406,15 @@ class Poly:
         return _poly(self.spec, out, den)
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._plus(other, 1)
+        return self._plus(other, 1, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._plus(other, -1)
+        return self._plus(other, 1, -1)
 
     def __rsub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return self._plus(other, -1, 1)
 
     def __neg__(self):
         return _poly(self.spec, [-c for c in self._nums], self._den)

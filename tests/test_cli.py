@@ -474,6 +474,23 @@ def test_h_factored_refuses_bad_multiplicities_at_once(capsys, h, factored):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd", [["prime-test", "x^2-1"], ["classify-normal", "x^2-1"], ["classify-normal", "x-1"]])
+def test_h_factored_refuses_a_reducible_factor_over_gf_p(capsys, cmd):
+    # the product check passes; over GF(p) the factor itself is checked, and refused
+    code = run(["--field", "GF:7", "--h", "x^2-1", "--h-factored", "(x^2-1)^1", *cmd])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: supplied factor '(x^2-1)^1' is reducible over GF(7)\n"
+
+
+def test_h_factored_irreducible_factors_over_gf_p_are_taken(capsys):
+    h_factored = ["--field", "GF:7", "--h", "x^2-1", "--h-factored", "(x-1)^1,(x+1)^1"]
+    assert run([*h_factored, "prime-test", "x-1"]) == 0
+    assert capsys.readouterr().out == "FactorOfH: associate of the prime factor x + 6\n"
+    assert run([*h_factored, "classify-normal", "x^2-1"]) == 0
+    assert capsys.readouterr().out == "(x + 6)^1 * (x + 1)^1 * [1]\n"  # in the order supplied
+
+
 def test_seed_flag_changes_nothing_visible(capsys):
     base = ["--field", "GF:5", "--h", "x", "factor", "x^6 + x^2 + 1", "--json"]
     run(base + ["--seed", "1"])
