@@ -115,6 +115,8 @@ class AhContext:
         return _element(self, (Poly.constant(self.spec.elem(c)),))
 
     def monomial(self, f: Poly, i: int) -> "OreElement":
+        if i < 0:
+            raise ValueError("negative powers do not exist in the algebra")
         return OreElement(self, (Poly.zero(self.spec),) * i + (f,))
 
     # -- the derivation delta(f) = h f' ----------------------------------

@@ -303,7 +303,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, spec, c, k: int) -> "Poly":
-        return cls(spec, (0,) * k + (c,))
+        return cls(spec, (c,)).shifted(k)
 
     @classmethod
     def from_ints(cls, spec, ints) -> "Poly":
@@ -487,7 +487,9 @@ class Poly:
 
     def compose(self, inner: "Poly") -> "Poly":
         """Return self(inner(x)), computed exactly by Horner."""
-        inner = self._check(inner)
+        inner, given = self._check(inner), inner
+        if inner is NotImplemented:
+            raise TypeError(f"cannot compose a polynomial with {type(given).__name__!r}")
         p, d, acc, dk = self.spec.p, inner._den, [], 1
         for c in reversed(self._nums):  # d^n * self(inner), n = deg self, in integers
             acc = _mul_add([c * dk], 1, acc, inner._nums)
@@ -515,6 +517,8 @@ class Poly:
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by x^k."""
+        if k < 0:
+            raise ValueError("negative polynomial power")
         if self.is_zero():
             return self
         return _poly(self.spec, (0,) * k + self._nums, self._den)
@@ -569,6 +573,8 @@ def pow_mod(base: Poly, exp: int, mod: Poly) -> Poly:
     """base**exp mod mod by :func:`_power`: :func:`_mulmod` over GF(p)."""
     if mod.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    if exp < 0:
+        raise ValueError("negative polynomial power")
     p = base.spec.p
     if p:
         return _poly(base.spec, _powmod(base._nums, exp, _tail(mod._nums, p), p))

@@ -36,7 +36,7 @@ from ahalg.errors import (
     NotDivisibleError,
     ZeroInputError,
 )
-from ahalg.poly import is_irreducible
+from ahalg.poly import is_irreducible, pow_mod
 
 QQ, F5, F7 = FieldSpec.rationals(), FieldSpec.gf(5), FieldSpec.gf(7)
 X_QQ, X_F7 = Poly.x(QQ), Poly.x(F7)
@@ -55,8 +55,16 @@ REFUSALS = [
     ("is_irreducible over QQ", lambda: is_irreducible(X_QQ), FieldMismatch,
      "irreducibility test implemented over GF(p) only"),
     ("Poly ** -1", lambda: X_QQ ** -1, ValueError, "negative polynomial power"),
+    ("pow_mod ** -1", lambda: pow_mod(X_F7, -1, X_F7 * X_F7 - 2), ValueError, "negative polynomial power"),
+    ("monomial x^-2", lambda: Poly.monomial(F7, 1, -2), ValueError, "negative polynomial power"),
+    ("shifted by x^-1", lambda: (X_F7 * X_F7).shifted(-1), ValueError, "negative polynomial power"),
+    ("compose with a str", lambda: Poly(F7, (1, 2, 3)).compose("x"), TypeError,
+     "cannot compose a polynomial with 'str'"),
+    ("compose with None", lambda: Poly(F7, (1, 2, 3)).compose(None), TypeError,
+     "cannot compose a polynomial with 'NoneType'"),
     # algebra
     ("OreElement ** -1", lambda: A_X.gen() ** -1, ValueError, "negative powers do not exist in the algebra"),
+    ("monomial Y^-3", lambda: A_X7.monomial(X_F7, -3), ValueError, "negative powers do not exist in the algebra"),
     ("h over another field", lambda: AhContext(QQ, X_F7), ContextMismatch,
      "h is not a polynomial over the given field"),
     # parsing

@@ -1,17 +1,20 @@
-"""The largest accepted inputs, each within a work budget: long literals.
+"""The largest accepted inputs, each within a work budget: long literals and
+large isomorphism scales.
 
 A literal of n terms is parsed in one pass, so its cost is linear in n and
-a term ``c*x^i`` costs the same whatever i is.  Times are compared between
-two inputs parsed in turn in the same process (the best CPU time of several
-runs each), never against a fixed number of seconds, so a slow or busy host
-moves both sides alike.
+a term ``c*x^i`` costs the same whatever i is.  An isomorphism over QQ finds
+its scale by integer roots, never by factoring, so a prime scale near 10^9
+costs what a small one costs.  Times are compared between two inputs run in
+turn in the same process (the best CPU time of several runs each), never
+against a fixed number of seconds, so a slow or busy host moves both sides
+alike.
 """
 
 import contextlib
 import io
 import time
 
-from ahalg import FieldSpec, parse_poly
+from ahalg import FieldSpec, iso_test, parse_poly
 from ahalg.cli import run
 
 from helpers import parse_poly_oracle
@@ -20,13 +23,13 @@ QQ = FieldSpec.rationals()
 BIG = FieldSpec.gf(1000003)
 
 
-def _ratio(large, small, spec, rounds=7):
-    """The best CPU time of parsing large over that of small, the two alternated."""
+def _ratio(large, small, spec, rounds=7, work=parse_poly):
+    """The best CPU time of work(large, spec) over that of work(small, spec), the two alternated."""
     best = {large: float("inf"), small: float("inf")}
     for _ in range(rounds):
         for src in (small, large):
             start = time.process_time()
-            parse_poly(src, spec)
+            work(src, spec)
             best[src] = min(best[src], time.process_time() - start)
     return best[large] / best[small]
 
@@ -70,3 +73,17 @@ def test_a_high_monomial_costs_what_a_low_one_costs():
     for spec in (BIG, QQ):
         ratio = _ratio(high, low, spec)
         assert ratio < 2, (spec, ratio)
+
+
+def test_a_prime_isomorphism_scale_costs_what_a_small_one_costs():
+    # h = x^3 + a^2*x is equivalent to g = x^3 + x by alpha = +-a; with a = 10^9 + 7 the
+    # rational-root theorem would try the divisors of a^2, found by trial division
+    g = parse_poly("x^3+x", QQ)
+    pairs = {a: parse_poly(f"x^3+{a * a}*x", QQ) for a in (10**9 + 7, 101)}
+
+    def solve(a, spec):
+        return iso_test(pairs[a], g, spec)
+
+    assert solve(10**9 + 7, QQ) == (QQ.from_int(-(10**9 + 7)), QQ.zero(), QQ.from_int(-(10**9 + 7) ** 3))
+    ratio = _ratio(10**9 + 7, 101, QQ, work=solve)
+    assert ratio < 3, ratio
