@@ -13,12 +13,12 @@ translations G ({0} or GF(p)) and an element of order m whose powers are the
 alphas.  P, G and isomorphism all solve h(alpha*x + beta) == nu*g(x) one
 way for every deg h: each solution maps the anchor of g to that of h
 (:func:`_anchor`), and around the anchors each coefficient identity is a
-binomial in alpha.  So over GF(p) every question costs time polynomial in
-deg h and log p, apart from listing an output of size p.  The
-``radical`` and ``anchor`` of each polynomial asked about, and the
-``presentation`` of P, are kept in the record of the polynomial
-(:mod:`ahalg.poly`), so compute_G, compute_P, classify_aut_group and
-iso_test on one h compute them once; nothing else is kept.
+binomial in alpha, read by :func:`_centered` alone (P is its case g = h).
+So over GF(p) every question costs time polynomial in deg h and log p,
+apart from listing an output of size p.  The ``anchor`` and ``centered``
+coefficients of each polynomial asked about, and the ``presentation`` of P,
+are kept in the record of the polynomial (:mod:`ahalg.poly`), so compute_G,
+compute_P, classify_aut_group and iso_test on one h compute them once.
 
 On top of the pair computations the module classifies the group (polynomial
 shears only / semidirect with the scalar group / semidirect with a finite
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .fields import FieldElem, FieldSpec, _factor
 # gcd_monic is not called here; the benchmark's tracer test patches and restores this binding
-from .poly import Poly, _dense_terms, _kept, _parts, _poly, gcd_monic
+from .poly import Poly, _dense_terms, _kept, _poly, distinct_root_count, gcd_monic
 
 
 def _mod(v, p):
@@ -152,8 +152,9 @@ class PSet(namedtuple("PSet", "ctx lam c G unit m")):
     P = {(alpha, c*(1-alpha) + nu) : alpha^m = 1, nu in G}.  G is the group
     of translations fixing h, {0} or all of GF(p); c is the point fixed by
     the pairs (0 when m = 1); ``unit`` has order exactly m, so its powers are
-    the m-th roots of unity.  ``lam`` is set exactly when h is a scalar times
-    (x - lam)^d: then every alpha in F* is admissible, which over GF(p) is
+    the m-th roots of unity.  ``lam`` is set exactly when the law of P has
+    no condition (:func:`_centered`), so h is a scalar times (x - lam)^d, lam
+    its anchor: then every alpha in F* is admissible, which over GF(p) is
     the cyclic case c = lam, m = p - 1, and over QQ the one infinite case,
     m = None (no unit), where P stays symbolic.
 
@@ -237,48 +238,39 @@ def _pset(ctx: AhContext, presentation: tuple) -> PSet:
 
 
 def _presentation(h: Poly, refuse_dense_t: bool = False) -> tuple:
-    """P as raw values (lam, c, unit, m, k: the degree of the radical of h),
+    """P as raw values (lam, c, unit, m, k: the number of distinct roots of h),
     the ``presentation`` field of the record of h; G is read off the anchor.
 
-    A single distinct root lam (in the field, since the radical is then
-    linear) gives the family: every alpha in F*, m = None over QQ.  Else P
-    contains G = GF(p) when h has no anchor (c = 0), or fixes the anchor c
-    of h (:func:`_anchor`; lam for the family).  With H = h(x + c), the
-    pairs fixing c are (alpha, c*(1-alpha)) for the m-th roots of unity,
-    m = gcd(n, d - i : H_i != 0, i < d), n = p - 1, or 2 over QQ.  Then
-    ``refuse_dense_t`` refuses a dense t = base^m, and the generators are
-    certified: the pair of an element of order exactly m, and a nonzero
-    translation when G = GF(p), satisfy the pair law.  Over GF(p) the cost
-    is polynomial in deg h and log p.
+    P is the law of :func:`_centered` with g = h, so nu = alpha^d and every
+    condition reads alpha^e = 1.  P contains G = GF(p) when h has no anchor
+    (c = 0), or fixes the anchor c of h (:func:`_anchor`).  The pairs fixing
+    c are (alpha, c*(1-alpha)) for the m-th roots of unity, m = gcd(n, e :
+    each condition alpha^e = 1), n = p - 1, or 2 over QQ.  No condition, h a
+    scalar times (x - c)^d, gives the family with lam = c: every alpha in F*,
+    m = None over QQ.  Then ``refuse_dense_t`` refuses a dense t = base^m,
+    and the generators are certified: the pair of an element of order
+    exactly m, and a nonzero translation when G = GF(p), satisfy the pair
+    law.  Over GF(p) the cost is polynomial in deg h and log p.
     """
     spec, d, p = h.spec, h.degree, h.spec.p
     n = p - 1 if p else 2
-    k, lam = _kept(h, "radical", _radical)
-    c = _kept(h, "anchor", _anchor)
+    k = distinct_root_count(h)
+    c, _, _, conditions = _centered(h, h)
     whole, c = c is None, c or 0
-    H = _moved(h, c)
-    m = gcd(n, *(d - i for i, v in enumerate(H._nums[:d]) if v))
+    m = gcd(n, *(e for e, _ in conditions))
     if refuse_dense_t:
         _dense_terms("power of the base", (p if whole else 1) * m + 1)  # base is x^p - x or x - c
-    if k == 1 and h.monic() != Poly(spec, (-lam, 1)) ** d:
+    if (k == 1) != (not conditions):
         raise SelfCheckError("h with a linear radical is not a power of it")
-    if k == 1 and not p:
-        return lam, lam, None, None, k
+    if not (conditions or p):
+        return c, c, None, None, k
     unit = _unit_of_order(spec, n, m)
     generators = [(unit, _mod(c - unit * c, p))] if m > 1 else []
     if whole:
         generators.append((1, 1))
     if not all(_law_holds(h, a, b, pow(a, d, p), h) for a, b in generators):
         raise SelfCheckError("P is not G times the powers of its generator")
-    return lam, c if m > 1 else 0, unit, m, k
-
-
-def _radical(h: Poly) -> tuple:
-    """The number of distinct roots of h, the degree of its radical, and the
-    root as a raw value when there is one, read off the squarefree parts."""
-    parts = _parts(h)
-    n = sum(len(g) - 1 for g, _ in parts)
-    return n, _quotient(-parts[0][0][0], parts[0][0][1], h.spec.p) if n == 1 else None
+    return None if conditions else c, c if m > 1 else 0, unit, m, k
 
 
 def _quotient(a, b, p):
@@ -286,9 +278,36 @@ def _quotient(a, b, p):
     return a * pow(b, -1, p) % p if p else Fraction(a, b)
 
 
-def _moved(f: Poly, c) -> Poly:
-    """f(x + c), c a raw value."""
-    return f.compose(Poly(f.spec, (c, 1))) if c else f
+def _at_anchor(f: Poly) -> list:
+    """The coefficients of f(x + c) as raw values, c the anchor of f (0 when
+    it has none): the ``centered`` field of the record of f."""
+    c = _kept(f, "anchor", _anchor)
+    return (f.compose(Poly(f.spec, (c, 1))) if c else f)._values()
+
+
+def _centered(h: Poly, g: Poly):
+    """The law h(alpha*x + beta) == nu * g(x) read around the anchors, for
+    deg h == deg g == d >= 1: (c_h, c_g, ratio, conditions) as raw values,
+    or None when the law has no solution.
+
+    Each solution maps the anchor c_g of g to the anchor c_h of h
+    (:func:`_anchor`), so there is none unless both or neither exist;
+    without them c_h = c_g = None and beta is free up to GF(p).  With
+    H = h(x + c_h), K = g(x + c_g) (:func:`_at_anchor`) and ratio =
+    lc(h)/lc(g), the law holds exactly when beta = c_h - alpha*c_g, nu =
+    ratio*alpha^d and H_i = ratio*alpha^(d-i)*K_i for every i < d: none if
+    the zero patterns of H and K differ, else each nonzero H_i is one
+    condition alpha^e = w, e = d - i and w = H_i/(ratio*K_i), by falling e.
+    """
+    c_h, c_g = _kept(h, "anchor", _anchor), _kept(g, "anchor", _anchor)
+    if (c_h is None) != (c_g is None):
+        return None
+    H, K = _kept(h, "centered", _at_anchor), _kept(g, "centered", _at_anchor)
+    if any(bool(a) != bool(b) for a, b in zip(H, K)):
+        return None
+    d, p = len(H) - 1, h.spec.p
+    ratio = _quotient(H[d], K[d], p)
+    return c_h, c_g, ratio, [(d - i, _quotient(H[i], ratio * K[i], p)) for i in range(d) if H[i]]
 
 
 def _anchor(h: Poly):
@@ -373,57 +392,43 @@ def affine_equivalences(h: Poly, g: Poly) -> list:
 
 def _equivalences(h: Poly, g: Poly):
     """Yield the solutions of h(alpha*x + beta) == nu * g(x) in (alpha, beta)
-    order, as raw values.
+    order, as raw values: a coset, read off :func:`_centered`.
 
-    Requires deg h == deg g == d >= 1.  Each solution maps the anchor c_g of
-    g to the anchor c_h of h (:func:`_anchor`), so there is none unless both
-    or neither exist; without them c_h = c_g = 0 and beta is free up to
-    GF(p).  With H = h(x + c_h), K = g(x + c_g) and ratio = lc(h)/lc(g), the
-    law holds exactly when beta = c_h - alpha*c_g, nu = ratio*alpha^d and
-    H_i = ratio*alpha^(d-i)*K_i for every i < d: none if the zero patterns
-    of H and K differ, else each nonzero H_i is one condition alpha^e = w
-    with e = d - i and w = H_i/(ratio*K_i).  The alphas are the roots of the
+    Requires deg h == deg g == d >= 1.  The alphas are the roots of the
     condition with the least e (:func:`_binomial_roots`) that meet every
-    other one, at a cost polynomial in d and log p and no factoring.  Each
-    alpha is verified by one composition as it is reached, so a caller that
-    stops at the first triple composes only up to the least witness.  With
-    no anchors it serves every shift, once a composition past the first
-    witness certifies h(x + 1) == h.
+    other one, at a cost polynomial in d and log p and no factoring; with no
+    condition h and g are powers of linear factors and the alphas are F*
+    (over QQ alpha = 1 is yielded, and asking for more raises).  One
+    composition certifies the least solution as it is reached, and a failing
+    certificate raises.  With no anchors it serves every shift, once a
+    composition past the first witness certifies h(x + 1) == h.
     """
     spec, d, p = h.spec, h.degree, h.spec.p
     if d != g.degree or d < 1:
         raise AhError("affine elimination needs equal degrees >= 1")
-    ratio = (h.lc / g.lc).val
-    c_h, c_g = _kept(h, "anchor", _anchor), _kept(g, "anchor", _anchor)
-    if (c_h is None) != (c_g is None):
+    if (centered := _centered(h, g)) is None:
         return
+    c_h, c_g, ratio, conditions = centered
     shifts = range(1, p) if c_h is None else ()
     c_h, c_g = c_h or 0, c_g or 0
-    H, K = _moved(h, c_h)._values(), _moved(g, c_g)._values()
-    if any(bool(a) != bool(b) for a, b in zip(H, K)):
-        return
-    # (e, w) for each condition alpha^e == w, by falling e
-    conditions = [(d - i, _quotient(H[i], ratio * K[i], p)) for i in range(d) if H[i]]
     if conditions:
         *rest, (e, w) = conditions
         alphas = [a for a in _binomial_roots(spec, e, w) if all(pow(a, f, p) == v for f, v in rest)]
-    elif p:
-        # H and K are monomials, so h and g are powers of linear factors
-        alphas = range(1, p)
     else:
-        raise AhError("elimination degenerated to the one-parameter family")
-    unfixed = bool(shifts)  # h(x + 1) == h is not yet certified
+        # H and K are monomials, so h and g are powers of linear factors
+        alphas = range(1, p) if p else (Fraction(1),)
     for alpha in alphas:
-        nu = _mod(ratio * pow(alpha, d, p), p)
-        beta = _mod(c_h - alpha * c_g, p)
-        if not _law_holds(h, alpha, beta, nu, g):
-            continue
+        least = alpha == alphas[0]
+        nu, beta = _mod(ratio * pow(alpha, d, p), p), _mod(c_h - alpha * c_g, p)
+        if least and not _law_holds(h, alpha, beta, nu, g):
+            raise SelfCheckError("the least solution of h(a*x+b) = nu*g fails it")
         yield alpha, beta, nu
-        if unfixed and not _law_holds(h, 1, 1, 1, h):
+        if least and shifts and not _law_holds(h, 1, 1, 1, h):
             raise SelfCheckError("h has no anchor but x -> x + 1 moves it")
-        unfixed = False
         for shift in shifts:  # without anchors beta is 0
             yield alpha, shift, nu
+    if not (p or conditions):
+        raise AhError("elimination degenerated to the one-parameter family")
 
 
 def _binomial_roots(spec: FieldSpec, m: int, w) -> list:
@@ -675,11 +680,11 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
     """A witness (alpha, beta, nu) with nu*g(x) == h(alpha*x + beta), or None.
 
     The witness is the least by (alpha, beta): the first triple of
-    :func:`_equivalences`, which verifies candidates only up to it, or, when
-    h and g have one distinct root each, (1, lam_h - lam_g), the least of
-    the (alpha, lam_h - alpha*lam_g).  Over GF(p) the cost is polynomial in
-    deg h and log p for every deg h.  The radical and anchor of h and of g
-    are kept in their records; the witness is composed on every call.
+    :func:`_equivalences`, which certifies it by one composition; for h and
+    g of degree 0 it is (1, 0, lc(h)/lc(g)).  Over GF(p) the cost is
+    polynomial in deg h and log p for every deg h.  The anchor and centered
+    coefficients of h and of g are kept in their records; the witness is
+    composed on every call.
     """
     if h.spec != spec or g.spec != spec:
         raise ContextMismatch("polynomials over the wrong field")
@@ -689,14 +694,6 @@ def iso_test(h: Poly, g: Poly, spec: FieldSpec):
         return None
     if h.degree == 0:
         return (spec.one(), spec.zero(), h.lc / g.lc)
-    (roots_h, lam_h), (roots_g, lam_g) = _kept(h, "radical", _radical), _kept(g, "radical", _radical)
-    if roots_h != roots_g:
-        return None
-    if roots_h == 1:
-        alpha, beta, nu = spec.one(), spec.elem(lam_h - lam_g), h.lc / g.lc
-        if not _law_holds(h, alpha, beta, nu, g):
-            raise SelfCheckError("powers of linear factors are not equivalent")
-        return (alpha, beta, nu)
     return next((tuple(FieldElem(spec, v) for v in t) for t in _equivalences(h, g)), None)
 
 

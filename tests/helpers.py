@@ -262,7 +262,8 @@ def ore_witness_oracle(a: OreElement, f: Poly, side: str):
     quot = []
     for c in (a * ctx.from_poly(s1)).coeffs:
         q, rem = divmod(c, f)
-        assert rem.is_zero()
+        if not rem.is_zero():
+            raise AssertionError(f"{f} does not divide the coefficient {c} of a*s1")
         quot.append(q)
     return ctx.element(quot), s1
 
@@ -567,7 +568,8 @@ def central_oracle(a: OreElement, bound=None) -> bool:
 
 def all_polys(spec, max_deg):
     """Every polynomial over GF(p) of degree <= max_deg (including 0)."""
-    assert spec.is_prime_field
+    if not spec.is_prime_field:
+        raise ValueError(f"all_polys lists polynomials over GF(p), not over {spec!r}")
     polys = [Poly.zero(spec)]
     stack = [[]]
     for _ in range(max_deg + 1):

@@ -812,7 +812,26 @@ def test_family_iso_conditions_vanish_identically(p):
     g = Poly.from_ints(spec, (-1, 1)) ** 3
     found = affine_equivalences(h, g)
     assert [t[0].val for t in found] == list(range(1, p))
+    assert found == list(exhaustive_equivalences(h, g, spec))
     assert found[0] == exhaustive_iso(h, g, spec) == iso_test(h, g, spec)
+
+
+def test_the_family_costs_one_certificate(monkeypatch):
+    # (x-1)^3 against 3(x+5)^3 over GF(10007): every alpha in F* solves, so the
+    # anchors are moved (two compositions) and the least solution certifies the rest
+    spec = FieldSpec.gf(10007)
+    x = Poly.x(spec)
+    h = (x - Poly.one(spec)) ** 3
+    g = ((x + Poly.constant(spec.from_int(5))) ** 3).scaled(3)
+    calls = []
+    compose = Poly.compose
+    monkeypatch.setattr(Poly, "compose", lambda f, u: calls.append(1) or compose(f, u))
+    found = affine_equivalences(h, g)
+    assert len(calls) <= 3
+    monkeypatch.undo()
+    assert len(found) == 10006 and [t[0].val for t in found] == list(range(1, 10007))
+    for alpha, beta, nu in found[:3] + found[-3:]:
+        assert h.compose(Poly(spec, (beta, alpha))) == g.scaled(nu)
 
 
 def test_binomial_roots_match_evaluation():
@@ -1045,10 +1064,13 @@ def test_fixed_point_shapes_have_the_claimed_groups():
 @pytest.mark.parametrize("p", [p for p in PRIMES_BELOW_60 if p < 30])
 def test_anchor_iso_matches_exhaustive_search_when_p_divides_d(p):
     # g moved by (3, 2) and scaled by 4, then perturbed: isomorphic or not,
-    # with and without anchors; every solution is listed for p <= 13
+    # with and without anchors; every solution is listed for p <= 13, also
+    # for the powers of linear factors, where every alpha in F* solves
     spec = FieldSpec.gf(p)
     x = Poly.x(spec)
-    for h in _p_divides_d_shapes(spec):
+    three = spec.from_int(3 % p or 1)
+    linear_powers = [(x - Poly.one(spec)) ** p, ((x + Poly.constant(spec.from_int(2))) ** (2 * p)).scaled(three)]
+    for h in _p_divides_d_shapes(spec) + linear_powers:
         moved = h.compose(Poly.from_ints(spec, (3, 2 % p or 1))).scaled(spec.from_int(4 % p or 1))
         for g in (moved, moved + x, moved + Poly.one(spec)):
             assert iso_test(h, g, spec) == exhaustive_iso(h, g, spec), (h, g)
@@ -1186,6 +1208,19 @@ def test_iso_verifies_only_up_to_the_least_witness(monkeypatch):
     assert len(calls) == 2
     monkeypatch.undo()
     assert len(affine_equivalences(h, g)) == 48
+
+
+def test_a_failing_certificate_raises(monkeypatch):
+    # a broken law check must not turn "isomorphic" into a silent "not isomorphic"
+    spec = FieldSpec.gf(7)
+    h = Poly.from_ints(spec, (1, -1, 0, 1))  # x^3 - x + 1
+    g = h.compose(Poly.from_ints(spec, (3, 1))).scaled(2)  # 2(x+3)^3 - 2(x+3) + 2
+    assert iso_test(h, g, spec) is not None
+    monkeypatch.setattr(autgroup, "_law_holds", lambda *args: False)
+    with pytest.raises(SelfCheckError, match="least solution"):
+        iso_test(h, g, spec)
+    with pytest.raises(SelfCheckError, match="least solution"):
+        affine_equivalences(h, g)
 
 
 def test_equivalences_without_anchors_compose_once_per_alpha(monkeypatch):
@@ -1340,8 +1375,10 @@ def test_the_record_keeps_raw_scalars(spec, ints, anchor):
     assert kept_anchor == anchor and type(kept_anchor) is type(anchor)
     raw = (int,) if spec.p else (int, Fraction)
     lam, c, unit, m, k = kept(h, "presentation")
-    for value in (lam, c, unit):
+    for value in (lam, c, unit, *kept(h, "centered")):
         assert value is None or type(value) in raw and (not spec.p or 0 <= value < spec.p)
+    # the centered coefficients are those of h moved to its anchor
+    assert Poly(spec, kept(h, "centered")) == h.compose(Poly(spec, (anchor or 0, 1)))
     assert (pset.c, pset.unit, pset.m) == (spec.elem(c), unit if unit is None else spec.elem(unit), m)
 
 

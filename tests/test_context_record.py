@@ -3,8 +3,8 @@
 The readers of the record of the h of a context are ``compute_G``,
 ``compute_P``, ``classify_aut_group``, ``center``, ``classify_normal``,
 ``height_one_prime_test`` and ``weyl._hy_rows``; ``iso_test`` and
-``affine_equivalences`` read and fill the radical and anchor of both
-polynomials they are given.  ``factor`` and the classification keep
+``affine_equivalences`` read and fill the anchor and centered coefficients
+of both polynomials they are given.  ``factor`` and the classification keep
 nothing.  The functions that compute the fields are counted.
 """
 
@@ -53,7 +53,7 @@ CASES = [
     (QQ, (-1, 0, 1), 1),  # x^2 - 1: m = 2
 ]
 COUNTED = (
-    (autgroup, "_radical"), (autgroup, "_anchor"), (autgroup, "_law_holds"),
+    (autgroup, "_at_anchor"), (autgroup, "_anchor"), (autgroup, "_law_holds"),
     (autgroup, "_assert_laws"), (center_module, "_correction"), (normal, "factor"),
     (weyl, "_grow_hy_rows"),
 )
@@ -86,7 +86,7 @@ def readers(ctx):
 def test_each_field_is_computed_once_per_context(monkeypatch, spec, ints, generators):
     calls = counted(monkeypatch)
     h = Poly.from_ints(spec, ints)
-    once = {"_radical": 1, "_anchor": 1, "_law_holds": generators,
+    once = {"_at_anchor": 1, "_anchor": 1, "_law_holds": generators,
             "_correction": 1 if spec.p else 0, "factor": 1, "_grow_hy_rows": 1}
     ctx = AhContext(spec, h)
     answers = [read() for read in readers(ctx)]
@@ -107,7 +107,7 @@ def test_each_field_is_computed_once_per_context(monkeypatch, spec, ints, genera
 
 
 @pytest.mark.parametrize("spec", [F7, QQ], ids=repr)
-def test_a_polynomial_asked_about_twice_keeps_its_radical_and_anchor(monkeypatch, spec):
+def test_a_polynomial_asked_about_twice_keeps_its_anchor_and_centered_coefficients(monkeypatch, spec):
     # h = x^3 - x moved to the anchor 1, g = 3*h(2x + 3) with the anchor -1
     calls = counted(monkeypatch)
     h = Poly.from_ints(spec, (0, -1, 0, 1)).compose(Poly.from_ints(spec, (-1, 1)))
@@ -118,13 +118,14 @@ def test_a_polynomial_asked_about_twice_keeps_its_radical_and_anchor(monkeypatch
         answers.append(ask(h, g, spec) if ask is iso_test else ask(h, g))
         laws.append(calls["_law_holds"] - before)
     # the record serves the later calls, and the answer for the pair is never kept
-    assert calls["_radical"] == calls["_anchor"] == 2
+    assert calls["_at_anchor"] == calls["_anchor"] == 2
     assert answers[0] == answers[1] and answers[2] == answers[3] and answers[0] in answers[2]
-    assert laws[0] == laws[1] >= 1 and laws[2] == laws[3] >= 1
+    # one composition certifies the least solution, and every other one follows from it
+    assert laws == [1, 1, 1, 1]
     assert kept(g, "anchor") == spec.elem(-1) and kept(h, "anchor") == spec.one()
     # h asked about as the h of a context reuses what iso_test kept
     compute_P(AhContext(spec, h))
-    assert calls["_radical"] == calls["_anchor"] == 2
+    assert calls["_at_anchor"] == calls["_anchor"] == 2
 
 
 def test_factor_keeps_nothing_and_the_context_factors_h_once(monkeypatch):
@@ -174,8 +175,8 @@ def test_every_self_check_fires_on_its_fill(monkeypatch):
             compute_P(fresh(F7, 0, -1, 0, 1))
         compute_P(warm)
     with monkeypatch.context() as patched:
-        # the power check of a linear radical: x^2 - 1 is not (x - 1)^2
-        patched.setattr(autgroup, "_radical", lambda f: (1, 1))
+        # one distinct root against a condition of the law: x^2 - 1 is not (x - 1)^2
+        patched.setattr(autgroup, "distinct_root_count", lambda f: 1)
         with pytest.raises(SelfCheckError, match="not a power of it"):
             compute_P(fresh(QQ, -1, 0, 1))
     with monkeypatch.context() as patched:
@@ -202,7 +203,7 @@ def test_pickle_and_copy_drop_the_record():
     for ask in (classify_normal, classify_aut_group, center, lambda ctx: weyl._hy_rows(ctx, 4)):
         ask(ctx.from_poly(h) if ask is classify_normal else ctx)
     assert hash(h) == key and repr(h) == text and h == Poly.from_ints(spec, (2, 2, 1, 0, 2, 2, 1))
-    assert set(h._record) == {"factors", "radical", "anchor", "presentation", "correction", "hy_rows"}
+    assert set(h._record) == {"factors", "anchor", "centered", "presentation", "correction", "hy_rows"}
     twins = [copy.copy(h), copy.deepcopy(h)]
     twins += [pickle.loads(pickle.dumps(h, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     twins.append(pickle.loads(pickle.dumps(ctx)).h)
@@ -253,7 +254,7 @@ def test_threads_fill_one_value_per_field(monkeypatch):
 
         monkeypatch.setattr(module, name, slow)
 
-    fills = ((autgroup, "_presentation"), (autgroup, "_radical"), (autgroup, "_anchor"),
+    fills = ((autgroup, "_presentation"), (autgroup, "_at_anchor"), (autgroup, "_anchor"),
              (center_module, "_correction"), (normal, "factor"))
     for module, name in fills:
         slowed(module, name)
@@ -282,7 +283,7 @@ def test_threads_fill_one_value_per_field(monkeypatch):
     assert results[0] == (compute_P(fresh), center(fresh), height_one_prime_test(fresh.x()).kind,
                           iso_test(fresh.h, g, F7))
     for target, field, name in ((ctx.h, "presentation", "_presentation"), (ctx.h, "correction", "_correction"),
-                                (ctx.h, "factors", "factor"), (g, "radical", "_radical"),
+                                (ctx.h, "factors", "factor"), (g, "centered", "_at_anchor"),
                                 (g, "anchor", "_anchor")):
         assert kept(target, field) is finished[name, id(target)][0]
 

@@ -341,7 +341,7 @@ def test_kept_factorization_leaves_equality_and_hash_alone():
         if ctx.deg_h:
             classify_aut_group(ctx)
             compute_G(ctx)
-            fields |= {"radical", "anchor", "presentation"} | ({"correction"} if spec.p else set())
+            fields |= {"anchor", "centered", "presentation"} | ({"correction"} if spec.p else set())
         record = ctx.h._record
         assert set(record) == fields
         assert record["factors"] == factor(ctx.h)
