@@ -107,7 +107,7 @@ def test_each_field_is_computed_once_per_context(monkeypatch, spec, ints, genera
 
 
 @pytest.mark.parametrize("spec", [F7, QQ], ids=repr)
-def test_a_polynomial_asked_about_twice_keeps_its_anchor_and_centered_coefficients(monkeypatch, spec):
+def test_a_polynomial_asked_about_twice_keeps_its_radical_and_anchor(monkeypatch, spec):
     # h = x^3 - x moved to the anchor 1, g = 3*h(2x + 3) with the anchor -1
     calls = counted(monkeypatch)
     h = Poly.from_ints(spec, (0, -1, 0, 1)).compose(Poly.from_ints(spec, (-1, 1)))
