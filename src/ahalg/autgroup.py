@@ -237,34 +237,28 @@ def _pset(ctx: AhContext, presentation: tuple) -> PSet:
     return PSet(ctx, lam, spec.elem(c), compute_G(ctx), unit, m)
 
 
-def _presentation(h: Poly, refuse_dense_t: bool = False) -> tuple:
+def _presentation(h: Poly) -> tuple:
     """P as raw values (lam, c, unit, m, k: the number of distinct roots of h),
     the ``presentation`` field of the record of h; G is read off the anchor.
 
-    P is the law of :func:`_centered` with g = h, so nu = alpha^d and every
-    condition reads alpha^e = 1.  P contains G = GF(p) when h has no anchor
-    (c = 0), or fixes the anchor c of h (:func:`_anchor`).  The pairs fixing
-    c are (alpha, c*(1-alpha)) for the m-th roots of unity, m = gcd(n, e :
-    each condition alpha^e = 1), n = p - 1, or 2 over QQ.  No condition, h a
-    scalar times (x - c)^d, gives the family with lam = c: every alpha in F*,
-    m = None over QQ.  Then ``refuse_dense_t`` refuses a dense t = base^m,
-    and the generators are certified: the pair of an element of order
-    exactly m, and a nonzero translation when G = GF(p), satisfy the pair
-    law.  Over GF(p) the cost is polynomial in deg h and log p.
+    P is :func:`_centered` with g = h, nu = alpha^d and conditions alpha^e =
+    1: the m-th roots of unity fix the anchor c of h (:func:`_anchor`) by
+    the pairs (alpha, c*(1-alpha)), and P adds G = GF(p) when h has no
+    anchor (c = 0).  No condition, h a scalar times (x - c)^d, gives the
+    family with lam = c: every alpha in F*, m = None over QQ.  The
+    generators are certified: the pair of an element of order exactly m, and
+    a nonzero translation when G = GF(p), satisfy the pair law.  Over GF(p)
+    the cost is polynomial in deg h and log p.
     """
     spec, d, p = h.spec, h.degree, h.spec.p
-    n = p - 1 if p else 2
     k = distinct_root_count(h)
-    c, _, _, conditions = _centered(h, h)
+    c, _, _, conditions, m = _centered(h, h)
     whole, c = c is None, c or 0
-    m = gcd(n, *(e for e, _ in conditions))
-    if refuse_dense_t:
-        _dense_terms("power of the base", (p if whole else 1) * m + 1)  # base is x^p - x or x - c
     if (k == 1) != (not conditions):
         raise SelfCheckError("h with a linear radical is not a power of it")
     if not (conditions or p):
         return c, c, None, None, k
-    unit = _unit_of_order(spec, n, m)
+    unit = _unit_of_order(spec, m)
     generators = [(unit, _mod(c - unit * c, p))] if m > 1 else []
     if whole:
         generators.append((1, 1))
@@ -287,8 +281,8 @@ def _at_anchor(f: Poly) -> list:
 
 def _centered(h: Poly, g: Poly):
     """The law h(alpha*x + beta) == nu * g(x) read around the anchors, for
-    deg h == deg g == d >= 1: (c_h, c_g, ratio, conditions) as raw values,
-    or None when the law has no solution.
+    deg h == deg g == d >= 1: (c_h, c_g, ratio, conditions, m) as raw
+    values, or None when the law has no solution.
 
     Each solution maps the anchor c_g of g to the anchor c_h of h
     (:func:`_anchor`), so there is none unless both or neither exist;
@@ -298,6 +292,8 @@ def _centered(h: Poly, g: Poly):
     ratio*alpha^d and H_i = ratio*alpha^(d-i)*K_i for every i < d: none if
     the zero patterns of H and K differ, else each nonzero H_i is one
     condition alpha^e = w, e = d - i and w = H_i/(ratio*K_i), by falling e.
+    The alphas meeting them all are a coset of the m-th roots of unity, m =
+    gcd(n, e...), n = p - 1, or 2 over QQ (all of QQ* with no condition).
     """
     c_h, c_g = _kept(h, "anchor", _anchor), _kept(g, "anchor", _anchor)
     if (c_h is None) != (c_g is None):
@@ -307,7 +303,8 @@ def _centered(h: Poly, g: Poly):
         return None
     d, p = len(H) - 1, h.spec.p
     ratio = _quotient(H[d], K[d], p)
-    return c_h, c_g, ratio, [(d - i, _quotient(H[i], ratio * K[i], p)) for i in range(d) if H[i]]
+    conditions = [(d - i, _quotient(H[i], ratio * K[i], p)) for i in range(d) if H[i]]
+    return c_h, c_g, ratio, conditions, gcd(p - 1 if p else 2, *(e for e, _ in conditions))
 
 
 def _anchor(h: Poly):
@@ -367,12 +364,13 @@ def _hasse_rows(h: Poly):
         yield row
 
 
-def _unit_of_order(spec: FieldSpec, n: int, m: int):
-    """A raw element of order m, certified by :func:`_order`, among the n
-    roots of unity of F (m divides n).  Over GF(p), a^(n/m) has order m for
-    a share phi(m)/m of the a in F*, so the search over a = 1, 2, ... stops
-    after a few steps (for m = n, at the least primitive root: the family's
+def _unit_of_order(spec: FieldSpec, m: int):
+    """A raw element of order m, certified by :func:`_order`; m divides n =
+    p - 1, or 2 over QQ.  Over GF(p), a^(n/m) has order m for a share
+    phi(m)/m of the a in F*, so the search over a = 1, 2, ... stops after a
+    few steps (for m = n, at the least primitive root: the family's
     generator in :func:`classify_aut_group`); over QQ, a = -1 serves."""
+    n = spec.p - 1 if spec.p else 2
     for a in range(1, spec.p) if spec.p else (Fraction(-1),):
         b = pow(a, n // m, spec.p)
         if _order(b, m, spec.p) == m:
@@ -408,7 +406,7 @@ def _equivalences(h: Poly, g: Poly):
         raise AhError("affine elimination needs equal degrees >= 1")
     if (centered := _centered(h, g)) is None:
         return
-    c_h, c_g, ratio, conditions = centered
+    c_h, c_g, ratio, conditions, _ = centered
     shifts = range(1, p) if c_h is None else ()
     c_h, c_g = c_h or 0, c_g or 0
     if conditions:
@@ -458,7 +456,7 @@ def _binomial_roots(spec: FieldSpec, m: int, w) -> list:
     while gcd(t, g) > 1:
         t //= gcd(t, g)
     s = n // t
-    y, zeta = pow(v, pow(g, -1, t), p), _unit_of_order(spec, n, s)
+    y, zeta = pow(v, pow(g, -1, t), p), _unit_of_order(spec, s)
     e = pow(y, g, p) * pow(v, -1, p) % p
     # primes not dividing n/g first: their digits are 0, since e is a g-th
     # power, so a digit search runs only over primes r with r^2 | n
@@ -538,8 +536,8 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     when ell = 1.  For the family ell = p - 1, and the alpha is the unit of
     the presentation, the least primitive root (:func:`_unit_of_order`);
     else ell divides k or k - 1, and O(ell) integer steps scan the alphas
-    unit^j with gcd(j, ell) = 1.  Then t = base^ell, sized (and refused when
-    dense past the bound) before anything is certified, and n =
+    unit^j with gcd(j, ell) = 1.  Then t = base^ell, refused when dense from
+    the m of :func:`_centered` before P is read or filled, and n =
     (d-1)*|G|^-1 mod ell.  For the family over QQ (m = None) every alpha in
     QQ* is admissible, so only scalars are invariant and n = d - 1.  The
     laws for t and q are checked against the generators before returning,
@@ -548,7 +546,9 @@ def classify_aut_group(ctx: AhContext) -> AutGroupStructure:
     if ctx.deg_h < 1:
         raise ConstantHError("classification needs deg h >= 1")
     spec, d = ctx.spec, ctx.deg_h
-    presentation = _kept(ctx.h, "presentation", lambda h: _presentation(h, refuse_dense_t=True))
+    c, *_, m = _centered(ctx.h, ctx.h)
+    _dense_terms("power of the base", (spec.p if c is None else 1) * m + 1)  # t = base^m, before P is read
+    presentation = _kept(ctx.h, "presentation", _presentation)
     pset, k = _pset(ctx, presentation), presentation[-1]
     G = pset.G
     base = _base(spec, pset.c, G)

@@ -32,6 +32,7 @@ from ahalg.autgroup import (
     _anchor,
     _assert_laws,
     _binomial_roots,
+    _centered,
     _hasse_rows,
     _law_holds,
     _order,
@@ -1104,10 +1105,14 @@ def test_centered_iso_matches_exhaustive_search(p):
         ctx = AhContext(spec, h)
         assert compute_P(ctx).pairs() == exhaustive_pairs(ctx), h
         assert compute_G(ctx) == exhaustive_translations(ctx), h
+        assert compute_P(ctx).m == _centered(h, h)[-1], h
         moved = h.compose(Poly.from_ints(spec, (3, 2 % p or 1))).scaled(spec.from_int(4 % p or 1))
         # zero patterns around the centroid that differ in one coefficient
         for g in (moved, moved + x.shifted(1), moved + Poly.one(spec), moved + x):
             assert iso_test(h, g, spec) == exhaustive_iso(h, g, spec), (h, g)
+            # the alphas of a nonempty solution set are a coset of the m-th roots of unity
+            alphas = {alpha for alpha, _, _ in affine_equivalences(h, g)}
+            assert not alphas or len(alphas) == _centered(h, g)[-1], (h, g)
 
 
 def test_centered_solver_over_QQ_finds_alpha_minus_one_exactly_when_it_exists():

@@ -301,7 +301,7 @@ def test_a_dense_t_is_refused_before_anything_is_certified(monkeypatch, p, ints,
     h = Poly(spec, [ints.get(i, 0) for i in range(max(ints) + 1)])
     message = f"power of the base too large: {terms} coefficients, limit 4194304"
     with monkeypatch.context() as patched:
-        for name in ("_law_holds", "_unit_of_order", "_prime_divisors"):
+        for name in ("_law_holds", "_unit_of_order", "_prime_divisors", "distinct_root_count"):
             patched.setattr(autgroup, name, _never)
         with pytest.raises(AhError, match=message):
             classify_aut_group(AhContext(spec, h))

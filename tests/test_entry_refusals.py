@@ -1,5 +1,6 @@
 """Refusals at the entry points that no other test reaches, each with its exact text,
-and the reflected operators that only a scalar on the left calls."""
+the reflected operators that only a scalar on the left calls, and edges that answer
+without raising."""
 
 from fractions import Fraction
 
@@ -12,9 +13,16 @@ from ahalg import (
     Poly,
     bracket_x_preimage,
     bracket_yhat_preimage,
+    classify_aut_group,
+    compute_G,
+    compute_P,
+    embed,
     eta_endo,
     extend_automorphism,
+    factor,
     from_weyl,
+    gcd_monic,
+    height_one_prime_test,
     in_commutator_space,
     iso_test,
     kappa_endo,
@@ -27,6 +35,7 @@ from ahalg import (
     weyl_context,
     yh_product,
 )
+from ahalg.autgroup import affine_equivalences
 from ahalg.errors import (
     AhError,
     CharacteristicError,
@@ -42,7 +51,10 @@ QQ, F5, F7 = FieldSpec.rationals(), FieldSpec.gf(5), FieldSpec.gf(7)
 X_QQ, X_F7 = Poly.x(QQ), Poly.x(F7)
 A_X = AhContext(QQ, X_QQ)  # h = x over QQ
 A_X7 = AhContext(F7, X_F7)  # h = x over GF(7)
-WEYL = weyl_context(QQ)
+WEYL = weyl_context(QQ)  # h = 1
+SQUARE_QQ = Poly.from_ints(QQ, (1, -2, 1))  # (x - 1)^2: P is the family over QQ
+FAMILY = "the family over QQ cannot be materialized"
+ELIMINATION = "affine elimination needs equal degrees >= 1"
 SIDE = "side must be 'left' or 'right'"
 CHAR_0 = "preimage construction is the char-0 one"
 
@@ -62,6 +74,10 @@ REFUSALS = [
      "cannot compose a polynomial with 'str'"),
     ("compose with None", lambda: Poly(F7, (1, 2, 3)).compose(None), TypeError,
      "cannot compose a polynomial with 'NoneType'"),
+    ("gcd_monic across fields", lambda: gcd_monic(X_QQ, X_F7), FieldMismatch, "polynomials over different fields"),
+    ("factor of zero", lambda: factor(Poly.zero(QQ)), ZeroInputError, "cannot factor the zero polynomial"),
+    ("rational_roots of zero", lambda: rational_roots(Poly.zero(QQ)), ZeroInputError,
+     "the zero polynomial has every root"),
     # algebra
     ("OreElement ** -1", lambda: A_X.gen() ** -1, ValueError, "negative powers do not exist in the algebra"),
     ("monomial Y^-3", lambda: A_X7.monomial(X_F7, -3), ValueError, "negative powers do not exist in the algebra"),
@@ -83,10 +99,27 @@ REFUSALS = [
      "denominator exponents must be nonnegative"),
     ("localized_equal non-Weyl b", lambda: localized_equal(A_X.gen(), 0, A_X.gen(), 0), ContextMismatch,
      "second operand must be a Weyl-algebra element"),
+    ("embed across fields", lambda: embed(A_X.gen(), X_F7), ContextMismatch, "divisor over a different field"),
+    # normal
+    ("height_one_prime_test of zero", lambda: height_one_prime_test(A_X.zero()), ZeroInputError,
+     "the zero ideal is not principal height one"),
     # autgroup
     ("iso_test field", lambda: iso_test(X_QQ, X_F7, QQ), ContextMismatch, "polynomials over the wrong field"),
     ("iso_test zero", lambda: iso_test(Poly.zero(QQ), X_QQ, QQ), AhError,
      "isomorphism testing needs nonzero h and g"),
+    ("compose across algebras", lambda: tau(A_X, 1, 0).compose(tau(AhContext(QQ, X_QQ * X_QQ), 1, 0)),
+     ContextMismatch, "automorphisms of different algebras"),
+    ("alphas of the QQ family", lambda: compute_P(AhContext(QQ, SQUARE_QQ)).alphas(), AhError, FAMILY),
+    ("pairs of the QQ family", lambda: compute_P(AhContext(QQ, SQUARE_QQ)).pairs(), AhError, FAMILY),
+    ("compute_G constant h", lambda: compute_G(WEYL), ConstantHError, "G needs deg h >= 1"),
+    ("compute_P constant h", lambda: compute_P(WEYL), ConstantHError, "P needs deg h >= 1"),
+    ("classify constant h", lambda: classify_aut_group(WEYL), ConstantHError, "classification needs deg h >= 1"),
+    ("affine_equivalences unequal degrees", lambda: affine_equivalences(X_QQ, X_QQ * X_QQ), AhError, ELIMINATION),
+    ("affine_equivalences degree 0", lambda: affine_equivalences(Poly.one(QQ), Poly.one(QQ)), AhError,
+     ELIMINATION),
+    ("affine_equivalences of the QQ family",
+     lambda: affine_equivalences(SQUARE_QQ, Poly.from_ints(QQ, (9, 6, 1))), AhError,
+     "elimination degenerated to the one-parameter family"),
     ("eta_endo k < 1", lambda: eta_endo(A_X, 0), ValueError, "k must be at least 1"),
     ("kappa_endo foreign shift", lambda: kappa_endo(A_X7, AhContext(F7, X_F7 * X_F7).x()), ContextMismatch,
      "shift element from a different context"),
@@ -123,3 +156,9 @@ def test_reflected_operators_with_a_scalar_on_the_left():
     assert 5 - Poly(F7, (1, 2)) == Poly(F7, (4, 5))
     assert 1 / F7.elem(3) == F7.elem(5)
     assert 2 / QQ.elem(Fraction(3, 4)) == QQ.elem(Fraction(8, 3))
+
+
+def test_edges_that_answer_without_raising():
+    assert compute_P(AhContext(QQ, SQUARE_QQ)).finite_pairs is None
+    assert is_irreducible(Poly.constant(F7.from_int(3))) is False
+    assert Poly.zero(QQ).shifted(3).is_zero()
