@@ -10,7 +10,10 @@ Classification into prime factors of h times a central element, and the
 height-one prime reports, do consult a factorization of h, made on first
 use and kept in the record of h (one passed in serves its call only); over
 Q an uncertified factorization degrades the answer instead of being
-trusted.
+trusted.  The prime part g of a normal v = g*z (z central) is read off
+v's top Y-coefficient in every characteristic: in characteristic 0, v lies
+in F[x]; in characteristic p the center is F[x^p, h^p y^p] and h^p y^p is
+monic in Y, so that coefficient is g times a p-th power.
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ def is_normal(v: OreElement) -> NormalityCertificate:
     if not commutator(v, ctx.x()).is_zero():
         return NormalityCertificate(False, None, "does not commute with x")
     # [Y, v] has Y-coefficients h * f_i'; r must satisfy h f_i' = r f_i for all i
-    first = next(f for f in v.coeffs if not f.is_zero())
+    # the exact division by the first nonzero f_i makes r hold there
+    first, *rest = (f for f in v.coeffs if not f.is_zero())
     r, rem = divmod(ctx.delta(first), first)
     if not rem.is_zero():
         return NormalityCertificate(False, None, "no polynomial witness exists")
-    for f in v.coeffs:
-        if ctx.delta(f) != r * f:
-            return NormalityCertificate(False, None, "witness fails on a coefficient")
+    if any(ctx.delta(f) != r * f for f in rest):
+        return NormalityCertificate(False, None, "witness fails on a coefficient")
     return NormalityCertificate(True, r)
 
 
@@ -67,7 +70,9 @@ def classify_normal(
 ) -> NormalClassification:
     """Split a normal element as (prime factors of h) * (central element).
 
-    In characteristic p the exponents are reduced into [0, p); the reduced
+    Each prime's exponent is its valuation in v's top Y-coefficient, which
+    is g times a p-th power (times a scalar in characteristic 0).  In
+    characteristic p the exponents are reduced into [0, p); the reduced
     power is absorbed into the central part.  Raises
     :class:`UnverifiableError` when the factorization of h over Q carries
     unverified factors.  A passed ``h_factored`` serves this call only.
@@ -82,25 +87,20 @@ def classify_normal(
         raise UnverifiableError(
             "classification needs a certified factorization of h"
         )
+    if not p and len(v.coeffs) != 1:
+        raise SelfCheckError("char-0 normal elements are polynomials")
     primes = [t.poly for t in fac.factors if not t.poly.derivative().is_zero()]
-    reference = _classification_reference(v)
-    factors = []
+    factors, divisor = [], Poly.one(ctx.spec)
     for u in primes:
-        beta = 0
-        probe = reference
-        while True:
-            q, rem = divmod(probe, u)
-            if not rem.is_zero():
-                break
+        beta, (q, rem) = 0, divmod(v.coeffs[-1], u)
+        while rem.is_zero():
             beta += 1
-            probe = q
+            q, rem = divmod(q, u)
         if p:
             beta %= p
         if beta:
             factors.append((u, beta))
-    divisor = Poly.one(ctx.spec)
-    for u, beta in factors:
-        divisor = divisor * u**beta
+            divisor = divisor * u**beta
     central_coeffs = []
     for f in v.coeffs:
         q, rem = divmod(f, divisor)
@@ -114,24 +114,6 @@ def classify_normal(
     if out.reassemble() != v:
         raise SelfCheckError("the classification does not reassemble the element")
     return out
-
-
-def _classification_reference(v: OreElement) -> Poly:
-    """A polynomial carrying the common prime content of v's coefficients.
-
-    In char 0 a normal element lies in F[x], so v itself works.  In char p
-    the coordinates f_i of v in ``h^i y^i`` share a common prime part up to
-    central (p-th power) factors; the first nonzero f_i is a reference.
-    """
-    ctx = v.ctx
-    if ctx.spec.characteristic == 0:
-        if len(v.coeffs) != 1:
-            raise SelfCheckError("char-0 normal elements are polynomials")
-        return v.coeffs[0]
-    for f in hy_coordinates(v):
-        if not f.is_zero():
-            return f
-    raise ZeroInputError("zero element")
 
 
 def is_simple(ctx: AhContext) -> bool:
@@ -216,9 +198,10 @@ def height_one_prime_test(
     monic_v = v.coeffs[0].monic()
     for u in primes:
         if monic_v == _spread(ctx.spec, u._nums, p):  # u^p over GF(p)
+            base = f"({u})" if len(u._nums) - u._nums.count(0) > 1 else str(u)
             return PrimeGeneratorReport(
                 PrimeKind.NOT_PRIME_GENERATOR,
-                f"associate of {u}^{p}, which does not generate a prime",
+                f"associate of {base}^{p}, which does not generate a prime",
             )
     return PrimeGeneratorReport(
         PrimeKind.CENTRAL_IRREDUCIBLE,

@@ -21,6 +21,7 @@ from ahalg import (
     div_right_exact,
     factor,
     height_one_prime_test,
+    is_central,
     is_normal,
     is_simple,
     PrimeKind,
@@ -194,6 +195,16 @@ def test_prime_test_central_cases():
     assert report.kind == PrimeKind.CENTRAL_IRREDUCIBLE
 
 
+def test_prime_test_names_a_pth_power_of_a_factor_with_its_base_in_parentheses():
+    # u = x + 1 has two terms: "x + 1^2" would read as x + 1
+    ctx = ctx_for(F2, 0, 1, 1)  # h = x^2 + x
+    report = height_one_prime_test(ctx.from_poly(Poly.from_ints(F2, (1, 0, 1))))
+    assert report == (PrimeKind.NOT_PRIME_GENERATOR, "associate of (x + 1)^2, which does not generate a prime")
+    ctx = ctx_for(FieldSpec.gf(5), 0, 1)  # h = x: a one-term base is printed bare
+    report = height_one_prime_test(ctx.from_poly(Poly.x(ctx.spec) ** 5))
+    assert report == (PrimeKind.NOT_PRIME_GENERATOR, "associate of x^5, which does not generate a prime")
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_spread_at_stride_p_is_the_pth_power(p):
     spec, rng = FieldSpec.gf(p), random.Random(p)
@@ -260,6 +271,44 @@ def test_classify_two_prime_factors_charp():
     assert dict((str(u), b) for u, b in split.factors) == {"x": 1, "x + 1": 2}
     assert split.central_part == z
     assert split.reassemble() == v
+
+
+def _check_split(v, expected):
+    split = classify_normal(v)
+    assert dict(split.factors) == expected
+    assert is_central(split.central_part)
+    assert split.reassemble() == v
+
+
+@pytest.mark.parametrize("spec", (QQ, F2, F3, FieldSpec.gf(5), FieldSpec.gf(7)), ids=repr)
+def test_classify_reads_the_exponents_off_the_top_coefficient(spec):
+    # v = c*g*z, g = prod (x - r)^beta_r, and over GF(p) z = a(x^p) + b(x^p)*T^k;
+    # a b divisible by (x - r)^p gives the top Y-coefficient a higher valuation
+    # than the first h^j y^j coordinate, with the same residue mod p
+    p, rng = spec.characteristic, random.Random(spec.characteristic)
+    field = range(p) if p else range(-3, 4)
+    for _ in range(12):
+        roots = rng.sample(field, rng.randint(1, min(3, len(field))))
+        betas = {r: rng.randint(0, 2 * p if p else 4) for r in roots}
+        u = {r: Poly.from_ints(spec, (-r, 1)) for r in roots}
+        h, g = Poly.one(spec), Poly.one(spec)
+        for r in roots:
+            h, g = h * u[r] ** rng.randint(1, 2), g * u[r] ** betas[r]
+        ctx = AhContext(spec, h)
+        z = ctx.from_scalar(rng.randrange(1, p) if p else rng.choice((-3, -1, 2, 5)))
+        if p:
+            X, T = ctx.from_poly(Poly.x(spec) ** p), center(ctx).y_generator
+            a = sum((ctx.from_scalar(rng.randrange(p)) * X**i for i in range(3)), ctx.zero())
+            b = ctx.from_scalar(rng.randrange(1, p)) + ctx.from_scalar(rng.randrange(p)) * X
+            if rng.random() < 0.5:
+                b = b * ctx.from_poly(u[rng.choice(roots)] ** p)
+            z = z * (a + b * T ** rng.randint(1, 2))
+        reduced = {r: beta % p if p else beta for r, beta in betas.items()}
+        _check_split(ctx.from_poly(g) * z, {u[r]: beta for r, beta in reduced.items() if beta})
+    if spec == F3:  # x*(x^3*T + 1), h = x: top Y-coefficient x^4, first coordinate x
+        ctx = ctx_for(F3, 0, 1)
+        X, T = ctx.from_poly(Poly.x(F3) ** 3), center(ctx).y_generator
+        _check_split(ctx.x() * (X * T + ctx.one()), {Poly.x(F3): 1})
 
 
 def test_prime_test_unknown_when_unverified():
