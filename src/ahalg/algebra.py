@@ -13,10 +13,10 @@ below): so
 the last nonzero ``f_i``.
 
 Over GF(p), for factors of Y-degree at least 1, each row is one packed int
-(:mod:`ahalg.packed`, loaded at its first use): a row step costs a few
-passes over its digits and one int product by h, ``sum_i f_i * (Y^i*b)`` is
-one int product per nonzero ``f_i`` into one int, and that int is unpacked
-and reduced once.  Over QQ, with a polynomial factor, and for operands too
+(:mod:`ahalg.packed`, loaded at its first use): a row step is a few whole-int
+operations (a masked derivative, one int product by h, one packed Montgomery
+reduction), ``sum_i f_i * (Y^i*b)`` is one int product per nonzero ``f_i``
+into one int, and that int is unpacked and reduced once.  Over QQ, with a polynomial factor, and for operands too
 sparse for the packed layout (such as ``Y^1024``), rows are lists of raw
 terms (numerators over one denominator with no gcd taken, or residues) and
 each output coefficient is one ``sum_of_raw_products``, normalized once.

@@ -1,13 +1,16 @@
 """The Ore product over GF(p) on rows packed into one integer each.
 
-A row ``sum_k r_k(x) Y^k`` with residue coefficients is one int whose digit
-at bit ``(k*L + j)*B`` is the residue of ``x^j Y^k`` (Kronecker
-substitution in two dimensions, ``_pack``): L is the stride and
-``B = 8*width`` the digit width.  L exceeds the x-degree of every
-coefficient an operation forms, and B holds the largest digit sum, T
-products of two residues in ``2*bits(p-1) + bits(T)`` bits, so no digit
-spills into the next: a product of two rows is one int product and a sum
-one int sum, and a result is unpacked and reduced mod p once.
+A row ``sum_k r_k(x) Y^k`` is one int whose digit at bit ``(k*L + j)*B``,
+below 2p, is the coefficient of ``x^j Y^k`` mod p (Kronecker substitution in
+two dimensions, ``_pack``): L is the stride and ``B = 8*width`` the digit
+width.  L exceeds the x-degree of every coefficient an operation forms, and
+B holds the largest digit sum, so no digit spills into the next: a product
+of two rows is one int product, and a result is unpacked and reduced mod p
+once.  A row step ``Y*r = (r one slot up) + h*r'`` is a few whole-int
+operations (``_kernel``): r' is ``sum((r & M_b) << b) >> B``, M_b the digits
+whose x-exponent has bit b set, and one packed Montgomery step (Montgomery,
+Math. Comp. 1985) brings each digit of ``R*(r one slot up) + (R*h)*r'``
+below 2p, R = 2^s mod p; over GF(2) it keeps each digit's low bit.
 
 The degree bounds come from weights: x^j Y^k weighs ``j + k*e`` with
 ``e = max(deg h - 1, 0)`` (``algebra._excess``), delta raises the degree of
@@ -15,15 +18,13 @@ a nonconstant polynomial by at most e (and kills a constant), and the weight
 of a product is the sum of its factors' weights (the associated graded ring
 is an Ore extension of F[x], a domain).
 
-* ``a*b = sum_i f_i * (Y^i*b)``: one row step ``Y*r = (r one slot up) +
-  h*r'`` per i, with r' the digits ``j*r_j`` moved one digit down, and one
-  int product per nonzero ``f_i``.  The commutator adds ``-g_k * (Y^k*a)``
-  into the same int.
+* ``a*b = sum_i f_i * (Y^i*b)``: one row step per i and one int product per
+  nonzero ``f_i``.  The commutator adds ``-g_k * (Y^k*a)`` into the same int.
 * ``w = q*v``: the rows of v serve every ``q_j``; ``w = v*q``: ``v*q_j =
   sum_m F_m * delta^m(q_j)`` with ``F_m = sum_i C(i, m) v_i Y^(i-m)``
-  packed once, kv+1 int products per ``q_j``.  Both solve top-down on one
-  int, reading one slot at a time, and refuse a ``q_j`` heavier than
-  ``weight(w) - weight(v)`` allows.
+  packed once, kv row steps and kv+1 int products per ``q_j``.  Both solve
+  top-down on one int, reading one slot at a time, and refuse a ``q_j``
+  heavier than ``weight(w) - weight(v)`` allows.
 * the anti-automorphism keeps its Horner accumulator as one packed row.
 
 :mod:`ahalg.algebra` calls these only for factors of Y-degree at least 1:
@@ -39,9 +40,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from operator import mul
 
-from .algebra import OreElement, _binomials, _element, _excess, _support, _table
+from .algebra import OreElement, _binomials, _element, _excess, _support
 from .errors import SelfCheckError
 from .poly import _poly
 
@@ -84,20 +84,27 @@ def _weight(cs, e: int) -> int:
     return max(len(c) - 1 + k * e for k, c in enumerate(cs) if c)
 
 
+def _shift(ctx, stride: int) -> int:
+    """The Montgomery shift s: a row step's digit sums stay under
+    ``2p^2(2 + (deg h + 1)(stride + 1))``, half of ``p*2^s`` or less."""
+    return (4 * ctx.spec.p * (2 + len(ctx.h._nums) * (stride + 1))).bit_length()
+
+
 def _width(ctx, slots: int, stride: int, elements, terms=0) -> int:
-    """The digit width, in bytes, for sums of at most ``terms`` products of
-    residues and for the row steps (a residue plus deg h + 1 products of a
-    residue with ``j*r_j``, j < stride); 0 when ``slots*stride`` digits
-    exceed 8 per nonzero digit of the elements.  The ore_arith deck stays
-    under 5, so no benchmark workload reaches the raw side of this
+    """The digit width, in bytes, for sums of at most ``terms`` products of a
+    residue with a digit below 2p, for the row steps and, for odd p, for
+    the 2s bits of the Montgomery product; 0 when ``slots*stride`` digits
+    exceed 8 per nonzero digit of the elements.  The ore_arith deck
+    stays under 5, so no benchmark workload reaches the raw side of this
     threshold: the 8 comes from single timings of sparse powers of Y, where
     past about 9 the raw rows were as fast, and is not checked against the
     benchmark."""
     size = sum(len(c._nums) for a in elements for c in a.coeffs)
     if slots * stride > 8 * size:
         return 0
-    terms = max(terms, size, len(ctx.h._nums) * stride + 1)
-    return digit_bytes(2 * (ctx.spec.p - 1).bit_length() + terms.bit_length())
+    p, terms = ctx.spec.p, max(terms, size, len(ctx.h._nums) * stride + 1)
+    bits = 2 * (p - 1).bit_length() + terms.bit_length() + 1
+    return digit_bytes(bits if p == 2 else max(bits, 2 * _shift(ctx, stride)))
 
 
 def _flat(cs, stride: int) -> list:
@@ -113,17 +120,34 @@ def _residues(a: OreElement, sign=1) -> list:
     return [f._nums if sign > 0 else tuple(-c % p for c in f._nums) for f in a.coeffs]
 
 
+def _kernel(ctx, slots: int, stride: int, width: int):
+    """``(scaled, derivative, reduce)`` on rows of at most ``slots`` slots: the
+    residues times R packed, the digits ``j*r_j`` moved one digit down, and a
+    row congruent to v/R with digits below 2p (each digit of v below ``p*2^s``)."""
+    p, bits, s = ctx.spec.p, 8 * width, _shift(ctx, stride)
+    zero, full = bytes(width), b"\xff" * width
+    ones = int.from_bytes((b"\1" + zero[1:]) * (slots * stride), "little")
+    # M_b: runs of 2^b zero digits and 2^b full ones, cut at each slot's end
+    masks = [int.from_bytes(((zero * n + full * n) * (stride // n + 1))[:stride * width] * slots, "little")
+             for n in (1 << b for b in range((stride - 1).bit_length()))]
+    r, low, q = (1, 0, 0) if p == 2 else (pow(2, s, p), ones * ((1 << s) - 1), pow(-p, -1, 1 << s))
+
+    def derivative(row: int) -> int:
+        return sum((row & m) << b for b, m in enumerate(masks)) >> bits
+
+    def reduce(v: int) -> int:
+        return v & ones if p == 2 else (v + ((v & low) * q & low) * p) >> s
+    return (lambda nums: _pack([r * c % p for c in nums], width)), derivative, reduce
+
+
 def _rows(ctx, gs, top: int, stride: int, width: int):
     """Yield the packed rows ``Y^i * sum_k gs[k] Y^k`` for i = 0..top."""
-    p, shift = ctx.spec.p, 8 * width * stride
-    flat = _flat(gs, stride)
-    index = list(range(stride)) * (len(gs) + top)
-    h, row = _pack(ctx.h._nums, width), _pack(flat, width)
+    scaled, derivative, reduce = _kernel(ctx, len(gs) + top, stride, width)
+    shift, r, h = 8 * width * stride, scaled((1,)), scaled(ctx.h._nums)
+    row = _pack(_flat(gs, stride), width)
     yield row
     for _ in range(top):
-        d = _pack(list(map(mul, flat, index)), width) >> (8 * width)
-        flat = [c % p for c in _unpack((row << shift) + d * h, len(flat) + stride, width)]
-        row = _pack(flat, width)
+        row = reduce((r * row << shift) + h * derivative(row))
         yield row
 
 
@@ -164,16 +188,13 @@ def antiautomorphism(a: OreElement):
     width = _width(ctx, len(fs), stride, (a,))
     if not width:
         return NotImplemented
-    p, shift = ctx.spec.p, 8 * width * stride
-    index = list(range(stride)) * len(fs)
-    neg_h, hp = _pack([-c % p for c in ctx.h._nums], width), _pack(ctx.h_prime._nums, width)
-    flat = _flat([fs[-1]._nums], stride)
-    row = _pack(flat, width)
+    scaled, derivative, reduce = _kernel(ctx, len(fs), stride, width)
+    shift, r, minus = 8 * width * stride, scaled((1,)), scaled((-1,))
+    neg_h, hp = scaled([-c for c in ctx.h._nums]), scaled(ctx.h_prime._nums)
+    row = _pack(fs[-1]._nums, width)
     for f in fs[-2::-1]:
-        d = _pack(list(map(mul, flat, index)), width) >> (8 * width)
-        r = hp * row + (p - 1) * (row << shift) + neg_h * d + _pack(f._nums, width)
-        flat = [c % p for c in _unpack(r, len(flat) + stride, width)]
-        row = _pack(flat, width)
+        r_f = r * _pack(f._nums, width)
+        row = reduce(hp * row + (minus * row << shift) + neg_h * derivative(row) + r_f)
     return _unpacked(ctx, row, len(fs), stride, width)
 
 
@@ -199,6 +220,8 @@ def divide(w: OreElement, v: OreElement, left: bool):
             for m, c in _binomials(i, p):
                 fm[m][(i - m) * stride:(i - m) * stride + len(vs[i])] = [c * x % p for x in vs[i]]
         fm = [_pack(f, width) for f in fm]
+        scaled, derivative, reduce = _kernel(ctx, 1, stride, width)
+        h = scaled(ctx.h._nums)
     else:
         rows = list(_rows(ctx, vs, kq, stride, width))
     slot = 8 * width * stride
@@ -210,8 +233,10 @@ def divide(w: OreElement, v: OreElement, left: bool):
             return None
         neg = [-c % p for c in quot[j]._nums]
         if neg and left:
-            table = _table(ctx, neg, 1, kv)
-            acc += sum(_pack(t, width) * f for (t, _), f in zip(table, fm)) << (j * slot)
+            table = [_pack(neg, width)]
+            for _ in range(kv):
+                table.append(reduce(h * derivative(table[-1])))
+            acc += sum(t * f for t, f in zip(table, fm)) << (j * slot)
         elif neg:
             acc += _pack(neg, width) * rows[j]
     flat = [c % p for c in _unpack(acc, len(ws) * stride, width)]

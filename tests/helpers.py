@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from ahalg import (
     AhContext,
@@ -27,6 +28,7 @@ from ahalg.errors import (
     ZeroInputError,
 )
 from ahalg.fields import decimal_int, value_str
+from ahalg.packed import _pack, _unpack
 from ahalg.parsing import MAX_NESTING, MAX_POWER_WORDS
 from ahalg.poly import _add, _equal_degree, _gcd, _powmod, _tail
 from ahalg.poly import distinct_root_count, is_irreducible
@@ -134,6 +136,18 @@ def antiautomorphism_oracle(a: OreElement) -> OreElement:
             continue
         result = result + power * ctx.from_poly(f)
     return result
+
+
+def packed_derivative_oracle(row: int, count: int, stride: int, width: int) -> int:
+    """The packed r' digit by digit: each of the first count digits of row
+    times its x-exponent (its index mod stride), moved one digit down."""
+    index = list(range(stride)) * (count // stride)
+    return _pack(list(map(mul, _unpack(row, count, width), index)), width) >> (8 * width)
+
+
+def packed_reduce_oracle(v: int, count: int, width: int, p: int) -> int:
+    """The first count digits of v, each reduced mod p, packed again."""
+    return _pack([c % p for c in _unpack(v, count, width)], width)
 
 
 def apply_poly_map_oracle(a: OreElement, x_image: Poly, y_image: OreElement) -> OreElement:

@@ -1,14 +1,16 @@
 """The packed rows of the Ore product over GF(p) at their boundaries.
 
-Over GF(p) a row ``sum_k r_k Y^k`` is one int, one digit per coefficient of
-``x^j Y^k``; the digit width comes from a bound on the terms each digit sums,
-1, 2, 4 or 8 bytes, or whole 64-bit words past that.  Products, commutators,
-both exact divisions and the anti-automorphism are compared with the
-independent oracles for primes that reach every width (2 and 3 at one byte,
-7 at one or two, 1009 at four, 1000003 at one word, 2^31-1 at one word or
-two, 2^61-1 at two words, 2^64+13 at three), Y-degrees 0 to 10, every
-residue at p-1 (the largest digit sums), zero, monomial and sparse operands,
-and h = 1 and h = x^p - x.
+Over GF(p) a row ``sum_k r_k Y^k`` is one int, one digit below 2p per
+coefficient of ``x^j Y^k``; the digit width comes from a bound on the terms
+each digit sums and, for odd p, on the Montgomery step of a row step, 1, 2,
+4 or 8 bytes, or whole 64-bit words past that.  The row step is compared
+with the per-digit step at its largest digits.  Products, commutators, both
+exact divisions and the anti-automorphism are compared with the independent
+oracles for primes that reach every width (2 at one byte or two, 3 and 7 at
+two or four, 1009 at four or eight, 1000003 at one word, 2^31-1 at two
+words, 2^61-1 and 2^64+13 at three), Y-degrees 0 to 10, every residue at
+p-1 (the largest digit sums), zero, monomial and sparse operands, and h = 1
+and h = x^p - x.
 """
 
 import random
@@ -28,7 +30,13 @@ from ahalg import algebra, packed
 from ahalg.errors import SelfCheckError
 from ahalg.packed import _pack, _unpack, digit_bytes
 
-from helpers import antiautomorphism_oracle, div_one_sided_oracle, naive_mul
+from helpers import (
+    antiautomorphism_oracle,
+    div_one_sided_oracle,
+    naive_mul,
+    packed_derivative_oracle,
+    packed_reduce_oracle,
+)
 
 PRIMES = (2, 3, 7, 1009, 1000003, 2**31 - 1, 2**61 - 1, 2**64 + 13)
 
@@ -121,6 +129,72 @@ def test_divisions_and_the_antiautomorphism_at_the_packing_boundaries(p, ctx):
                     assert (v * got if left else got * v) == w
         assert div_left_exact(v * q, v) == q
         assert div_right_exact(q * v, v) == q
+
+
+def _step_sums(ctx, row, f, stride, width, derivative, r) -> tuple:
+    """The product's row step and the anti-automorphism's Horner step on the
+    row and f (digit lists), before reduction: packed at width, with r' from
+    derivative and the step's constants times r."""
+    p, h, shift = ctx.spec.p, ctx.h._nums, 8 * width * stride
+
+    def pack(nums):
+        return _pack([r * c % p for c in nums], width)
+    row = _pack(row, width)
+    d = derivative(row, width)
+    return ((pack([1]) * row << shift) + pack(h) * d,
+            pack(ctx.h_prime._nums) * row + (pack([-1]) * row << shift) + pack([-c for c in h]) * d
+            + r * _pack(f, width))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_the_row_steps_agree_with_the_per_digit_step_at_their_largest_digits(p):
+    # rows of 3 slots, the top one free for the step up, every digit a row of
+    # this stride may hold at 2p-1 (x-degree below stride - e; a stride of at
+    # most e holds only constants, whose r' is 0); h with R*h at p-1 in every digit
+    spec, slots, wide = FieldSpec.gf(p), 3, 64
+    for deg in range(5):
+        e = max(deg - 1, 0)
+        for stride in range(e + 1, 41):
+            s = packed._shift(AhContext(spec, Poly.from_ints(spec, (1,) * (deg + 1))), stride)
+            r = pow(2, s, p) if p > 2 else 1
+            ctx = AhContext(spec, Poly.from_ints(spec, (-pow(r, -1, p) % p,) * (deg + 1)))
+            full = ctx.element([Poly.from_ints(spec, (1,) * stride)] * slots)
+            width, count = packed._width(ctx, slots, stride, (full,)), slots * stride
+            row = ([2 * p - 1] * (stride - e) + [0] * e) * (slots - 1)
+            f = [p - 1] * (stride - e)
+            _, derivative, reduce = packed._kernel(ctx, slots, stride, width)
+
+            def oracle(row, w):
+                return packed_derivative_oracle(row, count, stride, w)
+            got = _step_sums(ctx, row, f, stride, width, lambda row, _: derivative(row), r)
+            exact = _step_sums(ctx, row, f, stride, wide, oracle, r)
+            per_digit = _step_sums(ctx, row, f, stride, width, oracle, 1)
+            for v, v_exact, v_per_digit in zip(got, exact, per_digit):
+                assert _unpack(v, count, width) == _unpack(v_exact, count, wide)  # no digit carried
+                largest = max(_unpack(v_exact, count, wide))
+                assert largest < 1 << 8 * width
+                assert p == 2 or (largest < p << s and 2 * s <= 8 * width)
+                new = _unpack(reduce(v), count, width)
+                assert all(c < 2 * p for c in new)
+                want = _unpack(packed_reduce_oracle(v_per_digit, count, width, p), count, width)
+                assert [c % p for c in new] == want
+
+
+def test_the_boundaries_reach_every_digit_width(monkeypatch):
+    seen, real = {}, packed._width
+
+    def spy(ctx, *args):
+        seen.setdefault(ctx.spec.p, set()).add(width := real(ctx, *args))
+        return width
+    monkeypatch.setattr(packed, "_width", spy)
+    for p, ctx in CASES:
+        for a, b in _pairs(random.Random(f"packed-mul:{p}:{ctx.h}"), ctx):
+            if not a.is_zero():
+                assert div_left_exact(a * b, a) == b and div_right_exact(b * a, a) == b
+    widths = {p: sorted(ws - {0}) for p, ws in seen.items()}
+    assert set().union(*widths.values()) == {1, 2, 4, 8, 16, 24}
+    assert widths == {2: [1, 2], 3: [2, 4], 7: [2, 4], 1009: [4, 8], 1000003: [8],
+                      2**31 - 1: [16], 2**61 - 1: [24], 2**64 + 13: [24]}
 
 
 def test_a_quotient_too_heavy_for_the_dividend_is_refused():
